@@ -14,9 +14,11 @@ GO ?= go
 # governance workloads (DRR scheduler fairness solo vs contended, the
 # 50k-point session evict→rehydrate round trip), and the cluster workloads
 # (WAL frame replication throughput through a live Tailer into a
-# follower-side session + journal, and the 50k-point warm-failover handoff).
+# follower-side session + journal, and the 50k-point warm-failover handoff),
+# and the engine's quantize stage on each side of the dense/radix shard
+# kernel choice (2M 2-D points at scale 128; 400k 4-D points at scale 64).
 # BENCHTIME is overridable for quicker local runs.
-BENCH_PERF = Fig2RunningExample|EmbedFig2|EmbedHighDim|Fig9Roadmap|MultiResolution|AssignNoiseToNearest|SessionAppendRelabel|ColdRecluster50k|MergeThroughput|WALAppend|ColdRecovery50k|CtxOverheadFig2|SchedulerFairness|EvictRehydrate50k|GridFootprint|WALReplicationThroughput|Failover50k
+BENCH_PERF = Fig2RunningExample|EmbedFig2|EmbedHighDim|Fig9Roadmap|MultiResolution|AssignNoiseToNearest|SessionAppendRelabel|ColdRecluster50k|MergeThroughput|WALAppend|ColdRecovery50k|CtxOverheadFig2|SchedulerFairness|EvictRehydrate50k|GridFootprint|WALReplicationThroughput|Failover50k|QuantizeDataset
 BENCHTIME ?= 100x
 
 # The committed perf-trajectory snapshot this PR writes (BENCH_$(BENCH_N).json)
@@ -25,13 +27,23 @@ BENCHTIME ?= 100x
 BENCH_N ?= 10
 BENCH_PREV = $(shell expr $(BENCH_N) - 1)
 
-.PHONY: build test race bench bench-json bench-scale profile fmt-check vet ci
+# The end-to-end benchmark declared in BENCHMARK.json (see
+# perfbench/README.md): one workload, one seed, one mode per run, e.g.
+#   make perfbench WORKLOAD=external-spill SEED=7919 SECONDS=5 TRACE=1
+WORKLOAD ?= batch-noisy-2d
+SEED ?= 1
+SECONDS ?= 20
+TRACE ?= 0
+
+.PHONY: build test race bench bench-json bench-scale profile perfbench fmt-check vet ci
 
 build:
 	$(GO) build ./...
 
+# perfbench is its own module, outside the root ./... pattern.
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Race-exercise the parallel engine: grid substrate, core pipeline, the
 # shared worker pool + quota governor, the persistence layer, facade, and
@@ -76,6 +88,9 @@ bench-scale:
 profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineDatasetFig2RunningExample' -benchtime $(BENCHTIME) \
 		-cpuprofile cpu.pprof -memprofile mem.pprof .
+
+perfbench:
+	bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS) --trace $(TRACE)
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -309,6 +309,38 @@ func BenchmarkQuantizationFlat(b *testing.B) {
 	}
 }
 
+// BenchmarkQuantizeDataset times the engine's quantize stage — the
+// bounding-box scan and QuantizeDatasetCtx over a flat dataset — on each
+// side of the shard kernel choice: the paper's Sec. V workload (2M 2-D
+// points at scale 128: 16,384 cells, no more than any shard's rows, so
+// shards are counted into a dense table) and 400k 4-D points at scale 64
+// (16.8M cells, more than the rows, so shards are radix-sorted).
+func BenchmarkQuantizeDataset(b *testing.B) {
+	cases := []struct {
+		name  string
+		ds    *pointset.Dataset
+		scale int
+	}{
+		{"dense/evaluation-2M", synth.Evaluation(100000, 0.75, 1).Flat(), 128},
+		{"radix/blobs-400k-d4", synth.Blobs(8, 50000, 4, 0.1, 1).Flat(), 64},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					q, err := grid.NewQuantizerDataset(c.ds, c.scale, workers)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if f, _ := q.QuantizeDataset(c.ds, workers); f.Len() == 0 {
+						b.Fatal("empty grid")
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkFig5Transform times the sparse 2-D DWT of the quantized running
 // example (the paper's Fig. 5 illustration) and reports the outlier-cell
 // reduction.

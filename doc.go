@@ -195,8 +195,10 @@
 // enter the Go heap (CreateMappedDataset streams one in with O(1)
 // memory; a torn file fails validation with ErrCorruptDataset), and
 // ClusterDatasetExternal / ClusterMappedFile stream quantization through
-// a spill-to-disk external sort — chunked in-memory radix sort, sorted
-// runs on temp files, loser-tree merge — then re-enter the shared
+// a spill-to-disk external sort — chunks quantized by the in-RAM shard
+// kernel (a dense count when a shard holds at least Scaleᵈ rows, a radix
+// sort otherwise), sorted runs on temp files, loser-tree merge — then
+// re-enter the shared
 // pipeline over cell-id-sharded connected components. The budget derives
 // chunk size, spill threshold and merge fan-in (ExternalOptions overrides
 // any of them per call); temp files are removed on every exit path,

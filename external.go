@@ -11,8 +11,8 @@ import (
 // clustering entry points. A MappedDataset is an mmap view over a simple
 // header + row-major float64 file — its coordinates never enter the Go
 // heap — and ClusterDatasetExternal streams quantization through an
-// external radix sort (chunked in-memory sort, sorted runs spilled to temp
-// files, loser-tree merge), so one clustering job over hundreds of
+// external sort (chunks quantized by the in-RAM shard kernel, sorted runs
+// spilled to temp files, loser-tree merge), so one clustering job over hundreds of
 // millions of points runs with resident memory bounded by
 // WithMaxResidentBytes instead of the dataset size. Labels are
 // bit-identical to ClusterDataset on the same rows.
@@ -53,7 +53,7 @@ type ExternalOptions = core.ExternalOptions
 
 // ClusterDatasetExternal clusters ds with resident memory bounded by the
 // clusterer's WithMaxResidentBytes budget: quantization streams the points
-// in chunks through a spill-to-disk external radix sort and re-enters the
+// in chunks through a spill-to-disk external sort and re-enters the
 // shared pipeline, so the Result — labels, threshold, curve — is
 // bit-identical to ClusterDataset on the same rows. ds is typically a
 // MappedDataset view, but any Dataset works.

@@ -11,11 +11,13 @@ import (
 )
 
 // Engine is the parallel, allocation-lean AdaWave pipeline: quantization is
-// sharded across workers with exactly-merged per-shard accumulators, the
-// separable wavelet transform sweeps radix-sorted slice lines in parallel
-// instead of rebuilding coordinate maps, components are labeled by
-// union-find over sorted runs, and point assignment is a single array
-// lookup per point through a memoized point→cell table. Scratch buffers are
+// sharded across workers with exactly-merged per-shard accumulators (each
+// shard counted into a dense cell table when the cell space Scaleᵈ is no
+// larger than its rows, radix-sorted otherwise), the separable wavelet
+// transform sweeps radix-sorted slice lines in parallel instead of
+// rebuilding coordinate maps, components are labeled by union-find over
+// sorted runs, and point assignment is a single array lookup per point
+// through a memoized point→cell table. Scratch buffers are
 // pooled (radix/transform buffers in internal/grid; per-level grid clones
 // and density-curve buffers on the Engine itself), so a long-lived Engine
 // serves many requests without per-call allocation storms. An Engine is

@@ -10,8 +10,9 @@ import (
 
 // Out-of-core clustering: ClusterDatasetExternal is ClusterDatasetContext
 // with the point-side memory decoupled from the dataset size. Quantization
-// runs through the external radix sort (chunked in-memory sort, sorted runs
-// spilled to temp files, loser-tree merge — see grid.QuantizeDatasetExternalCtx)
+// runs through the external sort (chunks quantized by the in-RAM shard
+// kernel, sorted runs spilled to temp files, loser-tree merge — see
+// grid.QuantizeDatasetExternalCtx)
 // and re-enters the exact post-quantization pipeline via clusterFromBase,
 // so the labels are bit-identical to the in-RAM path for every chunk size
 // and spill threshold. Pair it with a pointset.Mapped dataset and the
@@ -54,9 +55,13 @@ const perPointOutputBytes = 4 + 8
 
 // deriveExtSort turns a resident-memory budget into external-sort knobs:
 // the per-point outputs are reserved first, then half the remainder funds
-// the chunk working set (coordinates, index payload, and their radix
-// scratch doubles) and a quarter funds retained sorted runs — the rest is
-// headroom for the merged grid and transform stages.
+// the chunk working set and a quarter funds retained sorted runs — the
+// rest is headroom for the merged grid and transform stages. The chunk
+// working set is sized for the radix kernel (coordinates, index payload,
+// and their scratch doubles: 2·(2d+4) bytes per point). A shard that takes
+// the dense kernel instead holds one int32 per cell of a cell space no
+// larger than its row count — at most 4 bytes per point, less than the
+// radix buffers — so the derived chunk stays within budget either way.
 func deriveExtSort(opts ExternalOptions, n, d int) (grid.ExtSortOptions, error) {
 	budget := opts.MaxResidentBytes
 	if budget <= 0 {

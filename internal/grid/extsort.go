@@ -13,15 +13,16 @@ import (
 	"adawave/internal/pointset"
 )
 
-// External radix sort: the out-of-core rendering of QuantizeDatasetCtx.
-// The in-RAM path shards the points, radix-sorts each shard's cell
-// coordinates with the point index as payload, run-length-dedupes into a
-// sorted per-shard accumulator, and k-way merges — every intermediate lives
-// in memory at once. Out of core, the same plan is cut into fixed-size
-// point chunks: each chunk is quantized and sorted exactly like an in-RAM
-// shard, but the resulting sorted run is block-compressed (PackedGrid) and
-// either retained in memory (small) or spilled to a temp file (large), and
-// a loser-tree k-way merge over all runs emits cells in canonical order
+// External sort: the out-of-core rendering of QuantizeDatasetCtx. The
+// in-RAM path shards the points, turns each shard into a sorted per-shard
+// accumulator with quantizeShard (a dense count when the cell space Scaleᵈ
+// is no larger than the shard's rows, a radix sort with the point index as
+// payload otherwise), and k-way merges — every intermediate lives in memory
+// at once. Out of core, the same plan is cut into fixed-size point chunks:
+// each chunk's shards run the same quantizeShard kernel, but every
+// resulting sorted run is block-compressed (PackedGrid) and either
+// retained in memory (small) or spilled to a temp file (large), and a
+// loser-tree k-way merge over all runs emits cells in canonical order
 // while renumbering every point's memoized chunk-local cell id to its
 // canonical-grid index. Cell masses are integer point counts, so the merge
 // sums are exact in any order and the resulting grid, ids, and every label
@@ -148,15 +149,10 @@ func (q *Quantizer) quantizeDatasetExternalInto(ctx context.Context, ds *pointse
 		}
 	}()
 
-	passes := make([]int, 0, d)
-	for p := d - 1; p >= 0; p-- {
-		passes = append(passes, p)
-	}
-
-	// Phase 1: chunked quantize + in-memory radix sort. Each chunk is
-	// sharded across the workers exactly like QuantizeDatasetCtx shards the
-	// whole dataset, so every shard yields one sorted run with
-	// shard-local point ids stamped by the dedupe pass.
+	// Phase 1: chunked quantize. Each chunk is sharded across the workers
+	// exactly like QuantizeDatasetCtx shards the whole dataset, and every
+	// shard runs the same quantizeShard kernel, yielding one sorted run
+	// with shard-local cell ids stamped on its points.
 	shardGrids := make([]*FlatGrid, workers)
 	shardLo := make([]int, workers)
 	shardHi := make([]int, workers)
@@ -180,23 +176,9 @@ func (q *Quantizer) quantizeDatasetExternalInto(ctx context.Context, ds *pointse
 			if ctx.Err() != nil {
 				return
 			}
-			s := getFlatScratch()
-			defer putFlatScratch(s)
-			sn := shi - slo
-			coords := make([]uint16, sn*d)
-			idx := make([]int32, sn)
-			for i := slo; i < shi; i++ {
-				if (i-slo)%ctxCheckStride == ctxCheckStride-1 && ctx.Err() != nil {
-					return
-				}
-				p := lo + i
-				q.CellCoordsU16(ds.Data[p*d:(p+1)*d], coords[(i-slo)*d:(i-slo+1)*d])
-				idx[i-slo] = int32(i - slo)
-			}
-			sorted, _, sortedIdx := radixSortCells(coords, nil, idx, d, size, passes, s)
-			cells, counts := dedupeRunsIdx(sorted, sortedIdx, d, ids[lo+slo:lo+shi])
-			shardGrids[sw] = &FlatGrid{Size: size, Coords: cells, Vals: counts}
-			shardLo[sw], shardHi[sw] = lo+slo, lo+shi
+			slo, shi = lo+slo, lo+shi
+			shardGrids[sw] = q.quantizeShard(ctx, ds.Data[slo*d:shi*d], ids[slo:shi], size)
+			shardLo[sw], shardHi[sw] = slo, shi
 		})
 		if err := CtxErr(ctx); err != nil {
 			return nil, err

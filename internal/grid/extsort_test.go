@@ -55,7 +55,10 @@ func sameGrid(t *testing.T, a, b *FlatGrid, label string) {
 // TestQuantizeDatasetExternalEquivalence sweeps chunk sizes and spill
 // thresholds (including "spill everything") and checks the external sort
 // reproduces QuantizeDatasetCtx's grid and point→cell memo bit for bit,
-// at several worker counts, leaving no spill files behind.
+// at several worker counts, leaving no spill files behind. A coarse grid
+// adds chunkings whose full chunks are counted by the dense kernel while
+// the last chunk, smaller than the cell space, is radix-sorted, so one
+// merge takes runs of both kernels.
 func TestQuantizeDatasetExternalEquivalence(t *testing.T) {
 	ds := clusteredDataset(20000, 3, 42)
 	q, err := NewQuantizerDataset(ds, 64, 4)
@@ -66,17 +69,8 @@ func TestQuantizeDatasetExternalEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	rng := rand.New(rand.NewSource(1))
-	for iter := 0; iter < 12; iter++ {
-		chunk := 1 + rng.Intn(ds.N+1000)
-		spill := int64(1) // force everything to disk
-		if iter%3 == 1 {
-			spill = 1 << 16 // mixed retain/spill
-		} else if iter%3 == 2 {
-			spill = 1 << 30 // all in memory
-		}
-		workers := 1 + rng.Intn(4)
+	check := func(q *Quantizer, wantGrid *FlatGrid, wantIDs []int32, chunk int, spill int64, workers int) {
+		t.Helper()
 		tmp := t.TempDir()
 		g, ids, err := q.QuantizeDatasetExternalCtx(context.Background(), ds, workers,
 			ExtSortOptions{ChunkPoints: chunk, SpillBytes: spill, TempDir: tmp})
@@ -113,6 +107,44 @@ func TestQuantizeDatasetExternalEquivalence(t *testing.T) {
 		if len(entries) != 0 {
 			t.Fatalf("chunk=%d spill=%d: %d leaked entries in spill base dir", chunk, spill, len(entries))
 		}
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 12; iter++ {
+		chunk := 1 + rng.Intn(ds.N+1000)
+		spill := int64(1) // force everything to disk
+		if iter%3 == 1 {
+			spill = 1 << 16 // mixed retain/spill
+		} else if iter%3 == 2 {
+			spill = 1 << 30 // all in memory
+		}
+		workers := 1 + rng.Intn(4)
+		check(q, wantGrid, wantIDs, chunk, spill, workers)
+	}
+
+	// Scale 16 in 3-D is 4096 cells. Chunks of 6000 rows (one worker) or
+	// 9000 rows (two 4500-row shards) are counted densely; the last chunk,
+	// 2000 rows, is below the cell space and the parallel cutoff, so it is
+	// one radix run.
+	coarse, err := NewQuantizerDataset(ds, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coarseGrid, coarseIDs, err := coarse.QuantizeDatasetCtx(context.Background(), ds, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		chunk, workers int
+		spill          int64
+	}{{6000, 1, 1}, {6000, 1, 1 << 30}, {9000, 2, 1}, {9000, 2, 1 << 30}} {
+		if _, ok := denseCellSpace(coarse.Scale, coarse.Dim(), c.chunk/c.workers); !ok {
+			t.Fatalf("chunk=%d workers=%d: full-chunk shards must take the dense kernel", c.chunk, c.workers)
+		}
+		if last := ds.N % c.chunk; last >= 4096 {
+			t.Fatalf("chunk=%d: last chunk of %d rows must fall below the cell space", c.chunk, last)
+		}
+		check(coarse, coarseGrid, coarseIDs, c.chunk, c.spill, c.workers)
 	}
 }
 

@@ -21,6 +21,12 @@ func NewQuantizerDataset(ds *pointset.Dataset, scale, workers int) (*Quantizer, 
 // cancellation: every bounding-box shard polls ctx at its boundary (and
 // every ctxCheckStride points within), and a cancelled scan returns the
 // taxonomy error of CtxErr without building a quantizer.
+//
+// Each shard folds its rows in blocks of ctxCheckStride rows straight off
+// the backing slice, accumulating v−v over the block as its only
+// finiteness test (zero unless some coordinate is NaN or ±Inf). A flagged
+// block is rescanned row by row with bboxShard.scan, so the error names
+// the lowest offending point exactly as the sequential constructor does.
 func NewQuantizerDatasetCtx(ctx context.Context, ds *pointset.Dataset, scale, workers int) (*Quantizer, error) {
 	if ds == nil || ds.N == 0 {
 		return nil, ErrNoPoints
@@ -43,12 +49,32 @@ func NewQuantizerDatasetCtx(ctx context.Context, ds *pointset.Dataset, scale, wo
 		}
 		st := &states[w]
 		st.init(ds.Row(lo))
-		for i := lo; i < hi; i++ {
-			if (i-lo)%ctxCheckStride == ctxCheckStride-1 && ctx.Err() != nil {
+		mins, maxs := st.mins, st.maxs
+		for blo := lo; blo < hi; blo += ctxCheckStride {
+			if blo > lo && ctx.Err() != nil {
 				return
 			}
-			if !st.scan(i, ds.Data[i*d:(i+1)*d]) {
-				return
+			bhi := min(blo+ctxCheckStride, hi)
+			var nonFinite float64
+			j := 0
+			for _, v := range ds.Data[blo*d : bhi*d] {
+				nonFinite += v - v
+				if v < mins[j] {
+					mins[j] = v
+				}
+				if v > maxs[j] {
+					maxs[j] = v
+				}
+				if j++; j == d {
+					j = 0
+				}
+			}
+			if nonFinite != 0 {
+				for i := blo; i < bhi; i++ {
+					if !st.scan(i, ds.Data[i*d:(i+1)*d]) {
+						return
+					}
+				}
 			}
 		}
 	})
@@ -58,16 +84,17 @@ func NewQuantizerDatasetCtx(ctx context.Context, ds *pointset.Dataset, scale, wo
 	return finishQuantizer(states, scale, d)
 }
 
-// QuantizeDataset builds the sparse density grid of a flat dataset exactly
-// like QuantizeFlat (sharded quantization, radix sort, run-length dedupe,
-// exact k-way merge — canonical cell order, identical for every worker
-// count) and additionally memoizes every point's base-cell index: ids[i] is
-// the canonical-order index of point i's cell in the returned grid. The
-// memo costs no searches: point indices ride through the radix sort as a
-// payload, the dedupe pass stamps each point with its shard-local cell
-// number, and the shard merge renumbers those to global indices — so each
-// point's cell coordinates are computed exactly once and never recomputed
-// by an assignment pass.
+// QuantizeDataset builds the sparse density grid of a flat dataset —
+// the same canonical grid as QuantizeFlat, identical for every worker
+// count — and additionally memoizes every point's base-cell index: ids[i]
+// is the canonical-order index of point i's cell in the returned grid.
+// Each worker quantizes a contiguous shard with quantizeShard, which
+// counts the shard into a dense cell table when the whole cell space
+// Scaleᵈ is no larger than the shard's row count and radix-sorts its cells
+// with the point index as payload otherwise; either way each point is
+// stamped with its shard-local cell number, and the exact k-way shard
+// merge renumbers those to global indices. Each point's cell coordinates
+// are computed exactly once and never recomputed by an assignment pass.
 func (q *Quantizer) QuantizeDataset(ds *pointset.Dataset, workers int) (*FlatGrid, []int32) {
 	f, ids, _ := q.QuantizeDatasetCtx(context.Background(), ds, workers)
 	return f, ids
@@ -79,10 +106,7 @@ func (q *Quantizer) QuantizeDataset(ds *pointset.Dataset, workers int) (*FlatGri
 // no grid and no memo published.
 func (q *Quantizer) QuantizeDatasetCtx(ctx context.Context, ds *pointset.Dataset, workers int) (*FlatGrid, []int32, error) {
 	d := q.Dim()
-	size := make([]int, d)
-	for j := range size {
-		size[j] = q.Scale
-	}
+	size := q.gridSize()
 	n := ds.N
 	if n == 0 {
 		return &FlatGrid{Size: size}, nil, nil
@@ -90,31 +114,13 @@ func (q *Quantizer) QuantizeDatasetCtx(ctx context.Context, ds *pointset.Dataset
 	if workers <= 1 || n < parallelCellCutoff {
 		workers = 1
 	}
-	passes := make([]int, 0, d)
-	for p := d - 1; p >= 0; p-- {
-		passes = append(passes, p)
-	}
 	ids := make([]int32, n)
 	shards := make([]*FlatGrid, workers)
 	ParallelRangesCtx(ctx, n, workers, func(w, lo, hi int) {
 		if ctx.Err() != nil {
 			return
 		}
-		s := getFlatScratch()
-		defer putFlatScratch(s)
-		nn := hi - lo
-		coords := make([]uint16, nn*d)
-		idx := make([]int32, nn)
-		for i := lo; i < hi; i++ {
-			if (i-lo)%ctxCheckStride == ctxCheckStride-1 && ctx.Err() != nil {
-				return
-			}
-			q.CellCoordsU16(ds.Data[i*d:(i+1)*d], coords[(i-lo)*d:(i-lo+1)*d])
-			idx[i-lo] = int32(i - lo)
-		}
-		sorted, _, sortedIdx := radixSortCells(coords, nil, idx, d, size, passes, s)
-		cells, counts := dedupeRunsIdx(sorted, sortedIdx, d, ids[lo:hi])
-		shards[w] = &FlatGrid{Size: size, Coords: cells, Vals: counts}
+		shards[w] = q.quantizeShard(ctx, ds.Data[lo*d:hi*d], ids[lo:hi], size)
 	})
 	if err := CtxErr(ctx); err != nil {
 		return nil, nil, err

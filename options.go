@@ -43,7 +43,7 @@ func WithWorkers(n int) Option {
 
 // WithMaxResidentBytes sets the resident-memory budget of the out-of-core
 // entry points (ClusterDatasetExternal, ClusterMappedFile): the external
-// radix sort sizes its point chunks and in-memory run budget so the run's
+// sort sizes its point chunks and in-memory run budget so the run's
 // per-point heap — label and cell-memo outputs, chunk working set, retained
 // sorted runs — stays within n bytes, spilling sorted runs to temp files
 // beyond it. n ≤ 0 selects the 512 MiB default. The budget does not cover
