@@ -46,7 +46,8 @@ test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Race-exercise the parallel engine: grid substrate, core pipeline, the
-# shared worker pool + quota governor, the persistence layer, facade, and
+# shared worker pool + quota governor, the persistence layer, the embedding
+# front-end (internal/embed, internal/linalg), the facade, and
 # the HTTP serving layer (whose httptest smoke drives one writer and many
 # concurrent readers through a shared Session, whose crash-recovery
 # property test replays every WAL crash point, and whose evict→rehydrate
@@ -55,7 +56,7 @@ test:
 # replicates random mutation splits to a follower and promotes it against a
 # killed primary).
 race:
-	$(GO) test -race ./internal/grid/... ./internal/core/... ./internal/pointset/... ./internal/sched/... ./internal/persist/... ./internal/cluster/... ./cmd/adawave-serve/... .
+	$(GO) test -race ./internal/grid/... ./internal/core/... ./internal/pointset/... ./internal/sched/... ./internal/persist/... ./internal/embed/... ./internal/linalg/... ./internal/cluster/... ./cmd/adawave-serve/... .
 
 # The CI benchmark smoke job: one iteration of the Fig. 2 benchmarks.
 bench:

@@ -75,98 +75,34 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // (used when Config.Scale is 0).
 func AutoScale(n, d int) int { return core.AutoScale(n, d) }
 
-// Cluster runs AdaWave on points (row-major, all rows the same length).
-// It is deterministic and does not modify points.
-func Cluster(points [][]float64, cfg Config) (*Result, error) {
-	return core.Cluster(points, cfg)
-}
-
-// ClusterMultiResolution runs AdaWave at every wavelet decomposition level
-// from 1 to maxLevels in one pass, returning one Result per level: finer
-// levels separate nearby structures, coarser levels merge them.
-func ClusterMultiResolution(points [][]float64, cfg Config, maxLevels int) ([]*Result, error) {
-	return core.ClusterMultiResolution(points, cfg, maxLevels)
-}
-
 // Clusterer is a reusable AdaWave engine: quantization, the separable
 // wavelet transform and point assignment run sharded across worker
 // goroutines over a flat struct-of-arrays grid, and scratch buffers are
-// pooled across calls. A single Clusterer is safe for concurrent Cluster
-// calls, and its output does not depend on the worker count. With a
-// dyadic-tap basis — Haar, CDF(2,2) (the default), CDF(1,3) — it matches
-// the sequential Cluster function label for label; with DB4/DB6 (whose
-// irrational taps make float accumulation order-sensitive) results can
-// differ from the sequential path within floating-point rounding.
+// pooled across calls. A single Clusterer is safe for concurrent calls, and
+// its output does not depend on the worker count. With a dyadic-tap basis —
+// Haar, CDF(2,2) (the default), CDF(1,3) — it matches the sequential
+// reference core.Cluster label for label; with DB4/DB6 (whose irrational
+// taps make float accumulation order-sensitive) results can differ from the
+// sequential path within floating-point rounding. Build one with New.
 type Clusterer struct {
-	eng              *core.Engine
-	maxResidentBytes int64
+	eng *core.Engine
 }
 
-// NewClusterer validates cfg and returns a clusterer using the given number
-// of worker goroutines per pipeline stage (workers ≤ 0 selects
-// runtime.GOMAXPROCS(0) at each call).
-func NewClusterer(cfg Config, workers int) (*Clusterer, error) {
-	eng, err := core.NewEngine(cfg, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Clusterer{eng: eng}, nil
-}
-
-// Cluster runs the parallel AdaWave pipeline on points (a thin adapter that
-// copies the rows into a flat Dataset first; use ClusterDataset to skip the
-// copy).
-func (c *Clusterer) Cluster(points [][]float64) (*Result, error) {
-	return c.eng.Cluster(points)
-}
-
-// ClusterContext is Cluster with cooperative cancellation: every pipeline
-// stage polls ctx at its shard boundaries, and a cancelled run unwinds
-// cleanly — pooled buffers returned, no partial result — reporting an error
-// matched by errors.Is against ErrCanceled or ErrDeadlineExceeded (and the
-// originating context sentinel). The ctx-free methods are thin
-// context.Background() wrappers over these.
-func (c *Clusterer) ClusterContext(ctx context.Context, points [][]float64) (*Result, error) {
-	return c.eng.ClusterContext(ctx, points)
-}
-
-// ClusterDataset runs the parallel AdaWave pipeline on a flat row-major
-// Dataset — the allocation-free point-facing entry point. Each point's base
-// cell is memoized during quantization, so assignment is one array lookup
-// per point.
-func (c *Clusterer) ClusterDataset(ds *Dataset) (*Result, error) {
-	return c.eng.ClusterDataset(ds)
-}
-
-// ClusterDatasetContext is ClusterDataset with cooperative cancellation
-// (see ClusterContext).
+// ClusterDatasetContext runs the parallel AdaWave pipeline on a flat
+// row-major Dataset (slice callers convert with FromSlices). Each point's
+// base cell is memoized during quantization, so assignment is one array
+// lookup per point. Every pipeline stage polls ctx at its shard boundaries,
+// and a cancelled run unwinds cleanly — pooled buffers returned, no partial
+// result — reporting an error matched by errors.Is against ErrCanceled or
+// ErrDeadlineExceeded (and the originating context sentinel).
 func (c *Clusterer) ClusterDatasetContext(ctx context.Context, ds *Dataset) (*Result, error) {
 	return c.eng.ClusterDatasetContext(ctx, ds)
 }
 
-// ClusterMultiResolution runs the parallel pipeline at every decomposition
-// level from 1 to maxLevels, clustering the levels concurrently (adapter
-// form of ClusterMultiResolutionDataset).
-func (c *Clusterer) ClusterMultiResolution(points [][]float64, maxLevels int) ([]*Result, error) {
-	return c.eng.ClusterMultiResolution(points, maxLevels)
-}
-
-// ClusterMultiResolutionContext is ClusterMultiResolution with cooperative
-// cancellation (see ClusterContext).
-func (c *Clusterer) ClusterMultiResolutionContext(ctx context.Context, points [][]float64, maxLevels int) ([]*Result, error) {
-	return c.eng.ClusterMultiResolutionContext(ctx, points, maxLevels)
-}
-
-// ClusterMultiResolutionDataset is ClusterMultiResolution on a flat
-// Dataset: points are quantized once, and every level's assignment is
-// rebuilt from one pass over the grid cells instead of one search per
-// point per level.
-func (c *Clusterer) ClusterMultiResolutionDataset(ds *Dataset, maxLevels int) ([]*Result, error) {
-	return c.eng.ClusterMultiResolutionDataset(ds, maxLevels)
-}
-
-// ClusterMultiResolutionDatasetContext is ClusterMultiResolutionDataset with
-// cooperative cancellation (see ClusterContext).
+// ClusterMultiResolutionDatasetContext clusters ds at every decomposition
+// level from 1 to maxLevels in one pass, returning one Result per level:
+// finer levels separate nearby structures, coarser levels merge them.
+// Points are quantized once and the levels are finished concurrently.
 func (c *Clusterer) ClusterMultiResolutionDatasetContext(ctx context.Context, ds *Dataset, maxLevels int) ([]*Result, error) {
 	return c.eng.ClusterMultiResolutionDatasetContext(ctx, ds, maxLevels)
 }
@@ -184,12 +120,6 @@ func (c *Clusterer) Workers() int { return c.eng.Workers() }
 // result does not depend on the worker count.
 func AssignNoiseToNearest(points [][]float64, labels []int, iterations int) []int {
 	return core.AssignNoiseToNearest(points, labels, iterations)
-}
-
-// AssignNoiseToNearestParallel is AssignNoiseToNearest with an explicit
-// worker count for the nearest-centroid search (≤ 0 = all processors).
-func AssignNoiseToNearestParallel(points [][]float64, labels []int, iterations, workers int) []int {
-	return core.AssignNoiseToNearestParallel(points, labels, iterations, workers)
 }
 
 // HaarBasis returns the Haar wavelet basis. Its one-to-one cell mapping

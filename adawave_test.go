@@ -1,6 +1,7 @@
 package adawave_test
 
 import (
+	"context"
 	"testing"
 
 	"adawave"
@@ -9,9 +10,24 @@ import (
 // The facade tests exercise the library exactly the way an external user
 // would: only through the public API.
 
+// clusterRows is the [][]float64 caller's path through the facade: copy the
+// rows with FromSlices, then ClusterDatasetContext on a clusterer built from
+// opts.
+func clusterRows(points [][]float64, opts ...adawave.Option) (*adawave.Result, error) {
+	ds, err := adawave.FromSlices(points)
+	if err != nil {
+		return nil, err
+	}
+	c, err := adawave.New(opts...)
+	if err != nil {
+		return nil, err
+	}
+	return c.ClusterDatasetContext(context.Background(), ds)
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	ds := adawave.SyntheticEvaluation(1000, 0.5, 1)
-	res, err := adawave.Cluster(ds.Points, adawave.DefaultConfig())
+	res, err := clusterRows(ds.Points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +73,11 @@ func TestFacadeMetrics(t *testing.T) {
 
 func TestFacadeMultiResolution(t *testing.T) {
 	ds := adawave.Blobs(3, 300, 2, 0.02, 2)
-	rs, err := adawave.ClusterMultiResolution(ds.Points, adawave.DefaultConfig(), 2)
+	c, err := adawave.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := c.ClusterMultiResolutionDatasetContext(context.Background(), ds.Flat(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +96,14 @@ func TestFacadeAutoScale(t *testing.T) {
 	cfg := adawave.DefaultConfig()
 	cfg.Scale = 0 // auto
 	ds := adawave.Blobs(2, 200, 2, 0.02, 3)
-	if _, err := adawave.Cluster(ds.Points, cfg); err != nil {
+	if _, err := clusterRows(ds.Points, adawave.WithConfig(cfg)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestFacadeAssignNoise(t *testing.T) {
 	ds := adawave.Blobs(2, 400, 2, 0.02, 4)
-	res, err := adawave.Cluster(ds.Points, adawave.DefaultConfig())
+	res, err := clusterRows(ds.Points)
 	if err != nil {
 		t.Fatal(err)
 	}

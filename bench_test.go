@@ -67,7 +67,7 @@ func BenchmarkEngineFig2RunningExample(b *testing.B) {
 			var ami float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := eng.Cluster(ds.Points)
+				res, err := clusterRows(eng, ds.Points)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -76,6 +76,18 @@ func BenchmarkEngineFig2RunningExample(b *testing.B) {
 			b.ReportMetric(ami, "AMI")
 		})
 	}
+}
+
+// clusterRows is the [][]float64 caller's path through the engine: copy the
+// rows into a flat Dataset with FromSlices, then run the one flat entry
+// point. The slice benchmarks call it inside their timed loops, so the copy
+// is part of what they measure.
+func clusterRows(eng *core.Engine, points [][]float64) (*core.Result, error) {
+	ds, err := pointset.FromSlices(points)
+	if err != nil {
+		return nil, err
+	}
+	return eng.ClusterDatasetContext(context.Background(), ds)
 }
 
 // BenchmarkEngineFig9Roadmap is the engine's large-n counterpart of
@@ -93,7 +105,7 @@ func BenchmarkEngineFig9Roadmap(b *testing.B) {
 			var ami float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := eng.Cluster(ds.Points)
+				res, err := clusterRows(eng, ds.Points)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -122,7 +134,7 @@ func BenchmarkEngineDatasetFig2RunningExample(b *testing.B) {
 			var ami float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := eng.ClusterDataset(flat)
+				res, err := eng.ClusterDatasetContext(context.Background(), flat)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -177,7 +189,7 @@ func BenchmarkEngineDatasetFig9Roadmap(b *testing.B) {
 			var ami float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := eng.ClusterDataset(flat)
+				res, err := eng.ClusterDatasetContext(context.Background(), flat)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -217,14 +229,18 @@ func BenchmarkMultiResolution(b *testing.B) {
 		}
 		b.Run(w.name+"/engine-slices", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.ClusterMultiResolution(w.ds.Points, 5); err != nil {
+				rows, err := pointset.FromSlices(w.ds.Points)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.ClusterMultiResolutionDatasetContext(context.Background(), rows, 5); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(w.name+"/engine-dataset", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.ClusterMultiResolutionDataset(flat, 5); err != nil {
+				if _, err := eng.ClusterMultiResolutionDatasetContext(context.Background(), flat, 5); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -261,7 +277,7 @@ func BenchmarkEngineFig10Runtime(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Cluster(ds.Points); err != nil {
+				if _, err := clusterRows(eng, ds.Points); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -809,7 +825,7 @@ func BenchmarkColdRecluster50k(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := eng.ClusterDataset(union)
+		res, err := eng.ClusterDatasetContext(context.Background(), union)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -852,18 +868,19 @@ func BenchmarkWALAppend(b *testing.B) {
 func BenchmarkColdRecovery50k(b *testing.B) {
 	warm, delta := streamingFixture(b)
 	cfg := core.DefaultConfig()
-	sess, err := NewSession(cfg, 1)
+	c, err := New(WithConfig(cfg), WithWorkers(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := sess.Append(warm); err != nil {
+	sess := c.NewSession()
+	if err := sess.AppendContext(context.Background(), warm); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := sess.Labels(); err != nil {
+	if _, err := sess.LabelsContext(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	var ckpt bytes.Buffer
-	if err := sess.Checkpoint(&ckpt); err != nil {
+	if err := sess.CheckpointContext(context.Background(), &ckpt); err != nil {
 		b.Fatal(err)
 	}
 	walPath := filepath.Join(b.TempDir(), "wal.log")
@@ -883,14 +900,18 @@ func BenchmarkColdRecovery50k(b *testing.B) {
 	wantN := warm.N + delta.N - 3
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		restored, err := RestoreSession(bytes.NewReader(ckpt.Bytes()), cfg, 1)
+		fresh, err := New(WithConfig(cfg), WithWorkers(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		restored, err := fresh.RestoreSession(bytes.NewReader(ckpt.Bytes()))
 		if err != nil {
 			b.Fatal(err)
 		}
 		if _, _, err := persist.ReplayInto(walPath, 0, restored); err != nil {
 			b.Fatal(err)
 		}
-		labels, err := restored.Labels()
+		labels, err := restored.LabelsContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -966,19 +987,20 @@ func BenchmarkSchedulerFairness(b *testing.B) {
 func BenchmarkEvictRehydrate50k(b *testing.B) {
 	warm, _ := streamingFixture(b)
 	cfg := core.DefaultConfig()
-	sess, err := NewSession(cfg, 1)
+	c, err := New(WithConfig(cfg), WithWorkers(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := sess.Append(warm); err != nil {
+	sess := c.NewSession()
+	if err := sess.AppendContext(context.Background(), warm); err != nil {
 		b.Fatal(err)
 	}
-	labels, err := sess.Labels()
+	labels, err := sess.LabelsContext(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
 	var probe bytes.Buffer
-	if err := sess.Checkpoint(&probe); err != nil {
+	if err := sess.CheckpointContext(context.Background(), &probe); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(probe.Len()))
@@ -987,10 +1009,14 @@ func BenchmarkEvictRehydrate50k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var ckpt bytes.Buffer
 		ckpt.Grow(probe.Len())
-		if err := sess.Checkpoint(&ckpt); err != nil {
+		if err := sess.CheckpointContext(context.Background(), &ckpt); err != nil {
 			b.Fatal(err)
 		}
-		restored, err = RestoreSession(bytes.NewReader(ckpt.Bytes()), cfg, 1)
+		fresh, err := New(WithConfig(cfg), WithWorkers(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		restored, err = fresh.RestoreSession(bytes.NewReader(ckpt.Bytes()))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -998,7 +1024,7 @@ func BenchmarkEvictRehydrate50k(b *testing.B) {
 	b.StopTimer()
 	// The round trip is only a win if it is lossless: the rehydrated session
 	// must serve the bit-identical labels.
-	got, err := restored.Labels()
+	got, err := restored.LabelsContext(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1155,11 +1181,12 @@ func BenchmarkEmbedHighDim(b *testing.B) {
 func BenchmarkWALReplicationThroughput(b *testing.B) {
 	warm, delta := streamingFixture(b)
 	cfg := core.DefaultConfig()
-	sess, err := NewSession(cfg, 1)
+	c, err := New(WithConfig(cfg), WithWorkers(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := sess.Append(warm); err != nil {
+	sess := c.NewSession()
+	if err := sess.AppendContext(context.Background(), warm); err != nil {
 		b.Fatal(err)
 	}
 	primary, err := persist.OpenWAL(filepath.Join(b.TempDir(), "primary.log"), persist.SyncNever)
@@ -1192,7 +1219,7 @@ func BenchmarkWALReplicationThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sess.Append(rec.Batch); err != nil {
+		if err := sess.AppendContext(context.Background(), rec.Batch); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := follower.AppendFrame(frame); err != nil {
@@ -1204,7 +1231,7 @@ func BenchmarkWALReplicationThroughput(b *testing.B) {
 		for j := range idx {
 			idx[j] = warm.N + j
 		}
-		if err := sess.Remove(idx); err != nil {
+		if err := sess.RemoveContext(context.Background(), idx); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
@@ -1221,11 +1248,12 @@ func BenchmarkWALReplicationThroughput(b *testing.B) {
 func BenchmarkFailover50k(b *testing.B) {
 	warm, delta := streamingFixture(b)
 	cfg := core.DefaultConfig()
-	sess, err := NewSession(cfg, 1)
+	c, err := New(WithConfig(cfg), WithWorkers(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := sess.Append(warm); err != nil {
+	sess := c.NewSession()
+	if err := sess.AppendContext(context.Background(), warm); err != nil {
 		b.Fatal(err)
 	}
 	idx := make([]int, delta.N)
@@ -1235,11 +1263,11 @@ func BenchmarkFailover50k(b *testing.B) {
 		// cold and the last streamed frames are still pending; stage that
 		// state outside the measured handoff.
 		b.StopTimer()
-		if err := sess.Append(delta); err != nil {
+		if err := sess.AppendContext(context.Background(), delta); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		labels, err := sess.Labels()
+		labels, err := sess.LabelsContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1250,7 +1278,7 @@ func BenchmarkFailover50k(b *testing.B) {
 		for j := range idx {
 			idx[j] = warm.N + j
 		}
-		if err := sess.Remove(idx); err != nil {
+		if err := sess.RemoveContext(context.Background(), idx); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()

@@ -1,6 +1,7 @@
 package adawave
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -9,10 +10,11 @@ import (
 	"adawave/internal/synth"
 )
 
-// TestClustererConcurrentMatchesSequential runs many concurrent Cluster
-// calls on one shared Clusterer and asserts label-for-label equality with
-// the sequential core.Cluster output on the running-example dataset. The CI
-// race job runs this test under -race to exercise the parallel paths.
+// TestClustererConcurrentMatchesSequential runs many concurrent
+// ClusterDatasetContext calls on one shared Clusterer and asserts
+// label-for-label equality with the sequential core.Cluster output on the
+// running-example dataset. The CI race job runs this test under -race to
+// exercise the parallel paths.
 func TestClustererConcurrentMatchesSequential(t *testing.T) {
 	ds := synth.RunningExampleSized(600, 1)
 	cfg := DefaultConfig()
@@ -20,7 +22,8 @@ func TestClustererConcurrentMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewClusterer(cfg, 0) // all processors
+	flat := ds.Flat()
+	c, err := New(WithConfig(cfg)) // all processors
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +36,7 @@ func TestClustererConcurrentMatchesSequential(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				got, err := c.Cluster(ds.Points)
+				got, err := c.ClusterDatasetContext(context.Background(), flat)
 				if err != nil {
 					errs <- err
 					return
@@ -67,15 +70,15 @@ func TestClustererConcurrentMatchesSequential(t *testing.T) {
 func TestClustererMultiResolution(t *testing.T) {
 	ds := synth.RunningExampleSized(300, 1)
 	cfg := DefaultConfig()
-	want, err := ClusterMultiResolution(ds.Points, cfg, 3)
+	want, err := core.ClusterMultiResolution(ds.Points, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewClusterer(cfg, 4)
+	c, err := New(WithConfig(cfg), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.ClusterMultiResolution(ds.Points, 3)
+	got, err := c.ClusterMultiResolutionDatasetContext(context.Background(), ds.Flat(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +94,13 @@ func TestClustererMultiResolution(t *testing.T) {
 	}
 }
 
-// TestNewClustererValidates mirrors the config validation of the
-// sequential entry points.
-func TestNewClustererValidates(t *testing.T) {
-	if _, err := NewClusterer(Config{}, 0); err == nil {
+// TestNewValidates mirrors the config validation of the sequential entry
+// points.
+func TestNewValidates(t *testing.T) {
+	if _, err := New(WithConfig(Config{})); err == nil {
 		t.Fatal("zero config must not validate")
 	}
-	c, err := NewClusterer(DefaultConfig(), 3)
+	c, err := New(WithWorkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,8 +129,8 @@ func TestKillAndPromoteProperty(t *testing.T) {
 			var created struct {
 				ID string `json:"id"`
 			}
-			doJSON(t, primary, "POST", "/sessions", "application/json", cfgBody, http.StatusCreated, &created)
-			base := "/sessions/" + created.ID
+			doJSON(t, primary, "POST", "/v1/sessions", "application/json", cfgBody, http.StatusCreated, &created)
+			base := "/v1/sessions/" + created.ID
 
 			// Random append/remove split, journaled on the primary; one random
 			// step also checkpoints, so the follower exercises the 409
@@ -240,8 +240,8 @@ func TestFollowerResumesAcrossTornStream(t *testing.T) {
 	var created struct {
 		ID string `json:"id"`
 	}
-	doJSON(t, primary, "POST", "/sessions", "", nil, http.StatusCreated, &created)
-	base := "/sessions/" + created.ID
+	doJSON(t, primary, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
+	base := "/v1/sessions/" + created.ID
 	data := adawave.SyntheticEvaluation(120, 0.5, 7)
 	post := func(ts *httptest.Server, pts [][]float64) {
 		body, err := json.Marshal(map[string]any{"points": pts})
@@ -332,8 +332,8 @@ func TestFollowerRoleGate(t *testing.T) {
 	var created struct {
 		ID string `json:"id"`
 	}
-	doJSON(t, primary, "POST", "/sessions", "", nil, http.StatusCreated, &created)
-	doJSON(t, primary, "POST", "/sessions/"+created.ID+"/points", "application/json",
+	doJSON(t, primary, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
+	doJSON(t, primary, "POST", "/v1/sessions/"+created.ID+"/points", "application/json",
 		[]byte(`{"points":[[1,2],[3,4],[5,6]]}`), http.StatusOK, nil)
 	waitCaughtUp(t, follower, created.ID, 1)
 
@@ -385,8 +385,8 @@ func TestFollowerDetectsPrimaryHistoryRewrite(t *testing.T) {
 	var created struct {
 		ID string `json:"id"`
 	}
-	doJSON(t, primary, "POST", "/sessions", "", nil, http.StatusCreated, &created)
-	base := "/sessions/" + created.ID
+	doJSON(t, primary, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
+	base := "/v1/sessions/" + created.ID
 	data := adawave.SyntheticEvaluation(90, 0.5, 11)
 	post := func(pts [][]float64) {
 		body, err := json.Marshal(map[string]any{"points": pts})
@@ -507,8 +507,8 @@ func TestReplicationAuthGate(t *testing.T) {
 	var created struct {
 		ID string `json:"id"`
 	}
-	doJSON(t, primary, "POST", "/sessions", "", nil, http.StatusCreated, &created)
-	doJSON(t, primary, "POST", "/sessions/"+created.ID+"/points", "application/json",
+	doJSON(t, primary, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
+	doJSON(t, primary, "POST", "/v1/sessions/"+created.ID+"/points", "application/json",
 		[]byte(`{"points":[[1,2],[3,4],[5,6]]}`), http.StatusOK, nil)
 
 	// A follower started with the matching secret replicates end to end…
@@ -569,8 +569,8 @@ func TestDroppedReplicaQuarantined(t *testing.T) {
 	var created struct {
 		ID string `json:"id"`
 	}
-	doJSON(t, primary, "POST", "/sessions", "", nil, http.StatusCreated, &created)
-	doJSON(t, primary, "POST", "/sessions/"+created.ID+"/points", "application/json",
+	doJSON(t, primary, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
+	doJSON(t, primary, "POST", "/v1/sessions/"+created.ID+"/points", "application/json",
 		[]byte(`{"points":[[1,2],[3,4],[5,6]]}`), http.StatusOK, nil)
 	waitCaughtUp(t, follower, created.ID, 1)
 

@@ -56,7 +56,7 @@ func TestServeEmbeddingSessionE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := local.Cluster(data.Points)
+	want, err := local.ClusterDatasetContext(ctx, data.Flat())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,25 +48,6 @@ func requestIDFrom(ctx context.Context) string {
 	return "-"
 }
 
-// legacyShim keeps the pre-v1 unversioned routes alive as deprecated
-// aliases: any /sessions... path is rewritten onto /v1/sessions... and
-// served by the exact same handler, so the two surfaces cannot drift —
-// byte-identical bodies, statuses and semantics. Responses served through
-// the shim carry a Deprecation header pointing clients at /v1.
-func legacyShim(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if p := r.URL.Path; p == "/sessions" || strings.HasPrefix(p, "/sessions/") {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", `</v1`+p+`>; rel="successor-version"`)
-			r2 := r.Clone(r.Context())
-			r2.URL.Path = "/v1" + p
-			next.ServeHTTP(w, r2)
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
 // withDeadline bounds every request by the -timeout request-scoped deadline
 // via the request context — the ctx-aware pipeline aborts compute at the
 // next shard boundary, frees the worker, and the handler answers 504

@@ -94,8 +94,8 @@ func TestServeNonFiniteDataIs422(t *testing.T) {
 	var created struct {
 		ID string `json:"id"`
 	}
-	doJSON(t, ts, "POST", "/sessions", "", nil, http.StatusCreated, &created)
-	base := "/sessions/" + created.ID
+	doJSON(t, ts, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
+	base := "/v1/sessions/" + created.ID
 	doJSON(t, ts, "POST", base+"/points", "text/csv", []byte("1,2\nNaN,0.5\n"), http.StatusOK, nil)
 	doJSON(t, ts, "GET", base+"/labels", "", nil, http.StatusUnprocessableEntity, nil)
 }
@@ -132,15 +132,16 @@ type mutation struct {
 // never-crashed reference.
 func applyAll(t *testing.T, cfg adawave.Config, muts []mutation) *adawave.Session {
 	t.Helper()
-	sess, err := adawave.NewSession(cfg, 1)
+	c, err := adawave.New(adawave.WithConfig(cfg), adawave.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess := c.NewSession()
 	for _, m := range muts {
 		if m.batch != nil {
-			err = sess.Append(m.batch)
+			err = sess.AppendContext(context.Background(), m.batch)
 		} else {
-			err = sess.Remove(append([]int(nil), m.indices...))
+			err = sess.RemoveContext(context.Background(), append([]int(nil), m.indices...))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -157,11 +158,11 @@ func assertLabelsEqual(t *testing.T, want, got *adawave.Session, ctx string) {
 		}
 		return
 	}
-	wl, err := want.Labels()
+	wl, err := want.LabelsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gl, err := got.Labels()
+	gl, err := got.LabelsContext(context.Background())
 	if err != nil {
 		t.Fatalf("%s: recovered labels: %v", ctx, err)
 	}
@@ -212,10 +213,11 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess, err := adawave.NewSession(fx.cfg, 1)
+			c, err := adawave.New(adawave.WithConfig(fx.cfg), adawave.WithWorkers(1))
 			if err != nil {
 				t.Fatal(err)
 			}
+			sess := c.NewSession()
 			ss := newServeSession("s1", "default", sess, files, 1)
 			live := pers.sessionDir("s1")
 
@@ -244,7 +246,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 					b = 1 + rng.Intn((ds.N-off)/3+1)
 				}
 				batch := &pointset.Dataset{Data: ds.Data[off*ds.D : (off+b)*ds.D], N: b, D: ds.D}
-				if err := sess.Append(batch); err != nil {
+				if err := sess.AppendContext(context.Background(), batch); err != nil {
 					t.Fatal(err)
 				}
 				if err := ss.journalAppend(batch); err != nil {
@@ -256,7 +258,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				if rng.Intn(2) == 0 && sess.Len() > 20 {
 					nrm := 1 + rng.Intn(sess.Len()/10+1)
 					idx := rng.Perm(sess.Len())[:nrm]
-					if err := sess.Remove(append([]int(nil), idx...)); err != nil {
+					if err := sess.RemoveContext(context.Background(), append([]int(nil), idx...)); err != nil {
 						t.Fatal(err)
 					}
 					if err := ss.journalRemove(idx); err != nil {
@@ -316,7 +318,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 // resolved configuration a served session would.
 func mustConfig(t *testing.T, cfg adawave.Config) adawave.Config {
 	t.Helper()
-	c, err := adawave.NewClusterer(cfg, 1)
+	c, err := adawave.New(adawave.WithConfig(cfg), adawave.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,8 +348,8 @@ func TestServeKillRestartE2E(t *testing.T) {
 	var created struct {
 		ID string `json:"id"`
 	}
-	doJSON(t, ts1, "POST", "/sessions", "", nil, http.StatusCreated, &created)
-	base := "/sessions/" + created.ID
+	doJSON(t, ts1, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
+	base := "/v1/sessions/" + created.ID
 
 	post := func(ts *httptest.Server, batch [][]float64) {
 		body, err := json.Marshal(map[string]any{"points": batch})
@@ -394,7 +396,7 @@ func TestServeKillRestartE2E(t *testing.T) {
 			Points int    `json:"points"`
 		} `json:"sessions"`
 	}
-	doJSON(t, ts2, "GET", "/sessions", "", nil, http.StatusOK, &listed)
+	doJSON(t, ts2, "GET", "/v1/sessions", "", nil, http.StatusOK, &listed)
 	if len(listed.Sessions) != 1 || listed.Sessions[0].ID != created.ID || listed.Sessions[0].Points != len(pts)-5 {
 		t.Fatalf("recovered registry: %+v", listed.Sessions)
 	}
@@ -413,7 +415,7 @@ func TestServeKillRestartE2E(t *testing.T) {
 	}
 	// The recovered session is warm and writable: session ids must not
 	// collide with the recovered one, and further mutations keep serving.
-	doJSON(t, ts2, "POST", "/sessions", "", nil, http.StatusCreated, &created)
+	doJSON(t, ts2, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
 	if created.ID == listed.Sessions[0].ID {
 		t.Fatalf("new session id %s collides with the recovered one", created.ID)
 	}
@@ -430,17 +432,17 @@ func TestServeCheckpointEndpoint(t *testing.T) {
 	var created struct {
 		ID string `json:"id"`
 	}
-	doJSON(t, ts, "POST", "/sessions", "", nil, http.StatusCreated, &created)
-	doJSON(t, ts, "POST", "/sessions/"+created.ID+"/checkpoint", "", nil, http.StatusConflict, nil)
+	doJSON(t, ts, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
+	doJSON(t, ts, "POST", "/v1/sessions/"+created.ID+"/checkpoint", "", nil, http.StatusConflict, nil)
 	ts.Close()
 
 	dataDir := filepath.Join(t.TempDir(), "data")
 	srv = mustServer(t, serverOptions{workers: 1, timeout: 30 * time.Second, dataDir: dataDir, walSync: persist.SyncAlways})
 	ts = httptest.NewServer(srv.handler())
 	defer ts.Close()
-	doJSON(t, ts, "POST", "/sessions/s404/checkpoint", "", nil, http.StatusNotFound, nil)
-	doJSON(t, ts, "POST", "/sessions", "", nil, http.StatusCreated, &created)
-	base := "/sessions/" + created.ID
+	doJSON(t, ts, "POST", "/v1/sessions/s404/checkpoint", "", nil, http.StatusNotFound, nil)
+	doJSON(t, ts, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
+	base := "/v1/sessions/" + created.ID
 	// Checkpointing an empty session works (and is restorable).
 	doJSON(t, ts, "POST", base+"/checkpoint", "", nil, http.StatusOK, nil)
 	doJSON(t, ts, "POST", base+"/points", "application/json", []byte(`{"points":[[1,2],[3,4],[1,2]]}`), http.StatusOK, nil)
@@ -505,8 +507,8 @@ func TestServeRecoveryEquivalenceCSV(t *testing.T) {
 	var created struct {
 		ID string `json:"id"`
 	}
-	doJSON(t, ts1, "POST", "/sessions", "", nil, http.StatusCreated, &created)
-	base := "/sessions/" + created.ID
+	doJSON(t, ts1, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
+	base := "/v1/sessions/" + created.ID
 
 	var csvBody bytes.Buffer
 	for _, p := range data.Points[:100] {

@@ -98,7 +98,6 @@ func (s *server) withRole(next http.Handler) http.Handler {
 }
 
 // followerAllows reports whether a follower serves the request itself.
-// legacyShim has already normalized pre-v1 paths when this runs.
 func followerAllows(r *http.Request) bool {
 	p := r.URL.Path
 	switch {

@@ -29,10 +29,9 @@
 //	POST   /v1/sessions/{id}/checkpoint       force a checkpoint now (admin; requires -data-dir)
 //	DELETE /v1/sessions/{id}                  drop the session (and its on-disk state)
 //
-// The pre-v1 unversioned /sessions... routes remain as deprecated aliases
-// (one rewrite shim onto the /v1 handlers, marked with a Deprecation
-// header). Errors are a structured envelope {"error":{code,message}} with
-// the stable code vocabulary of internal/api.
+// Only the /v1 routes exist; unversioned /sessions... paths answer 404.
+// Errors are a structured envelope {"error":{code,message}} with the
+// stable code vocabulary of internal/api.
 //
 // The -timeout request-scoped deadline rides the request context: the
 // ctx-aware engine aborts in-flight compute at the next shard boundary
@@ -446,8 +445,7 @@ func (s *server) Close() {
 
 // handler wires the versioned routes (each instrumented with the per-route
 // metrics) and layers the middleware: body cap → request-id propagation →
-// legacy-route shim → tenant resolution + quota admission → request-scoped
-// deadline → mux.
+// tenant resolution + quota admission → request-scoped deadline → mux.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.instrument("healthz", s.healthz))
@@ -480,7 +478,6 @@ func (s *server) handler() http.Handler {
 	h = s.withRole(h)
 	h = s.withDeadline(h)
 	h = s.withTenant(h)
-	h = legacyShim(h)
 	h = requestIDMiddleware(h)
 	h = s.bodyCap(h)
 	return h
@@ -550,11 +547,12 @@ func (s *server) createSession(w http.ResponseWriter, r *http.Request) {
 		writeCode(w, http.StatusBadRequest, api.CodeInvalidInput, err.Error())
 		return
 	}
-	sess, err := adawave.NewSession(cfg, s.workers)
+	c, err := adawave.New(adawave.WithConfig(cfg), adawave.WithWorkers(s.workers))
 	if err != nil {
 		writeCode(w, http.StatusBadRequest, api.CodeInvalidInput, err.Error())
 		return
 	}
+	sess := c.NewSession()
 	tenant := sched.TenantFrom(r.Context())
 	// A router pins the id it placed on the ring via the session-id header,
 	// so placement happens before creation; direct clients let the server
@@ -793,7 +791,7 @@ func (s *server) appendPoints(w http.ResponseWriter, r *http.Request) {
 				// The rollback runs on a fresh context: it must succeed even
 				// when the failure being rolled back is the request's own
 				// dead context.
-				if rerr := sess.Remove(idx); rerr != nil {
+				if rerr := sess.RemoveContext(context.Background(), idx); rerr != nil {
 					writeCode(w, http.StatusInternalServerError, api.CodeInternal,
 						fmt.Sprintf("%v (and rolling back %d appended points failed: %v)", err, appended, rerr))
 					return
@@ -837,7 +835,7 @@ func (s *server) appendPoints(w http.ResponseWriter, r *http.Request) {
 				for i := range idx {
 					idx[i] = n - ds.N + i
 				}
-				if rerr := sess.Remove(idx); rerr != nil {
+				if rerr := sess.RemoveContext(context.Background(), idx); rerr != nil {
 					err = fmt.Errorf("%v (and rolling back failed: %v)", err, rerr)
 				}
 			}

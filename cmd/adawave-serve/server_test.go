@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"adawave"
+	"adawave/internal/core"
 	"adawave/internal/dataio"
 )
 
@@ -74,11 +75,11 @@ func TestServeLifecycle(t *testing.T) {
 	var created struct {
 		ID string `json:"id"`
 	}
-	doJSON(t, ts, "POST", "/sessions", "application/json", []byte(`{"scale":128}`), http.StatusCreated, &created)
+	doJSON(t, ts, "POST", "/v1/sessions", "application/json", []byte(`{"scale":128}`), http.StatusCreated, &created)
 	if created.ID == "" {
 		t.Fatal("no session id")
 	}
-	base := "/sessions/" + created.ID
+	base := "/v1/sessions/" + created.ID
 
 	// Reading an empty session is a sequencing error, not a crash.
 	doJSON(t, ts, "GET", base+"/labels", "", nil, http.StatusConflict, nil)
@@ -113,7 +114,7 @@ func TestServeLifecycle(t *testing.T) {
 	}
 	doJSON(t, ts, "GET", base+"/labels", "", nil, http.StatusOK, &got)
 
-	want, err := adawave.Cluster(data.Points, adawave.DefaultConfig())
+	want, err := core.Cluster(data.Points, adawave.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestServeLifecycle(t *testing.T) {
 			Points int    `json:"points"`
 		} `json:"sessions"`
 	}
-	doJSON(t, ts, "GET", "/sessions", "", nil, http.StatusOK, &listed)
+	doJSON(t, ts, "GET", "/v1/sessions", "", nil, http.StatusOK, &listed)
 	if len(listed.Sessions) != 1 || listed.Sessions[0].Points != len(data.Points)-3 {
 		t.Fatalf("session list: %+v", listed.Sessions)
 	}
@@ -182,8 +183,8 @@ func TestServeConcurrentReaders(t *testing.T) {
 	var created struct {
 		ID string `json:"id"`
 	}
-	doJSON(t, ts, "POST", "/sessions", "", nil, http.StatusCreated, &created)
-	base := "/sessions/" + created.ID
+	doJSON(t, ts, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
+	base := "/v1/sessions/" + created.ID
 
 	data := adawave.SyntheticEvaluation(120, 0.4, 5)
 	first, err := json.Marshal(map[string]any{"points": data.Points[:50]})
@@ -242,16 +243,16 @@ func TestServeBadRequests(t *testing.T) {
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
-	doJSON(t, ts, "POST", "/sessions", "application/json", []byte(`{"scale":1}`), http.StatusBadRequest, nil)
-	doJSON(t, ts, "POST", "/sessions", "application/json", []byte(`{"basis":"nope"}`), http.StatusBadRequest, nil)
-	doJSON(t, ts, "POST", "/sessions", "application/json", []byte(`{"connectivity":"diagonal"}`), http.StatusBadRequest, nil)
-	doJSON(t, ts, "POST", "/sessions/s999/points", "application/json", []byte(`{"points":[[1,2]]}`), http.StatusNotFound, nil)
+	doJSON(t, ts, "POST", "/v1/sessions", "application/json", []byte(`{"scale":1}`), http.StatusBadRequest, nil)
+	doJSON(t, ts, "POST", "/v1/sessions", "application/json", []byte(`{"basis":"nope"}`), http.StatusBadRequest, nil)
+	doJSON(t, ts, "POST", "/v1/sessions", "application/json", []byte(`{"connectivity":"diagonal"}`), http.StatusBadRequest, nil)
+	doJSON(t, ts, "POST", "/v1/sessions/s999/points", "application/json", []byte(`{"points":[[1,2]]}`), http.StatusNotFound, nil)
 
 	var created struct {
 		ID string `json:"id"`
 	}
-	doJSON(t, ts, "POST", "/sessions", "", nil, http.StatusCreated, &created)
-	base := "/sessions/" + created.ID
+	doJSON(t, ts, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
+	base := "/v1/sessions/" + created.ID
 	doJSON(t, ts, "POST", base+"/points", "application/json", []byte(`{"points":[[1,2],[3]]}`), http.StatusBadRequest, nil)
 	doJSON(t, ts, "POST", base+"/points", "text/csv", []byte("x0,x1\n1,2\n3\n"), http.StatusBadRequest, nil)
 	// A failed CSV upload must be atomic: no partial rows survive it.
@@ -260,7 +261,7 @@ func TestServeBadRequests(t *testing.T) {
 			Points int `json:"points"`
 		} `json:"sessions"`
 	}
-	doJSON(t, ts, "GET", "/sessions", "", nil, http.StatusOK, &listed)
+	doJSON(t, ts, "GET", "/v1/sessions", "", nil, http.StatusOK, &listed)
 	if len(listed.Sessions) != 1 || listed.Sessions[0].Points != 0 {
 		t.Fatalf("failed uploads must roll back: %+v", listed.Sessions)
 	}
@@ -283,8 +284,8 @@ func TestServeCSVRollback(t *testing.T) {
 	var created struct {
 		ID string `json:"id"`
 	}
-	doJSON(t, ts, "POST", "/sessions", "", nil, http.StatusCreated, &created)
-	base := "/sessions/" + created.ID
+	doJSON(t, ts, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
+	base := "/v1/sessions/" + created.ID
 	// Pre-existing points must survive the rollback untouched.
 	doJSON(t, ts, "POST", base+"/points", "application/json", []byte(`{"points":[[9,9],[8,8]]}`), http.StatusOK, nil)
 	// Rows 1–4 form two full chunks that append successfully; row 5 is
@@ -296,7 +297,7 @@ func TestServeCSVRollback(t *testing.T) {
 			Points int `json:"points"`
 		} `json:"sessions"`
 	}
-	doJSON(t, ts, "GET", "/sessions", "", nil, http.StatusOK, &listed)
+	doJSON(t, ts, "GET", "/v1/sessions", "", nil, http.StatusOK, &listed)
 	if len(listed.Sessions) != 1 || listed.Sessions[0].Points != 2 {
 		t.Fatalf("failed upload must roll back to the 2 pre-existing points: %+v", listed.Sessions)
 	}
@@ -311,10 +312,10 @@ func TestServeResourceCaps(t *testing.T) {
 	var created struct {
 		ID string `json:"id"`
 	}
-	doJSON(t, ts, "POST", "/sessions", "", nil, http.StatusCreated, &created)
-	doJSON(t, ts, "POST", "/sessions", "", nil, http.StatusCreated, nil)
-	doJSON(t, ts, "POST", "/sessions", "", nil, http.StatusTooManyRequests, nil)
-	base := "/sessions/" + created.ID
+	doJSON(t, ts, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
+	doJSON(t, ts, "POST", "/v1/sessions", "", nil, http.StatusCreated, nil)
+	doJSON(t, ts, "POST", "/v1/sessions", "", nil, http.StatusTooManyRequests, nil)
+	base := "/v1/sessions/" + created.ID
 	doJSON(t, ts, "POST", base+"/points", "application/json", []byte(`{"points":[[1,2],[3,4],[5,6]]}`), http.StatusOK, nil)
 	doJSON(t, ts, "POST", base+"/points", "application/json", []byte(`{"points":[[1,2],[3,4],[5,6]]}`), http.StatusRequestEntityTooLarge, nil)
 	// The CSV path enforces the same cap mid-stream (classified 413
@@ -327,7 +328,7 @@ func TestServeResourceCaps(t *testing.T) {
 			Points int    `json:"points"`
 		} `json:"sessions"`
 	}
-	doJSON(t, ts, "GET", "/sessions", "", nil, http.StatusOK, &listed)
+	doJSON(t, ts, "GET", "/v1/sessions", "", nil, http.StatusOK, &listed)
 	for _, row := range listed.Sessions {
 		if row.ID == created.ID && row.Points != 3 {
 			t.Fatalf("capped session must keep its 3 points, got %d", row.Points)
@@ -370,7 +371,7 @@ func TestServeAppendEquivalence(t *testing.T) {
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 	data := adawave.SyntheticEvaluation(100, 0.3, 11)
-	want, err := adawave.Cluster(data.Points, adawave.DefaultConfig())
+	want, err := core.Cluster(data.Points, adawave.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,8 +379,8 @@ func TestServeAppendEquivalence(t *testing.T) {
 		var created struct {
 			ID string `json:"id"`
 		}
-		doJSON(t, ts, "POST", "/sessions", "", nil, http.StatusCreated, &created)
-		base := "/sessions/" + created.ID
+		doJSON(t, ts, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
+		base := "/v1/sessions/" + created.ID
 		for off := 0; off < len(data.Points); off += step {
 			end := off + step
 			if end > len(data.Points) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -178,7 +179,7 @@ func (ss *serveSession) checkpointLocked() (seq uint64, err error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := sess.Checkpoint(f); err != nil {
+	if err := sess.CheckpointContext(context.Background(), f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return 0, err

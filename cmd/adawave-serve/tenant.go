@@ -190,7 +190,11 @@ func (ss *serveSession) rehydrate(s *server) (*adawave.Session, error) {
 		return nil, fmt.Errorf("rehydrate %s: %w", ss.id, err)
 	}
 	defer f.Close()
-	sess, err := adawave.RestoreSession(f, ss.cfg, ss.workers)
+	c, err := adawave.New(adawave.WithConfig(ss.cfg), adawave.WithWorkers(ss.workers))
+	if err != nil {
+		return nil, fmt.Errorf("rehydrate %s: %w", ss.id, err)
+	}
+	sess, err := c.RestoreSession(f)
 	if err != nil {
 		return nil, fmt.Errorf("rehydrate %s: %w", ss.id, err)
 	}

@@ -17,6 +17,7 @@ import (
 
 	"adawave"
 	"adawave/client"
+	"adawave/internal/core"
 	"adawave/internal/persist"
 	"adawave/internal/sched"
 )
@@ -247,7 +248,7 @@ func TestServeClientRetryTransparent(t *testing.T) {
 	if _, err := plain.Append(ctx, id, data.Points); err != nil {
 		t.Fatal(err)
 	}
-	want, err := adawave.Cluster(data.Points, adawave.DefaultConfig())
+	want, err := core.Cluster(data.Points, adawave.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestServeEvictRehydrateConcurrent(t *testing.T) {
 		if _, err := cl.Append(ctx, id, data.Points); err != nil {
 			t.Fatal(err)
 		}
-		want, err := adawave.Cluster(data.Points, adawave.DefaultConfig())
+		want, err := core.Cluster(data.Points, adawave.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,7 +443,7 @@ func TestServeEightTenantBurst(t *testing.T) {
 		if _, err := cl.Append(ctx, id, data.Points); err != nil {
 			t.Fatal(err)
 		}
-		want, err := adawave.Cluster(data.Points, adawave.DefaultConfig())
+		want, err := core.Cluster(data.Points, adawave.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

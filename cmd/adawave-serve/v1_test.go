@@ -4,16 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"adawave"
 	"adawave/client"
+	"adawave/internal/api"
 	"adawave/internal/core"
 	"adawave/internal/dataio"
 	"adawave/internal/synth"
@@ -60,7 +59,7 @@ func TestServeV1ClientLifecycle(t *testing.T) {
 		t.Fatalf("csv append: %+v, %v", ap, err)
 	}
 
-	want, err := adawave.Cluster(data.Points, adawave.DefaultConfig())
+	want, err := core.Cluster(data.Points, adawave.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,84 +149,45 @@ func TestServeV1ClientLifecycle(t *testing.T) {
 	}
 }
 
-// legacyPairCase is one request replayed against both surfaces.
-type legacyPairCase struct {
-	name        string
-	method      string
-	path        string // legacy path; the v1 path is "/v1" + path
-	contentType string
-	body        string
-}
-
-// TestServeLegacyAliasByteIdentical proves the deprecated unversioned routes
-// are pure aliases: the same request sequence against two fresh servers —
-// one through /sessions..., one through /v1/sessions... — produces
-// byte-identical bodies and statuses at every step, and the legacy surface
-// additionally carries the Deprecation header.
-func TestServeLegacyAliasByteIdentical(t *testing.T) {
-	mk := func() *httptest.Server {
-		srv := mustServer(t, serverOptions{workers: 1, timeout: 30 * time.Second, csvBatch: 4, maxPoints: 50})
-		ts := httptest.NewServer(srv.handler())
-		t.Cleanup(ts.Close)
-		return ts
-	}
-	legacy, v1 := mk(), mk()
-
-	cases := []legacyPairCase{
-		{"create", "POST", "/sessions", "application/json", `{"scale":64}`},
-		{"list", "GET", "/sessions", "", ""},
-		{"append", "POST", "/sessions/s1/points", "application/json", `{"points":[[0,0],[0.1,0.1],[0.9,0.9],[1,1]]}`},
-		{"append-csv", "POST", "/sessions/s1/points", "text/csv", "0.5,0.5\n0.6,0.6\n"},
-		{"labels", "GET", "/sessions/s1/labels", "", ""},
-		{"detail", "GET", "/sessions/s1", "", ""},
-		{"multires", "GET", "/sessions/s1/multiresolution?levels=2", "", ""},
-		{"remove", "DELETE", "/sessions/s1/points", "application/json", `{"indices":[0]}`},
-		{"labels-after-remove", "GET", "/sessions/s1/labels", "", ""},
-		{"bad-levels", "GET", "/sessions/s1/multiresolution?levels=zero", "", ""},
-		{"missing-session", "GET", "/sessions/s999/labels", "", ""},
-		{"over-limit", "POST", "/sessions/s1/points", "text/csv", strings.Repeat("0.2,0.2\n", 60)},
-		{"checkpoint-conflict", "POST", "/sessions/s1/checkpoint", "", ""},
-		{"delete", "DELETE", "/sessions/s1", "", ""},
-		{"deleted-404", "GET", "/sessions/s1/labels", "", ""},
-	}
-	issue := func(ts *httptest.Server, c legacyPairCase, path string) (int, string, http.Header) {
-		var rd io.Reader
-		if c.body != "" {
-			rd = strings.NewReader(c.body)
-		}
-		req, err := http.NewRequest(c.method, ts.URL+path, rd)
+// TestServeLegacyRoutesRemoved: the unversioned /sessions... routes are
+// gone, not aliased — they answer 404 without a Deprecation header and touch
+// no session — while the same requests under /v1 still answer.
+func TestServeLegacyRoutesRemoved(t *testing.T) {
+	srv := mustServer(t, serverOptions{workers: 1, timeout: 30 * time.Second})
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	doJSON(t, ts, "POST", "/v1/sessions", "", nil, http.StatusCreated, nil)
+	batch := []byte(`{"points":[[0,0],[0.1,0.1],[0.9,0.9],[1,1]]}`)
+	for _, c := range []struct {
+		method, path string
+		body         []byte
+	}{
+		{"GET", "/sessions", nil},
+		{"POST", "/sessions/s1/points", batch},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, bytes.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.contentType != "" {
-			req.Header.Set("Content-Type", c.contentType)
-		}
+		req.Header.Set("Content-Type", "application/json")
 		resp, err := ts.Client().Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s %s: status %d, want 404", c.method, c.path, resp.StatusCode)
 		}
-		return resp.StatusCode, string(raw), resp.Header
+		if d := resp.Header.Get("Deprecation"); d != "" {
+			t.Fatalf("%s %s: Deprecation header %q on a removed route", c.method, c.path, d)
+		}
+		doJSON(t, ts, c.method, "/v1"+c.path, "application/json", c.body, http.StatusOK, nil)
 	}
-	for _, c := range cases {
-		lCode, lBody, lHdr := issue(legacy, c, c.path)
-		vCode, vBody, vHdr := issue(v1, c, "/v1"+c.path)
-		if lCode != vCode {
-			t.Fatalf("%s: status legacy %d != v1 %d", c.name, lCode, vCode)
-		}
-		if lBody != vBody {
-			t.Fatalf("%s: body diverges\nlegacy: %s\nv1:     %s", c.name, lBody, vBody)
-		}
-		if lHdr.Get("Deprecation") != "true" {
-			t.Fatalf("%s: legacy response must carry Deprecation header", c.name)
-		}
-		if vHdr.Get("Deprecation") != "" {
-			t.Fatalf("%s: v1 response must not carry Deprecation header", c.name)
-		}
+	// Only the /v1 append landed.
+	var detail api.SessionDetail
+	doJSON(t, ts, "GET", "/v1/sessions/s1", "", nil, http.StatusOK, &detail)
+	if detail.Points != 4 {
+		t.Fatalf("s1 holds %d points, want the 4 appended through /v1", detail.Points)
 	}
 }
 
@@ -342,7 +302,7 @@ func TestServeClientDisconnectAbortsPipeline(t *testing.T) {
 
 	// The aborted session serves the bit-identical labels on the next read,
 	// through the NDJSON stream for good measure (52k points → 7 chunks).
-	want, err := adawave.Cluster(data.Points, adawave.DefaultConfig())
+	want, err := core.Cluster(data.Points, adawave.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

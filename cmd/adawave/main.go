@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -71,11 +72,11 @@ func main() {
 		fatal(fmt.Errorf("unknown -threshold %q", *threshold))
 	}
 
-	clusterer, err := adawave.NewClusterer(cfg, *workers)
+	clusterer, err := adawave.New(adawave.WithConfig(cfg), adawave.WithWorkers(*workers))
 	if err != nil {
 		fatal(err)
 	}
-	res, err := clusterer.ClusterDataset(ds)
+	res, err := clusterer.ClusterDatasetContext(context.Background(), ds)
 	if err != nil {
 		fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Command synthgen writes the paper's synthetic datasets to CSV for use
 // with cmd/adawave or external tools, or streams arbitrarily large mixture
 // datasets directly into the binary mapped-Dataset format consumed by the
-// out-of-core pipeline (adawave.OpenMappedDataset / ClusterMappedFile).
+// out-of-core pipeline (adawave.OpenMappedDataset +
+// Clusterer.ClusterDatasetExternalOptions).
 //
 // Usage:
 //

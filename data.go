@@ -1,6 +1,7 @@
 package adawave
 
 import (
+	"adawave/internal/grid"
 	"adawave/internal/pointset"
 	"adawave/internal/synth"
 )
@@ -10,17 +11,21 @@ import (
 // Data[i*D : (i+1)*D] — no per-point allocation or pointer chase. Build one
 // with NewDataset + AppendRow (or read one zero-copy from CSV via
 // internal/dataio's Dataset readers), convert [][]float64 with FromSlices
-// (one copy), and go back with Rows (zero-copy views). Clusterer's
-// ClusterDataset / ClusterMultiResolutionDataset consume it directly.
+// (one copy), and go back with Rows (zero-copy views). Every Clusterer and
+// Session entry point consumes it directly.
 type Dataset = pointset.Dataset
 
 // NewDataset returns an empty flat dataset of dimensionality d with room
 // for capacity rows; fill it with AppendRow.
 func NewDataset(d, capacity int) *Dataset { return pointset.New(d, capacity) }
 
-// FromSlices copies row-major points into a flat Dataset. All rows must
-// share the same length.
-func FromSlices(points [][]float64) (*Dataset, error) { return pointset.FromSlices(points) }
+// FromSlices copies row-major points into a flat Dataset — the one adapter
+// for [][]float64 callers. All rows must share the same length; ragged rows
+// are reported as ErrInvalidInput.
+func FromSlices(points [][]float64) (*Dataset, error) {
+	ds, err := pointset.FromSlices(points)
+	return ds, grid.InvalidInput(err)
+}
 
 // LabeledDataset is a labeled point set: Labels[i] is the ground-truth
 // cluster of Points[i], or NoiseLabel for background noise. Its Flat method

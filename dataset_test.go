@@ -1,27 +1,31 @@
 package adawave_test
 
-// Public-API equivalence tests for the flat Dataset path: adawave.Dataset
-// and [][]float64 must produce identical labels through the facade (the
+// Public-API equivalence tests for the flat Dataset path: the facade's
+// Dataset entry points must reproduce the sequential [][]float64 reference
+// (core.Cluster / core.ClusterMultiResolution) label for label (the
 // internal equivalence gates live in internal/core; these exercise the
 // library the way an external user would).
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"adawave"
+	"adawave/internal/core"
 )
 
 func TestDatasetFacadeMatchesSlices(t *testing.T) {
 	data := adawave.RunningExample(7)
-	c, err := adawave.NewClusterer(adawave.DefaultConfig(), 0)
+	c, err := adawave.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.Cluster(data.Points)
+	want, err := core.Cluster(data.Points, adawave.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.ClusterDataset(data.Flat())
+	got, err := c.ClusterDatasetContext(context.Background(), data.Flat())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,15 +42,15 @@ func TestDatasetFacadeMatchesSlices(t *testing.T) {
 
 func TestDatasetFacadeMultiResolution(t *testing.T) {
 	data := adawave.SyntheticEvaluation(300, 0.5, 7)
-	c, err := adawave.NewClusterer(adawave.DefaultConfig(), 0)
+	c, err := adawave.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.ClusterMultiResolution(data.Points, 3)
+	want, err := core.ClusterMultiResolution(data.Points, adawave.DefaultConfig(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.ClusterMultiResolutionDataset(data.Flat(), 3)
+	got, err := c.ClusterMultiResolutionDatasetContext(context.Background(), data.Flat(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +74,8 @@ func TestDatasetBuilders(t *testing.T) {
 	if ds.N != 2 || ds.D != 2 {
 		t.Fatalf("builder shape: %dx%d", ds.N, ds.D)
 	}
-	if _, err := adawave.FromSlices([][]float64{{1, 2}, {3}}); err == nil {
-		t.Fatal("ragged rows must error")
+	if _, err := adawave.FromSlices([][]float64{{1, 2}, {3}}); !errors.Is(err, adawave.ErrInvalidInput) {
+		t.Fatalf("ragged rows: got %v, want ErrInvalidInput", err)
 	}
 	from, err := adawave.FromSlices([][]float64{{0, 0}, {1, 1}})
 	if err != nil {

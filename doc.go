@@ -27,26 +27,28 @@
 // and m occupied cells, is insensitive to input order and to cluster
 // shape, and needs no parameter tuning for typical workloads:
 //
-//	res, err := adawave.Cluster(points, adawave.DefaultConfig())
+//	ds, err := adawave.FromSlices(points) // or NewDataset + AppendRow
+//	c, err := adawave.New()
+//	res, err := c.ClusterDatasetContext(ctx, ds)
 //	if err != nil { ... }
 //	for i, label := range res.Labels {
 //		// label == adawave.Noise or 0 … res.NumClusters-1
 //	}
 //
-// Three point-facing engines share the same pipeline. Cluster is the
-// sequential reference. Clusterer is the parallel, allocation-lean engine
-// for one-shot requests: stages run sharded across workers over a flat
-// struct-of-arrays grid, scratch buffers are pooled, and the flat Dataset
-// entry points (ClusterDataset, ClusterMultiResolutionDataset) memoize
-// each point's grid cell during quantization. Session is the streaming
-// engine for long-lived workloads: Append and Remove mutate a live grid
+// Each operation has one call: it takes a context.Context first and a
+// flat *Dataset. Two point-facing engines share the pipeline, and both
+// match the sequential map-based reference (core.Cluster) label for label.
+// Clusterer is the parallel, allocation-lean engine for one-shot requests:
+// stages run sharded across workers over a flat struct-of-arrays grid,
+// scratch buffers are pooled, and each point's grid cell is memoized
+// during quantization. Session is the streaming engine for long-lived
+// workloads: AppendContext and RemoveContext mutate a live grid
 // incrementally — a delta batch quantizes alone and merges in by cell id,
 // a removed point subtracts its mass in place — and mark the session
-// dirty; the next Labels/Result read lazily re-runs only the grid-side
-// stages, then caches until the next mutation (MultiResolution reads the
-// same live grid but recomputes per call). The streamed
-// result is guaranteed bit-identical to the one-shot run over the same
-// points. cmd/adawave-serve exposes sessions over versioned HTTP JSON
+// dirty; the next read lazily re-runs only the grid-side stages, then
+// caches until the next mutation (MultiResolutionContext reads the same
+// live grid but recomputes per call). The streamed result is guaranteed
+// bit-identical to the one-shot run over the same points. cmd/adawave-serve exposes sessions over versioned HTTP JSON
 // (POST /v1/sessions → POST point batches, JSON or chunked CSV → GET
 // labels — JSON, or a chunked NDJSON stream under Accept:
 // application/x-ndjson — and multi-resolution results → DELETE), with
@@ -59,11 +61,10 @@
 // DefaultConfig: WithWorkers, WithBasis, WithScale, WithLevels,
 // WithThreshold, WithConnectivity, WithCoeffEpsilon, WithMinClusterCells,
 // WithMinClusterMass, WithPackedCells, WithEmbedding, and WithConfig for
-// callers holding an explicit Config. Zero options reproduce the paper's parameter-free defaults. The
-// same option set configures streaming sessions through
-// Clusterer.NewSession and Clusterer.RestoreSession, which share the
-// clusterer's engine and pooled buffers. NewClusterer(cfg, workers)
-// remains as the explicit-Config constructor.
+// callers holding an explicit Config. Zero options reproduce the paper's
+// parameter-free defaults. The same option set configures streaming
+// sessions through Clusterer.NewSession and Clusterer.RestoreSession,
+// which share the clusterer's engine and pooled buffers.
 //
 // # Embeddings
 //
@@ -95,11 +96,11 @@
 //
 // # Context semantics
 //
-// Every compute entry point has a Context variant — ClusterContext,
-// ClusterDatasetContext, ClusterMultiResolution(Dataset)Context on
-// Clusterer; AppendContext, RemoveContext, LabelsContext, ResultContext,
-// MultiResolutionContext, CheckpointContext on Session — and the ctx-free
-// methods are thin context.Background() wrappers. The pipeline polls
+// Every compute entry point takes a context — ClusterDatasetContext,
+// ClusterMultiResolutionDatasetContext and ClusterDatasetExternalOptions
+// on Clusterer; AppendContext, RemoveContext, LabelsContext, ResultContext,
+// MultiResolutionContext, CellsContext and CheckpointContext on Session.
+// The pipeline polls
 // ctx.Err() at every shard boundary (quantization shards, transform line
 // sweeps, the incremental merge, connected components, assignment), so a
 // cancelled or deadline-expired context aborts in-flight compute within
@@ -114,18 +115,20 @@
 //
 // Failures classify under the exported roots — ErrInvalidInput,
 // ErrNoPoints, ErrConfigMismatch, ErrCanceled, ErrDeadlineExceeded —
-// matched with errors.Is (see errors.go for the full contract).
+// matched with errors.Is (see errors.go for the full contract); ragged
+// rows handed to FromSlices are ErrInvalidInput too.
 // ErrCanceled and ErrDeadlineExceeded wrap the originating context error,
 // and the serving layer maps the taxonomy onto stable wire codes
 // (internal/api): a client disconnect logs as a 499 client abort, never a
 // 5xx; an expired request deadline answers 504.
 //
-// Sessions are durable. Session.Checkpoint serializes the full session
-// state — configuration fingerprint, point rows, memoized cell ids,
-// quantizer frame and live grid — to a versioned, CRC-32C-framed binary
-// stream (internal/persist), and RestoreSession rebuilds a warm session
-// from it without requantizing a point: the restored session reproduces
-// the original's labels bit for bit and keeps streaming. A checkpoint is
+// Sessions are durable. Session.CheckpointContext serializes the full
+// session state — configuration fingerprint, point rows, memoized cell
+// ids, quantizer frame and live grid — to a versioned, CRC-32C-framed
+// binary stream (internal/persist), and Clusterer.RestoreSession rebuilds
+// a warm session from it without requantizing a point: the restored
+// session reproduces the original's labels bit for bit and keeps
+// streaming. A checkpoint is
 // valid at any moment in an append/remove sequence (pending mutations are
 // folded first, and removal tombstones are swept on write), and a
 // checkpoint taken under one configuration refuses to restore under
@@ -133,7 +136,7 @@
 // -data-dir every acknowledged mutation is journaled to a per-session
 // write-ahead log (fsync policy selectable via -wal-sync: always /
 // interval / never), a background checkpointer (and the admin endpoint
-// POST /sessions/{id}/checkpoint) folds grown logs into fresh checkpoints
+// POST /v1/sessions/{id}/checkpoint) folds grown logs into fresh checkpoints
 // and truncates them, and a restarted process recovers each session from
 // its newest checkpoint plus the WAL tail, discarding a torn trailing
 // record. Because grid masses are additive, each replayed batch re-merges
@@ -188,22 +191,22 @@
 //
 // # Out-of-core clustering
 //
-// For datasets larger than memory, WithMaxResidentBytes gives a Clusterer
-// a resident-memory budget (default 512 MiB) and the external entry
-// points honor it: OpenMappedDataset mmaps a header-plus-row-major
+// For datasets larger than memory, ClusterDatasetExternalOptions runs
+// under a resident-memory budget (ExternalOptions.MaxResidentBytes; zero
+// selects 512 MiB): OpenMappedDataset mmaps a header-plus-row-major
 // dataset file into a zero-copy read-only Dataset whose coordinates never
 // enter the Go heap (CreateMappedDataset streams one in with O(1)
 // memory; a torn file fails validation with ErrCorruptDataset), and
-// ClusterDatasetExternal / ClusterMappedFile stream quantization through
-// a spill-to-disk external sort — chunks quantized by the in-RAM shard
+// ClusterDatasetExternalOptions streams quantization through a
+// spill-to-disk external sort — chunks quantized by the in-RAM shard
 // kernel (a dense count when a shard holds at least Scaleᵈ rows, a radix
 // sort otherwise), sorted runs on temp files, loser-tree merge — then
 // re-enter the shared
 // pipeline over cell-id-sharded connected components. The budget derives
-// chunk size, spill threshold and merge fan-in (ExternalOptions overrides
-// any of them per call); temp files are removed on every exit path,
-// including cancellation. The Result is bit-identical to ClusterDataset
-// on the same rows, a property tested across random chunk/spill budgets.
+// chunk size, spill threshold and merge fan-in (the other ExternalOptions
+// fields pin any of them per call); temp files are removed on every exit
+// path, including cancellation. The Result is bit-identical to
+// ClusterDatasetContext on the same rows, a property tested across random chunk/spill budgets.
 //
 // # Cluster mode
 //

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -35,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := clusterer.ClusterDataset(data.Flat())
+	res, err := clusterer.ClusterDatasetContext(context.Background(), data.Flat())
 	if err != nil {
 		log.Fatal(err)
 	}

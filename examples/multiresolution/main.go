@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -18,8 +19,6 @@ func main() {
 	data := pairs()
 	fmt.Printf("dataset: %d points, four blobs in two close pairs\n\n", len(data))
 
-	cfg := adawave.DefaultConfig()
-	cfg.Scale = 256
 	// The flat Dataset path quantizes the points once and reuses the
 	// point→cell memo at every level — the fast entry point for
 	// multi-resolution work.
@@ -27,11 +26,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	clusterer, err := adawave.NewClusterer(cfg, 0)
+	clusterer, err := adawave.New(adawave.WithScale(256))
 	if err != nil {
 		log.Fatal(err)
 	}
-	results, err := clusterer.ClusterMultiResolutionDataset(ds, 5)
+	results, err := clusterer.ClusterMultiResolutionDatasetContext(context.Background(), ds, 5)
 	if err != nil {
 		log.Fatal(err)
 	}

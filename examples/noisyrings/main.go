@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -57,9 +58,9 @@ func main() {
 
 // clusterWith runs the flat Dataset fast path under the given config.
 func clusterWith(ds *adawave.Dataset, cfg adawave.Config) (*adawave.Result, error) {
-	clusterer, err := adawave.NewClusterer(cfg, 0)
+	clusterer, err := adawave.New(adawave.WithConfig(cfg))
 	if err != nil {
 		return nil, err
 	}
-	return clusterer.ClusterDataset(ds)
+	return clusterer.ClusterDatasetContext(context.Background(), ds)
 }

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -18,11 +19,11 @@ func main() {
 
 	// The flat Dataset fast path: one row-major backing slice, memoized
 	// point→cell ids, parallel sharded quantization.
-	clusterer, err := adawave.NewClusterer(adawave.DefaultConfig(), 0)
+	clusterer, err := adawave.New()
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := clusterer.ClusterDataset(data.Flat())
+	res, err := clusterer.ClusterDatasetContext(context.Background(), data.Flat())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,9 +11,9 @@ import (
 )
 
 // TestFacadeExternalMappedRoundTrip drives the whole out-of-core facade:
-// stream a dataset into a mapped file, cluster it via ClusterMappedFile
-// under a small budget, and require bit-identical labels to the in-RAM
-// ClusterDataset path.
+// stream a dataset into a mapped file, open it, cluster it via
+// ClusterDatasetExternalOptions under a small budget, and require
+// bit-identical labels to the in-RAM ClusterDatasetContext path.
 func TestFacadeExternalMappedRoundTrip(t *testing.T) {
 	ds := adawave.RunningExample(17).Flat()
 	path := filepath.Join(t.TempDir(), "points.awds")
@@ -30,16 +30,24 @@ func TestFacadeExternalMappedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := adawave.New(adawave.WithWorkers(2), adawave.WithMaxResidentBytes(32<<20))
+	ctx := context.Background()
+	c, err := adawave.New(adawave.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.ClusterDataset(ds)
+	want, err := c.ClusterDatasetContext(ctx, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.ClusterMappedFile(context.Background(), path)
+	m, err := adawave.OpenMappedDataset(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.ClusterDatasetExternalOptions(ctx, m.Dataset(), adawave.ExternalOptions{MaxResidentBytes: 32 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if got.NumClusters != want.NumClusters || got.Threshold != want.Threshold {
@@ -60,7 +68,7 @@ func TestFacadeExternalMappedRoundTrip(t *testing.T) {
 	if err := os.Truncate(path, st.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ClusterMappedFile(context.Background(), path); !errors.Is(err, adawave.ErrCorruptDataset) {
+	if _, err := adawave.OpenMappedDataset(path); !errors.Is(err, adawave.ErrCorruptDataset) {
 		t.Fatalf("truncated file error %v is not ErrCorruptDataset", err)
 	}
 }

@@ -2,34 +2,41 @@ package adawave
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"io"
 	"testing"
+
+	"adawave/internal/pointset"
 )
 
-// TestSessionCheckpointFacade: the exported Checkpoint/RestoreSession pair
-// round-trips a mutated session bit-identically, through both the shared
-// Clusterer engine and the standalone constructor.
+// TestSessionCheckpointFacade: the exported CheckpointContext/RestoreSession
+// pair round-trips a mutated session bit-identically, through both the
+// checkpointing Clusterer's engine and a fresh one built from the same
+// configuration.
 func TestSessionCheckpointFacade(t *testing.T) {
+	ctx := context.Background()
 	data := SyntheticEvaluation(300, 0.6, 9)
-	clusterer, err := NewClusterer(DefaultConfig(), 2)
+	clusterer, err := New(WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sess := clusterer.NewSession()
-	if err := sess.AppendPoints(data.Points); err != nil {
+	if err := sess.AppendContext(ctx, pointset.MustFromSlices(data.Points)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Labels(); err != nil {
+	if _, err := sess.LabelsContext(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Remove([]int{10, 11, 40}); err != nil {
+	if err := sess.RemoveContext(ctx, []int{10, 11, 40}); err != nil {
 		t.Fatal(err)
 	}
 
 	var buf bytes.Buffer
-	if err := sess.Checkpoint(&buf); err != nil {
+	if err := sess.CheckpointContext(ctx, &buf); err != nil {
 		t.Fatal(err)
 	}
-	want, err := sess.Labels()
+	want, err := sess.LabelsContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +45,12 @@ func TestSessionCheckpointFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	standalone, err := RestoreSession(bytes.NewReader(buf.Bytes()), DefaultConfig(), 1)
+	standalone, err := restoreOn(bytes.NewReader(buf.Bytes()), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, restored := range []*Session{shared, standalone} {
-		got, err := restored.Labels()
+		got, err := restored.LabelsContext(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +67,17 @@ func TestSessionCheckpointFacade(t *testing.T) {
 	// A mismatched configuration must refuse to restore.
 	bad := DefaultConfig()
 	bad.Basis = HaarBasis()
-	if _, err := RestoreSession(bytes.NewReader(buf.Bytes()), bad, 1); err == nil {
-		t.Fatal("config mismatch must not restore")
+	if _, err := restoreOn(bytes.NewReader(buf.Bytes()), bad); !errors.Is(err, ErrConfigMismatch) {
+		t.Fatalf("config mismatch: got %v, want ErrConfigMismatch", err)
 	}
+}
+
+// restoreOn restores a checkpoint onto a fresh single-worker clusterer built
+// from cfg — the path of a process that did not write the checkpoint.
+func restoreOn(r io.Reader, cfg Config) (*Session, error) {
+	c, err := New(WithConfig(cfg), WithWorkers(1))
+	if err != nil {
+		return nil, err
+	}
+	return c.RestoreSession(r)
 }

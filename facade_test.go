@@ -1,6 +1,8 @@
 package adawave_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -62,19 +64,32 @@ func TestLineChartFacade(t *testing.T) {
 
 func TestClusterRejectsNonFinite(t *testing.T) {
 	pts := [][]float64{{0, 0}, {1, math.NaN()}, {2, 2}}
-	if _, err := adawave.Cluster(pts, adawave.DefaultConfig()); err == nil {
-		t.Fatal("NaN coordinate should be rejected")
+	if _, err := clusterRows(pts); !errors.Is(err, adawave.ErrInvalidInput) {
+		t.Fatalf("NaN coordinate: got %v, want ErrInvalidInput", err)
 	}
 	pts[1][1] = math.Inf(1)
-	if _, err := adawave.Cluster(pts, adawave.DefaultConfig()); err == nil {
-		t.Fatal("Inf coordinate should be rejected")
+	if _, err := clusterRows(pts); !errors.Is(err, adawave.ErrInvalidInput) {
+		t.Fatalf("Inf coordinate: got %v, want ErrInvalidInput", err)
 	}
 }
 
+// TestClusterRejectsRagged: ragged rows are the caller's to fix, so they
+// classify under the ErrInvalidInput root like every other input fault, and
+// nothing reaches the clusterer.
 func TestClusterRejectsRagged(t *testing.T) {
-	pts := [][]float64{{0, 0}, {1}}
-	if _, err := adawave.Cluster(pts, adawave.DefaultConfig()); err == nil {
-		t.Fatal("ragged rows should be rejected")
+	ds, err := adawave.FromSlices([][]float64{{0, 0}, {1}})
+	if !errors.Is(err, adawave.ErrInvalidInput) {
+		t.Fatalf("ragged rows: got %v, want ErrInvalidInput", err)
+	}
+	if ds != nil {
+		t.Fatal("ragged rows must not yield a dataset")
+	}
+	c, err := adawave.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ClusterDatasetContext(context.Background(), ds); !errors.Is(err, adawave.ErrNoPoints) {
+		t.Fatalf("nil dataset: got %v, want ErrNoPoints", err)
 	}
 }
 
@@ -87,7 +102,7 @@ func TestHighDimensionalHaarFlow(t *testing.T) {
 	cfg := adawave.DefaultConfig()
 	cfg.Scale = 0
 	cfg.Basis = adawave.HaarBasis()
-	res, err := adawave.Cluster(ds.Points, cfg)
+	res, err := clusterRows(ds.Points, adawave.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +121,7 @@ func TestHighDimensionalLongFilterFailsLoudly(t *testing.T) {
 	}
 	cfg := adawave.DefaultConfig()
 	cfg.Scale = 0
-	if _, err := adawave.Cluster(ds.Points, cfg); err == nil {
+	if _, err := clusterRows(ds.Points, adawave.WithConfig(cfg)); err == nil {
 		t.Fatal("expected a densification error with a 5-tap filter in 33-D")
 	} else if !strings.Contains(err.Error(), "haar") {
 		t.Fatalf("error should point at haar: %v", err)

@@ -130,6 +130,10 @@ func LoadSessionDir(dir string, workers int, policy persist.SyncPolicy) (*adawav
 	if err != nil {
 		return nil, nil, fmt.Errorf("config.json: %w", err)
 	}
+	clusterer, err := adawave.New(adawave.WithConfig(cfg), adawave.WithWorkers(workers))
+	if err != nil {
+		return nil, nil, err
+	}
 
 	// Newest checkpoint first; on a restore failure fall back to older ones
 	// (normally at most one exists — older files mean a crash interrupted
@@ -160,7 +164,7 @@ func LoadSessionDir(dir string, workers int, policy persist.SyncPolicy) (*adawav
 		if err != nil {
 			continue
 		}
-		restored, rerr := adawave.RestoreSession(f, cfg, workers)
+		restored, rerr := clusterer.RestoreSession(f)
 		f.Close()
 		if rerr != nil {
 			log.Printf("cluster: checkpoint %s unrestorable: %v", c.name, rerr)
@@ -171,9 +175,7 @@ func LoadSessionDir(dir string, workers int, policy persist.SyncPolicy) (*adawav
 	}
 	if sess == nil {
 		// No (restorable) checkpoint: an empty session replays the whole log.
-		if sess, err = adawave.NewSession(cfg, workers); err != nil {
-			return nil, nil, err
-		}
+		sess = clusterer.NewSession()
 	}
 
 	walPath := filepath.Join(dir, "wal.log")

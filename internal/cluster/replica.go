@@ -426,6 +426,10 @@ func (rs *ReplicaSet) provision(ctx context.Context, r *Replica) error {
 	if err != nil {
 		return err
 	}
+	c, err := adawave.New(adawave.WithConfig(cfg), adawave.WithWorkers(r.workers))
+	if err != nil {
+		return err
+	}
 
 	req, err := rs.feedRequest(ctx, "/v1/replication/sessions/"+url.PathEscape(r.ID)+"/checkpoint")
 	if err != nil {
@@ -467,7 +471,7 @@ func (rs *ReplicaSet) provision(ctx context.Context, r *Replica) error {
 		if err != nil {
 			return err
 		}
-		sess, err = adawave.RestoreSession(cf, cfg, r.workers)
+		sess, err = c.RestoreSession(cf)
 		cf.Close()
 		if err != nil {
 			os.Remove(final)
@@ -476,9 +480,7 @@ func (rs *ReplicaSet) provision(ctx context.Context, r *Replica) error {
 	case http.StatusNoContent:
 		// The primary has never checkpointed this session: start empty and
 		// let the WAL stream carry the whole history.
-		if sess, err = adawave.NewSession(cfg, r.workers); err != nil {
-			return err
-		}
+		sess = c.NewSession()
 	default:
 		return fmt.Errorf("checkpoint fetch: primary answered %d", resp.StatusCode)
 	}
@@ -580,9 +582,9 @@ func (r *Replica) apply(frame []byte, seq uint64) error {
 		return errResync
 	}
 	if rec.Batch != nil {
-		err = r.sess.Append(rec.Batch)
+		err = r.sess.AppendContext(context.Background(), rec.Batch)
 	} else {
-		err = r.sess.Remove(rec.Indices)
+		err = r.sess.RemoveContext(context.Background(), rec.Indices)
 	}
 	if err != nil {
 		// The primary applied this mutation and we cannot: the states have
@@ -618,7 +620,7 @@ func (r *Replica) maybeCheckpointLocked() {
 		log.Printf("cluster: replica %s checkpoint: %v", r.ID, err)
 		return
 	}
-	if err := r.sess.Checkpoint(f); err != nil {
+	if err := r.sess.CheckpointContext(context.Background(), f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		log.Printf("cluster: replica %s checkpoint: %v", r.ID, err)

@@ -47,7 +47,7 @@ func TestEngineCancelAtEveryStage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := eng.ClusterDataset(ds)
+			want, err := eng.ClusterDatasetContext(context.Background(), ds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +71,7 @@ func TestEngineCancelAtEveryStage(t *testing.T) {
 					if !errors.Is(err, grid.ErrCanceled) || !errors.Is(err, context.Canceled) {
 						t.Fatalf("cancel at %s: error %v not tagged ErrCanceled/context.Canceled", target, err)
 					}
-					got, err := eng.ClusterDataset(ds)
+					got, err := eng.ClusterDatasetContext(context.Background(), ds)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -192,7 +192,7 @@ func TestSessionCancellationProperty(t *testing.T) {
 					union.AppendRow(ds.Row(i))
 				}
 				assertSessionGrid(t, sess)
-				want, err := eng.ClusterDataset(union)
+				want, err := eng.ClusterDatasetContext(context.Background(), union)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestEmbeddingMatchesManualProjection(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := plain.ClusterDataset(pds)
+				want, err := plain.ClusterDatasetContext(context.Background(), pds)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -75,7 +76,7 @@ func TestEmbeddingMatchesManualProjection(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := eng.ClusterDataset(tc.ds)
+				got, err := eng.ClusterDatasetContext(context.Background(), tc.ds)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,7 +106,7 @@ func TestEmbeddingExternalMatchesInRAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.ClusterDataset(ds)
+	want, err := eng.ClusterDatasetContext(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestSessionEmbeddingRPMatchesOneShot(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			want, err := eng.ClusterDataset(ds)
+			want, err := eng.ClusterDatasetContext(context.Background(), ds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +188,7 @@ func TestSessionEmbeddingRPMatchesOneShot(t *testing.T) {
 				}
 				surv.AppendRow(ds.Row(i))
 			}
-			wantAfter, err := eng.ClusterDataset(surv)
+			wantAfter, err := eng.ClusterDatasetContext(context.Background(), surv)
 			if err != nil {
 				t.Fatal(err)
 			}

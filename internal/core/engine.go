@@ -23,13 +23,13 @@ import (
 // serves many requests without per-call allocation storms. An Engine is
 // safe for concurrent use.
 //
-// The point-facing layer is point-major: ClusterDataset and
-// ClusterMultiResolutionDataset consume a flat row-major pointset.Dataset
-// (one backing slice, no per-point allocation or pointer chase), each
-// point's base-cell index is computed once during quantization, and every
-// per-level assignment pass is rebuilt from one pass over the *cells* (the
-// ancestor label table) instead of recomputing coordinates and searching
-// per point. The [][]float64 entry points remain as thin copying adapters.
+// The point-facing layer is point-major: ClusterDatasetContext and
+// ClusterMultiResolutionDatasetContext consume a flat row-major
+// pointset.Dataset (one backing slice, no per-point allocation or pointer
+// chase), each point's base-cell index is computed once during
+// quantization, and every per-level assignment pass is rebuilt from one pass
+// over the *cells* (the ancestor label table) instead of recomputing
+// coordinates and searching per point.
 //
 // The Engine's output does not depend on the worker count: shard merges
 // sum integer masses exactly, each transform output cell is accumulated by
@@ -44,7 +44,7 @@ import (
 type Engine struct {
 	cfg     Config
 	workers int
-	// grids pools the per-level transform clones of ClusterMultiResolution,
+	// grids pools the per-level transform clones of a multi-resolution pass,
 	// curves the sorted-density scratch and tables the ancestor label table
 	// of every finishing pass, so clustering L levels does not allocate L
 	// fresh copies of each.
@@ -98,47 +98,11 @@ func (e *Engine) getEmptyGrid() *grid.FlatGrid {
 
 func (e *Engine) putGrid(g *grid.FlatGrid) { e.grids.Put(g) }
 
-// ClusterParallel runs one AdaWave clustering through a throwaway Engine —
-// the convenience form of NewEngine + Cluster for one-shot callers.
-func ClusterParallel(points [][]float64, cfg Config, workers int) (*Result, error) {
-	e, err := NewEngine(cfg, workers)
-	if err != nil {
-		return nil, err
-	}
-	return e.Cluster(points)
-}
-
-// Cluster runs the parallel AdaWave pipeline on points ([][]float64
-// adapter: the rows are copied into a flat dataset first). The result is
-// identical to the sequential Cluster for the same configuration.
-func (e *Engine) Cluster(points [][]float64) (*Result, error) {
-	return e.ClusterContext(context.Background(), points)
-}
-
-// ClusterContext is Cluster with cooperative cancellation: every pipeline
-// stage polls ctx at its shard boundaries, and a cancelled run unwinds
-// cleanly (pooled buffers returned, no partial result), reporting an
-// ErrCanceled- or ErrDeadlineExceeded-tagged error.
-func (e *Engine) ClusterContext(ctx context.Context, points [][]float64) (*Result, error) {
-	if len(points) == 0 {
-		return nil, grid.ErrNoPoints
-	}
-	ds, err := pointset.FromSlices(points)
-	if err != nil {
-		return nil, err
-	}
-	return e.ClusterDatasetContext(ctx, ds)
-}
-
-// ClusterDataset runs the parallel AdaWave pipeline on a flat row-major
-// dataset — the allocation-free point-facing entry point. The result is
-// identical to Cluster on the same rows.
-func (e *Engine) ClusterDataset(ds *pointset.Dataset) (*Result, error) {
-	return e.ClusterDatasetContext(context.Background(), ds)
-}
-
-// ClusterDatasetContext is ClusterDataset with cooperative cancellation
-// (see ClusterContext).
+// ClusterDatasetContext runs the parallel AdaWave pipeline on a flat
+// row-major dataset; the result is identical to the sequential Cluster on
+// the same rows. Every stage polls ctx at its shard boundaries, and a
+// cancelled run unwinds cleanly (pooled buffers returned, no partial
+// result) with an ErrCanceled- or ErrDeadlineExceeded-tagged error.
 func (e *Engine) ClusterDatasetContext(ctx context.Context, ds *pointset.Dataset) (*Result, error) {
 	if ds == nil || ds.N == 0 {
 		return nil, grid.ErrNoPoints
@@ -171,39 +135,12 @@ func (e *Engine) clusterFromPacked(ctx context.Context, base *grid.PackedGrid, i
 	return e.runStages(ctx, st, stageList[stageFromTransform:])
 }
 
-// ClusterMultiResolution runs the pipeline at every decomposition level
-// from 1 to maxLevels in a single pass ([][]float64 adapter), like the
-// sequential ClusterMultiResolution (which ignores cfg.Levels): the
-// transform chain is computed level by level, and the per-level threshold/
-// components/assignment stages — data-independent between levels — run
-// concurrently.
-func (e *Engine) ClusterMultiResolution(points [][]float64, maxLevels int) ([]*Result, error) {
-	return e.ClusterMultiResolutionContext(context.Background(), points, maxLevels)
-}
-
-// ClusterMultiResolutionContext is ClusterMultiResolution with cooperative
-// cancellation across the transform chain and every level's finishing pass.
-func (e *Engine) ClusterMultiResolutionContext(ctx context.Context, points [][]float64, maxLevels int) ([]*Result, error) {
-	if len(points) == 0 {
-		return nil, grid.ErrNoPoints
-	}
-	ds, err := pointset.FromSlices(points)
-	if err != nil {
-		return nil, err
-	}
-	return e.ClusterMultiResolutionDatasetContext(ctx, ds, maxLevels)
-}
-
-// ClusterMultiResolutionDataset is ClusterMultiResolution on a flat
-// dataset. Quantization (and the point→cell memo) happens once; each
-// level's assignment is rebuilt from one pass over the cells, so per-level
-// cost is O(cells·log cells + n) instead of O(n·d + n·log cells).
-func (e *Engine) ClusterMultiResolutionDataset(ds *pointset.Dataset, maxLevels int) ([]*Result, error) {
-	return e.ClusterMultiResolutionDatasetContext(context.Background(), ds, maxLevels)
-}
-
-// ClusterMultiResolutionDatasetContext is ClusterMultiResolutionDataset with
-// cooperative cancellation (see ClusterMultiResolutionContext).
+// ClusterMultiResolutionDatasetContext runs the pipeline at every
+// decomposition level from 1 to maxLevels in a single pass, like the
+// sequential ClusterMultiResolution (which ignores cfg.Levels). Points are
+// quantized once; the per-level threshold/components/assignment stages run
+// concurrently, each level's assignment rebuilt from one pass over the
+// cells (O(cells·log cells + n) per level). ctx cancels every stage.
 func (e *Engine) ClusterMultiResolutionDatasetContext(ctx context.Context, ds *pointset.Dataset, maxLevels int) ([]*Result, error) {
 	if maxLevels < 1 {
 		maxLevels = 1
@@ -219,7 +156,7 @@ func (e *Engine) ClusterMultiResolutionDatasetContext(ctx context.Context, ds *p
 }
 
 // multiResolutionFromBase is the post-quantization half of
-// ClusterMultiResolutionDataset, shared with the streaming Session: the
+// ClusterMultiResolutionDatasetContext, shared with the streaming Session: the
 // transform chain starts from an existing canonical base grid with memoized
 // point ids, and the per-level finishing passes run concurrently. base's
 // cell order is permuted by the first transform and restored to canonical

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -28,12 +29,7 @@ func assertDatasetPathMatches(t *testing.T, points [][]float64, cfg Config, work
 			if err != nil {
 				t.Fatal(err)
 			}
-			slicesRes, err := eng.Cluster(points)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertResultsEqual(t, want, slicesRes)
-			dsRes, err := eng.ClusterDataset(ds)
+			dsRes, err := eng.ClusterDatasetContext(context.Background(), ds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +91,7 @@ func TestDatasetPathMultiResolution(t *testing.T) {
 			t.Fatal(err)
 		}
 		for round := 0; round < 3; round++ { // repeat: pooled buffers must not leak state
-			got, err := eng.ClusterMultiResolutionDataset(flat, 4)
+			got, err := eng.ClusterMultiResolutionDatasetContext(context.Background(), flat, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,16 +111,16 @@ func TestDatasetPathValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.ClusterDataset(nil); err == nil {
+	if _, err := eng.ClusterDatasetContext(context.Background(), nil); err == nil {
 		t.Fatal("nil dataset must error")
 	}
-	if _, err := eng.ClusterDataset(&pointset.Dataset{}); err == nil {
+	if _, err := eng.ClusterDatasetContext(context.Background(), &pointset.Dataset{}); err == nil {
 		t.Fatal("empty dataset must error")
 	}
-	if _, err := eng.ClusterMultiResolutionDataset(nil, 3); err == nil {
+	if _, err := eng.ClusterMultiResolutionDatasetContext(context.Background(), nil, 3); err == nil {
 		t.Fatal("nil dataset must error")
 	}
-	if _, err := eng.Cluster([][]float64{{1, 2}, {3}}); err == nil {
+	if _, err := clusterRows(eng, [][]float64{{1, 2}, {3}}); err == nil {
 		t.Fatal("ragged rows must error")
 	}
 }

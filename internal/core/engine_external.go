@@ -76,7 +76,7 @@ func deriveExtSort(opts ExternalOptions, n, d int) (grid.ExtSortOptions, error) 
 	if out.ChunkPoints <= 0 || out.SpillBytes == 0 {
 		if working <= 0 {
 			return out, grid.InvalidInput(fmt.Errorf(
-				"core: resident budget %d bytes cannot hold the %d-byte per-point outputs of %d points; raise WithMaxResidentBytes",
+				"core: resident budget %d bytes cannot hold the %d-byte per-point outputs of %d points; raise ExternalOptions.MaxResidentBytes",
 				budget, perPointOutputBytes, n))
 		}
 	}

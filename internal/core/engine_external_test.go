@@ -66,7 +66,7 @@ func TestClusterDatasetExternalEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := eng.ClusterDataset(fx.ds)
+			want, err := eng.ClusterDatasetContext(context.Background(), fx.ds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestClusterDatasetExternalMapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.ClusterDataset(ds)
+	want, err := eng.ClusterDatasetContext(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}

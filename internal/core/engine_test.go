@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 
 	"adawave/internal/datasets"
+	"adawave/internal/pointset"
 	"adawave/internal/synth"
 	"adawave/internal/wavelet"
 )
@@ -63,7 +65,7 @@ func TestEngineMatchesSequentialRunningExample(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := eng.Cluster(ds.Points)
+			got, err := clusterRows(eng, ds.Points)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +94,7 @@ func TestEngineMatchesSequentialHighDim(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eng.Cluster(ds.Points)
+		got, err := clusterRows(eng, ds.Points)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +115,7 @@ func TestEngineMatchesSequentialEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.Cluster(ds.Points)
+	got, err := clusterRows(eng, ds.Points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +135,7 @@ func TestEngineMultiResolutionMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.ClusterMultiResolution(ds.Points, 4)
+	got, err := eng.ClusterMultiResolutionDatasetContext(context.Background(), ds.Flat(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +170,7 @@ func TestEngineConcurrentClusterCalls(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				got, err := eng.Cluster(ds.Points)
+				got, err := clusterRows(eng, ds.Points)
 				if err != nil {
 					errs <- err
 					return
@@ -202,12 +204,19 @@ func TestEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Cluster(nil); err == nil {
+	if _, err := clusterRows(eng, nil); err == nil {
 		t.Fatal("empty input must error")
 	}
-	if _, err := ClusterParallel(nil, DefaultConfig(), 2); err == nil {
-		t.Fatal("empty input must error")
+}
+
+// clusterRows runs eng on [][]float64 rows through the one flat entry
+// point, copying them with FromSlices as slice callers do.
+func clusterRows(eng *Engine, points [][]float64) (*Result, error) {
+	ds, err := pointset.FromSlices(points)
+	if err != nil {
+		return nil, err
 	}
+	return eng.ClusterDatasetContext(context.Background(), ds)
 }
 
 // TestEngineLevelsZero covers the ablation path that skips the transform.
@@ -223,7 +232,7 @@ func TestEngineLevelsZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.Cluster(ds.Points)
+	got, err := clusterRows(eng, ds.Points)
 	if err != nil {
 		t.Fatal(err)
 	}

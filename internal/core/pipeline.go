@@ -144,7 +144,7 @@ func (e *Engine) stageEmbed(ctx context.Context, st *pipeState) error {
 		budget -= int64(len(pds.Data)) * 8
 		if budget <= 0 {
 			return grid.InvalidInput(fmt.Errorf(
-				"core: resident budget cannot hold the %d×%d projected rows; raise WithMaxResidentBytes",
+				"core: resident budget cannot hold the %d×%d projected rows; raise ExternalOptions.MaxResidentBytes",
 				pds.N, pds.D))
 		}
 		st.ext.MaxResidentBytes = budget

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -112,7 +113,7 @@ func TestSessionCheckpointEquivalence(t *testing.T) {
 				assertSessionsAgree(t, sess, restored)
 				// The restored session must also match a one-shot run over
 				// its own points (transitively guaranteed, checked directly).
-				want, err := eng.ClusterDataset(restored.ds)
+				want, err := eng.ClusterDatasetContext(context.Background(), restored.ds)
 				if err != nil {
 					t.Fatal(err)
 				}

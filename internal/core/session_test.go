@@ -171,7 +171,7 @@ func TestSessionStreamingEquivalence(t *testing.T) {
 				wg.Wait()
 
 				assertSessionGrid(t, sess)
-				want, err := eng.ClusterDataset(ds)
+				want, err := eng.ClusterDatasetContext(context.Background(), ds)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -236,7 +236,7 @@ func TestSessionRemoveEquivalence(t *testing.T) {
 				union.AppendRow(ds.Row(i))
 			}
 			assertSessionGrid(t, sess)
-			want, err := eng.ClusterDataset(union)
+			want, err := eng.ClusterDatasetContext(context.Background(), union)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -277,7 +277,7 @@ func TestSessionMultiResolutionEquivalence(t *testing.T) {
 		}
 		off += b
 	}
-	want, err := eng.ClusterMultiResolutionDataset(flat, 4)
+	want, err := eng.ClusterMultiResolutionDatasetContext(context.Background(), flat, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestSessionMultiResolutionEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := eng.ClusterDataset(flat)
+	single, err := eng.ClusterDatasetContext(context.Background(), flat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,11 @@ func TestSessionNonFinite(t *testing.T) {
 	if len(labels) != good.N {
 		t.Fatalf("labels: got %d, want %d", len(labels), good.N)
 	}
-	want, err := ClusterParallel(good.Rows(), DefaultConfig(), 1)
+	eng, err := NewEngine(DefaultConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.ClusterDatasetContext(context.Background(), good)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"adawave/internal/baselines/dbscan"
@@ -13,6 +14,7 @@ import (
 	"adawave/internal/baselines/wavecluster"
 	"adawave/internal/core"
 	"adawave/internal/metrics"
+	"adawave/internal/pointset"
 	"adawave/internal/synth"
 	"adawave/internal/wavelet"
 )
@@ -44,7 +46,15 @@ func adaWaveAlg(reassignNoise bool, workers int) Algorithm {
 			// on how its 33-dimensional transform stayed tractable).
 			cfg.Basis = wavelet.Haar()
 		}
-		res, err := core.ClusterParallel(points, cfg, workers)
+		eng, err := core.NewEngine(cfg, workers)
+		if err != nil {
+			return nil, err
+		}
+		ds, err := pointset.FromSlices(points)
+		if err != nil {
+			return nil, err
+		}
+		res, err := eng.ClusterDatasetContext(context.Background(), ds)
 		if err != nil {
 			return nil, err
 		}

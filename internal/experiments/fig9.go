@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -28,7 +29,11 @@ func RunFig9(opt Options) error {
 	fmt.Fprintf(w, "road network: n=%d, %.0f%% noise (arterials + countryside)\n",
 		ds.N(), ds.NoiseFraction()*100)
 
-	res, err := core.ClusterParallel(ds.Points, core.DefaultConfig(), opt.engineWorkers())
+	eng, err := core.NewEngine(core.DefaultConfig(), opt.engineWorkers())
+	if err != nil {
+		return fmt.Errorf("fig9: %w", err)
+	}
+	res, err := eng.ClusterDatasetContext(context.Background(), ds.Flat())
 	if err != nil {
 		return fmt.Errorf("fig9: %w", err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -114,7 +115,11 @@ func RunFig6(opt Options) error {
 	header(w, mustExperiment("fig6"))
 	ds := synth.Evaluation(opt.perCluster(), 0.5, opt.seed())
 
-	res, err := core.ClusterParallel(ds.Points, core.DefaultConfig(), opt.engineWorkers())
+	eng, err := core.NewEngine(core.DefaultConfig(), opt.engineWorkers())
+	if err != nil {
+		return fmt.Errorf("fig6: %w", err)
+	}
+	res, err := eng.ClusterDatasetContext(context.Background(), ds.Flat())
 	if err != nil {
 		return fmt.Errorf("fig6: %w", err)
 	}

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -331,8 +332,8 @@ type Record struct {
 // Target is the mutation surface a WAL replays into; both core.Session and
 // the adawave facade Session satisfy it.
 type Target interface {
-	Append(*pointset.Dataset) error
-	Remove([]int) error
+	AppendContext(context.Context, *pointset.Dataset) error
+	RemoveContext(context.Context, []int) error
 }
 
 // ReplayWAL streams the intact records with sequence numbers above fromSeq
@@ -362,9 +363,9 @@ func ReplayWAL(path string, fromSeq uint64, fn func(Record) error) (lastSeq uint
 func ReplayInto(path string, fromSeq uint64, t Target) (lastSeq uint64, replayed int, err error) {
 	return ReplayWAL(path, fromSeq, func(rec Record) error {
 		if rec.Batch != nil {
-			return t.Append(rec.Batch)
+			return t.AppendContext(context.Background(), rec.Batch)
 		}
-		return t.Remove(rec.Indices)
+		return t.RemoveContext(context.Background(), rec.Indices)
 	})
 }
 

@@ -1,6 +1,9 @@
 package adawave
 
-import "adawave/internal/grid"
+import (
+	"adawave/internal/core"
+	"adawave/internal/grid"
+)
 
 // Connectivity selects the neighbor relation used when labeling connected
 // components of the thresholded grid.
@@ -18,19 +21,18 @@ const (
 // Clusterer.NewSession / Clusterer.RestoreSession, every streaming session
 // that shares its engine). Options layer over DefaultConfig, so zero options
 // reproduce the paper's parameter-free defaults exactly; WithConfig replaces
-// the whole base configuration for callers migrating from NewClusterer.
+// the whole base configuration.
 type Option func(*settings)
 
 // settings is the accumulated option state: the Config the engine validates
-// plus the facade-level worker count and out-of-core memory budget.
+// plus the facade-level worker count.
 type settings struct {
-	cfg              Config
-	workers          int
-	maxResidentBytes int64
+	cfg     Config
+	workers int
 }
 
 // WithConfig replaces the base configuration the remaining options layer
-// over (the functional-options rendering of NewClusterer's cfg parameter).
+// over.
 func WithConfig(cfg Config) Option {
 	return func(s *settings) { s.cfg = cfg }
 }
@@ -39,18 +41,6 @@ func WithConfig(cfg Config) Option {
 // n ≤ 0 selects runtime.GOMAXPROCS(0) at each call (the default).
 func WithWorkers(n int) Option {
 	return func(s *settings) { s.workers = n }
-}
-
-// WithMaxResidentBytes sets the resident-memory budget of the out-of-core
-// entry points (ClusterDatasetExternal, ClusterMappedFile): the external
-// sort sizes its point chunks and in-memory run budget so the run's
-// per-point heap — label and cell-memo outputs, chunk working set, retained
-// sorted runs — stays within n bytes, spilling sorted runs to temp files
-// beyond it. n ≤ 0 selects the 512 MiB default. The budget does not cover
-// the O(cells) grid, whose size is bounded by the scale and the data's
-// occupancy, not by the point count.
-func WithMaxResidentBytes(n int64) Option {
-	return func(s *settings) { s.maxResidentBytes = n }
 }
 
 // WithBasis selects the wavelet filter bank (default CDF(2,2), the paper's
@@ -123,24 +113,22 @@ func WithPackedCells(on bool) Option {
 }
 
 // New constructs a Clusterer from functional options layered over
-// DefaultConfig — the context-first v1 construction path:
+// DefaultConfig — the one construction path:
 //
 //	c, err := adawave.New(adawave.WithWorkers(8), adawave.WithBasis(adawave.HaarBasis()))
 //	res, err := c.ClusterDatasetContext(ctx, ds)
 //
 // The same option set configures streaming sessions: c.NewSession() and
 // c.RestoreSession(r) share the clusterer's engine, workers and pooled
-// buffers. NewClusterer(cfg, workers) remains as the explicit-Config form;
-// New(WithConfig(cfg), WithWorkers(workers)) is equivalent.
+// buffers.
 func New(opts ...Option) (*Clusterer, error) {
 	s := settings{cfg: DefaultConfig()}
 	for _, opt := range opts {
 		opt(&s)
 	}
-	c, err := NewClusterer(s.cfg, s.workers)
+	eng, err := core.NewEngine(s.cfg, s.workers)
 	if err != nil {
 		return nil, err
 	}
-	c.maxResidentBytes = s.maxResidentBytes
-	return c, nil
+	return &Clusterer{eng: eng}, nil
 }

@@ -4,7 +4,7 @@ package adawave
 // committed BENCH series entry (BenchmarkExternal10M), 100M as an opt-in
 // smoke behind ADAWAVE_BENCH_100M=1 (the file alone is 1.6 GB). Both
 // stream a synthetic mixture into a mapped-Dataset file with O(1) memory,
-// cluster it through ClusterDatasetExternal under an explicit resident
+// cluster it through ClusterDatasetExternalOptions under an explicit resident
 // budget, and assert — via a runtime.ReadMemStats sampler — that peak heap
 // growth stayed within the budget the caller configured.
 

@@ -1,6 +1,7 @@
 package adawave_test
 
 import (
+	"context"
 	"testing"
 
 	"adawave"
@@ -58,11 +59,7 @@ func TestHighDimMixtureScenario(t *testing.T) {
 		{"rp", adawave.RandomProjection(4, 2), 16, 0.55},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := adawave.New(adawave.WithEmbedding(tc.emb), adawave.WithScale(tc.scale))
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := c.Cluster(points)
+			res, err := clusterRows(points, adawave.WithEmbedding(tc.emb), adawave.WithScale(tc.scale))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,11 +92,7 @@ func TestImageSegmentationScenario(t *testing.T) {
 		}
 	}
 
-	c, err := adawave.New(adawave.WithEmbedding(adawave.PCA(2)), adawave.WithScale(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Cluster(points)
+	res, err := clusterRows(points, adawave.WithEmbedding(adawave.PCA(2)), adawave.WithScale(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +153,7 @@ func TestEmbeddingFacadeMatchesManualProjection(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := plain.ClusterDataset(pds)
+				want, err := plain.ClusterDatasetContext(context.Background(), pds)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -168,7 +161,7 @@ func TestEmbeddingFacadeMatchesManualProjection(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := c.ClusterDataset(ds)
+				got, err := c.ClusterDatasetContext(context.Background(), ds)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -5,16 +5,15 @@ import (
 	"io"
 
 	"adawave/internal/core"
-	"adawave/internal/pointset"
 )
 
 // Session is a long-lived, incrementally maintained clustering — the
-// streaming counterpart of Clusterer. Feed points in over time with Append
-// (and take them back out with Remove); the session keeps its sparse
-// density grid warm between requests, folding each delta batch in by one
-// O(cells) merge instead of requantizing every point, and lazily re-runs
-// only the grid-side stages (wavelet transform, adaptive threshold,
-// connected components) on the next read.
+// streaming counterpart of Clusterer. Feed points in over time with
+// AppendContext (and take them back out with RemoveContext); the session
+// keeps its sparse density grid warm between requests, folding each delta
+// batch in by one O(cells) merge instead of requantizing every point, and
+// lazily re-runs only the grid-side stages (wavelet transform, adaptive
+// threshold, connected components) on the next read.
 //
 // The invalidation model: mutations never compute anything — they mark the
 // session dirty and return. The first read after a mutation folds the
@@ -22,26 +21,15 @@ import (
 // clean session return the cached Result under a shared read lock. A
 // Session is safe for one writer and many concurrent readers.
 //
-// Equivalence guarantee: after any sequence of Append and Remove calls the
-// labels are bit-identical to a one-shot Clusterer.ClusterDataset over the
-// current point set. The incremental merge is used only while it provably
-// preserves the one-shot quantization frame; a batch that expands the
-// bounding box, a removal that lets go of a boundary-touching point, or an
-// automatic scale change falls back to full requantization, so the
+// Equivalence guarantee: after any sequence of appends and removes the
+// labels are bit-identical to a one-shot Clusterer.ClusterDatasetContext
+// over the current point set. The incremental merge is used only while it
+// provably preserves the one-shot quantization frame; a batch that expands
+// the bounding box, a removal that lets go of a boundary-touching point, or
+// an automatic scale change falls back to full requantization, so the
 // guarantee holds unconditionally.
 type Session struct {
 	s *core.Session
-}
-
-// NewSession validates cfg and returns an empty streaming session using the
-// given number of worker goroutines per pipeline stage (≤ 0 selects
-// runtime.GOMAXPROCS(0) at each call).
-func NewSession(cfg Config, workers int) (*Session, error) {
-	s, err := core.NewSession(cfg, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{s: s}, nil
 }
 
 // NewSession returns an empty streaming session sharing this clusterer's
@@ -50,53 +38,34 @@ func (c *Clusterer) NewSession() *Session {
 	return &Session{s: c.eng.NewSession()}
 }
 
-// Append adds a batch of points (copied; the caller keeps ownership of ds)
-// and marks the session dirty. The first batch fixes the dimensionality.
-func (s *Session) Append(ds *Dataset) error { return s.s.Append(ds) }
-
-// AppendContext is Append with cancellation: a context already dead when the
+// AppendContext adds a batch of points (copied; the caller keeps ownership
+// of ds; slice callers convert with FromSlices) and marks the session dirty.
+// The first batch fixes the dimensionality. A context already dead when the
 // mutation would apply returns an ErrCanceled/ErrDeadlineExceeded-tagged
 // error and leaves the session untouched.
 func (s *Session) AppendContext(ctx context.Context, ds *Dataset) error {
 	return s.s.AppendContext(ctx, ds)
 }
 
-// AppendPoints is Append for [][]float64 callers (one copy).
-func (s *Session) AppendPoints(points [][]float64) error {
-	ds, err := pointset.FromSlices(points)
-	if err != nil {
-		return err
-	}
-	return s.s.Append(ds)
-}
-
-// Remove deletes the points at the given indices in the session's current
-// point order, preserving the order of the survivors.
-func (s *Session) Remove(indices []int) error { return s.s.Remove(indices) }
-
-// RemoveContext is Remove with cancellation (see AppendContext).
+// RemoveContext deletes the points at the given indices in the session's
+// current point order, preserving the order of the survivors. Cancellation
+// behaves as in AppendContext.
 func (s *Session) RemoveContext(ctx context.Context, indices []int) error {
 	return s.s.RemoveContext(ctx, indices)
 }
 
-// Labels returns the per-point labels of the current point set (appends
-// keep arrival order; removals close the gaps), recomputing only if the
-// session is dirty. The slice is shared — treat it as read-only.
-func (s *Session) Labels() ([]int, error) { return s.s.Labels() }
-
-// LabelsContext is Labels with cooperative cancellation (see ResultContext).
+// LabelsContext returns the per-point labels of the current point set
+// (appends keep arrival order; removals close the gaps), recomputing only if
+// the session is dirty. The slice is shared — treat it as read-only.
+// Cancellation behaves as in ResultContext.
 func (s *Session) LabelsContext(ctx context.Context) ([]int, error) {
 	return s.s.LabelsContext(ctx)
 }
 
-// Result returns the full clustering result of the current point set,
-// recomputing only if the session is dirty. The Result is shared between
-// readers and must not be modified.
-func (s *Session) Result() (*Result, error) { return s.s.Result() }
-
-// ResultContext is Result with cooperative cancellation: the lazy fold and
-// every recompute stage poll ctx at shard boundaries, and a cancelled read
-// leaves the session exactly as before the call — pending mutations still
+// ResultContext returns the full clustering result of the current point
+// set, recomputing only if the session is dirty. The Result is shared
+// between readers and must not be modified. The lazy fold and every
+// recompute stage poll ctx at shard boundaries, and a cancelled read leaves the session exactly as before the call — pending mutations still
 // pending, the live grid intact — so the next read recomputes the identical
 // result. The error is matched by errors.Is against ErrCanceled or
 // ErrDeadlineExceeded.
@@ -104,16 +73,10 @@ func (s *Session) ResultContext(ctx context.Context) (*Result, error) {
 	return s.s.ResultContext(ctx)
 }
 
-// MultiResolution clusters the current point set at every decomposition
-// level from 1 to maxLevels in one pass over the live grid, without
-// re-quantizing any point.
-func (s *Session) MultiResolution(maxLevels int) ([]*Result, error) {
-	return s.s.MultiResolution(maxLevels)
-}
-
-// MultiResolutionContext is MultiResolution with cooperative cancellation;
-// it computes on a private clone, so a cancelled call cannot disturb the
-// session state.
+// MultiResolutionContext clusters the current point set at every
+// decomposition level from 1 to maxLevels in one pass over the live grid,
+// without re-quantizing any point. It computes on a private clone, so a
+// cancelled call cannot disturb the session state.
 func (s *Session) MultiResolutionContext(ctx context.Context, maxLevels int) ([]*Result, error) {
 	return s.s.MultiResolutionContext(ctx, maxLevels)
 }
@@ -124,11 +87,8 @@ func (s *Session) Len() int { return s.s.Len() }
 // Dim returns the session's dimensionality (0 before the first append).
 func (s *Session) Dim() int { return s.s.Dim() }
 
-// Cells returns the number of occupied cells in the live base grid after
-// folding any pending mutations.
-func (s *Session) Cells() (int, error) { return s.s.Cells() }
-
-// CellsContext is Cells with cooperative cancellation of the fold.
+// CellsContext returns the number of occupied cells in the live base grid
+// after folding any pending mutations; ctx cancels the fold.
 func (s *Session) CellsContext(ctx context.Context) (int, error) {
 	return s.s.CellsContext(ctx)
 }
@@ -141,40 +101,22 @@ func (s *Session) Config() Config { return s.s.Config() }
 // the input to a serving layer's memory-budgeted eviction policy.
 func (s *Session) ResidentBytes() int64 { return s.s.ResidentBytes() }
 
-// Checkpoint serializes the session's full state — configuration
+// CheckpointContext serializes the session's full state — configuration
 // fingerprint, point rows, memoized cell ids, quantizer frame and live
 // grid — to w in a versioned, CRC-framed binary format. The write runs
 // under the session's writer lock after folding any pending mutations, so a
 // checkpoint is valid at any point in an append/remove sequence. Restore it
-// with RestoreSession (or Clusterer.RestoreSession) under the identical
-// configuration; the restored session reproduces this one's labels bit for
-// bit and stays warm for further mutations.
-func (s *Session) Checkpoint(w io.Writer) error { return s.s.Checkpoint(w) }
-
-// CheckpointContext is Checkpoint with cooperative cancellation of the fold
-// that precedes serialization; a cancelled call writes nothing.
+// with Clusterer.RestoreSession under the identical configuration; the
+// restored session reproduces this one's labels bit for bit and stays warm
+// for further mutations. ctx cancels the fold that precedes serialization;
+// a cancelled call writes nothing.
 func (s *Session) CheckpointContext(ctx context.Context, w io.Writer) error {
 	return s.s.CheckpointContext(ctx, w)
 }
 
-// RestoreSession rebuilds a streaming session from a Checkpoint stream.
-// cfg and workers configure the session's engine; cfg must match the
-// checkpointing configuration (a mismatch is reported, never restored
-// silently).
-func RestoreSession(r io.Reader, cfg Config, workers int) (*Session, error) {
-	eng, err := core.NewEngine(cfg, workers)
-	if err != nil {
-		return nil, err
-	}
-	s, err := core.RestoreSession(r, eng)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{s: s}, nil
-}
-
-// RestoreSession is RestoreSession sharing this clusterer's engine and
-// pooled buffers (the streaming counterpart of NewSession).
+// RestoreSession rebuilds a streaming session from a CheckpointContext
+// stream, sharing this clusterer's engine and pooled buffers. A checkpoint
+// taken under another configuration fails with ErrConfigMismatch.
 func (c *Clusterer) RestoreSession(r io.Reader) (*Session, error) {
 	s, err := core.RestoreSession(r, c.eng)
 	if err != nil {

@@ -2,8 +2,11 @@ package adawave
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
+
+	"adawave/internal/pointset"
 )
 
 // TestSessionEmbeddingFacade: the streaming property suite lifted into the
@@ -11,9 +14,11 @@ import (
 // data-independently, so a session fed by batches must match the one-shot
 // embedded run bit for bit through appends and removals; the checkpoint
 // round-trip must restore the fitted embedder (labels identical through
-// both the shared-engine and standalone restore paths); and restoring under
-// a different embedding spec is the typed ErrEmbeddingMismatch.
+// the shared engine and a fresh one built from the same config); and
+// restoring under a different embedding spec is the typed
+// ErrEmbeddingMismatch.
 func TestSessionEmbeddingFacade(t *testing.T) {
+	ctx := context.Background()
 	data := HighDimMixture(4, 200, 16, 3, 0.2, 7)
 	clusterer, err := New(
 		WithEmbedding(RandomProjection(3, 11)),
@@ -29,11 +34,11 @@ func TestSessionEmbeddingFacade(t *testing.T) {
 		if end > len(data.Points) {
 			end = len(data.Points)
 		}
-		if err := sess.AppendPoints(data.Points[off:end]); err != nil {
+		if err := sess.AppendContext(ctx, pointset.MustFromSlices(data.Points[off:end])); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := sess.Remove([]int{3, 50, 51, 400}); err != nil {
+	if err := sess.RemoveContext(ctx, []int{3, 50, 51, 400}); err != nil {
 		t.Fatal(err)
 	}
 	survivors := make([][]float64, 0, len(data.Points)-4)
@@ -43,11 +48,11 @@ func TestSessionEmbeddingFacade(t *testing.T) {
 		}
 		survivors = append(survivors, p)
 	}
-	want, err := clusterer.Cluster(survivors)
+	want, err := clusterer.ClusterDatasetContext(ctx, pointset.MustFromSlices(survivors))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sess.Labels()
+	got, err := sess.LabelsContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,19 +63,19 @@ func TestSessionEmbeddingFacade(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := sess.Checkpoint(&buf); err != nil {
+	if err := sess.CheckpointContext(ctx, &buf); err != nil {
 		t.Fatal(err)
 	}
 	shared, err := clusterer.RestoreSession(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	standalone, err := RestoreSession(bytes.NewReader(buf.Bytes()), clusterer.Config(), 1)
+	standalone, err := restoreOn(bytes.NewReader(buf.Bytes()), clusterer.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, restored := range []*Session{shared, standalone} {
-		after, err := restored.Labels()
+		after, err := restored.LabelsContext(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,13 +90,13 @@ func TestSessionEmbeddingFacade(t *testing.T) {
 	// the typed refinement, which still matches the broad mismatch root.
 	other := clusterer.Config()
 	other.Embedding = RandomProjection(3, 12)
-	_, err = RestoreSession(bytes.NewReader(buf.Bytes()), other, 1)
+	_, err = restoreOn(bytes.NewReader(buf.Bytes()), other)
 	if !errors.Is(err, ErrEmbeddingMismatch) || !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("restore under different seed: got %v, want ErrEmbeddingMismatch", err)
 	}
 	none := clusterer.Config()
 	none.Embedding = Embedding{}
-	if _, err := RestoreSession(bytes.NewReader(buf.Bytes()), none, 1); !errors.Is(err, ErrEmbeddingMismatch) {
+	if _, err := restoreOn(bytes.NewReader(buf.Bytes()), none); !errors.Is(err, ErrEmbeddingMismatch) {
 		t.Fatalf("restore without embedding: got %v, want ErrEmbeddingMismatch", err)
 	}
 }

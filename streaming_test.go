@@ -1,19 +1,23 @@
 package adawave
 
 import (
+	"context"
 	"sync"
 	"testing"
+
+	"adawave/internal/pointset"
 )
 
 // TestSessionFacadeMatchesOneShot: the exported streaming Session must
-// reproduce the one-shot ClusterDataset bit for bit after batched appends
-// and removals, with concurrent readers (the facade rendering of the
+// reproduce the one-shot ClusterDatasetContext bit for bit after batched
+// appends and removals, with concurrent readers (the facade rendering of the
 // internal/core streaming equivalence gate, race-exercised in CI).
 func TestSessionFacadeMatchesOneShot(t *testing.T) {
 	data := SyntheticEvaluation(300, 0.6, 4)
 	ds := data.Flat()
 
-	clusterer, err := NewClusterer(DefaultConfig(), 2)
+	ctx := context.Background()
+	clusterer, err := New(WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +35,7 @@ func TestSessionFacadeMatchesOneShot(t *testing.T) {
 					return
 				default:
 				}
-				res, err := sess.Result()
+				res, err := sess.ResultContext(ctx)
 				if err == nil && res != nil {
 					_ = res.Labels[0]
 				}
@@ -43,7 +47,7 @@ func TestSessionFacadeMatchesOneShot(t *testing.T) {
 		if end > len(data.Points) {
 			end = len(data.Points)
 		}
-		if err := sess.AppendPoints(data.Points[off:end]); err != nil {
+		if err := sess.AppendContext(ctx, pointset.MustFromSlices(data.Points[off:end])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,11 +57,11 @@ func TestSessionFacadeMatchesOneShot(t *testing.T) {
 	if sess.Len() != ds.N || sess.Dim() != ds.D {
 		t.Fatalf("shape: got %d/%d, want %d/%d", sess.Len(), sess.Dim(), ds.N, ds.D)
 	}
-	want, err := clusterer.ClusterDataset(ds)
+	want, err := clusterer.ClusterDatasetContext(ctx, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sess.Labels()
+	got, err := sess.LabelsContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +73,7 @@ func TestSessionFacadeMatchesOneShot(t *testing.T) {
 			t.Fatalf("label %d: got %d, want %d", i, got[i], want.Labels[i])
 		}
 	}
-	cells, err := sess.Cells()
+	cells, err := sess.CellsContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,18 +87,18 @@ func TestSessionFacadeMatchesOneShot(t *testing.T) {
 	for i := range idx {
 		idx[i] = i
 	}
-	if err := sess.Remove(idx); err != nil {
+	if err := sess.RemoveContext(ctx, idx); err != nil {
 		t.Fatal(err)
 	}
 	survivors, err := FromSlices(data.Points[100:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantAfter, err := clusterer.ClusterDataset(survivors)
+	wantAfter, err := clusterer.ClusterDatasetContext(ctx, survivors)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotAfter, err := sess.Result()
+	gotAfter, err := sess.ResultContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +112,11 @@ func TestSessionFacadeMatchesOneShot(t *testing.T) {
 	}
 
 	// Multi-resolution from the live grid matches the one-shot pass.
-	wantMulti, err := clusterer.ClusterMultiResolutionDataset(survivors, 3)
+	wantMulti, err := clusterer.ClusterMultiResolutionDatasetContext(ctx, survivors, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotMulti, err := sess.MultiResolution(3)
+	gotMulti, err := sess.MultiResolutionContext(ctx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,20 +134,19 @@ func TestSessionFacadeMatchesOneShot(t *testing.T) {
 
 // TestSessionFacadeValidation covers the exported error surface.
 func TestSessionFacadeValidation(t *testing.T) {
+	ctx := context.Background()
 	bad := DefaultConfig()
 	bad.Scale = 1
-	if _, err := NewSession(bad, 1); err == nil {
+	if _, err := New(WithConfig(bad)); err == nil {
 		t.Fatal("invalid config must error")
 	}
-	sess, err := NewSession(DefaultConfig(), 1)
+	clusterer, err := New(WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Labels(); err == nil {
+	sess := clusterer.NewSession()
+	if _, err := sess.LabelsContext(ctx); err == nil {
 		t.Fatal("empty session read must error")
-	}
-	if err := sess.AppendPoints([][]float64{{1, 2}, {3}}); err == nil {
-		t.Fatal("ragged batch must error")
 	}
 	if sess.Config().Scale != DefaultConfig().Scale {
 		t.Fatal("config must round-trip")
