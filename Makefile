@@ -35,7 +35,7 @@ SEED ?= 1
 SECONDS ?= 20
 TRACE ?= 0
 
-.PHONY: build test race bench bench-json bench-scale profile perfbench fmt-check vet ci
+.PHONY: build test race fuzz bench bench-json bench-scale profile perfbench fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,13 @@ test:
 # killed primary).
 race:
 	$(GO) test -race ./internal/grid/... ./internal/core/... ./internal/pointset/... ./internal/sched/... ./internal/persist/... ./internal/embed/... ./internal/linalg/... ./internal/cluster/... ./cmd/adawave-serve/... .
+
+# The CI fuzz smoke job: a short run of each grid decoder's fuzz target
+# (go test takes one -fuzz target per invocation). FUZZTIME is overridable.
+FUZZTIME ?= 15s
+fuzz:
+	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzReadSpillRun$$' -fuzztime $(FUZZTIME)
 
 # The CI benchmark smoke job: one iteration of the Fig. 2 benchmarks.
 bench:
@@ -101,4 +108,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build vet fmt-check test race bench bench-json
+ci: build vet fmt-check test race fuzz bench bench-json

@@ -1057,6 +1057,35 @@ func BenchmarkMergeThroughput(b *testing.B) {
 	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
 }
 
+// BenchmarkMergeThroughputPacked is BenchmarkMergeThroughput on the
+// representation a Session actually folds into: the same 1 % delta merged
+// into the packed live grid by MergePackedFlatCtx, which streams the live
+// blocks through a cursor and re-packs the union as it is emitted. Same
+// fixture, same cells/s metric, so the two series compare directly.
+func BenchmarkMergeThroughputPacked(b *testing.B) {
+	warm, delta := streamingFixture(b)
+	q, err := grid.NewQuantizerDataset(warm, 128, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	flat, _ := q.QuantizeDataset(warm, 1)
+	live := grid.PackFlat(flat)
+	dg, _ := q.QuantizeDataset(delta, 1)
+	cells := live.Len() + dg.Len()
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		merged, _, _, err := grid.MergePackedFlatCtx(ctx, live, dg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if merged.Len() < live.Len() {
+			b.Fatal("merge lost cells")
+		}
+	}
+	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
+}
+
 // BenchmarkGridFootprint measures resident bytes per occupied cell of the
 // two grid representations on real quantized workloads — the flat
 // struct-of-arrays layout against the block-compressed PackedGrid — and

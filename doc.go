@@ -60,7 +60,7 @@
 // New builds a Clusterer from functional options layered over
 // DefaultConfig: WithWorkers, WithBasis, WithScale, WithLevels,
 // WithThreshold, WithConnectivity, WithCoeffEpsilon, WithMinClusterCells,
-// WithMinClusterMass, WithPackedCells, WithEmbedding, and WithConfig for
+// WithMinClusterMass, WithEmbedding, and WithConfig for
 // callers holding an explicit Config. Zero options reproduce the paper's
 // parameter-free defaults. The same option set configures streaming
 // sessions through Clusterer.NewSession and Clusterer.RestoreSession,
@@ -177,17 +177,18 @@
 // # Grid memory layout
 //
 // The grids that stay resident across a workload's lifetime — a Session's
-// live base grid and the external pipeline's merged output — default to a
-// block-compressed representation: cells group into blocks of up to 4096,
+// live base grid and the external pipeline's merged output — are always
+// block-compressed: cells group into blocks of up to 4096,
 // each storing frame-of-reference delta-coded, bit-packed coordinates and
 // bit-packed integer masses (pre-transform masses are point counts;
 // promotion to float64 happens only at the wavelet boundary). That cuts
 // resident bytes per occupied cell several-fold versus the flat
 // struct-of-arrays layout — about 12 B/cell down to 2.2 on the paper's
 // running example — and the external sort's spill runs and checkpoint grid
-// snapshots reuse the same encoding on disk. Labels are bit-identical
-// under either representation, and a checkpoint taken under one restores
-// under the other; WithPackedCells(false) opts back into the flat layout.
+// snapshots reuse the same encoding on disk. The flat layout survives only
+// as transient scratch (the one-shot in-RAM quantization and the
+// transform's private unpacking); checkpoints whose grid was written in
+// the retired flat snapshot format still restore.
 //
 // # Out-of-core clustering
 //

@@ -60,14 +60,14 @@ type Config struct {
 	// other, satellites carry a sliver. The heaviest component is never
 	// demoted, so a non-empty grid always yields at least one cluster.
 	MinClusterMass float64
-	// PackedCells selects the block-compressed cell representation
-	// (delta-coded bit-packed coordinates, bit-packed integer masses;
-	// see internal/grid's PackedGrid) for the grids that stay resident —
-	// a streaming Session's live base grid and the external path's merged
-	// output — cutting bytes per occupied cell ~3–5× at a small
-	// pack/unpack cost per fold. Labels are bit-identical either way; the
-	// representation never affects results, so checkpoints restore across
-	// either setting. DefaultConfig enables it.
+	// PackedCells is ignored: every grid that stays resident — a
+	// streaming Session's live base grid, the external path's merged
+	// output, every checkpoint grid — is block-compressed (see
+	// internal/grid's PackedGrid). DefaultConfig still sets it, because
+	// perfbench's stage replay branches on it to mirror the engine.
+	//
+	// Deprecated: core ignores PackedCells; the packed representation is
+	// the only one at rest.
 	PackedCells bool
 	// Embedding, when enabled, prepends a fitted linear projection to the
 	// pipeline: rows are embedded into Embedding.K dimensions (PCA over
@@ -96,7 +96,9 @@ func DefaultConfig() Config {
 		Threshold:       ThreeSegmentFit{},
 		MinClusterCells: 1,
 		MinClusterMass:  0.05,
-		PackedCells:     true,
+		// Ignored by core; kept true so perfbench's replay takes the
+		// packed branch the engine always takes.
+		PackedCells: true,
 	}
 }
 

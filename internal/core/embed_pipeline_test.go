@@ -36,8 +36,9 @@ func embedEquivCases() []struct {
 // TestEmbeddingMatchesManualProjection is the embedding equivalence gate:
 // clustering raw rows through a configured embedding must reproduce, bit
 // for bit, clustering the manually projected rows without one — the embed
-// stage is a pure front-end, with the packed and flat grid representations
-// agreeing as always.
+// stage is a pure front-end. The /flat half clusters one-shot (a transient
+// flat base grid); the /packed half streams the rows through a Session as
+// one batch (a packed live grid, the embedder fitted on the same rows).
 func TestEmbeddingMatchesManualProjection(t *testing.T) {
 	for _, tc := range embedEquivCases() {
 		for _, packed := range []bool{false, true} {
@@ -48,7 +49,6 @@ func TestEmbeddingMatchesManualProjection(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				base := DefaultConfig()
 				base.Scale = 64
-				base.PackedCells = packed
 
 				emb, err := embed.New(tc.spec)
 				if err != nil {
@@ -76,7 +76,16 @@ func TestEmbeddingMatchesManualProjection(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := eng.ClusterDatasetContext(context.Background(), tc.ds)
+				var got *Result
+				if packed {
+					sess := eng.NewSession()
+					if err := sess.Append(tc.ds); err != nil {
+						t.Fatal(err)
+					}
+					got, err = sess.Result()
+				} else {
+					got, err = eng.ClusterDatasetContext(context.Background(), tc.ds)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -142,6 +151,8 @@ func TestSessionEmbeddingRPMatchesOneShot(t *testing.T) {
 			name = "packed"
 		}
 		t.Run(name, func(t *testing.T) {
+			// The live grid is always packed; the /flat half carries the
+			// deprecated PackedCells=false, which core ignores.
 			c := cfg
 			c.PackedCells = packed
 			eng, err := NewEngine(c, 2)

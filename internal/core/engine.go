@@ -111,25 +111,15 @@ func (e *Engine) ClusterDatasetContext(ctx context.Context, ds *pointset.Dataset
 	return e.runStages(ctx, st, stageList[stageFromTop:])
 }
 
-// clusterFromBase re-enters the stage list at the transform with an
+// clusterFromPacked re-enters the stage list at the transform with an
 // existing canonical base grid and memoized per-point cell ids — the
 // streaming Session's path: a live grid maintained by incremental merges
 // feeds the identical downstream stages, so an incrementally built base
 // yields the same Result as a one-shot run, bit for bit. cfg must already
-// be resolved (see resolveScaleND). base's cell order is permuted during
-// the transform and restored to canonical before returning — on cancelled
-// runs too, so a Session's live grid survives the abort intact; its masses
-// are never modified.
-func (e *Engine) clusterFromBase(ctx context.Context, base *grid.FlatGrid, ids []int32, cfg Config, w int) (*Result, error) {
-	st := &pipeState{cfg: cfg, w: w, base: base, ids: ids}
-	return e.runStages(ctx, st, stageList[stageFromTransform:])
-}
-
-// clusterFromPacked is clusterFromBase for a block-compressed base grid,
-// the re-entry point of packed-cell Sessions and the packed external path.
-// The transform stage runs on a pooled private unpacking, so the packed
-// grid itself is never permuted, and the assignment stage streams ancestor
-// labels block by block off the compressed base directly.
+// be resolved (see resolveScaleND). The transform stage runs on a pooled
+// private unpacking, so the packed grid itself is never permuted, and the
+// assignment stage streams ancestor labels block by block off the
+// compressed base directly.
 func (e *Engine) clusterFromPacked(ctx context.Context, base *grid.PackedGrid, ids []int32, cfg Config, w int) (*Result, error) {
 	st := &pipeState{cfg: cfg, w: w, pbase: base, ids: ids}
 	return e.runStages(ctx, st, stageList[stageFromTransform:])

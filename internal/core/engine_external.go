@@ -9,16 +9,17 @@ import (
 )
 
 // Out-of-core clustering: ClusterDatasetExternal is ClusterDatasetContext
-// with the point-side memory decoupled from the dataset size. Quantization
-// runs through the external sort (chunks quantized by the in-RAM shard
-// kernel, sorted runs spilled to temp files, loser-tree merge — see
-// grid.QuantizeDatasetExternalCtx)
-// and re-enters the exact post-quantization pipeline via clusterFromBase,
-// so the labels are bit-identical to the in-RAM path for every chunk size
-// and spill threshold. Pair it with a pointset.Mapped dataset and the
-// float64 payload never touches the Go heap either: resident memory is the
-// O(points) label/memo outputs plus the configured working budget plus the
-// O(cells) grid, independent of how many points stream through.
+// with the point-side memory decoupled from the dataset size. Its quantize
+// stage runs the external sort (chunks quantized by the in-RAM shard
+// kernel, sorted runs spilled to temp files, loser-tree merge into a packed
+// grid — see grid.QuantizeDatasetExternalPackedCtx), and runStages carries
+// that packed base through the same transform → assign stages as every
+// other path, so the labels are bit-identical to the in-RAM path for every
+// chunk size and spill threshold. Pair it with a pointset.Mapped dataset
+// and the float64 payload never touches the Go heap either: resident
+// memory is the O(points) label/memo outputs plus the configured working
+// budget plus the O(cells) grid, independent of how many points stream
+// through.
 
 // ExternalOptions tunes ClusterDatasetExternal. The zero value derives
 // everything from DefaultMaxResidentBytes.
@@ -111,7 +112,7 @@ func deriveExtSort(opts ExternalOptions, n, d int) (grid.ExtSortOptions, error) 
 // Result — are bit-identical to ClusterDatasetContext on the same rows.
 // ds is typically a pointset.Mapped view (OpenMapped), but any Dataset
 // works: only the quantization stage changes, everything downstream is the
-// shared clusterFromBase path.
+// shared stage list.
 func (e *Engine) ClusterDatasetExternal(ctx context.Context, ds *pointset.Dataset, opts ExternalOptions) (*Result, error) {
 	if ds == nil || ds.N == 0 {
 		return nil, grid.ErrNoPoints

@@ -45,6 +45,8 @@ func externalFixtures(t *testing.T) []extFixture {
 	out := make([]extFixture, 0, 2*len(base))
 	for _, fx := range base {
 		packed, flat := fx.cfg, fx.cfg
+		// The merge always emits a packed grid; the /flat half carries the
+		// deprecated PackedCells=false, which core ignores.
 		packed.PackedCells, flat.PackedCells = true, false
 		out = append(out,
 			extFixture{fx.name + "/packed", fx.ds, packed},

@@ -17,9 +17,10 @@ import (
 //	embed → quantize → transform → threshold → connect → assign
 //
 // Entry points differ only in where they enter the list: a one-shot call
-// runs it from the top, a Session re-enters at transform with its live base
-// grid, the external path swaps the quantize stage's implementation, and a
-// multi-resolution finisher enters at threshold with a per-level transform.
+// runs it from the top, a Session re-enters at transform with its live
+// packed base grid, the external path swaps the quantize stage's
+// implementation (its merge emits a packed base), and a multi-resolution
+// finisher enters at threshold with a per-level transform.
 // The stage runner emits each stage's name to the test hook and polls
 // cancellation exactly once per boundary, so hook sequences and abort
 // positions are identical to the previously fused code; the embed stage is
@@ -45,6 +46,9 @@ type pipeState struct {
 	// ext selects the out-of-core quantizer when non-nil.
 	ext *ExternalOptions
 
+	// The canonical base grid is flat only as the one-shot in-RAM
+	// quantizer's transient output; every base that outlives a pass (a
+	// Session's live grid, the external merge) arrives packed.
 	base           *grid.FlatGrid   // canonical base grid, flat form
 	pbase          *grid.PackedGrid // canonical base grid, packed form
 	abase          ancestorGrid     // whichever of the two assignment reads
@@ -168,14 +172,10 @@ func (e *Engine) stageQuantize(ctx context.Context, st *pipeState) error {
 		if err != nil {
 			return err
 		}
-		if st.cfg.PackedCells {
-			// The merged grid comes out block-compressed straight from the
-			// loser-tree merge; downstream, only the transform's private
-			// unpacking is ever materialized flat.
-			st.pbase, st.ids, err = q.QuantizeDatasetExternalPackedCtx(ctx, st.ds, st.w, ext)
-			return err
-		}
-		st.base, st.ids, err = q.QuantizeDatasetExternalCtx(ctx, st.ds, st.w, ext)
+		// The merged grid comes out block-compressed straight from the
+		// loser-tree merge; downstream, only the transform's private
+		// unpacking is ever materialized flat.
+		st.pbase, st.ids, err = q.QuantizeDatasetExternalPackedCtx(ctx, st.ds, st.w, ext)
 		return err
 	}
 	st.base, st.ids, err = q.QuantizeDatasetCtx(ctx, st.ds, st.w)
@@ -183,11 +183,12 @@ func (e *Engine) stageQuantize(ctx context.Context, st *pipeState) error {
 }
 
 // stageTransform runs the separable wavelet chain and the preliminary
-// coefficient denoising. A flat base is permuted in place and restored to
-// canonical order on every path (the Session's live grid survives an
-// abort); a packed base transforms a pooled private unpacking — the
-// promotion point where bit-packed integer masses become float64 densities
-// — and is never disturbed.
+// coefficient denoising. A packed base (a Session's live grid, the external
+// merge) transforms a pooled private unpacking — the promotion point where
+// bit-packed integer masses become float64 densities — and is never
+// disturbed; the one-shot in-RAM flat base is permuted in place and
+// restored to canonical order on every path, since the assignment stage's
+// memoized ids index into it.
 func (e *Engine) stageTransform(ctx context.Context, st *pipeState) error {
 	st.levels = st.cfg.Levels
 	if st.pbase != nil {

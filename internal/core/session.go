@@ -67,12 +67,10 @@ type Session struct {
 	emb embed.Embedder
 	eds *pointset.Dataset
 	q   *grid.Quantizer
-	// The live canonical grid (may hold tombstones) lives in exactly one of
-	// base and pbase once the first fold happens, chosen by
-	// Config.PackedCells: flat, or block-compressed (~3–5× fewer resident
-	// bytes, same cells in the same order, bit-identical labels).
-	base   *grid.FlatGrid
-	pbase  *grid.PackedGrid
+	// base is the live canonical grid (may hold tombstones), block-
+	// compressed (~3–5× fewer resident bytes than the flat layout, same
+	// cells in the same order); nil until the first fold.
+	base   *grid.PackedGrid
 	ids    []int32 // memoized base-cell id per folded point
 	scale  int     // resolved scale the grid was quantized at
 	folded int
@@ -236,17 +234,10 @@ func (s *Session) RemoveContext(ctx context.Context, indices []int) error {
 		if s.q != nil && s.touchesBBox(pds.Data[i*pd:(i+1)*pd]) {
 			s.rebuild = true
 		}
-		if s.pbase != nil {
-			// In-place bit-field decrement; shrinking a mass never outgrows
-			// the block's encoded width.
-			if s.pbase.DecMassAt(int(s.ids[i])) <= 0 {
-				s.tombstoned = true
-			}
-		} else {
-			s.base.Vals[s.ids[i]]--
-			if s.base.Vals[s.ids[i]] <= 0 {
-				s.tombstoned = true
-			}
+		// In-place bit-field decrement; shrinking a mass never outgrows the
+		// block's encoded width.
+		if s.base.DecMassAt(int(s.ids[i])) <= 0 {
+			s.tombstoned = true
 		}
 	}
 	// Compact rows (raw and, with an embedding, their projected mirror) and
@@ -348,12 +339,7 @@ func (s *Session) syncLocked(ctx context.Context) (Config, error) {
 		if err != nil {
 			return Config{}, err
 		}
-		if cfg.PackedCells {
-			s.pbase, s.base = grid.PackFlat(base), nil
-		} else {
-			s.base, s.pbase = base, nil
-		}
-		s.q, s.ids = q, ids
+		s.base, s.q, s.ids = grid.PackFlat(base), q, ids
 		s.scale = cfg.Scale
 		s.folded, s.tombstoned, s.rebuild = n, false, false
 		return cfg, nil
@@ -364,26 +350,15 @@ func (s *Session) syncLocked(ctx context.Context) (Config, error) {
 		if err != nil {
 			return Config{}, err
 		}
-		var liveRemap, deltaRemap []int32
-		if s.pbase != nil {
-			// The 2-way fold streams the compressed live grid and re-packs
-			// the union as it is emitted — MergeFlatCtx semantics, block
-			// representation throughout.
-			var merged *grid.PackedGrid
-			merged, liveRemap, deltaRemap, err = grid.MergePackedFlatCtx(ctx, s.pbase, dg)
-			if err != nil {
-				return Config{}, err
-			}
-			s.pbase = merged
-		} else {
-			var merged *grid.FlatGrid
-			merged, liveRemap, deltaRemap, err = grid.MergeFlatCtx(ctx, s.base, dg)
-			if err != nil {
-				return Config{}, err
-			}
-			s.base = merged
+		// The 2-way fold streams the compressed live grid and re-packs the
+		// union as it is emitted — MergeFlatCtx semantics, block
+		// representation throughout.
+		merged, liveRemap, deltaRemap, err := grid.MergePackedFlatCtx(ctx, s.base, dg)
+		if err != nil {
+			return Config{}, err
 		}
 		// Commit point: nothing below can fail or be cancelled.
+		s.base = merged
 		for i, id := range s.ids {
 			s.ids[i] = liveRemap[id]
 		}
@@ -397,17 +372,11 @@ func (s *Session) syncLocked(ctx context.Context) (Config, error) {
 		if err := grid.CtxErr(ctx); err != nil {
 			return Config{}, err
 		}
-		if s.pbase != nil {
-			if cp, remap := s.pbase.Compact(); remap != nil {
-				for i, id := range s.ids {
-					s.ids[i] = remap[id]
-				}
-				s.pbase = cp
-			}
-		} else if remap := s.base.Compact(); remap != nil {
+		if cp, remap := s.base.Compact(); remap != nil {
 			for i, id := range s.ids {
 				s.ids[i] = remap[id]
 			}
+			s.base = cp
 		}
 		s.tombstoned = false
 	}
@@ -444,12 +413,7 @@ func (s *Session) ResultContext(ctx context.Context) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		var res *Result
-		if s.pbase != nil {
-			res, err = s.eng.clusterFromPacked(ctx, s.pbase, s.ids, cfg, s.eng.effectiveWorkers())
-		} else {
-			res, err = s.eng.clusterFromBase(ctx, s.base, s.ids, cfg, s.eng.effectiveWorkers())
-		}
+		res, err := s.eng.clusterFromPacked(ctx, s.base, s.ids, cfg, s.eng.effectiveWorkers())
 		if err != nil {
 			return nil, err
 		}
@@ -499,16 +463,10 @@ func (s *Session) MultiResolutionContext(ctx context.Context, maxLevels int) ([]
 		s.mu.Unlock()
 		return nil, err
 	}
-	// Clone under the lock: the transform permutes its input grid in
+	// Unpack under the lock — the private copy and the integer→float64
+	// mass promotion in one pass: the transform permutes its input grid in
 	// place, and a concurrent Remove mutates base masses and ids in place.
-	// A packed base unpacks here — the clone and the integer→float64 mass
-	// promotion in one pass.
-	var base *grid.FlatGrid
-	if s.pbase != nil {
-		base = s.pbase.Unpack()
-	} else {
-		base = s.base.Clone()
-	}
+	base := s.base.Unpack()
 	ids := append([]int32(nil), s.ids...)
 	s.mu.Unlock()
 	return s.eng.multiResolutionFromBase(ctx, base, ids, cfg, maxLevels, s.eng.effectiveWorkers())
@@ -568,12 +526,7 @@ func (s *Session) CheckpointContext(ctx context.Context, w io.Writer) error {
 		if _, err := s.syncLocked(ctx); err != nil {
 			return err
 		}
-		st.IDs, st.Scale = s.ids, s.scale
-		if s.pbase != nil {
-			st.Packed = s.pbase // serialized as an AWG2 block snapshot
-		} else {
-			st.Grid = s.base
-		}
+		st.IDs, st.Scale, st.Grid = s.ids, s.scale, s.base
 		st.Mins, st.Maxs = s.q.Mins, s.q.Maxs
 	}
 	return persist.WriteSessionCheckpoint(w, &st)
@@ -615,15 +568,7 @@ func RestoreSession(r io.Reader, eng *Engine) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Checkpoints are representation-portable: the snapshot always
-	// restores as a flat grid, adopted directly or re-packed to match the
-	// engine's configured representation.
-	if eng.cfg.PackedCells {
-		s.pbase = grid.PackFlat(st.Grid)
-	} else {
-		s.base = st.Grid
-	}
-	s.q, s.ids, s.scale = q, st.IDs, st.Scale
+	s.base, s.q, s.ids, s.scale = st.Grid, q, st.IDs, st.Scale
 	s.folded = st.DS.N
 	return s, nil
 }
@@ -642,10 +587,7 @@ func (s *Session) ResidentBytes() int64 {
 		b += int64(cap(s.eds.Data)) * 8
 	}
 	if s.base != nil {
-		b += int64(cap(s.base.Coords))*2 + int64(cap(s.base.Vals))*8
-	}
-	if s.pbase != nil {
-		b += s.pbase.Bytes()
+		b += s.base.Bytes()
 	}
 	b += int64(cap(s.ids)) * 4
 	if s.res != nil {
@@ -666,9 +608,6 @@ func (s *Session) CellsContext(ctx context.Context) (int, error) {
 	defer s.mu.Unlock()
 	if _, err := s.syncLocked(ctx); err != nil {
 		return 0, err
-	}
-	if s.pbase != nil {
-		return s.pbase.Len(), nil
 	}
 	return s.base.Len(), nil
 }

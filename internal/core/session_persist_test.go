@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 
 	"adawave/internal/persist"
@@ -152,58 +153,45 @@ func TestSessionCheckpointBetweenRemoveAndRead(t *testing.T) {
 	assertSessionsAgree(t, sess, restored)
 }
 
-// TestSessionCheckpointRepresentationPortable: PackedCells is a runtime
-// choice, not a durable one — a checkpoint taken under either grid
-// representation must restore under the other (the fingerprint excludes
-// the flag) and keep producing identical labels through further mutations.
-func TestSessionCheckpointRepresentationPortable(t *testing.T) {
-	packed := DefaultConfig()
-	packed.PackedCells = true
-	flat := DefaultConfig()
-	flat.PackedCells = false
-	data := synth.RunningExampleSized(400, 1)
-	for _, dir := range []struct {
-		name     string
-		from, to Config
-	}{
-		{"packed-to-flat", packed, flat},
-		{"flat-to-packed", flat, packed},
-	} {
-		t.Run(dir.name, func(t *testing.T) {
-			sess, err := NewSession(dir.from, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sess.Append(pointset.MustFromSlices(data.Points)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sess.Labels(); err != nil {
-				t.Fatal(err)
-			}
-			if err := sess.Remove([]int{10, 11, 200}); err != nil {
-				t.Fatal(err)
-			}
-			restored := checkpointRestore(t, sess, dir.to, 2)
-			assertSessionGrid(t, restored)
-			assertSessionsAgree(t, sess, restored)
-			// Both sessions keep agreeing as they mutate identically past
-			// the representation switch.
-			more := synth.RunningExampleSized(100, 2).Flat()
-			if err := sess.Append(more); err != nil {
-				t.Fatal(err)
-			}
-			if err := restored.Append(more); err != nil {
-				t.Fatal(err)
-			}
-			if err := sess.Remove([]int{0, 5}); err != nil {
-				t.Fatal(err)
-			}
-			if err := restored.Remove([]int{0, 5}); err != nil {
-				t.Fatal(err)
-			}
-			assertSessionsAgree(t, sess, restored)
-		})
+// TestRestoreFlatEraCheckpoint: testdata/flat_session.ckpt was written by
+// a session running the retired flat live grid — after an append, a read
+// and a removal — so its grid section is an AWG1 snapshot. It must restore
+// to labels bit-identical to a fresh session fed the same rows, and the
+// two must keep agreeing through further appends and removals.
+func TestRestoreFlatEraCheckpoint(t *testing.T) {
+	raw, err := os.ReadFile("testdata/flat_session.ckpt")
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !bytes.Contains(raw, []byte("AWG1")) {
+		t.Fatal("fixture carries no AWG1 grid snapshot")
+	}
+	eng, err := NewEngine(DefaultConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreSession(bytes.NewReader(raw), eng)
+	if err != nil {
+		t.Fatalf("flat-era checkpoint failed to restore: %v", err)
+	}
+	assertSessionGrid(t, restored)
+	fresh := eng.NewSession()
+	rows := &pointset.Dataset{Data: append([]float64(nil), restored.ds.Data...), N: restored.ds.N, D: restored.ds.D}
+	if err := fresh.Append(rows); err != nil {
+		t.Fatal(err)
+	}
+	assertSessionsAgree(t, fresh, restored)
+	more := synth.RunningExampleSized(30, 2).Flat()
+	for _, s := range []*Session{fresh, restored} {
+		if err := s.Append(more); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Remove([]int{0, 5, rows.N + 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertSessionsAgree(t, fresh, restored)
+	assertSessionGrid(t, restored)
 }
 
 // TestSessionCheckpointEmpty: an empty session (fresh, or drained by

@@ -35,9 +35,10 @@ func sessionFixtures(t *testing.T) []sessionFixture {
 	dermCfg := DefaultConfig()
 	dermCfg.Scale = 0 // automatic scale: changes as the stream grows
 	dermCfg.Basis = wavelet.Haar()
-	// Every fixture runs under both live-grid representations
-	// (DefaultConfig enables the packed one); the equivalence assertions
-	// below must hold bit for bit either way.
+	// The live grid is always packed. Every fixture still runs twice: the
+	// /flat half carries the deprecated PackedCells=false, which core
+	// ignores, so a configuration from before the flat live grid was
+	// retired must reproduce the /packed half bit for bit.
 	base := []sessionFixture{
 		{"fig2", synth.RunningExampleSized(500, 1).Points, DefaultConfig()},
 		{"fig7", synth.Evaluation(400, 0.8, 1).Points, DefaultConfig()},
@@ -83,10 +84,7 @@ func assertSessionGrid(t *testing.T, s *Session) {
 		t.Fatal(err)
 	}
 	want, wantIDs := q.QuantizeDataset(s.ds, 1)
-	live := s.base
-	if s.pbase != nil {
-		live = s.pbase.Unpack()
-	}
+	live := s.base.Unpack()
 	if want.Len() != live.Len() {
 		t.Fatalf("live grid has %d cells, one-shot %d", live.Len(), want.Len())
 	}

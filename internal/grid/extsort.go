@@ -47,7 +47,7 @@ type ExtSortOptions struct {
 	// TempDir is the base directory for the spill directory ("" uses the
 	// system default). Spill files live in a fresh os.MkdirTemp directory
 	// that is removed — error and cancellation paths included — before
-	// QuantizeDatasetExternalCtx returns.
+	// QuantizeDatasetExternalPackedCtx returns.
 	TempDir string
 }
 
@@ -76,54 +76,25 @@ func (q *Quantizer) gridSize() []int {
 	return size
 }
 
-// QuantizeDatasetExternal is QuantizeDatasetExternalCtx without
-// cancellation.
-func (q *Quantizer) QuantizeDatasetExternal(ds *pointset.Dataset, workers int, opts ExtSortOptions) (*FlatGrid, []int32, error) {
-	return q.QuantizeDatasetExternalCtx(context.Background(), ds, workers, opts)
-}
-
-// QuantizeDatasetExternalCtx builds the same canonical density grid and
-// point→cell memo as QuantizeDatasetCtx — bit-identical cells, masses and
-// ids for every chunk size, spill threshold and worker count — while
+// QuantizeDatasetExternalPackedCtx builds the same canonical density grid
+// and point→cell memo as QuantizeDatasetCtx — bit-identical cells, masses
+// and ids for every chunk size, spill threshold and worker count — while
 // keeping resident memory bounded by the chunk size plus the spill budget
 // plus the final grid, independent of the dataset size. Points stream
 // through in chunks (an mmap-backed Dataset is paged in and dropped by the
 // OS), each chunk's sorted run spills to disk once the in-memory run budget
-// is exhausted, and a loser-tree merge re-reads the runs sequentially.
-// Cancellation is polled at chunk and merge boundaries and every
-// ctxCheckStride points within; a cancelled call removes its spill
-// directory before returning.
-func (q *Quantizer) QuantizeDatasetExternalCtx(ctx context.Context, ds *pointset.Dataset, workers int, opts ExtSortOptions) (*FlatGrid, []int32, error) {
-	size := q.gridSize()
-	out := NewFlat(size, 0)
-	ids, err := q.quantizeDatasetExternalInto(ctx, ds, workers, opts, flatSink{out})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, ids, nil
-}
-
-// QuantizeDatasetExternalPackedCtx is QuantizeDatasetExternalCtx emitting
-// the merged grid in the block-compressed representation: the loser-tree
-// merge streams straight into a PackedBuilder, so the uncompressed cell
-// array never materializes at any point of the external pipeline.
+// is exhausted, and a loser-tree merge re-reads the runs sequentially and
+// streams straight into a PackedBuilder, so the uncompressed cell array
+// never materializes at any point of the external pipeline. Cancellation
+// is polled at chunk and merge boundaries and every ctxCheckStride points
+// within; a cancelled call removes its spill directory before returning.
 func (q *Quantizer) QuantizeDatasetExternalPackedCtx(ctx context.Context, ds *pointset.Dataset, workers int, opts ExtSortOptions) (*PackedGrid, []int32, error) {
-	bld := NewPackedBuilder(q.gridSize(), -1)
-	ids, err := q.quantizeDatasetExternalInto(ctx, ds, workers, opts, packedSink{bld})
-	if err != nil {
-		return nil, nil, err
-	}
-	return bld.Grid(), ids, nil
-}
-
-// quantizeDatasetExternalInto is the shared external-sort pipeline behind
-// both representations; merged cells stream into sink in canonical order.
-func (q *Quantizer) quantizeDatasetExternalInto(ctx context.Context, ds *pointset.Dataset, workers int, opts ExtSortOptions, sink cellSink) ([]int32, error) {
 	d := q.Dim()
 	size := q.gridSize()
 	n := ds.N
+	bld := NewPackedBuilder(size, -1)
 	if n == 0 {
-		return nil, nil
+		return bld.Grid(), nil, nil
 	}
 	chunkPts := opts.ChunkPoints
 	if chunkPts <= 0 {
@@ -162,7 +133,7 @@ func (q *Quantizer) quantizeDatasetExternalInto(ctx context.Context, ds *pointse
 			hi = n
 		}
 		if err := CtxErr(ctx); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		nn := hi - lo
 		w := workers
@@ -181,7 +152,7 @@ func (q *Quantizer) quantizeDatasetExternalInto(ctx context.Context, ds *pointse
 			shardLo[sw], shardHi[sw] = slo, shi
 		})
 		if err := CtxErr(ctx); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// Pack, then retain or spill each shard's run, in shard order so the
 		// decision (and the run sequence the merge sees) is deterministic.
@@ -201,12 +172,12 @@ func (q *Quantizer) quantizeDatasetExternalInto(ctx context.Context, ds *pointse
 					var err error
 					tmpDir, err = os.MkdirTemp(opts.TempDir, "adawave-extsort-")
 					if err != nil {
-						return nil, fmt.Errorf("grid: external sort spill dir: %w", err)
+						return nil, nil, fmt.Errorf("grid: external sort spill dir: %w", err)
 					}
 				}
 				path := filepath.Join(tmpDir, fmt.Sprintf("run-%06d.spill", len(runs)))
 				if err := writeSpillRun(path, pg); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				run.path = path
 			}
@@ -217,9 +188,9 @@ func (q *Quantizer) quantizeDatasetExternalInto(ctx context.Context, ds *pointse
 	// Phase 2: loser-tree k-way merge over all runs, emitting canonical
 	// order and recording, per run, where each run-local cell landed in
 	// the merged grid.
-	remap, err := mergeExtRuns(ctx, runs, d, sink)
+	remap, err := mergeExtRuns(ctx, runs, d, bld)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Phase 3: renumber the memoized point ids from run-local to canonical
@@ -234,42 +205,28 @@ func (q *Quantizer) quantizeDatasetExternalInto(ctx context.Context, ds *pointse
 		})
 	}
 	if err := CtxErr(ctx); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return ids, nil
+	return bld.Grid(), ids, nil
 }
 
-// cellSink receives the merged cells in canonical order. The two
-// implementations are the flat grid and the packed builder; the merge only
-// ever appends a new cell or folds mass into the last one, which both
-// representations support without re-encoding.
-type cellSink interface {
-	len() int
-	appendCell(coords []uint16, mass float64)
-	addLast(mass float64)
-	lastCoords() []uint16
+// QuantizeDatasetExternalCtx is QuantizeDatasetExternalPackedCtx with the
+// merged grid unpacked to flat form. It is kept only for perfbench's stage
+// replay (perfbench/replay.go), which compiles against it.
+func (q *Quantizer) QuantizeDatasetExternalCtx(ctx context.Context, ds *pointset.Dataset, workers int, opts ExtSortOptions) (*FlatGrid, []int32, error) {
+	p, ids, err := q.QuantizeDatasetExternalPackedCtx(ctx, ds, workers, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.Unpack(), ids, nil
 }
 
-type flatSink struct{ g *FlatGrid }
-
-func (s flatSink) len() int                            { return s.g.Len() }
-func (s flatSink) appendCell(c []uint16, mass float64) { s.g.Append(c, mass) }
-func (s flatSink) addLast(mass float64)                { s.g.Vals[s.g.Len()-1] += mass }
-func (s flatSink) lastCoords() []uint16                { return s.g.CellCoords(s.g.Len() - 1) }
-
-type packedSink struct{ b *PackedBuilder }
-
-func (s packedSink) len() int                            { return s.b.Len() }
-func (s packedSink) appendCell(c []uint16, mass float64) { s.b.Append(c, mass) }
-func (s packedSink) addLast(mass float64)                { s.b.AddLast(mass) }
-func (s packedSink) lastCoords() []uint16                { return s.b.LastCoords() }
-
-// mergeExtRuns k-way merges sorted runs into sink, summing duplicate cells
+// mergeExtRuns k-way merges sorted runs into bld, summing duplicate cells
 // in run order (exact: masses are integer point counts) and filling
 // remap[r][j] = merged index of run r's j-th cell. Spilled runs are
 // streamed back block by block through buffered readers; nothing beyond
-// the sink and the remap tables is materialized.
-func mergeExtRuns(ctx context.Context, runs []extRun, d int, sink cellSink) ([][]int32, error) {
+// the builder and the remap tables is materialized.
+func mergeExtRuns(ctx context.Context, runs []extRun, d int, bld *PackedBuilder) ([][]int32, error) {
 	remap := make([][]int32, len(runs))
 	streams := make([]*runStream, len(runs))
 	defer func() {
@@ -303,12 +260,12 @@ func mergeExtRuns(ctx context.Context, runs []extRun, d int, sink cellSink) ([][
 			}
 		}
 		st := streams[s]
-		m := sink.len()
-		if m > 0 && cmpCoords(sink.lastCoords(), st.cur) == 0 {
-			sink.addLast(st.curMass)
+		m := bld.Len()
+		if m > 0 && cmpCoords(bld.LastCoords(), st.cur) == 0 {
+			bld.AddLast(st.curMass)
 			remap[s][st.emitted] = int32(m - 1)
 		} else {
-			sink.appendCell(st.cur, st.curMass)
+			bld.Append(st.cur, st.curMass)
 			remap[s][st.emitted] = int32(m)
 		}
 		st.emitted++

@@ -84,8 +84,8 @@ func TestQuantizeDatasetExternalEquivalence(t *testing.T) {
 					chunk, spill, workers, i, ids[i], wantIDs[i])
 			}
 		}
-		// The packed-output variant of the same external sort must agree
-		// bit for bit after unpacking.
+		// The packed quantizer behind that flat wrapper must agree bit for
+		// bit after unpacking.
 		pg, pids, err := q.QuantizeDatasetExternalPackedCtx(context.Background(), ds, workers,
 			ExtSortOptions{ChunkPoints: chunk, SpillBytes: spill, TempDir: tmp})
 		if err != nil {
@@ -159,7 +159,7 @@ func TestQuantizeDatasetExternalCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	tmp := t.TempDir()
-	_, _, err = q.QuantizeDatasetExternalCtx(ctx, ds, 2,
+	_, _, err = q.QuantizeDatasetExternalPackedCtx(ctx, ds, 2,
 		ExtSortOptions{ChunkPoints: 1024, SpillBytes: 1, TempDir: tmp})
 	if err == nil {
 		t.Fatal("cancelled external sort returned no error")

@@ -121,8 +121,8 @@ func TestCompact(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip: WriteSnapshot → ReadSnapshot must reproduce the
-// grid exactly, order included.
+// TestSnapshotRoundTrip: PackedGrid.WriteSnapshot → ReadSnapshot must
+// reproduce the quantized grid exactly, order included.
 func TestSnapshotRoundTrip(t *testing.T) {
 	_, ds := randomDataset(3000, 3, 11)
 	q, err := NewQuantizerDataset(ds, 32, 1)
@@ -131,27 +131,23 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	f, _ := q.QuantizeDataset(ds, 1)
 	var buf bytes.Buffer
-	if err := f.WriteSnapshot(&buf); err != nil {
+	if err := PackFlat(f).WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flatGridsIdentical(t, f, got)
+	flatGridsIdentical(t, f, got.Unpack())
 }
 
 // TestSnapshotRejectsCorruption: bad magic, truncation and out-of-range
-// coordinates must all be reported, not restored.
+// coordinates in an AWG1 stream must all be reported, not restored.
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	f := NewFlat([]int{8, 8}, 2)
 	f.Append([]uint16{1, 2}, 3)
 	f.Append([]uint16{4, 4}, 1)
-	var buf bytes.Buffer
-	if err := f.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := encodeAWG1(f)
 
 	if _, err := ReadSnapshot(bytes.NewReader([]byte("nope"))); err == nil {
 		t.Fatal("bad magic must error")
@@ -183,8 +179,8 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	if _, err := ReadSnapshot(bytes.NewReader(dup)); err == nil {
 		t.Fatal("duplicate cells must error")
 	}
-	// Tombstones (zero-mass cells) are transient in-session state:
-	// WriteSnapshot sweeps them (see TestSnapshotSweepsTombstonesOnWrite),
+	// Tombstones (zero-mass cells) are transient in-session state: the
+	// writer sweeps them (see TestSnapshotSweepsTombstonesOnWrite),
 	// so a stream carrying one was hand-crafted or corrupted and must be
 	// rejected. Zero the first cell's mass bytes in an otherwise valid
 	// stream (vals follow the 24-byte header and 8 coordinate bytes).

@@ -9,11 +9,11 @@ import (
 	"math"
 )
 
-// Grid snapshots: a grid serializes to a compact little-endian binary
-// stream so a long-lived session can checkpoint its live base grid (and a
-// restarted process can warm-start from it) without replaying every point.
-// The format is versioned by a 4-byte magic; all integers are little-endian.
-// ReadSnapshot restores either version:
+// Grid snapshots: a packed grid serializes to a compact little-endian
+// binary stream so a long-lived session can checkpoint its live base grid
+// (and a restarted process can warm-start from it) without replaying every
+// point. The format is versioned by a 4-byte magic; all integers are
+// little-endian. ReadSnapshot restores either version into a *PackedGrid:
 //
 //	"AWG1" | dim uint32 | size[dim] uint32 | cells uint64
 //	     | coords[cells*dim] uint16 | vals[cells] float64
@@ -22,10 +22,11 @@ import (
 //	     | per block: payloadLen uint32, then the packed block payload
 //	       (see packed.go for the block layout)
 //
-// AWG1 is what FlatGrid.WriteSnapshot emits; AWG2 is the block-compressed
-// encoding PackedGrid.WriteSnapshot emits — the payload bytes are the
-// in-memory blocks verbatim, so checkpointing a packed session grid is a
-// copy, and the snapshot shrinks by the same ~3–5× as the resident grid.
+// AWG2 is what PackedGrid.WriteSnapshot emits — the payload bytes are the
+// in-memory blocks verbatim, so checkpointing a session grid is a copy.
+// AWG1, the flat struct-of-arrays encoding, is read-only: nothing writes it
+// any more, but checkpoints taken before the flat writer was retired still
+// restore, through the same validation.
 
 var snapshotMagic = [4]byte{'A', 'W', 'G', '1'}
 var snapshotMagic2 = [4]byte{'A', 'W', 'G', '2'}
@@ -35,82 +36,12 @@ var snapshotMagic2 = [4]byte{'A', 'W', 'G', '2'}
 // by ReadSnapshot could represent it.
 var ErrUnserializableGrid = errors.New("grid: non-finite cell mass cannot be snapshotted")
 
-// WriteSnapshot serializes the grid to w in the snapshot format.
-//
-// Tombstone cells (mass ≤ 0, left behind by a streaming session's
-// signed-mass removal until the next merge or compaction sweeps them) are
-// skipped: they are transient in-session state no consumer ever clusters,
-// and ReadSnapshot rejects them, so writing them would produce a snapshot
-// that can never be restored. Sweeping on write keeps every written
-// snapshot round-trippable regardless of when in an append/remove sequence
-// it is taken. A non-finite mass, by contrast, is corruption and is
-// reported as ErrUnserializableGrid.
-func (f *FlatGrid) WriteSnapshot(w io.Writer) error {
-	d := f.Dim()
-	live := 0
-	for _, v := range f.Vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("grid: write snapshot: cell mass %v: %w", v, ErrUnserializableGrid)
-		}
-		if v > 0 {
-			live++
-		}
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(snapshotMagic[:]); err != nil {
-		return fmt.Errorf("grid: write snapshot: %w", err)
-	}
-	hdr := make([]uint32, 0, 1+d)
-	hdr = append(hdr, uint32(d))
-	for _, s := range f.Size {
-		hdr = append(hdr, uint32(s))
-	}
-	if err := binary.Write(bw, binary.LittleEndian, hdr); err != nil {
-		return fmt.Errorf("grid: write snapshot header: %w", err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(live)); err != nil {
-		return fmt.Errorf("grid: write snapshot header: %w", err)
-	}
-	if live == f.Len() {
-		// No tombstones: write the backing slices in two straight runs.
-		if err := binary.Write(bw, binary.LittleEndian, f.Coords); err != nil {
-			return fmt.Errorf("grid: write snapshot coords: %w", err)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, f.Vals); err != nil {
-			return fmt.Errorf("grid: write snapshot vals: %w", err)
-		}
-	} else {
-		// Tombstones present: emit only live cells. Skipping preserves the
-		// canonical cell order (a subsequence of an ordered sequence), so
-		// the restored grid satisfies ReadSnapshot's ordering check.
-		for i, v := range f.Vals {
-			if v <= 0 {
-				continue
-			}
-			if err := binary.Write(bw, binary.LittleEndian, f.Coords[i*d:(i+1)*d]); err != nil {
-				return fmt.Errorf("grid: write snapshot coords: %w", err)
-			}
-		}
-		for _, v := range f.Vals {
-			if v <= 0 {
-				continue
-			}
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return fmt.Errorf("grid: write snapshot vals: %w", err)
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("grid: write snapshot: %w", err)
-	}
-	return nil
-}
-
-// ReadSnapshot restores a grid written by WriteSnapshot, validating the
-// magic, the coordinate ranges against the recorded sizes, and mass
-// finiteness, so a truncated or corrupted stream is reported instead of
-// yielding a quietly broken grid.
-func ReadSnapshot(r io.Reader) (*FlatGrid, error) {
+// ReadSnapshot restores a grid written by PackedGrid.WriteSnapshot (AWG2)
+// or by the retired flat writer (AWG1), validating the magic, the
+// coordinate ranges against the recorded sizes, mass finiteness and
+// canonical cell order, so a truncated or corrupted stream is reported
+// instead of yielding a quietly broken grid.
+func ReadSnapshot(r io.Reader) (*PackedGrid, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -154,24 +85,77 @@ func ReadSnapshot(r io.Reader) (*FlatGrid, error) {
 	if cells > max {
 		return nil, fmt.Errorf("grid: snapshot cell count %d exceeds grid volume", cells)
 	}
+	// The builder's staging buffers are capped at one block, so a corrupt
+	// header declaring a huge cell count allocates at most that up front.
+	expected := packedBlockCells
+	if cells < uint64(expected) {
+		expected = int(cells)
+	}
+	sb := snapshotBuilder{PackedBuilder: NewPackedBuilder(size, expected), size: size}
+	var err error
 	if magic == snapshotMagic2 {
-		return readSnapshotV2Body(br, size, cells)
+		err = sb.readV2Body(br, cells)
+	} else {
+		err = sb.readV1Body(br, cells)
 	}
-	// Read each section in bounded chunks, growing the buffer with the
-	// data actually present: a corrupt header declaring a huge cell count
-	// then fails on the first missing chunk instead of provoking a giant
-	// up-front allocation from a few bytes of input. All section-size math
-	// stays in uint64: converting the declared cell count to int first
-	// would truncate (and the product cells*d could wrap) on 32-bit
-	// platforms, letting an adversarial header bypass this bounded-chunk
-	// guard. cells ≤ 2^40 and d ≤ 2^10 are already enforced above, so the
-	// uint64 products below cannot overflow.
+	if err != nil {
+		return nil, err
+	}
+	return sb.Grid(), nil
+}
+
+// snapshotBuilder is the validating sink both snapshot versions decode
+// into: every cell must lie inside the recorded sizes, carry a strictly
+// positive finite mass, and follow its predecessor in strict canonical
+// order.
+type snapshotBuilder struct {
+	*PackedBuilder
+	size []int
+}
+
+// add validates one decoded cell and appends it.
+func (sb snapshotBuilder) add(cc []uint16, v float64) error {
+	m := sb.Len()
+	for j, c := range cc {
+		if int(c) >= sb.size[j] {
+			return fmt.Errorf("grid: snapshot cell %d coordinate %d out of range in dimension %d", m, c, j)
+		}
+	}
+	// Zero and negative masses are rejected too: tombstones are a transient
+	// in-session state the pipeline never clusters, and WriteSnapshot
+	// sweeps them on write, so a stream carrying one was not produced by
+	// this package.
+	if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
+		return fmt.Errorf("grid: snapshot cell %d has non-positive or non-finite mass %v", m, v)
+	}
+	// Every consumer (Find, the merges, the transform sweep) assumes
+	// strictly increasing canonical order, which also rules out duplicate
+	// cells; a reordered or duplicated stream must be reported, not
+	// restored.
+	if m > 0 && cmpCoords(sb.LastCoords(), cc) >= 0 {
+		return fmt.Errorf("grid: snapshot cells %d and %d out of canonical order", m-1, m)
+	}
+	sb.Append(cc, v)
+	return nil
+}
+
+// readV1Body restores the flat body of an AWG1 snapshot. Each section is
+// read in bounded chunks, growing the coordinate buffer with the data
+// actually present: a corrupt header declaring a huge cell count then
+// fails on the first missing chunk instead of provoking a giant up-front
+// allocation from a few bytes of input. All section-size math stays in
+// uint64: converting the declared cell count to int first would truncate
+// (and the product cells*d could wrap) on 32-bit platforms, letting an
+// adversarial header bypass this bounded-chunk guard. cells ≤ 2^40 and
+// d ≤ 2^10 are enforced by ReadSnapshot, so the products cannot overflow.
+func (sb snapshotBuilder) readV1Body(br *bufio.Reader, cells uint64) error {
+	d := len(sb.size)
 	const chunk = 1 << 16
-	initial := chunk
-	if cells < chunk {
-		initial = int(cells)
+	initial := uint64(chunk)
+	if total := cells * uint64(d); total < initial {
+		initial = total
 	}
-	f := NewFlat(size, initial)
+	coords := make([]uint16, 0, initial)
 	var chunkC [chunk]uint16
 	for read, total := uint64(0), cells*uint64(d); read < total; {
 		n := chunk
@@ -179,64 +163,48 @@ func ReadSnapshot(r io.Reader) (*FlatGrid, error) {
 			n = int(rem)
 		}
 		if err := binary.Read(br, binary.LittleEndian, chunkC[:n]); err != nil {
-			return nil, fmt.Errorf("grid: read snapshot coords: %w", err)
+			return fmt.Errorf("grid: read snapshot coords: %w", err)
 		}
-		f.Coords = append(f.Coords, chunkC[:n]...)
+		coords = append(coords, chunkC[:n]...)
 		read += uint64(n)
 	}
+	// Every declared coordinate arrived, so cells fits in memory (and an
+	// int) by construction.
 	var chunkV [chunk / 4]float64
-	for read := uint64(0); read < cells; {
+	for i := 0; i < int(cells); {
 		n := len(chunkV)
-		if rem := cells - read; rem < uint64(len(chunkV)) {
-			n = int(rem)
+		if rem := int(cells) - i; rem < n {
+			n = rem
 		}
 		if err := binary.Read(br, binary.LittleEndian, chunkV[:n]); err != nil {
-			return nil, fmt.Errorf("grid: read snapshot vals: %w", err)
+			return fmt.Errorf("grid: read snapshot vals: %w", err)
 		}
-		f.Vals = append(f.Vals, chunkV[:n]...)
-		read += uint64(n)
-	}
-	// Every declared cell arrived; f.Len() == cells now fits in memory (and
-	// an int) by construction.
-	for i := 0; i < f.Len(); i++ {
-		for j, c := range f.CellCoords(i) {
-			if int(c) >= size[j] {
-				return nil, fmt.Errorf("grid: snapshot cell %d coordinate %d out of range in dimension %d", i, c, j)
+		for _, v := range chunkV[:n] {
+			if err := sb.add(coords[i*d:(i+1)*d], v); err != nil {
+				return err
 			}
-		}
-		// Zero and negative masses are rejected too: tombstones are a
-		// transient in-session state the pipeline never clusters, and
-		// WriteSnapshot sweeps them on write, so a stream carrying one was
-		// not produced by this package.
-		if math.IsNaN(f.Vals[i]) || math.IsInf(f.Vals[i], 0) || f.Vals[i] <= 0 {
-			return nil, fmt.Errorf("grid: snapshot cell %d has non-positive or non-finite mass %v", i, f.Vals[i])
-		}
-		// Every consumer (Find, MergeFlat, the transform sweep) assumes
-		// strictly increasing canonical order, which also rules out
-		// duplicate cells; a reordered or duplicated stream must be
-		// reported, not restored.
-		if i > 0 && cmpCoords(f.CellCoords(i-1), f.CellCoords(i)) >= 0 {
-			return nil, fmt.Errorf("grid: snapshot cells %d and %d out of canonical order", i-1, i)
+			i++
 		}
 	}
-	return f, nil
+	return nil
 }
 
 // WriteSnapshot serializes the packed grid to w in the AWG2 snapshot
 // format: the block payloads are written verbatim behind a length prefix.
-// As with FlatGrid.WriteSnapshot, tombstone cells are swept on write (via
-// Compact, so the remaining blocks stay dense) and a non-finite mass is
-// reported as ErrUnserializableGrid.
+// Tombstone cells (mass ≤ 0, left behind by a streaming session's
+// signed-mass removal until the next merge or compaction sweeps them) are
+// swept on write via Compact: ReadSnapshot rejects them, so sweeping keeps
+// every snapshot round-trippable whenever in an append/remove sequence it
+// is taken. A non-finite mass is corruption and is reported as
+// ErrUnserializableGrid.
 func (p *PackedGrid) WriteSnapshot(w io.Writer) error {
-	g := p
-	if p.tombs > 0 {
-		g, _ = p.Compact()
-	}
-	for c := g.Cursor(); c.Next(); {
+	// Check before sweeping: a −Inf mass is corruption, not a tombstone.
+	for c := p.Cursor(); c.Next(); {
 		if v := c.Mass(); math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("grid: write snapshot: cell mass %v: %w", v, ErrUnserializableGrid)
 		}
 	}
+	g, _ := p.Compact()
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(snapshotMagic2[:]); err != nil {
 		return fmt.Errorf("grid: write snapshot: %w", err)
@@ -268,19 +236,12 @@ func (p *PackedGrid) WriteSnapshot(w io.Writer) error {
 	return nil
 }
 
-// readSnapshotV2Body restores the block-encoded body of an AWG2 snapshot,
-// whose header ReadSnapshot has already read and validated. Decoding is
-// bounded block by block — a corrupt header or length prefix fails before
-// any allocation beyond one block's buffers — and the restored cells pass
-// exactly the AWG1 validation: coordinates inside the recorded sizes,
-// strictly positive finite masses, strict canonical order.
-func readSnapshotV2Body(br *bufio.Reader, size []int, cells uint64) (*FlatGrid, error) {
-	d := len(size)
-	initial := uint64(1 << 16)
-	if cells < initial {
-		initial = cells
-	}
-	f := NewFlat(size, int(initial))
+// readV2Body restores the block-encoded body of an AWG2 snapshot.
+// Decoding is bounded block by block — a corrupt header or length prefix
+// fails before any allocation beyond one block's buffers — and every cell
+// passes the same validation as AWG1's.
+func (sb snapshotBuilder) readV2Body(br *bufio.Reader, cells uint64) error {
+	d := len(sb.size)
 	buf := uint64(packedBlockCells)
 	if cells < buf {
 		buf = cells
@@ -291,42 +252,31 @@ func readSnapshotV2Body(br *bufio.Reader, size []int, cells uint64) (*FlatGrid, 
 	for remaining := cells; remaining > 0; {
 		var plen uint32
 		if err := binary.Read(br, binary.LittleEndian, &plen); err != nil {
-			return nil, fmt.Errorf("grid: read snapshot block length: %w", err)
+			return fmt.Errorf("grid: read snapshot block length: %w", err)
 		}
 		if plen == 0 || int(plen) > maxPackedPayload(d) {
-			return nil, fmt.Errorf("grid: snapshot block length %d out of range", plen)
+			return fmt.Errorf("grid: snapshot block length %d out of range", plen)
 		}
 		if cap(payload) < int(plen) {
 			payload = make([]byte, plen)
 		}
 		payload = payload[:plen]
 		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, fmt.Errorf("grid: read snapshot block: %w", err)
+			return fmt.Errorf("grid: read snapshot block: %w", err)
 		}
 		count, err := decodePackedBlock(payload, d, blkCoords, blkMasses)
 		if err != nil {
-			return nil, fmt.Errorf("grid: read snapshot block: %w", err)
+			return fmt.Errorf("grid: read snapshot block: %w", err)
 		}
 		if uint64(count) > remaining {
-			return nil, fmt.Errorf("grid: snapshot block of %d cells exceeds declared count", count)
+			return fmt.Errorf("grid: snapshot block of %d cells exceeds declared count", count)
 		}
 		for i := 0; i < count; i++ {
-			cc := blkCoords[i*d : (i+1)*d]
-			for j, c := range cc {
-				if int(c) >= size[j] {
-					return nil, fmt.Errorf("grid: snapshot cell %d coordinate %d out of range in dimension %d", f.Len(), c, j)
-				}
+			if err := sb.add(blkCoords[i*d:(i+1)*d], blkMasses[i]); err != nil {
+				return err
 			}
-			v := blkMasses[i]
-			if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-				return nil, fmt.Errorf("grid: snapshot cell %d has non-positive or non-finite mass %v", f.Len(), v)
-			}
-			if m := f.Len(); m > 0 && cmpCoords(f.CellCoords(m-1), cc) >= 0 {
-				return nil, fmt.Errorf("grid: snapshot cells %d and %d out of canonical order", m-1, m)
-			}
-			f.Append(cc, v)
 		}
 		remaining -= uint64(count)
 	}
-	return f, nil
+	return nil
 }

@@ -5,8 +5,84 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"os"
 	"testing"
 )
+
+// encodeAWG1 renders f in the retired flat AWG1 snapshot encoding, byte
+// for byte what the flat writer emitted (TestReadSnapshotAWG1Fixture pins
+// that against a committed snapshot), so the read-only AWG1 branch of
+// ReadSnapshot stays covered by crafted and corrupted streams.
+func encodeAWG1(f *FlatGrid) []byte {
+	sizes := make([]uint32, f.Dim())
+	for j, s := range f.Size {
+		sizes[j] = uint32(s)
+	}
+	buf := bytes.NewBuffer(snapshotHeader(sizes, uint64(f.Len())))
+	binary.Write(buf, binary.LittleEndian, f.Coords)
+	binary.Write(buf, binary.LittleEndian, f.Vals)
+	return buf.Bytes()
+}
+
+// awg1FixtureGrid is the grid testdata/awg1.snap holds: a deterministic
+// 3-D grid with non-uniform sizes and summed integer masses, in canonical
+// order.
+func awg1FixtureGrid() *FlatGrid {
+	acc := map[[3]uint16]float64{}
+	for i := 0; i < 240; i++ {
+		k := [3]uint16{uint16(i * 7 % 16), uint16((i*5 + 3) % 12), uint16(i * 3 % 8)}
+		acc[k] += float64(1 + i%4)
+	}
+	f := NewFlat([]int{16, 12, 8}, len(acc))
+	for k, v := range acc {
+		f.Append(k[:], v)
+	}
+	f.SortCanonical()
+	return f
+}
+
+// TestReadSnapshotAWG1Fixture: testdata/awg1.snap was written by the flat
+// AWG1 writer before it was retired. ReadSnapshot must restore it to
+// exactly the grid an AWG2 round trip of the same cells yields — sizes,
+// cells, masses and order — so checkpoints from before the retirement
+// keep restoring.
+func TestReadSnapshotAWG1Fixture(t *testing.T) {
+	raw, err := os.ReadFile("testdata/awg1.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, snapshotMagic[:]) {
+		t.Fatalf("fixture starts %q, want the AWG1 magic", raw[:4])
+	}
+	want := awg1FixtureGrid()
+	if !bytes.Equal(encodeAWG1(want), raw) {
+		t.Fatal("encodeAWG1 no longer reproduces the retired writer's bytes")
+	}
+	got, err := ReadSnapshot(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("AWG1 fixture failed to restore: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := PackFlat(want).WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	roundTrip, err := ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*PackedGrid{got, roundTrip} {
+		if len(g.Size) != len(want.Size) {
+			t.Fatalf("restored %d dimensions, want %d", len(g.Size), len(want.Size))
+		}
+		for j := range want.Size {
+			if g.Size[j] != want.Size[j] {
+				t.Fatalf("restored size %v, want %v", g.Size, want.Size)
+			}
+		}
+	}
+	sameGrid(t, roundTrip.Unpack(), got.Unpack(), "AWG1 fixture vs AWG2 round trip")
+	sameGrid(t, want, got.Unpack(), "AWG1 fixture vs its source grid")
+}
 
 // tombstonedGrid returns a canonical 2-D grid whose middle cell is a
 // tombstone (mass 0), as left behind by a session's signed-mass removal
@@ -27,13 +103,14 @@ func tombstonedGrid() *FlatGrid {
 func TestSnapshotSweepsTombstonesOnWrite(t *testing.T) {
 	f := tombstonedGrid()
 	var buf bytes.Buffer
-	if err := f.WriteSnapshot(&buf); err != nil {
+	if err := PackFlat(f).WriteSnapshot(&buf); err != nil {
 		t.Fatalf("WriteSnapshot on tombstoned grid: %v", err)
 	}
-	got, err := ReadSnapshot(&buf)
+	restored, err := ReadSnapshot(&buf)
 	if err != nil {
 		t.Fatalf("ReadSnapshot of tombstone-swept snapshot: %v", err)
 	}
+	got := restored.Unpack()
 	want := f.Clone()
 	want.Compact()
 	if got.Len() != want.Len() {
@@ -54,14 +131,14 @@ func TestSnapshotNegativeMassSwept(t *testing.T) {
 	f.Append([]uint16{0, 1}, 2)
 	f.Append([]uint16{3, 3}, -1)
 	var buf bytes.Buffer
-	if err := f.WriteSnapshot(&buf); err != nil {
+	if err := PackFlat(f).WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(&buf)
+	restored, err := ReadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 1 || got.Vals[0] != 2 {
+	if got := restored.Unpack(); got.Len() != 1 || got.Vals[0] != 2 {
 		t.Fatalf("got %d cells (vals %v), want the single live cell", got.Len(), got.Vals)
 	}
 }
@@ -73,7 +150,7 @@ func TestSnapshotRejectsNonFiniteMass(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		f := NewFlat([]int{4}, 1)
 		f.Append([]uint16{1}, v)
-		if err := f.WriteSnapshot(&bytes.Buffer{}); !errors.Is(err, ErrUnserializableGrid) {
+		if err := PackFlat(f).WriteSnapshot(&bytes.Buffer{}); !errors.Is(err, ErrUnserializableGrid) {
 			t.Fatalf("mass %v: got %v, want ErrUnserializableGrid", v, err)
 		}
 	}
@@ -121,19 +198,25 @@ func TestSnapshotAdversarialCellCounts(t *testing.T) {
 }
 
 // FuzzReadSnapshot: arbitrary bytes must never panic or provoke unbounded
-// allocation, and any stream that does restore must re-serialize and
-// restore again to the same grid.
+// allocation, and any stream that does restore — AWG1 or AWG2 — must
+// re-serialize through PackedGrid.WriteSnapshot and restore again to the
+// same grid.
 func FuzzReadSnapshot(f *testing.F) {
 	g := NewFlat([]int{8, 8}, 2)
 	g.Append([]uint16{1, 2}, 2)
 	g.Append([]uint16{3, 0}, 1)
 	var seed bytes.Buffer
-	if err := g.WriteSnapshot(&seed); err != nil {
+	if err := PackFlat(g).WriteSnapshot(&seed); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
 	f.Add(snapshotHeader([]uint32{0x10000, 0x10000, 0x10000, 0x10000}, 1<<31+1))
 	f.Add([]byte("AWG1"))
+	awg1, err := os.ReadFile("testdata/awg1.snap")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(awg1)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		restored, err := ReadSnapshot(bytes.NewReader(data))
 		if err != nil {
@@ -147,8 +230,6 @@ func FuzzReadSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-serialized snapshot failed to restore: %v", err)
 		}
-		if again.Len() != restored.Len() {
-			t.Fatalf("round-trip changed cell count: %d → %d", restored.Len(), again.Len())
-		}
+		sameGrid(t, restored.Unpack(), again.Unpack(), "re-serialized snapshot")
 	})
 }

@@ -27,7 +27,7 @@ import (
 //	| — when n > 0 —
 //	| scale uint32 | mins g float64 | maxs g float64
 //	| ids n int32
-//	| gridLen uint64 | grid snapshot (FlatGrid.WriteSnapshot bytes)
+//	| gridLen uint64 | grid snapshot (PackedGrid.WriteSnapshot bytes)
 //	| crc32c uint32
 //
 // d is always the raw row dimensionality. The quantizer frame and the grid
@@ -36,7 +36,9 @@ import (
 // projection, so a restored session re-projects its raw rows bit for bit),
 // and g = d otherwise — a checkpoint without an embedding is byte-identical
 // to the pre-embedding format, so old checkpoints keep restoring. embLen is
-// 0 only for an empty session whose embedder was never fitted.
+// 0 only for an empty session whose embedder was never fitted. The grid
+// snapshot is written as AWG2; checkpoints whose grid section is the
+// retired flat AWG1 encoding still restore (grid.ReadSnapshot reads both).
 //
 // The point rows and memoized cell ids are the session's warm state: a
 // restore rebuilds the quantizer from the stored frame (scale + bounds) and
@@ -118,14 +120,10 @@ type SessionState struct {
 	// meaningful only when DS.N > 0.
 	Scale      int
 	Mins, Maxs []float64
-	// Grid is the live canonical base grid; nil when DS.N == 0. Sessions
-	// running the block-compressed representation set Packed instead —
-	// exactly one of the two is non-nil for a non-empty checkpoint. Either
-	// serializes into the same length-prefixed grid section (a packed grid
-	// as the compact AWG2 snapshot), and the reader always restores a
-	// *FlatGrid: representation is a runtime choice, not a durable one.
-	Grid   *grid.FlatGrid
-	Packed *grid.PackedGrid
+	// Grid is the live canonical base grid, block-compressed; nil when
+	// DS.N == 0. It is written as an AWG2 snapshot and restored from
+	// either snapshot version.
+	Grid *grid.PackedGrid
 	// Embedder is the session's fitted embedder; required when the config
 	// names an embedding and DS.N > 0 (the frame and grid live in its
 	// output space), nil otherwise. Its Spec must render to
@@ -188,7 +186,7 @@ func WriteSessionCheckpoint(w io.Writer, st *SessionState) error {
 		if err := writeFloats(cw, st.DS.Data[:n*d]); err != nil {
 			return fmt.Errorf("persist: write checkpoint rows: %w", err)
 		}
-		if len(st.IDs) != n || (st.Grid == nil && st.Packed == nil) || len(st.Mins) != g || len(st.Maxs) != g {
+		if len(st.IDs) != n || st.Grid == nil || len(st.Mins) != g || len(st.Maxs) != g {
 			return fmt.Errorf("persist: inconsistent session state: %d ids, %d mins, %d maxs for %d points", len(st.IDs), len(st.Mins), len(st.Maxs), n)
 		}
 		if err := writeU32(cw, uint32(st.Scale)); err != nil {
@@ -207,14 +205,8 @@ func WriteSessionCheckpoint(w io.Writer, st *SessionState) error {
 		// ReadSnapshot an exactly bounded sub-reader (its internal
 		// buffering must not consume past the snapshot into the trailer).
 		var gbuf bytes.Buffer
-		var gerr error
-		if st.Packed != nil {
-			gerr = st.Packed.WriteSnapshot(&gbuf)
-		} else {
-			gerr = st.Grid.WriteSnapshot(&gbuf)
-		}
-		if gerr != nil {
-			return fmt.Errorf("persist: write checkpoint grid: %w", gerr)
+		if err := st.Grid.WriteSnapshot(&gbuf); err != nil {
+			return fmt.Errorf("persist: write checkpoint grid: %w", err)
 		}
 		if err := writeU64(cw, uint64(gbuf.Len())); err != nil {
 			return fmt.Errorf("persist: write checkpoint: %w", err)

@@ -45,7 +45,7 @@ func embedState(t *testing.T, n int) *SessionState {
 		Config: ConfigMeta{Scale: 16, Levels: 1, Basis: "cdf22", Connectivity: "faces",
 			CoeffEpsilon: 0.01, Threshold: "three-segment-fit", MinClusterCells: 1, MinClusterMass: 0.05,
 			Embedding: spec.String()},
-		DS: ds, IDs: ids, Scale: 16, Mins: q.Mins, Maxs: q.Maxs, Grid: g, Embedder: emb,
+		DS: ds, IDs: ids, Scale: 16, Mins: q.Mins, Maxs: q.Maxs, Grid: grid.PackFlat(g), Embedder: emb,
 	}
 }
 

@@ -30,7 +30,7 @@ func testState(t *testing.T, n int) *SessionState {
 	return &SessionState{
 		Config: ConfigMeta{Scale: 16, Levels: 1, Basis: "cdf22", Connectivity: "faces",
 			CoeffEpsilon: 0.01, Threshold: "three-segment-fit", MinClusterCells: 1, MinClusterMass: 0.05},
-		DS: ds, IDs: ids, Scale: 16, Mins: q.Mins, Maxs: q.Maxs, Grid: g,
+		DS: ds, IDs: ids, Scale: 16, Mins: q.Mins, Maxs: q.Maxs, Grid: grid.PackFlat(g),
 	}
 }
 
@@ -60,12 +60,13 @@ func assertStatesEqual(t *testing.T, want, got *SessionState) {
 			t.Fatalf("frame dim %d: got [%v,%v], want [%v,%v]", j, got.Mins[j], got.Maxs[j], want.Mins[j], want.Maxs[j])
 		}
 	}
-	if got.Grid.Len() != want.Grid.Len() {
-		t.Fatalf("grid cells: got %d, want %d", got.Grid.Len(), want.Grid.Len())
+	gg, wg := got.Grid.Unpack(), want.Grid.Unpack()
+	if gg.Len() != wg.Len() {
+		t.Fatalf("grid cells: got %d, want %d", gg.Len(), wg.Len())
 	}
-	for i := 0; i < want.Grid.Len(); i++ {
-		if got.Grid.Vals[i] != want.Grid.Vals[i] {
-			t.Fatalf("grid mass %d: got %v, want %v", i, got.Grid.Vals[i], want.Grid.Vals[i])
+	for i := 0; i < wg.Len(); i++ {
+		if gg.Vals[i] != wg.Vals[i] {
+			t.Fatalf("grid mass %d: got %v, want %v", i, gg.Vals[i], wg.Vals[i])
 		}
 	}
 }

@@ -101,17 +101,6 @@ func WithEmbedding(e Embedding) Option {
 	return func(s *settings) { s.cfg.Embedding = e }
 }
 
-// WithPackedCells selects the grid representation for grids that stay
-// resident — a streaming session's live base grid and the out-of-core
-// path's merged output. true (the default) stores them block-compressed
-// (delta-coded bit-packed coordinates, bit-packed integer masses), cutting
-// bytes per occupied cell several-fold; false keeps the flat
-// struct-of-arrays layout. Labels are bit-identical either way, and
-// checkpoints restore across either setting.
-func WithPackedCells(on bool) Option {
-	return func(s *settings) { s.cfg.PackedCells = on }
-}
-
 // New constructs a Clusterer from functional options layered over
 // DefaultConfig — the one construction path:
 //

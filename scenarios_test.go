@@ -109,7 +109,9 @@ func TestImageSegmentationScenario(t *testing.T) {
 // across the facade: on the dermatology stand-in and both scenario
 // fixtures, clustering raw rows under WithEmbedding must be bit-identical
 // to manually fitting the same embedder, projecting, and clustering the
-// projected rows without one — packed and flat grids alike.
+// projected rows without one. The /flat half clusters one-shot (a transient
+// flat base grid); the /packed half streams the rows through a Session as
+// one batch (a packed live grid, the embedder fitted on the same rows).
 func TestEmbeddingFacadeMatchesManualProjection(t *testing.T) {
 	derm, err := adawave.StandIn("dermatology", 2)
 	if err != nil {
@@ -149,7 +151,7 @@ func TestEmbeddingFacadeMatchesManualProjection(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				plain, err := adawave.New(adawave.WithScale(tc.scale), adawave.WithPackedCells(packed))
+				plain, err := adawave.New(adawave.WithScale(tc.scale))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -157,11 +159,20 @@ func TestEmbeddingFacadeMatchesManualProjection(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				c, err := adawave.New(adawave.WithEmbedding(tc.emb), adawave.WithScale(tc.scale), adawave.WithPackedCells(packed))
+				c, err := adawave.New(adawave.WithEmbedding(tc.emb), adawave.WithScale(tc.scale))
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := c.ClusterDatasetContext(context.Background(), ds)
+				var got *adawave.Result
+				if packed {
+					sess := c.NewSession()
+					if err := sess.AppendContext(context.Background(), ds); err != nil {
+						t.Fatal(err)
+					}
+					got, err = sess.ResultContext(context.Background())
+				} else {
+					got, err = c.ClusterDatasetContext(context.Background(), ds)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
