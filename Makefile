@@ -58,12 +58,15 @@ test:
 race:
 	$(GO) test -race ./internal/grid/... ./internal/core/... ./internal/pointset/... ./internal/sched/... ./internal/persist/... ./internal/embed/... ./internal/linalg/... ./internal/cluster/... ./cmd/adawave-serve/... .
 
-# The CI fuzz smoke job: a short run of each grid decoder's fuzz target
-# (go test takes one -fuzz target per invocation). FUZZTIME is overridable.
+# The CI fuzz smoke job: a short run of each decoder's fuzz target — the
+# grid snapshot and spill-run readers, and the WAL frame decoders recovery
+# replays and the replication stream uses (go test takes one -fuzz target
+# per invocation). FUZZTIME is overridable.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzReadSpillRun$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzParseFrame$$' -fuzztime $(FUZZTIME)
 
 # The CI benchmark smoke job: one iteration of the Fig. 2 benchmarks.
 bench:

@@ -908,7 +908,7 @@ func BenchmarkColdRecovery50k(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := persist.ReplayInto(walPath, 0, restored); err != nil {
+		if _, _, err := persist.ReplayInto(persist.OS, walPath, 0, restored); err != nil {
 			b.Fatal(err)
 		}
 		labels, err := restored.LabelsContext(context.Background())

@@ -586,8 +586,8 @@ func TestDroppedReplicaQuarantined(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	live := filepath.Join(srvF.pers.root, "sessions", created.ID)
-	quarantined := filepath.Join(srvF.pers.root, "sessions", ".quarantine", created.ID)
+	live := filepath.Join(srvF.disk.Path(), created.ID)
+	quarantined := filepath.Join(srvF.disk.Path(), ".quarantine", created.ID)
 	if _, err := os.Stat(live); !os.IsNotExist(err) {
 		t.Fatalf("dropped replica's live directory still present (err=%v)", err)
 	}

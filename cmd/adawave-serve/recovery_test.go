@@ -17,6 +17,7 @@ import (
 
 	"adawave"
 	"adawave/internal/api"
+	"adawave/internal/cluster"
 	"adawave/internal/core"
 	"adawave/internal/datasets"
 	"adawave/internal/grid"
@@ -205,37 +206,39 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(fi)*131 + 9))
 			ds := pointset.MustFromSlices(fx.pts)
 			root := t.TempDir()
-			pers, err := openPersistence(filepath.Join(root, "data"), persist.SyncNever)
+			disk, err := cluster.OpenSessionRoot(persist.OS, filepath.Join(root, "data"), persist.SyncNever)
 			if err != nil {
 				t.Fatal(err)
 			}
-			files, err := pers.create("s1", core.ConfigFingerprint(mustConfig(t, fx.cfg)), "")
+			d, err := disk.Create("s1", core.ConfigFingerprint(mustConfig(t, fx.cfg)), "")
 			if err != nil {
 				t.Fatal(err)
 			}
+			files := &sessionFiles{SessionDir: d}
 			c, err := adawave.New(adawave.WithConfig(fx.cfg), adawave.WithWorkers(1))
 			if err != nil {
 				t.Fatal(err)
 			}
 			sess := c.NewSession()
 			ss := newServeSession("s1", "default", sess, files, 1)
-			live := pers.sessionDir("s1")
+			live := filepath.Join(disk.Path(), "s1")
 
 			// Build the random mutation sequence, journaling each step with
 			// the production helpers and snapshotting the directory after
-			// every record. One random step also takes a full checkpoint, so
-			// later snapshots exercise checkpoint + WAL-tail recovery.
+			// every record (each copy is the one session of its own data
+			// dir). One random step also takes a full checkpoint, so later
+			// snapshots exercise checkpoint + WAL-tail recovery.
 			var muts []mutation
 			var crashDirs []string
 			var walSizes []int64
 			snapshot := func() {
-				if err := files.wal.Sync(); err != nil {
+				if err := files.WAL().Sync(); err != nil {
 					t.Fatal(err)
 				}
 				dir := filepath.Join(root, fmt.Sprintf("crash-%03d", len(crashDirs)))
-				copyDir(t, live, dir)
+				copyDir(t, live, filepath.Join(dir, "sessions", "s1"))
 				crashDirs = append(crashDirs, dir)
-				walSizes = append(walSizes, files.wal.Size())
+				walSizes = append(walSizes, files.WAL().Size())
 			}
 			snapshot() // crash before any mutation
 			ckptAt := 1 + rng.Intn(6)
@@ -276,11 +279,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 
 			// Every crash point must recover to the exact mutation prefix.
 			for i, dir := range crashDirs {
-				recovered, rf, err := loadSessionDir(dir, 1, persist.SyncNever)
-				if err != nil {
-					t.Fatalf("crash %d: recovery: %v", i, err)
-				}
-				rf.wal.Close()
+				recovered := recoverDataDir(t, dir, fmt.Sprintf("crash %d", i))
 				want := applyAll(t, fx.cfg, muts[:i])
 				assertLabelsEqual(t, want, recovered, fmt.Sprintf("crash %d", i))
 			}
@@ -290,28 +289,40 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			// record's state.
 			last := len(crashDirs) - 1
 			if last > 0 && walSizes[last] > walSizes[last-1]+2 {
-				full, err := os.ReadFile(filepath.Join(crashDirs[last], "wal.log"))
+				full, err := os.ReadFile(filepath.Join(crashDirs[last], "sessions", "s1", "wal.log"))
 				if err != nil {
 					t.Fatal(err)
 				}
 				prev, end := walSizes[last-1], walSizes[last]
 				for _, cut := range []int64{prev + 1, (prev + end) / 2, end - 1} {
 					dir := filepath.Join(root, fmt.Sprintf("torn-%d", cut))
-					copyDir(t, crashDirs[last], dir)
-					if err := os.WriteFile(filepath.Join(dir, "wal.log"), full[:cut], 0o644); err != nil {
+					copyDir(t, filepath.Join(crashDirs[last], "sessions", "s1"), filepath.Join(dir, "sessions", "s1"))
+					if err := os.WriteFile(filepath.Join(dir, "sessions", "s1", "wal.log"), full[:cut], 0o644); err != nil {
 						t.Fatal(err)
 					}
-					recovered, rf, err := loadSessionDir(dir, 1, persist.SyncNever)
-					if err != nil {
-						t.Fatalf("torn at %d: recovery: %v", cut, err)
-					}
-					rf.wal.Close()
+					recovered := recoverDataDir(t, dir, fmt.Sprintf("torn at %d", cut))
 					want := applyAll(t, fx.cfg, muts[:last-1])
 					assertLabelsEqual(t, want, recovered, fmt.Sprintf("torn at %d", cut))
 				}
 			}
 		})
 	}
+}
+
+// recoverDataDir recovers the one session of a data dir through the
+// production boot path and closes its WAL.
+func recoverDataDir(t *testing.T, dataDir, what string) *adawave.Session {
+	t.Helper()
+	disk, err := cluster.OpenSessionRoot(persist.OS, dataDir, persist.SyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, names := disk.RecoverAll(1)
+	if len(live) != 1 {
+		t.Fatalf("%s: recovered %d of sessions %v (see log)", what, len(live), names)
+	}
+	live[0].Dir.WAL().Close()
+	return live[0].Session
 }
 
 // mustConfig validates through the facade so the fingerprint sees the same
@@ -465,7 +476,7 @@ func TestServeCheckpointEndpoint(t *testing.T) {
 	}
 	found := false
 	for _, f := range files {
-		if _, ok := ckptSeqOf(f); ok {
+		if _, ok := cluster.CheckpointSeqOf(f); ok {
 			found = true
 		}
 	}

@@ -7,14 +7,12 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"adawave/internal/api"
-	"adawave/internal/cluster"
 	"adawave/internal/core"
 	"adawave/internal/persist"
 )
@@ -125,7 +123,7 @@ func (s *server) replicationSessions(w http.ResponseWriter, r *http.Request) {
 		writeCode(w, http.StatusConflict, api.CodeNotPrimary, "followers do not serve the replication feed")
 		return
 	}
-	if s.pers == nil {
+	if s.disk == nil {
 		writeCode(w, http.StatusConflict, api.CodeConflict, "persistence is disabled (start with -data-dir)")
 		return
 	}
@@ -138,8 +136,8 @@ func (s *server) replicationSessions(w http.ResponseWriter, r *http.Request) {
 		rows = append(rows, api.ReplicationSessionInfo{
 			ID: ss.id, Tenant: ss.tenant,
 			Config:        core.ConfigFingerprint(ss.cfg),
-			CheckpointSeq: ss.files.ckptSeq.Load(),
-			WALSeq:        ss.files.wal.Seq(),
+			CheckpointSeq: ss.files.CheckpointSeq(),
+			WALSeq:        ss.files.WAL().Seq(),
 			Points:        points, Dim: dim,
 		})
 	}
@@ -150,10 +148,8 @@ func (s *server) replicationSessions(w http.ResponseWriter, r *http.Request) {
 // replicationCheckpoint streams the session's newest checkpoint file, its
 // folded-in sequence in a header; 204 (seq 0) when the session has never
 // checkpointed — the follower then starts empty and lets the WAL stream
-// carry the whole history. The file is served from a plain os.Open: once
-// the fd is open, the post-checkpoint sweep unlinking the file cannot hurt
-// the transfer. The open itself races the sweep, so a vanished path is
-// retried against the then-newest file.
+// carry the whole history. Once the file is open, the post-checkpoint sweep
+// unlinking it cannot hurt the transfer (see SessionDir.OpenCheckpoint).
 func (s *server) replicationCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if s.isFollower() {
 		writeCode(w, http.StatusConflict, api.CodeNotPrimary, "followers do not serve the replication feed")
@@ -167,34 +163,26 @@ func (s *server) replicationCheckpoint(w http.ResponseWriter, r *http.Request) {
 		writeCode(w, http.StatusConflict, api.CodeConflict, "persistence is disabled (start with -data-dir)")
 		return
 	}
-	for attempt := 0; attempt < 4; attempt++ {
-		path, seq, ok := cluster.NewestCheckpoint(ss.files.dir)
-		if !ok {
-			w.Header().Set(api.HeaderCheckpointSeq, "0")
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
-			writeCode(w, http.StatusInternalServerError, api.CodeInternal, fmt.Sprintf("checkpoint open: %v", err))
-			return
-		}
-		defer f.Close()
-		w.Header().Set(api.HeaderCheckpointSeq, strconv.FormatUint(seq, 10))
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if fi, err := f.Stat(); err == nil {
-			w.Header().Set("Content-Length", strconv.FormatInt(fi.Size(), 10))
-		}
-		w.WriteHeader(http.StatusOK)
-		if _, err := io.Copy(w, f); err != nil {
-			log.Printf("adawave-serve: checkpoint transfer %s: %v", ss.id, err)
-		}
+	f, seq, err := ss.files.OpenCheckpoint()
+	if err != nil {
+		writeCode(w, http.StatusInternalServerError, api.CodeInternal, fmt.Sprintf("checkpoint open: %v", err))
 		return
 	}
-	writeCode(w, http.StatusInternalServerError, api.CodeInternal, "checkpoint kept being replaced; retry")
+	if f == nil {
+		w.Header().Set(api.HeaderCheckpointSeq, "0")
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
+	defer f.Close()
+	w.Header().Set(api.HeaderCheckpointSeq, strconv.FormatUint(seq, 10))
+	w.Header().Set("Content-Type", "application/octet-stream")
+	if fi, err := f.Stat(); err == nil {
+		w.Header().Set("Content-Length", strconv.FormatInt(fi.Size(), 10))
+	}
+	w.WriteHeader(http.StatusOK)
+	if _, err := io.Copy(w, f); err != nil {
+		log.Printf("adawave-serve: checkpoint transfer %s: %v", ss.id, err)
+	}
 }
 
 // replicationWAL answers GET /v1/replication/sessions/{id}/wal?from=N: a
@@ -229,18 +217,18 @@ func (s *server) replicationWAL(w http.ResponseWriter, r *http.Request) {
 		}
 		from = n
 	}
-	if ckpt := ss.files.ckptSeq.Load(); from < ckpt {
+	if ckpt := ss.files.CheckpointSeq(); from < ckpt {
 		writeCode(w, http.StatusConflict, api.CodeReplicationRestart,
 			fmt.Sprintf("frames after seq %d start inside the checkpoint (seq %d); re-sync from the checkpoint", from, ckpt))
 		return
 	}
-	t, err := ss.files.wal.NewTailer(from)
+	t, err := ss.files.WAL().NewTailer(from)
 	if err != nil {
 		writeCode(w, http.StatusInternalServerError, api.CodeInternal, fmt.Sprintf("wal tail: %v", err))
 		return
 	}
 	defer t.Close()
-	w.Header().Set(api.HeaderWALSeq, strconv.FormatUint(ss.files.wal.Seq(), 10))
+	w.Header().Set(api.HeaderWALSeq, strconv.FormatUint(ss.files.WAL().Seq(), 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
@@ -292,25 +280,12 @@ func (s *server) promoteHandler(w http.ResponseWriter, r *http.Request) {
 	}
 	promoted := s.replica.Promote()
 	ids := make([]string, 0, len(promoted))
-	var maxID uint64
-	s.mu.Lock()
 	for _, p := range promoted {
-		files := &sessionFiles{dir: p.Disk.Dir, wal: p.Disk.WAL}
-		files.ckptSeq.Store(p.Disk.CkptSeq)
-		s.sessions[p.ID] = newServeSession(p.ID, p.Tenant, p.Session, files, s.workers)
-		ids = append(ids, p.ID)
-		if n, err := strconv.ParseUint(strings.TrimPrefix(p.ID, "s"), 10, 64); err == nil && n > maxID {
-			maxID = n
-		}
+		ids = append(ids, p.Dir.ID())
 	}
-	s.mu.Unlock()
 	// Server-minted ids on this node must not collide with ones the lost
 	// primary handed out.
-	for n := s.nextID.Load(); maxID > n && !s.nextID.CompareAndSwap(n, maxID); n = s.nextID.Load() {
-	}
-	for _, p := range promoted {
-		s.gov.AddPoints(p.Tenant, int64(p.Session.Len()))
-	}
+	s.adopt(promoted, ids)
 	s.role.Store(rolePrimary)
 	log.Printf("adawave-serve: promoted to primary (%d sessions warm)", len(ids))
 	writeJSON(w, http.StatusOK, api.PromoteResponse{Role: rolePrimary, Promoted: len(ids), Sessions: ids})
@@ -340,7 +315,7 @@ func (s *server) replicationOverview() *api.ReplicationStatusResponse {
 			if ss.files == nil {
 				continue
 			}
-			seq := ss.files.wal.Seq()
+			seq := ss.files.WAL().Seq()
 			out.Sessions[ss.id] = api.ReplicationStatus{Role: rolePrimary, AppliedSeq: seq, PrimarySeq: seq}
 		}
 	}

@@ -57,11 +57,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"mime"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -116,9 +115,15 @@ type serverOptions struct {
 	clusterSecret string
 
 	// Replication cadence overrides (zero = the cluster package defaults of
-	// 1s poll / 500ms retry); tests tighten these to keep failover drills fast.
-	replicaPoll  time.Duration
-	replicaRetry time.Duration
+	// 1s poll / 500ms retry / a local checkpoint every 8192 frames); tests
+	// tighten these to keep failover drills fast.
+	replicaPoll            time.Duration
+	replicaRetry           time.Duration
+	replicaCheckpointEvery int
+
+	// fs is the filesystem under dataDir; nil selects persist.OS. Tests set
+	// it to inject storage faults.
+	fs persist.FS
 }
 
 // server holds the session registry: one adawave.Session per id, each safe
@@ -133,7 +138,7 @@ type server struct {
 	maxSessions int
 	maxPoints   int
 
-	pers            *persistence // nil when -data-dir is unset
+	disk            *cluster.SessionRoot // nil when -data-dir is unset
 	walSyncInterval time.Duration
 	ckptInterval    time.Duration
 	stop            chan struct{}
@@ -214,6 +219,26 @@ func newServeSession(id, tenant string, sess *adawave.Session, files *sessionFil
 	return ss
 }
 
+// adopt registers warm sessions — recovered at boot or handed over by a
+// promote — and seeds the governor with their footprints so quotas survive
+// a restart or failover (cells re-enter the accounting at each session's
+// next fold). Server-minted ids ("s<N>") are kept above every name given.
+func (s *server) adopt(live []cluster.Promoted, names []string) {
+	s.mu.Lock()
+	for _, p := range live {
+		s.sessions[p.Dir.ID()] = newServeSession(p.Dir.ID(), p.Dir.Tenant(), p.Session, &sessionFiles{SessionDir: p.Dir}, s.workers)
+	}
+	s.mu.Unlock()
+	for _, p := range live {
+		s.gov.AddPoints(p.Dir.Tenant(), int64(p.Session.Len()))
+	}
+	for _, name := range names {
+		n, err := strconv.ParseUint(strings.TrimPrefix(name, "s"), 10, 64)
+		for cur := s.nextID.Load(); err == nil && n > cur && !s.nextID.CompareAndSwap(cur, n); cur = s.nextID.Load() {
+		}
+	}
+}
+
 // lockWrite acquires the session writer lock, giving up with the context's
 // taxonomy error if ctx dies first (background callers pass
 // context.Background(), which never does). The caller must unlockWrite
@@ -287,12 +312,15 @@ func newServer(opts serverOptions) (*server, error) {
 	}
 	s.role.Store(opts.role)
 	if opts.dataDir != "" {
-		pers, err := openPersistence(opts.dataDir, opts.walSync)
+		if opts.fs == nil {
+			opts.fs = persist.OS
+		}
+		disk, err := cluster.OpenSessionRoot(opts.fs, opts.dataDir, opts.walSync)
 		if err != nil {
 			s.pool.Close()
 			return nil, err
 		}
-		s.pers = pers
+		s.disk = disk
 		if opts.role == roleFollower {
 			// The replication engine owns every session directory on a
 			// follower: it recovers them itself (so a follower restarted
@@ -300,29 +328,21 @@ func newServer(opts serverOptions) (*server, error) {
 			// current from the primary's stream. The serving registry stays
 			// empty until a promote hands the warm sessions over.
 			s.replica = cluster.NewReplicaSet(cluster.ReplicaOptions{
-				Primary: opts.followerOf,
-				Root:    filepath.Join(opts.dataDir, "sessions"),
-				Workers: opts.workers,
-				Policy:  opts.walSync,
-				Poll:    opts.replicaPoll,
-				Retry:   opts.replicaRetry,
-				Secret:  opts.clusterSecret,
+				Primary:         opts.followerOf,
+				Sessions:        disk,
+				Workers:         opts.workers,
+				Poll:            opts.replicaPoll,
+				Retry:           opts.replicaRetry,
+				CheckpointEvery: opts.replicaCheckpointEvery,
+				Secret:          opts.clusterSecret,
 			})
 			s.replica.Start()
-			s.startBackground()
+			s.startBackground(opts.walSync)
 			return s, nil
 		}
-		recovered, maxID := pers.recoverSessions(opts.workers)
-		s.sessions = recovered
-		s.nextID.Store(maxID)
-		// Seed the governor with the recovered footprints so quotas survive a
-		// restart (cells re-enter the accounting at each session's next fold).
-		for _, ss := range recovered {
-			if sess := ss.live.Load(); sess != nil {
-				s.gov.AddPoints(ss.tenant, int64(sess.Len()))
-			}
-		}
-		s.startBackground()
+		live, names := disk.RecoverAll(opts.workers)
+		s.adopt(live, names)
+		s.startBackground(opts.walSync)
 		s.enforceResidency()
 	}
 	return s, nil
@@ -330,7 +350,7 @@ func newServer(opts serverOptions) (*server, error) {
 
 // startBackground launches the periodic checkpointer and, under the
 // interval fsync policy, the WAL sync ticker.
-func (s *server) startBackground() {
+func (s *server) startBackground(policy persist.SyncPolicy) {
 	if s.ckptInterval > 0 {
 		s.bg.Add(1)
 		go func() {
@@ -365,7 +385,7 @@ func (s *server) startBackground() {
 			}
 		}()
 	}
-	if s.pers.policy == persist.SyncInterval {
+	if policy == persist.SyncInterval {
 		interval := s.walSyncInterval
 		if interval <= 0 {
 			interval = time.Second
@@ -382,7 +402,7 @@ func (s *server) startBackground() {
 				case <-t.C:
 					for _, ss := range s.snapshotSessions() {
 						if ss.files != nil {
-							if err := ss.files.wal.Sync(); err != nil {
+							if err := ss.files.WAL().Sync(); err != nil {
 								log.Printf("adawave-serve: wal sync: %v", err)
 							}
 						}
@@ -411,7 +431,7 @@ func (s *server) snapshotSessions() []*serveSession {
 func (s *server) checkpointDirty() {
 	for _, ss := range s.snapshotSessions() {
 		ss.lockWrite(context.Background())
-		if ss.resident() && ss.files != nil && (ss.files.wal.Records() > 0 || ss.files.broken) {
+		if ss.resident() && ss.files != nil && (ss.files.WAL().Records() > 0 || ss.files.broken) {
 			if _, err := ss.checkpointLocked(); err != nil {
 				log.Printf("adawave-serve: background checkpoint: %v", err)
 			}
@@ -433,7 +453,7 @@ func (s *server) Close() {
 		for _, ss := range s.snapshotSessions() {
 			ss.lockWrite(context.Background())
 			if ss.files != nil {
-				if err := ss.files.wal.Close(); err != nil {
+				if err := ss.files.WAL().Close(); err != nil {
 					log.Printf("adawave-serve: wal close: %v", err)
 				}
 			}
@@ -575,31 +595,35 @@ func (s *server) createSession(w http.ResponseWriter, r *http.Request) {
 		id = "s" + strconv.FormatUint(s.nextID.Add(1), 10)
 	}
 	ss := newServeSession(id, tenant, sess, nil, s.workers)
-	if s.pers != nil {
-		files, err := s.pers.create(id, core.ConfigFingerprint(sess.Config()), tenant)
+	if s.disk != nil {
+		d, err := s.disk.Create(id, core.ConfigFingerprint(sess.Config()), tenant)
+		if errors.Is(err, fs.ErrExist) {
+			// A racing create of the same pinned id, or a directory boot
+			// recovery left for inspection: either way not ours to touch.
+			writeCode(w, http.StatusConflict, api.CodeConflict, fmt.Sprintf("session %q already exists", id))
+			return
+		}
 		if err != nil {
 			writeCode(w, http.StatusInternalServerError, api.CodeInternal, fmt.Sprintf("session storage: %v", err))
 			return
 		}
-		ss.files = files
+		ss.files = &sessionFiles{SessionDir: d}
 	}
 	s.mu.Lock()
 	if len(s.sessions) >= s.maxSessions {
 		s.mu.Unlock()
 		if ss.files != nil {
-			ss.files.wal.Close()
-			os.RemoveAll(ss.files.dir)
+			ss.files.Drop()
 		}
 		writeCode(w, http.StatusTooManyRequests, api.CodeSessionLimit, fmt.Sprintf("session limit %d reached", s.maxSessions))
 		return
 	}
 	if _, taken := s.sessions[id]; taken {
-		// Two creates raced the same pinned id; the loser backs off. Its WAL
-		// handle is closed but the directory is left alone — it belongs to
-		// the winner now.
+		// Two creates raced the same pinned id; the loser backs off. Create
+		// is exclusive, so a directory it made is its own to drop.
 		s.mu.Unlock()
 		if ss.files != nil {
-			ss.files.wal.Close()
+			ss.files.Drop()
 		}
 		writeCode(w, http.StatusConflict, api.CodeConflict, fmt.Sprintf("session %q already exists", id))
 		return
@@ -685,12 +709,12 @@ func (s *server) sessionDetail(w http.ResponseWriter, r *http.Request) {
 		s.gov.SetSessionCells(ss.tenant, ss.id, cells)
 	}
 	if ss.files != nil {
-		// ckptSeq is atomic, so this monitoring read never queues behind a
-		// long mutation holding the writer lock.
+		// The checkpoint sequence is atomic, so this monitoring read never
+		// queues behind a long mutation holding the writer lock.
 		detail.Durable = true
-		detail.LastCheckpointSeq = ss.files.ckptSeq.Load()
+		detail.LastCheckpointSeq = ss.files.CheckpointSeq()
 		if role, _ := s.role.Load().(string); role == rolePrimary {
-			seq := ss.files.wal.Seq()
+			seq := ss.files.WAL().Seq()
 			detail.Replication = &api.ReplicationStatus{Role: rolePrimary, AppliedSeq: seq, PrimarySeq: seq}
 		}
 	}
@@ -783,15 +807,7 @@ func (s *server) appendPoints(w http.ResponseWriter, r *http.Request) {
 		}
 		if err != nil {
 			if appended > 0 {
-				n := sess.Len()
-				idx := make([]int, appended)
-				for i := range idx {
-					idx[i] = n - appended + i
-				}
-				// The rollback runs on a fresh context: it must succeed even
-				// when the failure being rolled back is the request's own
-				// dead context.
-				if rerr := sess.RemoveContext(context.Background(), idx); rerr != nil {
+				if rerr := dropTail(sess, appended); rerr != nil {
 					writeCode(w, http.StatusInternalServerError, api.CodeInternal,
 						fmt.Sprintf("%v (and rolling back %d appended points failed: %v)", err, appended, rerr))
 					return
@@ -829,15 +845,8 @@ func (s *server) appendPoints(w http.ResponseWriter, r *http.Request) {
 		if err := ss.journalAppend(ds); err != nil {
 			// The batch is not durable: roll it back so the 500 keeps the
 			// mutation at-most-once under client retries.
-			if ds.N > 0 {
-				n := sess.Len()
-				idx := make([]int, ds.N)
-				for i := range idx {
-					idx[i] = n - ds.N + i
-				}
-				if rerr := sess.RemoveContext(context.Background(), idx); rerr != nil {
-					err = fmt.Errorf("%v (and rolling back failed: %v)", err, rerr)
-				}
+			if rerr := dropTail(sess, ds.N); rerr != nil {
+				err = fmt.Errorf("%v (and rolling back failed: %v)", err, rerr)
 			}
 			writeCode(w, http.StatusInternalServerError, api.CodeDurability, err.Error())
 			return
@@ -847,6 +856,20 @@ func (s *server) appendPoints(w http.ResponseWriter, r *http.Request) {
 	s.gov.AddPoints(ss.tenant, int64(appended))
 	ss.cacheShape(sess)
 	writeJSON(w, http.StatusOK, api.AppendResponse{Appended: appended, Points: sess.Len()})
+}
+
+// dropTail removes the session's last k points: the rollback of a failed
+// append. It runs on a fresh context, since it must succeed even when the
+// failure being rolled back is the request's own dead context.
+func dropTail(sess *adawave.Session, k int) error {
+	if k == 0 {
+		return nil
+	}
+	idx := make([]int, k)
+	for i := range idx {
+		idx[i] = sess.Len() - k + i
+	}
+	return sess.RemoveContext(context.Background(), idx)
 }
 
 // errPointLimit is the over-cap mutation error, recognized by writeBodyErr
@@ -887,10 +910,14 @@ func (s *server) removePoints(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := ss.journalRemove(body.Indices); err != nil {
-		// A removal cannot be rolled back; the fallback checkpoint inside
-		// journalRemove already tried to capture the state, so a failure
-		// here means the session is marked broken and further mutations are
-		// refused until a checkpoint succeeds.
+		// Neither the WAL nor the fallback checkpoint took the removal, and
+		// it cannot be undone in place: park the session so it rebuilds
+		// from its durable state, which never saw the removal. The session
+		// stays broken — mutations refused — until a checkpoint succeeds.
+		ss.live.Store(nil)
+		if _, rerr := ss.rehydrate(s); rerr != nil {
+			err = fmt.Errorf("%v (and reloading the session failed: %v)", err, rerr)
+		}
 		writeCode(w, http.StatusInternalServerError, api.CodeDurability, err.Error())
 		return
 	}
@@ -1088,8 +1115,7 @@ func (s *server) deleteSession(w http.ResponseWriter, r *http.Request) {
 		// Dropping the session drops its durable state too; in-flight
 		// mutations finished before the registry delete (or 404 after it).
 		ss.lockWrite(context.Background())
-		ss.files.wal.Close()
-		if err := os.RemoveAll(ss.files.dir); err != nil {
+		if err := ss.files.Drop(); err != nil {
 			log.Printf("adawave-serve: remove session dir: %v", err)
 		}
 		ss.unlockWrite()

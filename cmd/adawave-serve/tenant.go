@@ -25,8 +25,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -171,10 +169,10 @@ func (ss *serveSession) acquire(s *server) (*adawave.Session, error) {
 	return ss.rehydrate(s)
 }
 
-// rehydrate restores the session from its newest checkpoint, single-flight
-// under hydrateMu. Eviction only ever parks a session right after a
-// successful checkpoint truncated its WAL, so the checkpoint alone is the
-// complete state and replaying nothing is correct.
+// rehydrate rebuilds the session from its durable state (newest checkpoint
+// plus WAL tail), single-flight under hydrateMu. Eviction parks a session
+// right after a successful checkpoint, so the tail is normally empty; a
+// removal that could not be made durable parks it with the tail intact.
 func (ss *serveSession) rehydrate(s *server) (*adawave.Session, error) {
 	ss.hydrateMu.Lock()
 	defer ss.hydrateMu.Unlock()
@@ -184,17 +182,11 @@ func (ss *serveSession) rehydrate(s *server) (*adawave.Session, error) {
 	if ss.files == nil {
 		return nil, fmt.Errorf("session %s evicted without durable state", ss.id)
 	}
-	path := filepath.Join(ss.files.dir, ckptName(ss.files.ckptSeq.Load()))
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("rehydrate %s: %w", ss.id, err)
-	}
-	defer f.Close()
 	c, err := adawave.New(adawave.WithConfig(ss.cfg), adawave.WithWorkers(ss.workers))
-	if err != nil {
-		return nil, fmt.Errorf("rehydrate %s: %w", ss.id, err)
+	var sess *adawave.Session
+	if err == nil {
+		sess, err = ss.files.Reload(c)
 	}
-	sess, err := c.RestoreSession(f)
 	if err != nil {
 		return nil, fmt.Errorf("rehydrate %s: %w", ss.id, err)
 	}

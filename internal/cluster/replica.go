@@ -7,14 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"net/http"
 	"net/url"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,12 +26,11 @@ import (
 type ReplicaOptions struct {
 	// Primary is the base URL of the node to replicate from.
 	Primary string
-	// Root is the local sessions root (<data-dir>/sessions); replicated
-	// sessions are journaled there in the exact layout the serving layer's
-	// own recovery reads.
-	Root    string
-	Workers int
-	Policy  persist.SyncPolicy
+	// Sessions is the local sessions root; replicated sessions are journaled
+	// there as SessionDirs, the layout the serving layer's own recovery
+	// reads.
+	Sessions *SessionRoot
+	Workers  int
 	// Client performs the HTTP calls. It must not carry a global Timeout —
 	// the WAL stream is long-lived by design; per-call deadlines are set
 	// through contexts. Nil selects a default client.
@@ -77,20 +74,15 @@ type Replica struct {
 	ID     string
 	Tenant string
 
-	dir       string
-	workers   int
-	policy    persist.SyncPolicy
 	ckptEvery int
 	meta      persist.ConfigMeta
-	cfg       adawave.Config
 
 	// mu guards the apply path (session mutation + journal) and the
 	// promote handoff; the session object itself stays safe for concurrent
 	// readers (status, detail reads) while the applier holds mu.
-	mu      sync.Mutex
-	sess    *adawave.Session
-	wal     *persist.WAL
-	ckptSeq uint64
+	mu   sync.Mutex
+	sess *adawave.Session
+	dir  *SessionDir // nil until provisioned
 
 	applied    atomic.Uint64
 	primarySeq atomic.Uint64
@@ -100,15 +92,13 @@ type Replica struct {
 	cancel context.CancelFunc
 }
 
-// Promoted is one warm session handed from a promoted ReplicaSet to the
-// serving registry: the live engine object plus its on-disk state, ready to
-// serve mutations and labels immediately.
+// Promoted is one warm session handed to the serving registry, by a
+// promoted ReplicaSet or by boot-time RecoverAll: the live engine object
+// plus its session directory, ready to serve mutations and labels
+// immediately.
 type Promoted struct {
-	ID      string
-	Tenant  string
-	Config  adawave.Config
+	Dir     *SessionDir
 	Session *adawave.Session
-	Disk    *SessionDisk
 }
 
 // NewReplicaSet builds (but does not start) a follower engine.
@@ -151,50 +141,21 @@ func (rs *ReplicaSet) Stop() {
 	rs.wg.Wait()
 }
 
-// recoverLocal loads every session directory under Root into a warm
-// replica (newest checkpoint + WAL tail, the standard recovery path).
+// recoverLocal loads every session directory under the sessions root into
+// a warm replica (newest checkpoint + WAL tail, the standard recovery path).
 func (rs *ReplicaSet) recoverLocal() {
-	entries, err := os.ReadDir(rs.opts.Root)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		if !e.IsDir() || strings.HasPrefix(e.Name(), ".") {
-			continue // dot-dirs hold quarantined state, never live sessions
-		}
-		id := e.Name()
-		dir := filepath.Join(rs.opts.Root, id)
-		sess, disk, err := LoadSessionDir(dir, rs.opts.Workers, rs.opts.Policy)
-		if err != nil {
-			log.Printf("cluster: replica %s not recovered: %v", id, err)
-			continue
-		}
+	live, _ := rs.opts.Sessions.RecoverAll(rs.opts.Workers)
+	for _, p := range live {
+		d := p.Dir
 		r := &Replica{
-			ID: id, Tenant: tenantOf(dir), dir: dir,
-			workers: rs.opts.Workers, policy: rs.opts.Policy,
-			ckptEvery: rs.opts.CheckpointEvery,
-			sess:      sess, wal: disk.WAL, ckptSeq: disk.CkptSeq,
+			ID: d.ID(), Tenant: d.Tenant(), ckptEvery: rs.opts.CheckpointEvery,
+			meta: d.Meta(), sess: p.Session, dir: d,
 		}
-		if raw, err := os.ReadFile(filepath.Join(dir, "config.json")); err == nil {
-			_ = json.Unmarshal(raw, &r.meta)
-		}
-		r.cfg = sess.Config()
-		r.applied.Store(disk.WAL.Seq())
-		r.primarySeq.Store(disk.WAL.Seq())
-		rs.replicas[id] = r
+		r.applied.Store(d.WAL().Seq())
+		r.primarySeq.Store(d.WAL().Seq())
+		rs.replicas[r.ID] = r
 		rs.startReplica(r)
-		log.Printf("cluster: replica %s recovered (%d points, applied seq %d)", id, sess.Len(), disk.WAL.Seq())
 	}
-}
-
-// tenantOf reads a session directory's tenant marker; absence means the
-// default tenant (the serving layer writes no marker for it).
-func tenantOf(dir string) string {
-	raw, err := os.ReadFile(filepath.Join(dir, "tenant"))
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(raw))
 }
 
 // pollLoop discovers primary sessions and refreshes the lag measurement.
@@ -261,10 +222,7 @@ func (rs *ReplicaSet) pollOnce() {
 		}
 		r := &Replica{
 			ID: info.ID, Tenant: info.Tenant,
-			dir:     filepath.Join(rs.opts.Root, info.ID),
-			workers: rs.opts.Workers, policy: rs.opts.Policy,
-			ckptEvery: rs.opts.CheckpointEvery,
-			meta:      info.Config,
+			ckptEvery: rs.opts.CheckpointEvery, meta: info.Config,
 		}
 		r.primarySeq.Store(info.WALSeq)
 		rs.replicas[info.ID] = r
@@ -288,34 +246,15 @@ func (rs *ReplicaSet) pollOnce() {
 	}
 }
 
-// quarantineDir is where dropped replicas' session directories are parked
-// under Root. The leading dot keeps every recovery scan (this package's and
-// the serving layer's) from picking them up; reclaiming the space — or the
-// data — is an operator decision.
-const quarantineDir = ".quarantine"
-
-// quarantine closes a dropped replica's journal and moves its directory
-// aside instead of deleting it.
+// quarantine detaches a dropped replica and parks its directory under the
+// sessions root's .quarantine/ instead of deleting it.
 func (rs *ReplicaSet) quarantine(r *Replica) {
-	r.mu.Lock()
-	if r.wal != nil {
-		r.wal.Close()
+	d := r.detach()
+	if d == nil {
+		return // never provisioned: nothing on disk
 	}
-	r.sess, r.wal = nil, nil
-	r.mu.Unlock()
-	trash := filepath.Join(rs.opts.Root, quarantineDir)
-	if err := os.MkdirAll(trash, 0o755); err != nil {
-		log.Printf("cluster: replica %s dropped (absent on primary); quarantine failed, directory left in place: %v", r.ID, err)
-		return
-	}
-	dst := filepath.Join(trash, r.ID)
-	for i := 1; ; i++ {
-		if _, err := os.Stat(dst); os.IsNotExist(err) {
-			break
-		}
-		dst = filepath.Join(trash, fmt.Sprintf("%s.%d", r.ID, i))
-	}
-	if err := os.Rename(r.dir, dst); err != nil {
+	dst, err := rs.opts.Sessions.Quarantine(d)
+	if err != nil {
 		log.Printf("cluster: replica %s dropped (absent on primary); quarantine failed, directory left in place: %v", r.ID, err)
 		return
 	}
@@ -354,8 +293,9 @@ func (rs *ReplicaSet) runReplica(ctx context.Context, r *Replica) {
 			return
 		}
 		if errors.Is(err, errResync) {
-			if werr := rs.wipe(r); werr != nil {
-				r.note(werr)
+			// Discard the local state ahead of a full re-sync.
+			if d := r.detach(); d != nil {
+				r.note(d.Drop())
 			}
 			continue
 		}
@@ -390,47 +330,31 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	}
 }
 
-// wipe discards the replica's local state ahead of a full re-sync.
-func (rs *ReplicaSet) wipe(r *Replica) error {
+// detach clears the replica's local state and returns the directory that
+// held it (nil if never provisioned), for the caller to drop or quarantine.
+func (r *Replica) detach() *SessionDir {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.wal != nil {
-		r.wal.Close()
-	}
-	r.sess, r.wal, r.ckptSeq = nil, nil, 0
+	d := r.dir
+	r.sess, r.dir = nil, nil
 	r.applied.Store(0)
-	return os.RemoveAll(r.dir)
+	return d
 }
 
 // provision builds the replica's local state from the primary's current
-// checkpoint: directory, fingerprint, tenant marker, checkpoint file (or an
-// empty session when the primary has never checkpointed), and a WAL whose
-// sequence counter resumes after the checkpoint.
+// checkpoint: a fresh session directory holding the fetched checkpoint (or
+// an empty session when the primary has never checkpointed), its WAL
+// resuming after the checkpoint's sequence. A failed provision drops the
+// directory, so the retry starts clean and no stray checkpoint survives.
 func (rs *ReplicaSet) provision(ctx context.Context, r *Replica) error {
-	if err := os.MkdirAll(r.dir, 0o755); err != nil {
-		return err
-	}
-	cfgBytes, err := json.MarshalIndent(r.meta, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(r.dir, "config.json"), cfgBytes, 0o644); err != nil {
-		return err
-	}
-	if r.Tenant != "" && r.Tenant != "default" {
-		if err := os.WriteFile(filepath.Join(r.dir, "tenant"), []byte(r.Tenant+"\n"), 0o644); err != nil {
-			return err
-		}
-	}
 	cfg, err := ConfigFromMeta(r.meta)
 	if err != nil {
 		return err
 	}
-	c, err := adawave.New(adawave.WithConfig(cfg), adawave.WithWorkers(r.workers))
+	c, err := adawave.New(adawave.WithConfig(cfg), adawave.WithWorkers(rs.opts.Workers))
 	if err != nil {
 		return err
 	}
-
 	req, err := rs.feedRequest(ctx, "/v1/replication/sessions/"+url.PathEscape(r.ID)+"/checkpoint")
 	if err != nil {
 		return err
@@ -440,62 +364,42 @@ func (rs *ReplicaSet) provision(ctx context.Context, r *Replica) error {
 		return err
 	}
 	defer resp.Body.Close()
-
-	var sess *adawave.Session
-	var ckptSeq uint64
-	switch resp.StatusCode {
-	case http.StatusOK:
-		ckptSeq, _ = strconv.ParseUint(resp.Header.Get(api.HeaderCheckpointSeq), 10, 64)
-		tmp := filepath.Join(r.dir, "checkpoint.tmp")
-		f, err := os.Create(tmp)
-		if err != nil {
-			return err
-		}
-		if _, err := io.Copy(f, resp.Body); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("checkpoint transfer: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-		f.Close()
-		final := filepath.Join(r.dir, CheckpointFileName(ckptSeq))
-		if err := os.Rename(tmp, final); err != nil {
-			os.Remove(tmp)
-			return err
-		}
-		cf, err := os.Open(final)
-		if err != nil {
-			return err
-		}
-		sess, err = c.RestoreSession(cf)
-		cf.Close()
-		if err != nil {
-			os.Remove(final)
-			return fmt.Errorf("checkpoint restore: %w", err)
-		}
-	case http.StatusNoContent:
-		// The primary has never checkpointed this session: start empty and
-		// let the WAL stream carry the whole history.
-		sess = c.NewSession()
-	default:
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
 		return fmt.Errorf("checkpoint fetch: primary answered %d", resp.StatusCode)
 	}
-
-	wal, err := persist.OpenWAL(filepath.Join(r.dir, "wal.log"), r.policy)
+	d, err := rs.opts.Sessions.Create(r.ID, r.meta, r.Tenant)
+	if errors.Is(err, fs.ErrExist) {
+		// A directory of this id that boot recovery could not load (or a
+		// re-sync could not remove): park it for inspection and start clean.
+		var dst string
+		if dst, err = rs.opts.Sessions.Quarantine(rs.opts.Sessions.dir(r.ID)); err == nil {
+			log.Printf("cluster: replica %s: stale session directory quarantined at %s", r.ID, dst)
+			d, err = rs.opts.Sessions.Create(r.ID, r.meta, r.Tenant)
+		}
+	}
 	if err != nil {
 		return err
 	}
-	wal.SkipTo(ckptSeq)
+	// 204: the primary has never checkpointed this session; start empty and
+	// let the WAL stream carry the whole history.
+	sess, ckptSeq := c.NewSession(), uint64(0)
+	if resp.StatusCode == http.StatusOK {
+		ckptSeq, _ = strconv.ParseUint(resp.Header.Get(api.HeaderCheckpointSeq), 10, 64)
+		err = d.Checkpoint(ckptSeq, func(w io.Writer) error {
+			_, err := io.Copy(w, resp.Body)
+			return err
+		})
+		if err == nil {
+			sess, err = d.Restore(c, ckptSeq)
+		}
+		if err != nil {
+			d.Drop()
+			return fmt.Errorf("checkpoint transfer: %w", err)
+		}
+	}
 
 	r.mu.Lock()
-	r.cfg = cfg
-	r.sess = sess
-	r.wal = wal
-	r.ckptSeq = ckptSeq
+	r.sess, r.dir = sess, d
 	r.mu.Unlock()
 	r.applied.Store(ckptSeq)
 	if ckptSeq > r.primarySeq.Load() {
@@ -591,7 +495,7 @@ func (r *Replica) apply(frame []byte, seq uint64) error {
 		// diverged (or our checkpoint base was stale). Rebuild from scratch.
 		return fmt.Errorf("%w (apply seq %d: %v)", errResync, seq, err)
 	}
-	if _, err := r.wal.AppendFrame(frame); err != nil {
+	if _, err := r.dir.WAL().AppendFrame(frame); err != nil {
 		// The session advanced but the journal did not; the only safe
 		// recovery is a rebuild — continuing would leave the on-disk state
 		// behind the acknowledged stream position.
@@ -610,50 +514,15 @@ func (r *Replica) apply(frame []byte, seq uint64) error {
 // its disk footprint stays bounded. Failures are logged, not fatal: the WAL
 // still holds everything.
 func (r *Replica) maybeCheckpointLocked() {
-	if r.ckptEvery < 0 || r.wal.Records() < uint64(r.ckptEvery) {
+	wal := r.dir.WAL()
+	if r.ckptEvery < 0 || wal.Records() < uint64(r.ckptEvery) {
 		return
 	}
-	seq := r.wal.Seq()
-	tmp := filepath.Join(r.dir, "checkpoint.tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := r.dir.Checkpoint(wal.Seq(), func(w io.Writer) error {
+		return r.sess.CheckpointContext(context.Background(), w)
+	}); err != nil {
 		log.Printf("cluster: replica %s checkpoint: %v", r.ID, err)
-		return
 	}
-	if err := r.sess.CheckpointContext(context.Background(), f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		log.Printf("cluster: replica %s checkpoint: %v", r.ID, err)
-		return
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		log.Printf("cluster: replica %s checkpoint: %v", r.ID, err)
-		return
-	}
-	f.Close()
-	if err := os.Rename(tmp, filepath.Join(r.dir, CheckpointFileName(seq))); err != nil {
-		os.Remove(tmp)
-		log.Printf("cluster: replica %s checkpoint: %v", r.ID, err)
-		return
-	}
-	if d, err := os.Open(r.dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	if err := r.wal.Reset(); err != nil {
-		log.Printf("cluster: replica %s wal reset: %v", r.ID, err)
-		return
-	}
-	if entries, err := os.ReadDir(r.dir); err == nil {
-		for _, e := range entries {
-			if s, ok := CheckpointSeqOf(e.Name()); ok && s != seq {
-				os.Remove(filepath.Join(r.dir, e.Name()))
-			}
-		}
-	}
-	r.ckptSeq = seq
 }
 
 // Status reports every replica's standing keyed by session id. After a
@@ -722,9 +591,6 @@ func (rs *ReplicaSet) IDs() []string {
 	return ids
 }
 
-// Primary returns the primary base URL this set follows.
-func (rs *ReplicaSet) Primary() string { return rs.opts.Primary }
-
 // Promote stops replication and hands every warm replica over: the second
 // half of a failover. Replicas still mid-provision (no session object yet)
 // cannot be promoted and are skipped with a log line — their state never
@@ -739,18 +605,15 @@ func (rs *ReplicaSet) Promote() []Promoted {
 	out := make([]Promoted, 0, len(rs.replicas))
 	for id, r := range rs.replicas {
 		r.mu.Lock()
-		sess, wal, ckptSeq := r.sess, r.wal, r.ckptSeq
+		sess, d := r.sess, r.dir
 		r.mu.Unlock()
-		if sess == nil || wal == nil {
+		if sess == nil || d == nil {
 			log.Printf("cluster: replica %s skipped in promote (never finished provisioning)", id)
 			continue
 		}
-		out = append(out, Promoted{
-			ID: id, Tenant: r.Tenant, Config: r.cfg, Session: sess,
-			Disk: &SessionDisk{Dir: r.dir, WAL: wal, CkptSeq: ckptSeq},
-		})
+		out = append(out, Promoted{Dir: d, Session: sess})
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+	sort.Slice(out, func(a, b int) bool { return out[a].Dir.ID() < out[b].Dir.ID() })
 	return out
 }
 
@@ -766,8 +629,8 @@ func (rs *ReplicaSet) Close() {
 	defer rs.mu.Unlock()
 	for _, r := range rs.replicas {
 		r.mu.Lock()
-		if r.wal != nil {
-			if err := r.wal.Close(); err != nil {
+		if r.dir != nil {
+			if err := r.dir.WAL().Close(); err != nil {
 				log.Printf("cluster: replica %s wal close: %v", r.ID, err)
 			}
 		}

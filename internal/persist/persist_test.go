@@ -137,7 +137,7 @@ func TestCheckConfig(t *testing.T) {
 func collect(t *testing.T, path string, fromSeq uint64) []Record {
 	t.Helper()
 	var recs []Record
-	if _, _, err := ReplayWAL(path, fromSeq, func(r Record) error {
+	if _, _, err := replayWAL(OS, path, -1, fromSeq, func(r Record) error {
 		recs = append(recs, r)
 		return nil
 	}); err != nil {

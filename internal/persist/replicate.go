@@ -24,8 +24,8 @@ import (
 //   - (*WAL).AppendFrame: verbatim journaling of a received frame with
 //     strict sequence contiguity, so a reconnecting follower can prove it
 //     neither lost nor double-applied a mutation.
-//   - ReplayWALStrict: ReplayWAL with the crash-recovery leniency removed —
-//     a torn tail is an error, because on the replication path the reader
+//   - ReplayWALStrict: replay with the crash-recovery leniency removed — a
+//     torn tail is an error, because on the replication path the reader
 //     was promised a complete log, not a best-effort prefix.
 
 // ErrTornRecord is the sentinel matched by errors.Is for every
@@ -64,7 +64,7 @@ func (e *TornRecordError) Error() string {
 // Is makes errors.Is(err, ErrTornRecord) match any TornRecordError.
 func (e *TornRecordError) Is(target error) bool { return target == ErrTornRecord }
 
-// ReplayWALStrict is ReplayWAL without crash-recovery leniency: the intact
+// ReplayWALStrict is replay without the crash-recovery leniency: the intact
 // records above fromSeq stream through fn in order, but a torn or corrupt
 // tail is returned as a *TornRecordError (carrying the last intact
 // sequence) instead of silently ending the replay. A missing file still
@@ -147,16 +147,20 @@ func ParseFrame(frame []byte) (Record, error) {
 // strict contiguity is what lets a follower prove it lost nothing across a
 // reconnect. The frame bytes reach the file unchanged, so the follower's
 // log is byte-identical to the primary's for the shared suffix.
-func (w *WAL) AppendFrame(frame []byte) (uint64, error) {
+func (w *WAL) AppendFrame(frame []byte) (_ uint64, err error) {
 	rec, err := ParseFrame(frame)
 	if err != nil {
 		return 0, err
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.failed != nil {
+		return 0, w.failed
+	}
 	if rec.Seq != w.seq+1 {
 		return 0, fmt.Errorf("persist: frame seq %d breaks contiguity after %d", rec.Seq, w.seq)
 	}
+	defer w.rollbackOnError(&err)
 	if _, err := w.bw.Write(frame); err != nil {
 		return 0, fmt.Errorf("persist: wal append frame: %w", err)
 	}
@@ -174,11 +178,6 @@ func (w *WAL) AppendFrame(frame []byte) (uint64, error) {
 	return rec.Seq, nil
 }
 
-// Generation returns the WAL's reset generation; it increments on every
-// Reset. Stream handlers snapshot it so a checkpoint racing a long-lived
-// tail read is detected, not silently read through.
-func (w *WAL) Generation() uint64 { return w.gen.Load() }
-
 // Tailer is a read-only cursor over a live WAL, yielding complete frames in
 // sequence order through its own file descriptor — the writer's buffered
 // writer, offsets and mutex are never shared. Appends become visible to the
@@ -187,7 +186,7 @@ func (w *WAL) Generation() uint64 { return w.gen.Load() }
 // checkpoint's truncation as ErrWALReset.
 type Tailer struct {
 	w    *WAL
-	f    *os.File
+	f    File
 	gen  uint64
 	off  int64
 	last uint64 // last yielded (or subscribed-from) sequence
@@ -199,7 +198,7 @@ type Tailer struct {
 // (or via ErrWALReset when the truncation races the tail), and must re-sync
 // from a checkpoint instead.
 func (w *WAL) NewTailer(fromSeq uint64) (*Tailer, error) {
-	f, err := os.Open(w.path)
+	f, err := w.fs.OpenFile(w.path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, fmt.Errorf("persist: open wal tail: %w", err)
 	}

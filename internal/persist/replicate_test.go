@@ -72,7 +72,7 @@ func TestReplayWALStrictTornTail(t *testing.T) {
 		t.Fatalf("torn strict replay applied seq %d / %d records before the tear", lastSeq, replayed)
 	}
 	// The crash-recovery replay keeps its lenient contract on the same file.
-	if _, n, err := ReplayWAL(torn, 0, func(Record) error { return nil }); err != nil || n != 2 {
+	if _, n, err := replayWAL(OS, torn, -1, 0, func(Record) error { return nil }); err != nil || n != 2 {
 		t.Fatalf("lenient replay on torn file: %d records, err %v", n, err)
 	}
 	// A missing file is absence, not a tear.

@@ -89,13 +89,15 @@ func (p SyncPolicy) String() string {
 // of replication Tailers reading the file through their own descriptors).
 type WAL struct {
 	mu      sync.Mutex
-	f       *os.File
+	fs      FS
+	f       File
 	bw      *bufio.Writer
 	path    string
 	policy  SyncPolicy
 	seq     uint64 // last sequence number written (or recovered)
 	records uint64 // records appended since the last Reset
 	size    int64  // valid bytes (magic + intact records)
+	failed  error  // a rollback left torn bytes behind: appends refused until Reset
 	gen     atomic.Uint64
 }
 
@@ -105,11 +107,17 @@ type WAL struct {
 // truncated away. Corruption before the tail (a bad magic) is an error, not
 // a truncation: it means the file is not a WAL at all.
 func OpenWAL(path string, policy SyncPolicy) (*WAL, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	return OpenWALFS(OS, path, policy)
+}
+
+// OpenWALFS is OpenWAL over fsys: the log, and every Tailer and replay of
+// it, reach the disk only through that filesystem.
+func OpenWALFS(fsys FS, path string, policy SyncPolicy) (*WAL, error) {
+	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("persist: open wal: %w", err)
 	}
-	w := &WAL{f: f, path: path, policy: policy, size: int64(len(walMagic))}
+	w := &WAL{fs: fsys, f: f, path: path, policy: policy, size: int64(len(walMagic))}
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
@@ -117,15 +125,14 @@ func OpenWAL(path string, policy SyncPolicy) (*WAL, error) {
 	}
 	if st.Size() < int64(len(walMagic)) {
 		// New (or torn-before-magic) log: start fresh.
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("persist: init wal: %w", err)
+		err := f.Truncate(0)
+		if err == nil {
+			_, err = f.Write([]byte(walMagic))
 		}
-		if _, err := f.WriteAt([]byte(walMagic), 0); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("persist: init wal: %w", err)
+		if err == nil {
+			err = f.Sync()
 		}
-		if err := f.Sync(); err != nil {
+		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("persist: init wal: %w", err)
 		}
@@ -217,13 +224,17 @@ func (w *WAL) AppendRemove(indices []int) (uint64, error) {
 }
 
 // append frames one record: header, payload (streamed through body), CRC
-// trailer, then the policy's fsync.
-func (w *WAL) append(typ byte, payloadLen int, body func(io.Writer) error) (uint64, error) {
+// trailer, then the policy's fsync. A failed append is rolled back.
+func (w *WAL) append(typ byte, payloadLen int, body func(io.Writer) error) (_ uint64, err error) {
 	if payloadLen > maxWALRecord {
 		return 0, fmt.Errorf("persist: wal record of %d bytes exceeds the %d limit", payloadLen, maxWALRecord)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.failed != nil {
+		return 0, w.failed
+	}
+	defer w.rollbackOnError(&err)
 	seq := w.seq + 1
 	cw := &crcWriter{w: w.bw}
 	var hdr [walHeaderLen]byte
@@ -251,6 +262,35 @@ func (w *WAL) append(typ byte, payloadLen int, body func(io.Writer) error) (uint
 	w.records++
 	w.size += int64(walHeaderLen + payloadLen + 4)
 	return seq, nil
+}
+
+// rollbackOnError drops a failed append (caller holds w.mu) — buffered bytes
+// and whatever reached the file — so a record written whole but failing its
+// fsync never replays, and bufio's sticky error does not wedge the log.
+// Should the file keep the torn bytes (the truncate or seek fails too), the
+// log fails every append until a Reset clears them: a record written behind
+// a tear would be acknowledged yet never replayed.
+func (w *WAL) rollbackOnError(err *error) {
+	if *err == nil {
+		return
+	}
+	w.bw.Reset(w.f)
+	rerr := w.f.Truncate(w.size)
+	if rerr == nil {
+		_, rerr = w.f.Seek(w.size, io.SeekStart)
+	}
+	if rerr != nil {
+		w.failed = fmt.Errorf("persist: wal holds a torn record until reset: %w", rerr)
+		*err = fmt.Errorf("%w (rollback failed: %v)", *err, rerr)
+	}
+}
+
+// Err is the log's failed state: non-nil while a torn record no rollback
+// could remove refuses appends, until a Reset truncates it away.
+func (w *WAL) Err() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.failed
 }
 
 // Sync flushes buffered records and fsyncs the log — the interval policy's
@@ -285,15 +325,17 @@ func (w *WAL) Reset() error {
 	if _, err := w.f.Seek(int64(len(walMagic)), io.SeekStart); err != nil {
 		return fmt.Errorf("persist: wal reset: %w", err)
 	}
+	w.size = int64(len(walMagic))
+	w.records = 0
+	w.failed = nil
+	// The truncation invalidates every Tailer's file offset; bumping the
+	// generation (after the truncate, still under the lock, and whether or
+	// not the fsync below succeeds) makes them surface ErrWALReset instead
+	// of reading past a moved tail.
+	w.gen.Add(1)
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("persist: wal reset: %w", err)
 	}
-	w.size = int64(len(walMagic))
-	w.records = 0
-	// The truncation invalidates every Tailer's file offset; bumping the
-	// generation (after the truncate, still under the lock) makes them
-	// surface ErrWALReset instead of reading past a moved tail.
-	w.gen.Add(1)
 	return nil
 }
 
@@ -336,15 +378,16 @@ type Target interface {
 	RemoveContext(context.Context, []int) error
 }
 
-// ReplayWAL streams the intact records with sequence numbers above fromSeq
-// through fn, in order. A torn or corrupt tail ends the replay silently —
-// that is the crash-recovery contract: everything before the tear was
-// applied, the tear itself never acknowledged. A missing file replays
-// nothing. fn's errors abort the replay and are returned as-is. The
-// returned lastSeq is the last intact record's sequence (0 for an empty or
-// missing log); replayed counts the records handed to fn.
-func ReplayWAL(path string, fromSeq uint64, fn func(Record) error) (lastSeq uint64, replayed int, err error) {
-	f, err := os.Open(path)
+// replayWAL streams the intact records with sequence numbers above fromSeq
+// through fn, in order, reading at most limit bytes of the file (all of it
+// when limit < 0). A torn or corrupt tail ends the replay silently — that is
+// the crash-recovery contract: everything before the tear was applied, the
+// tear itself never acknowledged. A missing file, or one torn before its
+// magic, replays nothing. fn's errors abort the replay and are returned
+// as-is. The returned lastSeq is the last intact record's sequence (0 for an
+// empty or missing log); replayed counts the records handed to fn.
+func replayWAL(fsys FS, path string, limit int64, fromSeq uint64, fn func(Record) error) (lastSeq uint64, replayed int, err error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return 0, 0, nil
@@ -352,21 +395,42 @@ func ReplayWAL(path string, fromSeq uint64, fn func(Record) error) (lastSeq uint
 		return 0, 0, fmt.Errorf("persist: replay wal: %w", err)
 	}
 	defer f.Close()
-	lastSeq, _, _, replayed, _, err = scanWAL(f, fromSeq, fn)
+	st, err := f.Stat()
+	if err != nil {
+		return 0, 0, fmt.Errorf("persist: replay wal: %w", err)
+	}
+	if limit < 0 || limit > st.Size() {
+		limit = st.Size()
+	}
+	if limit < int64(len(walMagic)) {
+		return 0, 0, nil
+	}
+	lastSeq, _, _, replayed, _, err = scanWAL(io.NewSectionReader(f, 0, limit), fromSeq, fn)
 	return lastSeq, replayed, err
 }
 
-// ReplayInto replays the log tail into a live session: appends re-fold,
-// removes re-subtract. Only mutations that succeeded live are journaled, so
-// an apply error here means the log and the session diverged — corruption —
-// and aborts the recovery.
-func ReplayInto(path string, fromSeq uint64, t Target) (lastSeq uint64, replayed int, err error) {
-	return ReplayWAL(path, fromSeq, func(rec Record) error {
+// ReplayInto replays the log at path, read-only through fsys, above fromSeq
+// into a live session: appends re-fold, removes re-subtract. Only mutations
+// that succeeded live are journaled, so an apply error here means the log
+// and the session diverged — corruption — and aborts the recovery.
+func ReplayInto(fsys FS, path string, fromSeq uint64, t Target) (lastSeq uint64, replayed int, err error) {
+	return replayWAL(fsys, path, -1, fromSeq, applyTo(t))
+}
+
+// ReplayInto is the package ReplayInto over an open log's valid prefix:
+// the residue of an append it could not roll back (see Err) is never
+// replayed.
+func (w *WAL) ReplayInto(fromSeq uint64, t Target) (lastSeq uint64, replayed int, err error) {
+	return replayWAL(w.fs, w.path, w.Size(), fromSeq, applyTo(t))
+}
+
+func applyTo(t Target) func(Record) error {
+	return func(rec Record) error {
 		if rec.Batch != nil {
 			return t.AppendContext(context.Background(), rec.Batch)
 		}
 		return t.RemoveContext(context.Background(), rec.Indices)
-	})
+	}
 }
 
 // scanWAL validates the magic and walks records until the first torn or
@@ -374,7 +438,7 @@ func ReplayInto(path string, fromSeq uint64, t Target) (lastSeq uint64, replayed
 // valid prefix, and the intact record count. Records with Seq > fromSeq are
 // handed to fn (when non-nil); fn errors abort the scan. A scan that stops
 // anywhere other than a clean record boundary additionally describes the
-// tear (tear non-nil): crash recovery (OpenWAL, ReplayWAL) discards it as
+// tear (tear non-nil): crash recovery (OpenWAL, ReplayInto) discards it as
 // the unacknowledged tail, while the replication paths (ReplayWALStrict,
 // the stream readers) surface it so a follower resuming from a mid-record
 // offset is told the stream is incomplete instead of silently short.
