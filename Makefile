@@ -18,7 +18,7 @@ GO ?= go
 # and the engine's quantize stage on each side of the dense/radix shard
 # kernel choice (2M 2-D points at scale 128; 400k 4-D points at scale 64).
 # BENCHTIME is overridable for quicker local runs.
-BENCH_PERF = Fig2RunningExample|EmbedFig2|EmbedHighDim|Fig9Roadmap|MultiResolution|AssignNoiseToNearest|SessionAppendRelabel|ColdRecluster50k|MergeThroughput|WALAppend|ColdRecovery50k|CtxOverheadFig2|SchedulerFairness|EvictRehydrate50k|GridFootprint|WALReplicationThroughput|Failover50k|QuantizeDataset
+BENCH_PERF = Fig2RunningExample|EmbedFig2|EmbedHighDim|FlatTransform|Fig9Roadmap|MultiResolution|AssignNoiseToNearest|SessionAppendRelabel|ColdRecluster50k|MergeThroughput|WALAppend|ColdRecovery50k|CtxOverheadFig2|SchedulerFairness|EvictRehydrate50k|GridFootprint|WALReplicationThroughput|Failover50k|QuantizeDataset
 BENCHTIME ?= 100x
 
 # The committed perf-trajectory snapshot this PR writes (BENCH_$(BENCH_N).json)

@@ -285,24 +285,73 @@ func BenchmarkEngineFig10Runtime(b *testing.B) {
 	}
 }
 
-// BenchmarkFlatTransform times the flat line-sweep DWT against the map
-// scatter on the same occupied cells (see BenchmarkFig5Transform for the
-// map engine's numbers).
+// BenchmarkFlatTransform times one full level of the flat slab-merge DWT
+// on two base grids: the Fig. 2 running example (2-D, scale 128; see
+// BenchmarkFig5Transform for the map engine on the same cells) and the
+// highdim-embed workload's base grid (400k 64-D points through PCA(4) at
+// scale 64, 199,626 4-D cells). The transform never modifies its input, so
+// the timed loop transforms the same grid every iteration.
 func BenchmarkFlatTransform(b *testing.B) {
 	ds := synth.RunningExampleSized(800, 1)
 	q, err := grid.NewQuantizer(ds.Points, 128)
 	if err != nil {
 		b.Fatal(err)
 	}
-	f := grid.FlatFromGrid(q.Quantize(ds.Points))
+	fig2 := grid.FlatFromGrid(q.Quantize(ds.Points))
 	basis := wavelet.CDF22()
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				grid.TransformFlat(f.Clone(), basis, workers)
-			}
-		})
+	for _, bc := range []struct {
+		name string
+		grid func(*testing.B) *grid.FlatGrid
+	}{
+		{"fig2", func(*testing.B) *grid.FlatGrid { return fig2 }},
+		{"highdim", highdimBaseGrid},
+	} {
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			b.Run(fmt.Sprintf("%s/workers=%d", bc.name, workers), func(b *testing.B) {
+				f := bc.grid(b)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					grid.TransformFlat(f, basis, workers)
+				}
+			})
+		}
 	}
+}
+
+var (
+	highdimBaseOnce sync.Once
+	highdimBase     *grid.FlatGrid
+	highdimBaseErr  error
+)
+
+// highdimBaseGrid builds the highdim-embed workload's base grid once:
+// synth.HighDimMixture(8, 25000, 64, 4, 0.5, 1) through a fitted PCA(4),
+// quantized at scale 64.
+func highdimBaseGrid(b *testing.B) *grid.FlatGrid {
+	highdimBaseOnce.Do(func() {
+		ds := synth.HighDimMixture(8, 25_000, 64, 4, 0.5, 1).Flat()
+		emb, err := embed.New(embed.Spec{Kind: embed.KindPCA, K: 4})
+		if err == nil {
+			err = emb.Fit(ds)
+		}
+		var pds *pointset.Dataset
+		if err == nil {
+			pds, err = emb.Transform(ds)
+		}
+		var q *grid.Quantizer
+		if err == nil {
+			q, err = grid.NewQuantizerDataset(pds, 64, 1)
+		}
+		if err != nil {
+			highdimBaseErr = err
+			return
+		}
+		highdimBase, _ = q.QuantizeDataset(pds, 1)
+	})
+	if highdimBaseErr != nil {
+		b.Fatal(highdimBaseErr)
+	}
+	return highdimBase
 }
 
 // BenchmarkQuantizationFlat times the sharded flat quantizer against the
@@ -1138,9 +1187,14 @@ func BenchmarkGridFootprint(b *testing.B) {
 // Fig. 2 running example is already 2-d, so PCA(2) buys nothing and its
 // whole cost — covariance, the Jacobi solve, the projection pass — is
 // front-end overhead over the raw pipeline. The pair bounds the price of
-// leaving WithEmbedding on for low-dimensional data.
+// leaving WithEmbedding on for low-dimensional data. Both run the parallel
+// engine at GOMAXPROCS workers.
 func BenchmarkEmbedFig2(b *testing.B) {
 	ds := synth.RunningExampleSized(800, 1)
+	flat, err := pointset.FromSlices(ds.Points)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, bc := range []struct {
 		name string
 		spec embed.Spec
@@ -1151,10 +1205,14 @@ func BenchmarkEmbedFig2(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := core.DefaultConfig()
 			cfg.Embedding = bc.spec
+			eng, err := core.NewEngine(cfg, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
 			var ami float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := core.Cluster(ds.Points, cfg)
+				res, err := eng.ClusterDatasetContext(context.Background(), flat)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1169,9 +1227,11 @@ func BenchmarkEmbedFig2(b *testing.B) {
 // noisy-mixture scenario projected to its rank-4 signal subspace. PCA pays a
 // 64×64 covariance accumulation plus the Jacobi solve per fit; the seeded
 // random projection fits in O(d·k) draws, so the pair separates fit cost
-// from the shared projection + clustering cost.
+// from the shared projection + clustering cost. Both run the parallel
+// engine at GOMAXPROCS workers.
 func BenchmarkEmbedHighDim(b *testing.B) {
 	ds := synth.HighDimMixture(5, 250, 64, 4, 0.2, 1)
+	flat := ds.Flat()
 	for _, bc := range []struct {
 		name  string
 		spec  embed.Spec
@@ -1184,10 +1244,14 @@ func BenchmarkEmbedHighDim(b *testing.B) {
 			cfg := core.DefaultConfig()
 			cfg.Embedding = bc.spec
 			cfg.Scale = bc.scale
+			eng, err := core.NewEngine(cfg, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
 			var ami float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := core.Cluster(ds.Points, cfg)
+				res, err := eng.ClusterDatasetContext(context.Background(), flat)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -101,12 +101,12 @@
 // on Clusterer; AppendContext, RemoveContext, LabelsContext, ResultContext,
 // MultiResolutionContext, CellsContext and CheckpointContext on Session.
 // The pipeline polls
-// ctx.Err() at every shard boundary (quantization shards, transform line
-// sweeps, the incremental merge, connected components, assignment), so a
+// ctx.Err() at every shard boundary (quantization shards, transform slab
+// shards, the incremental merge, connected components, assignment), so a
 // cancelled or deadline-expired context aborts in-flight compute within
 // microseconds of work, not after it. A cancelled call unwinds cleanly:
-// pooled buffers are returned, a session's live grid is restored to
-// canonical order, pending mutations stay pending, and the next read
+// pooled buffers are returned, a session's live grid is left untouched,
+// pending mutations stay pending, and the next read
 // recomputes a result bit-identical to a never-cancelled run. Mutations
 // (AppendContext, RemoveContext) refuse to apply once their context is
 // dead, so an aborted client request never half-commits.

@@ -117,9 +117,9 @@ func (e *Engine) ClusterDatasetContext(ctx context.Context, ds *pointset.Dataset
 // feeds the identical downstream stages, so an incrementally built base
 // yields the same Result as a one-shot run, bit for bit. cfg must already
 // be resolved (see resolveScaleND). The transform stage runs on a pooled
-// private unpacking, so the packed grid itself is never permuted, and the
-// assignment stage streams ancestor labels block by block off the
-// compressed base directly.
+// private unpacking (the float64 densities it needs), and the assignment
+// stage streams ancestor labels block by block off the compressed base
+// directly.
 func (e *Engine) clusterFromPacked(ctx context.Context, base *grid.PackedGrid, ids []int32, cfg Config, w int) (*Result, error) {
 	st := &pipeState{cfg: cfg, w: w, pbase: base, ids: ids}
 	return e.runStages(ctx, st, stageList[stageFromTransform:])
@@ -148,10 +148,8 @@ func (e *Engine) ClusterMultiResolutionDatasetContext(ctx context.Context, ds *p
 // multiResolutionFromBase is the post-quantization half of
 // ClusterMultiResolutionDatasetContext, shared with the streaming Session: the
 // transform chain starts from an existing canonical base grid with memoized
-// point ids, and the per-level finishing passes run concurrently. base's
-// cell order is permuted by the first transform and restored to canonical
-// before any finisher reads it (and before returning); masses are not
-// modified.
+// point ids, and the per-level finishing passes run concurrently. base is
+// only read.
 func (e *Engine) multiResolutionFromBase(ctx context.Context, base *grid.FlatGrid, ids []int32, cfg Config, maxLevels, w int) ([]*Result, error) {
 	// The transform chain ends once any dimension shrinks below two cells,
 	// so levels beyond log2(max size) can never produce a result — clamp
@@ -189,12 +187,6 @@ func (e *Engine) multiResolutionFromBase(ctx context.Context, base *grid.FlatGri
 			break
 		}
 		next, err := grid.TransformFlatCtx(ctx, cur, cfg.Basis, w)
-		if level == 1 {
-			// The first transform permuted the base grid's cell order in
-			// place (cancelled or not); restore the canonical order the
-			// memoized ids index into before any finisher reads it.
-			base.SortCanonical()
-		}
 		if err != nil {
 			// In-flight finishers of earlier levels drain before the
 			// cancellation (or transform failure) is reported.

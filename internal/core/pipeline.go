@@ -185,10 +185,10 @@ func (e *Engine) stageQuantize(ctx context.Context, st *pipeState) error {
 // stageTransform runs the separable wavelet chain and the preliminary
 // coefficient denoising. A packed base (a Session's live grid, the external
 // merge) transforms a pooled private unpacking — the promotion point where
-// bit-packed integer masses become float64 densities — and is never
-// disturbed; the one-shot in-RAM flat base is permuted in place and
-// restored to canonical order on every path, since the assignment stage's
-// memoized ids index into it.
+// bit-packed integer masses become float64 densities; the one-shot in-RAM
+// flat base is transformed directly. The transform only reads its input, so
+// either base stays in the canonical order the assignment stage's memoized
+// ids index into.
 func (e *Engine) stageTransform(ctx context.Context, st *pipeState) error {
 	st.levels = st.cfg.Levels
 	if st.pbase != nil {
@@ -212,10 +212,6 @@ func (e *Engine) stageTransform(ctx context.Context, st *pipeState) error {
 		st.cellsQuantized = st.base.Len()
 		if st.cfg.Levels > 0 {
 			levels, err := grid.TransformLevelsFlatCtx(ctx, st.base, st.cfg.Basis, st.cfg.Levels, st.w)
-			// The transform (failed, cancelled or complete) may have
-			// permuted the base mid-flight; restore the canonical order the
-			// memoized ids index into on every path.
-			st.base.SortCanonical()
 			if err != nil {
 				return err
 			}

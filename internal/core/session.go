@@ -395,9 +395,9 @@ func (s *Session) Result() (*Result, error) {
 // ResultContext is Result with cooperative cancellation: the fold and every
 // recompute stage poll ctx at shard boundaries. A cancelled read reports an
 // ErrCanceled/ErrDeadlineExceeded-tagged error and leaves the session
-// exactly as before the call — the live grid back in canonical order, the
-// pending mutations still pending — so the next read recomputes the
-// identical result.
+// exactly as before the call — the live grid untouched, the pending
+// mutations still pending — so the next read recomputes the identical
+// result.
 func (s *Session) ResultContext(ctx context.Context) (*Result, error) {
 	s.mu.RLock()
 	if !s.dirty {
@@ -464,8 +464,9 @@ func (s *Session) MultiResolutionContext(ctx context.Context, maxLevels int) ([]
 		return nil, err
 	}
 	// Unpack under the lock — the private copy and the integer→float64
-	// mass promotion in one pass: the transform permutes its input grid in
-	// place, and a concurrent Remove mutates base masses and ids in place.
+	// mass promotion in one pass: the levels are clustered after the lock
+	// is released, while a concurrent Remove mutates base masses and ids in
+	// place.
 	base := s.base.Unpack()
 	ids := append([]int32(nil), s.ids...)
 	s.mu.Unlock()

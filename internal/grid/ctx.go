@@ -7,7 +7,7 @@ import (
 )
 
 // Cooperative cancellation for the flat engine. Every parallel stage —
-// bounding-box scan, sharded quantization, line-sweep transform, incremental
+// bounding-box scan, sharded quantization, slab-merge transform, incremental
 // merge, connected components, assignment — has a ctx-taking variant that
 // checks ctx.Err() at its shard boundaries (and, inside long single-shard
 // loops, every ctxCheckStride iterations) and unwinds without publishing
@@ -16,9 +16,8 @@ import (
 // one predictable-branch nil check per shard, nothing more.
 //
 // A cancelled stage never mutates its inputs beyond what the non-ctx path
-// already documents (the transform permutes its input grid's cell order in
-// place; callers restore canonical order on any error, cancellation
-// included), so a caller that sees ErrCanceled can simply retry.
+// already documents (the transform only reads its input grid), and returns
+// its pooled buffers, so a caller that sees ErrCanceled can simply retry.
 
 // ErrCanceled tags computation abandoned because the caller's context was
 // canceled (client disconnect, explicit CancelFunc). It wraps the original

@@ -3,13 +3,14 @@ package grid
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // FlatGrid is the struct-of-arrays rendering of Grid: packed uint16 cell
 // coordinates plus a parallel density slice. Where Grid pays a string hash,
 // a map probe and a key allocation per cell per stage, FlatGrid is two flat
 // slices that radix-sort in O(m·d) and sweep with sequential memory access —
-// the representation the parallel engine (quantize shards, line-sweep
+// the representation the parallel engine (quantize shards, slab-merge
 // transform, union-find components) runs on. Cell order is an explicit,
 // documented property of each operation rather than map-iteration noise:
 // quantization and the full separable transform leave the grid in canonical
@@ -231,53 +232,58 @@ func keyByteLess(a, b []uint16) bool {
 }
 
 // flatScratch holds the reusable buffers of the flat engine: radix-sort
-// ping-pong arrays, counting-sort buckets, and the epoch-tracked line
-// accumulator of the sparse transform. Instances are pooled so repeated
-// Cluster calls (and concurrent workers) do not reallocate per pass.
+// ping-pong arrays, counting-sort buckets, the transform's slab table and
+// merge cursors, and one worker's transform output. Instances are pooled
+// so repeated Cluster calls (and concurrent workers) do not reallocate per
+// pass.
 type flatScratch struct {
-	coords  []uint16  // radix scatter buffer (m·d)
-	vals    []float64 // radix scatter buffer (m)
-	idx     []int32   // radix scatter buffer for index payloads (m)
-	counts  []int32   // counting-sort buckets (max dimension size)
-	ints    []int32   // line-start offsets of the transform sweep
-	acc     []float64 // per-line output accumulator (outLen)
-	epoch   []uint32  // acc validity stamps, paired with epochN
-	epochN  uint32
-	touched []int32 // output coordinates hit by the current line
+	coords []uint16  // radix scatter buffer (m·d)
+	vals   []float64 // radix scatter buffer (m)
+	idx    []int32   // radix scatter buffer for index payloads (m)
+	counts []int32   // counting-sort buckets (max dimension size)
+	// slabs, blocks, keys and widths are the transform's slab table, the
+	// slab offset of each block, the cells' suffix keys and their field
+	// widths; units are its work-unit boundaries.
+	slabs  []slab
+	blocks []int32
+	keys   []uint64
+	widths []uint8
+	units  []unitPos
+	// curs are one worker's slab-merge cursors.
+	curs []cursor
 	// outCoords/outVals collect one worker's transform output before
 	// concatenation into the result grid.
 	outCoords []uint16
 	outVals   []float64
 }
 
-var flatScratchPool = sync.Pool{New: func() any { return new(flatScratch) }}
+var (
+	flatScratchPool = sync.Pool{New: func() any { return new(flatScratch) }}
+	// flatGridPool holds the transform's grids between dimensions.
+	flatGridPool = sync.Pool{New: func() any { return new(FlatGrid) }}
+	// pooledOut counts scratch buffers and grids taken from the pools and
+	// not yet returned, so tests can check that every path returns them.
+	pooledOut atomic.Int64
+)
 
-func getFlatScratch() *flatScratch  { return flatScratchPool.Get().(*flatScratch) }
-func putFlatScratch(s *flatScratch) { flatScratchPool.Put(s) }
-
-// ensureAcc sizes the line accumulator for n output positions, preserving
-// epoch stamps when the backing array is reused (stale stamps are always
-// strictly below the next epoch, so reuse is safe).
-func (s *flatScratch) ensureAcc(n int) {
-	if cap(s.acc) < n {
-		s.acc = make([]float64, n)
-		s.epoch = make([]uint32, n)
-		s.epochN = 0
-	}
-	s.acc = s.acc[:n]
-	s.epoch = s.epoch[:n]
+func getFlatScratch() *flatScratch {
+	pooledOut.Add(1)
+	return flatScratchPool.Get().(*flatScratch)
 }
 
-// nextEpoch advances the accumulator stamp, clearing on wraparound.
-func (s *flatScratch) nextEpoch() uint32 {
-	s.epochN++
-	if s.epochN == 0 {
-		for i := range s.epoch {
-			s.epoch[i] = 0
-		}
-		s.epochN = 1
-	}
-	return s.epochN
+func putFlatScratch(s *flatScratch) {
+	pooledOut.Add(-1)
+	flatScratchPool.Put(s)
+}
+
+func getFlatGrid() *FlatGrid {
+	pooledOut.Add(1)
+	return flatGridPool.Get().(*FlatGrid)
+}
+
+func putFlatGrid(g *FlatGrid) {
+	pooledOut.Add(-1)
+	flatGridPool.Put(g)
 }
 
 // growCounts returns a zeroed bucket slice of length n.

@@ -193,3 +193,15 @@ func ComponentMasses(f *FlatGrid, labels []int32, ncomp int) []float64 {
 	}
 	return out
 }
+
+// sameLineExcept reports whether cells a and b agree on every coordinate
+// except dimension j.
+func sameLineExcept(coords []uint16, d, a, b, j int) bool {
+	ca, cb := coords[a*d:(a+1)*d], coords[b*d:(b+1)*d]
+	for p := 0; p < d; p++ {
+		if p != j && ca[p] != cb[p] {
+			return false
+		}
+	}
+	return true
+}

@@ -72,17 +72,35 @@ func TestTransformDimFlatMatchesMap(t *testing.T) {
 		n     int
 		basis wavelet.Basis
 		tol   float64
+		// palette, when set, is the set of coordinates drawn from in
+		// every dimension instead of the whole range.
+		palette []int
 	}{
-		{"2d-cdf22", []int{128, 128}, 900, wavelet.CDF22(), 0},
-		{"2d-haar", []int{128, 128}, 900, wavelet.Haar(), 0},
-		{"2d-cdf13", []int{64, 64}, 400, wavelet.CDF13(), 0},
-		{"2d-db4", []int{64, 64}, 400, wavelet.DB4(), 1e-12},
-		{"3d-cdf22", []int{32, 16, 8}, 300, wavelet.CDF22(), 0},
-		{"1d-haar", []int{256}, 90, wavelet.Haar(), 0},
-		{"odd-sizes", []int{31, 17}, 200, wavelet.CDF22(), 0},
+		{"2d-cdf22", []int{128, 128}, 900, wavelet.CDF22(), 0, nil},
+		{"2d-haar", []int{128, 128}, 900, wavelet.Haar(), 0, nil},
+		{"2d-cdf13", []int{64, 64}, 400, wavelet.CDF13(), 0, nil},
+		{"2d-db4", []int{64, 64}, 400, wavelet.DB4(), 1e-12, nil},
+		{"3d-cdf22", []int{32, 16, 8}, 300, wavelet.CDF22(), 0, nil},
+		{"1d-haar", []int{256}, 90, wavelet.Haar(), 0, nil},
+		{"odd-sizes", []int{31, 17}, 200, wavelet.CDF22(), 0, nil},
+		// Six 16-bit dimensions: the suffix after dimension 0 needs 80
+		// bits, more than one sort key holds, and the palette makes cells
+		// that tie on the packed leading dimensions common.
+		{"wide-suffix", []int{9, 65535, 65535, 65535, 65535, 65535}, 3000, wavelet.CDF22(), 0, []int{0, 1, 2, 3, 65533, 65534}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := randomGrid(t, tc.sizes, tc.n, 7)
+			if tc.palette != nil {
+				rng := rand.New(rand.NewSource(7))
+				g = New(tc.sizes)
+				coords := make([]int, len(tc.sizes))
+				for i := 0; i < tc.n; i++ {
+					for j, s := range tc.sizes {
+						coords[j] = tc.palette[rng.Intn(len(tc.palette))] % s
+					}
+					g.Cells[MakeKey(coords)] += float64(1 + rng.Intn(4))
+				}
+			}
 			for j := range tc.sizes {
 				want := TransformDim(g, j, tc.basis)
 				for _, workers := range []int{1, 2, 4} {

@@ -3,6 +3,7 @@ package grid
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"adawave/internal/wavelet"
 )
@@ -12,282 +13,393 @@ import (
 // than the sweep itself.
 const parallelCellCutoff = 2048
 
-// TransformDimFlat is the flat-engine counterpart of TransformDim: one
-// level of the analysis low-pass filter along dimension j, downsampling
-// that dimension by 2. Instead of rebuilding a map, it radix-sorts the
-// cells so dimension j varies fastest, then sweeps each grid line with an
-// epoch-stamped accumulator — every output cell is written once, in order,
-// with no hashing and no per-cell allocation. Lines are data-independent,
-// so they are sharded across workers (≤ 1 runs inline). The input grid's
-// cell order is permuted in place; its contents are unchanged. The result
-// is sorted with dimension j fastest, so a full dimension sweep ending at
-// j = Dim()−1 yields canonical order.
+// transformUnitCells is the input-cell budget of one transform work unit:
+// the granule that is sharded across workers and between whose sweeps ctx
+// is polled.
+const transformUnitCells = 4096
+
+// The transform sweeps a canonical grid without reordering it. Along
+// dimension j, a block is a maximal run of cells sharing dimensions 0…j−1,
+// and a slab is a run inside a block sharing coordinate j; canonical order
+// keeps each slab sorted by the remaining suffix j+1…d−1. Output cell
+// (prefix, k, suffix) gathers the ≤ L slabs at j = 2k−Center … 2k−Center+L−1,
+// so the block's outputs for each k fall out of a merge of those slabs by
+// suffix — ascending k, then ascending suffix: canonical order again.
+
+// slab is one slab of the sweep's table: its first cell and its coordinate
+// along the transformed dimension. The cells of slab s are
+// [slabs[s].start, slabs[s+1].start).
+type slab struct {
+	start int32
+	c     int32
+}
+
+// unitPos is a position in a sweep's (block, k) output order; a work unit
+// covers the outputs from one position up to the next.
+type unitPos struct {
+	block int32
+	k     int32
+}
+
+// cursor walks one slab of a merge window: its next cell, the slab's end
+// and the filter tap its cells take.
+type cursor struct {
+	i, end int32
+	tap    float64
+}
+
+// dimSweep is the read-only state of one dimension's sweep, shared by its
+// workers. keys holds each cell's suffix packed most significant first;
+// when the suffix needs more than 64 bits only its leading dimensions are
+// packed (exact is false) and equal keys fall back to comparing
+// coordinates.
+type dimSweep struct {
+	f            *FlatGrid
+	d, j, outLen int
+	taps         []float64
+	center, span int32
+	slabs        []slab
+	blocks       []int32 // slab offset of each block, plus an end sentinel
+	keys         []uint64
+	exact        bool
+}
+
+// TransformDimFlat applies one level of the analysis low-pass filter along
+// dimension j of a canonical grid, downsampling that dimension by 2. The
+// result is a new canonical grid; f is only read. Every output cell is the
+// merge of the input slabs under the filter's taps, accumulated from zero
+// in ascending tap order, and work units of contiguous blocks and output
+// ranges are sharded across workers (≤ 1 runs inline). Output cells whose
+// accumulated value is zero are kept, matching the map engine (which stores
+// them until coefficient denoising drops them).
 func TransformDimFlat(f *FlatGrid, j int, b wavelet.Basis, workers int) *FlatGrid {
-	out, _ := transformDimFlatCtx(context.Background(), f, j, b, workers)
+	out := &FlatGrid{}
+	transformDimFlatCtx(context.Background(), f, j, b, workers, out)
 	return out
 }
 
-// transformDimFlatCtx is TransformDimFlat with cooperative cancellation:
-// each line-sweep shard polls ctx at its boundary and a cancelled transform
-// returns no output grid. The input's cell order may already be permuted by
-// the radix sort when the cancel lands — exactly the non-error contract —
-// so callers restore canonical order on any error, as they do on success.
-func transformDimFlatCtx(ctx context.Context, f *FlatGrid, j int, b wavelet.Basis, workers int) (*FlatGrid, error) {
+// transformDimFlatCtx is TransformDimFlat writing into dst (reusing its
+// capacity), with cooperative cancellation: ctx is polled on entry and once
+// per work unit, and a cancelled transform returns the ctx error with dst's
+// contents unspecified. f is never modified.
+func transformDimFlatCtx(ctx context.Context, f *FlatGrid, j int, b wavelet.Basis, workers int, dst *FlatGrid) error {
 	if j < 0 || j >= f.Dim() {
 		panic(fmt.Sprintf("grid: TransformDimFlat dimension %d out of range (grid is %d-D)", j, f.Dim()))
 	}
 	d := f.Dim()
 	m := f.Len()
 	outLen := (f.Size[j] + 1) / 2
-	newSize := append([]int(nil), f.Size...)
-	newSize[j] = outLen
-	out := &FlatGrid{Size: newSize}
+	dst.Size = append(dst.Size[:0], f.Size...)
+	dst.Size[j] = outLen
+	dst.Coords, dst.Vals = dst.Coords[:0], dst.Vals[:0]
 	if m == 0 {
-		return out, nil
+		return nil
 	}
-	// Poll before the radix permute: a request already dead skips the sort.
 	if err := CtxErr(ctx); err != nil {
-		return nil, err
+		return err
 	}
 
 	s := getFlatScratch()
-	f.sortForDim(j, s)
-
-	// Line boundaries: a line is a maximal run of cells sharing every
-	// coordinate except dimension j.
-	starts := append(s.ints[:0], 0)
-	for i := 1; i < m; i++ {
-		if !sameLineExcept(f.Coords, d, i-1, i, j) {
-			starts = append(starts, int32(i))
-		}
+	defer putFlatScratch(s)
+	if workers <= 1 || m < parallelCellCutoff {
+		workers = 1
 	}
-	starts = append(starts, int32(m))
-	s.ints = starts
-	nLines := len(starts) - 1
-
-	if workers <= 1 || m < parallelCellCutoff || nLines < 2 {
-		est := m + m*(len(b.Lo)/2)
-		out.Coords = make([]uint16, 0, est*d)
-		out.Vals = make([]float64, 0, est)
-		out.Coords, out.Vals = sweepLines(ctx, f, j, b, starts, 0, nLines, outLen, s, out.Coords, out.Vals)
-		putFlatScratch(s)
-		if err := CtxErr(ctx); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-
-	// Partition lines into worker ranges of roughly equal cell counts; each
-	// worker sweeps its lines into pooled buffers which are concatenated in
-	// line order, so the result is identical for every worker count.
-	bounds := balanceLines(starts, workers)
-	type chunk struct {
-		s      *flatScratch
-		coords []uint16
-		vals   []float64
-	}
-	chunks := make([]chunk, len(bounds)-1)
-	// One shard per balanced line range (maxShards == n forces chunk 1), so
-	// the sweep draws from the shared pool when the request carries one.
-	ParallelRangesCtx(ctx, len(chunks), len(chunks), func(_, lo, hi int) {
-		for w := lo; w < hi; w++ {
-			if ctx.Err() != nil {
-				return
-			}
-			ws := getFlatScratch()
-			c, v := sweepLines(ctx, f, j, b, starts, bounds[w], bounds[w+1], outLen, ws, ws.outCoords[:0], ws.outVals[:0])
-			chunks[w] = chunk{s: ws, coords: c, vals: v}
+	sw := s.dimSweep(f, j, b)
+	units := s.sweepUnits(sw)
+	// Each worker sweeps a contiguous run of units into its own pooled
+	// buffers; the runs are concatenated in unit order, so the result is
+	// identical for every worker count.
+	chunks := make([]*flatScratch, min(workers, len(units)-1))
+	ParallelRangesCtx(ctx, len(units)-1, workers, func(w, lo, hi int) {
+		ws := getFlatScratch()
+		chunks[w] = ws
+		for u := lo; u < hi && ctx.Err() == nil; u++ {
+			sw.sweepUnit(units[u], units[u+1], ws)
 		}
 	})
-	if err := CtxErr(ctx); err != nil {
+	// Range carving may leave trailing chunks unused.
+	for len(chunks) > 0 && chunks[len(chunks)-1] == nil {
+		chunks = chunks[:len(chunks)-1]
+	}
+	err := CtxErr(ctx)
+	if err == nil {
+		total := 0
 		for _, c := range chunks {
-			if c.s != nil {
-				c.s.outCoords, c.s.outVals = c.coords, c.vals
-				putFlatScratch(c.s)
-			}
+			total += len(c.outVals)
 		}
-		putFlatScratch(s)
-		return nil, err
+		if cap(dst.Coords) < total*d {
+			dst.Coords = make([]uint16, 0, total*d)
+		}
+		if cap(dst.Vals) < total {
+			dst.Vals = make([]float64, 0, total)
+		}
+		for _, c := range chunks {
+			dst.Coords = append(dst.Coords, c.outCoords...)
+			dst.Vals = append(dst.Vals, c.outVals...)
+		}
 	}
-	total := 0
 	for _, c := range chunks {
-		total += len(c.vals)
+		c.outCoords, c.outVals = c.outCoords[:0], c.outVals[:0]
+		putFlatScratch(c)
 	}
-	out.Coords = make([]uint16, 0, total*d)
-	out.Vals = make([]float64, 0, total)
-	for _, c := range chunks {
-		out.Coords = append(out.Coords, c.coords...)
-		out.Vals = append(out.Vals, c.vals...)
-		c.s.outCoords, c.s.outVals = c.coords, c.vals
-		putFlatScratch(c.s)
-	}
-	putFlatScratch(s)
-	return out, nil
+	return err
 }
 
-// sortForDim reorders cells so dimension j varies fastest and the remaining
-// dimensions are lexicographic (dimension 0 most significant) — the order
-// in which cells of one grid line are contiguous and ascending in j.
-func (f *FlatGrid) sortForDim(j int, s *flatScratch) {
-	d := f.Dim()
-	if f.Len() < 2 {
-		return
+// dimSweep builds the slab table and suffix keys of canonical grid f for
+// the sweep along dimension j, in s's buffers.
+func (s *flatScratch) dimSweep(f *FlatGrid, j int, b wavelet.Basis) *dimSweep {
+	d, m, co := f.Dim(), f.Len(), f.Coords
+	sw := &dimSweep{
+		f: f, d: d, j: j, outLen: (f.Size[j] + 1) / 2,
+		taps: b.Lo, center: int32(b.Center), span: int32(len(b.Lo) - 1),
 	}
-	passes := make([]int, 0, d)
-	passes = append(passes, j)
-	for p := d - 1; p >= 0; p-- {
-		if p != j {
-			passes = append(passes, p)
-		}
-	}
-	f.Coords, f.Vals, _ = radixSortCells(f.Coords, f.Vals, nil, d, f.Size, passes, s)
-}
-
-// sameLineExcept reports whether cells a and b agree on every coordinate
-// except dimension j.
-func sameLineExcept(coords []uint16, d, a, b, j int) bool {
-	ca, cb := coords[a*d:(a+1)*d], coords[b*d:(b+1)*d]
-	for p := 0; p < d; p++ {
-		if p != j && ca[p] != cb[p] {
-			return false
-		}
-	}
-	return true
-}
-
-// balanceLines splits the lines described by starts into ≤ workers
-// contiguous ranges of roughly equal total cell count. It returns the range
-// boundaries as line indices (first element 0, last nLines).
-func balanceLines(starts []int32, workers int) []int {
-	nLines := len(starts) - 1
-	m := int(starts[nLines])
-	if workers > nLines {
-		workers = nLines
-	}
-	bounds := make([]int, 1, workers+1)
-	target := (m + workers - 1) / workers
-	cells := 0
-	for li := 0; li < nLines; li++ {
-		cells += int(starts[li+1] - starts[li])
-		if cells >= target && len(bounds) < workers {
-			bounds = append(bounds, li+1)
-			cells = 0
-		}
-	}
-	return append(bounds, nLines)
-}
-
-// sweepLines applies the low-pass filter to lines [lo, hi), appending the
-// output cells (ascending in the transformed dimension, lines in input
-// order) to outCoords/outVals. Contributions to one output cell are
-// accumulated in ascending input order, so the result is deterministic and
-// independent of how lines are distributed across workers. Output cells
-// whose accumulated value is zero are kept, matching the map engine (which
-// stores them until coefficient denoising drops them).
-func sweepLines(ctx context.Context, f *FlatGrid, j int, b wavelet.Basis, starts []int32, lo, hi, outLen int, s *flatScratch, outCoords []uint16, outVals []float64) ([]uint16, []float64) {
-	d := f.Dim()
-	taps := b.Lo
-	center := b.Center
-	s.ensureAcc(outLen)
-	touched := s.touched
-	for li := lo; li < hi; li++ {
-		// Cancellation poll every 1024 lines: the partial output is
-		// discarded by the caller, which reports CtxErr.
-		if (li-lo)%1024 == 1023 && ctx.Err() != nil {
+	// Pack as many leading suffix dimensions as fit in 64 bits.
+	widths := s.widths[:0]
+	used := 0
+	for p := j + 1; p < d; p++ {
+		w := bits.Len(uint(f.Size[p] - 1))
+		if used+w > 64 {
 			break
 		}
-		start, end := int(starts[li]), int(starts[li+1])
-		cur := s.nextEpoch()
-		touched = touched[:0]
-		for i := start; i < end; i++ {
-			ci := int(f.Coords[i*d+j])
-			v := f.Vals[i]
-			for t, h := range taps {
-				pos := ci + center - t
-				if pos < 0 || pos&1 != 0 {
-					continue
-				}
-				k := pos >> 1
-				if k >= outLen {
-					continue
-				}
-				if s.epoch[k] != cur {
-					s.epoch[k] = cur
-					s.acc[k] = 0
-					touched = append(touched, int32(k))
-				}
-				s.acc[k] += h * v
+		used += w
+		widths = append(widths, uint8(w))
+	}
+	s.widths = widths
+	sw.exact = len(widths) == d-j-1
+	if j < d-1 {
+		if cap(s.keys) < m {
+			s.keys = make([]uint64, m)
+		}
+		sw.keys = s.keys[:m]
+	}
+	slabs, blocks := s.slabs[:0], append(s.blocks[:0], 0)
+	for i := 0; i < m; i++ {
+		cell := co[i*d : (i+1)*d]
+		if sw.keys != nil {
+			var key uint64
+			for q, w := range widths {
+				key = key<<w | uint64(cell[j+1+q])
+			}
+			sw.keys[i] = key
+		}
+		if i > 0 {
+			prev := co[(i-1)*d : i*d]
+			p := 0
+			for p <= j && prev[p] == cell[p] {
+				p++
+			}
+			if p > j {
+				continue // same slab
+			}
+			if p < j {
+				blocks = append(blocks, int32(len(slabs)))
 			}
 		}
-		// Inputs ascend in j, so touched is nearly sorted: insertion sort.
-		for a := 1; a < len(touched); a++ {
-			x := touched[a]
-			p := a - 1
-			for p >= 0 && touched[p] > x {
-				touched[p+1] = touched[p]
-				p--
+		slabs = append(slabs, slab{int32(i), int32(cell[j])})
+	}
+	s.blocks = append(blocks, int32(len(slabs)))
+	s.slabs = append(slabs, slab{int32(m), 0})
+	sw.slabs, sw.blocks = s.slabs, s.blocks
+	return sw
+}
+
+// sweepUnits cuts the sweep's (block, k) output order into work units of
+// about transformUnitCells input cells each, returning their start
+// positions plus an end sentinel. A cut after slab c lands at the first k
+// whose window starts past c.
+func (s *flatScratch) sweepUnits(sw *dimSweep) []unitPos {
+	nBlocks := len(sw.blocks) - 1
+	end := unitPos{int32(nBlocks), 0}
+	units := append(s.units[:0], unitPos{})
+	cells := 0
+	for blk := 0; blk < nBlocks; blk++ {
+		for sl := sw.blocks[blk]; sl < sw.blocks[blk+1]; sl++ {
+			cells += int(sw.slabs[sl+1].start - sw.slabs[sl].start)
+			if cells < transformUnitCells {
+				continue
 			}
-			touched[p+1] = x
-		}
-		line := f.Coords[start*d : start*d+d]
-		for _, k := range touched {
-			outCoords = append(outCoords, line...)
-			outCoords[len(outCoords)-d+j] = uint16(k)
-			outVals = append(outVals, s.acc[k])
+			cells = 0
+			pos := unitPos{int32(blk), (sw.slabs[sl].c+sw.center)/2 + 1}
+			if int(pos.k) >= sw.outLen {
+				pos = unitPos{int32(blk + 1), 0}
+			}
+			if pos != units[len(units)-1] {
+				units = append(units, pos)
+			}
 		}
 	}
-	s.touched = touched
-	return outCoords, outVals
+	if units[len(units)-1] != end {
+		units = append(units, end)
+	}
+	s.units = units
+	return units
+}
+
+// sweepUnit appends the output cells from position from up to position to
+// to ws's output buffers, block by block.
+func (sw *dimSweep) sweepUnit(from, to unitPos, ws *flatScratch) {
+	for blk := from.block; blk <= to.block && int(blk) < len(sw.blocks)-1; blk++ {
+		kLo, kHi := 0, sw.outLen
+		if blk == from.block {
+			kLo = int(from.k)
+		}
+		if blk == to.block {
+			kHi = int(to.k)
+		}
+		if kLo < kHi {
+			sw.sweepBlock(int(blk), kLo, kHi, ws)
+		}
+	}
+}
+
+// sweepBlock appends block blk's output cells for k ∈ [kLo, kHi), skipping
+// every k whose window holds no slab.
+func (sw *dimSweep) sweepBlock(blk, kLo, kHi int, ws *flatScratch) {
+	d, j := sw.d, sw.j
+	coords, vals, slabs := sw.f.Coords, sw.f.Vals, sw.slabs
+	lo, hi, last := int(sw.blocks[blk]), int(sw.blocks[blk]), int(sw.blocks[blk+1])
+	oc, ov := ws.outCoords, ws.outVals
+	for k := kLo; k < kHi; k++ {
+		w0 := int32(2*k) - sw.center // the coordinate under tap 0
+		for lo < last && slabs[lo].c < w0 {
+			lo++
+		}
+		if lo == last {
+			break
+		}
+		if c := slabs[lo].c; c > w0+sw.span {
+			// No slab in the window: jump to the first k whose window
+			// reaches c.
+			k = int(c+sw.center-sw.span+1)/2 - 1
+			continue
+		}
+		hi = max(hi, lo)
+		for hi < last && slabs[hi].c <= w0+sw.span {
+			hi++
+		}
+		if j == d-1 {
+			// With no suffix, every slab is a single cell.
+			acc := 0.0
+			for q := lo; q < hi; q++ {
+				acc += sw.taps[slabs[q].c-w0] * vals[slabs[q].start]
+			}
+			i := int(slabs[lo].start)
+			oc = append(oc, coords[i*d:(i+1)*d]...)
+			oc[len(oc)-d+j] = uint16(k)
+			ov = append(ov, acc)
+			continue
+		}
+		curs := ws.curs[:0]
+		for q := lo; q < hi; q++ {
+			curs = append(curs, cursor{slabs[q].start, slabs[q+1].start, sw.taps[slabs[q].c-w0]})
+		}
+		oc, ov = sw.mergeSlabs(k, curs, oc, ov)
+		ws.curs = curs
+	}
+	ws.outCoords, ws.outVals = oc, ov
+}
+
+// mergeSlabs appends output row k of one block: the merge by suffix of the
+// window's slabs. Each output value is accumulated as acc := 0;
+// acc += Lo[t]·v over its cells in ascending tap t (the cursors' order) —
+// the order in which the cells ascend along dimension j.
+func (sw *dimSweep) mergeSlabs(k int, curs []cursor, oc []uint16, ov []float64) ([]uint16, []float64) {
+	d, j := sw.d, sw.j
+	coords, vals, keys := sw.f.Coords, sw.f.Vals, sw.keys
+	for len(curs) > 0 {
+		best := curs[0].i
+		bk := keys[best]
+		for _, c := range curs[1:] {
+			if key := keys[c.i]; key < bk || key == bk && !sw.exact && sw.cmpSuffix(c.i, best) < 0 {
+				best, bk = c.i, key
+			}
+		}
+		acc := 0.0
+		live := 0
+		for _, c := range curs {
+			if keys[c.i] == bk && (sw.exact || sw.cmpSuffix(c.i, best) == 0) {
+				acc += c.tap * vals[c.i]
+				if c.i++; c.i == c.end {
+					continue
+				}
+			}
+			curs[live] = c
+			live++
+		}
+		curs = curs[:live]
+		i := int(best)
+		oc = append(oc, coords[i*d:(i+1)*d]...)
+		oc[len(oc)-d+j] = uint16(k)
+		ov = append(ov, acc)
+	}
+	return oc, ov
+}
+
+// cmpSuffix compares the suffixes (dimensions j+1…d−1) of cells a and b.
+func (sw *dimSweep) cmpSuffix(a, b int32) int {
+	d, j := int32(sw.d), int32(sw.j)
+	return cmpCoords(sw.f.Coords[a*d+j+1:(a+1)*d], sw.f.Coords[b*d+j+1:(b+1)*d])
 }
 
 // TransformFlat applies one full decomposition level (the low-pass filter
-// along every dimension in turn), leaving the result in canonical order.
+// along every dimension in turn) to a canonical grid, returning a new
+// canonical grid.
 func TransformFlat(f *FlatGrid, b wavelet.Basis, workers int) *FlatGrid {
 	out, _ := transformCappedFlat(context.Background(), f, b, 0, workers)
 	return out
 }
 
 // TransformFlatCtx is TransformFlat with cooperative cancellation between
-// (and within) the per-dimension sweeps. On cancellation the input grid's
-// cell order may be permuted, exactly like any other transform error;
-// callers restore canonical order before reusing it.
+// (and within) the per-dimension sweeps. f is never modified.
 func TransformFlatCtx(ctx context.Context, f *FlatGrid, b wavelet.Basis, workers int) (*FlatGrid, error) {
 	return transformCappedFlat(ctx, f, b, 0, workers)
 }
 
 // transformCappedFlat is TransformFlat with the same occupied-cell growth
-// cap (and error wording) as the map engine's transformCapped.
+// cap (and error wording) as the map engine's transformCapped. The grids
+// between dimensions are pooled; only the final one is allocated.
 func transformCappedFlat(ctx context.Context, f *FlatGrid, b wavelet.Basis, maxCells, workers int) (*FlatGrid, error) {
-	out := f
-	for j := 0; j < f.Dim(); j++ {
-		next, err := transformDimFlatCtx(ctx, out, j, b, workers)
-		if err != nil {
-			return nil, err
-		}
-		out = next
-		if maxCells > 0 && out.Len() > maxCells {
-			return nil, invalidInput(fmt.Errorf(
-				"grid: wavelet transform densified the sparse grid to %d cells after dimension %d (cap %d); use the 2-tap haar basis for high-dimensional data",
-				out.Len(), j+1, maxCells))
+	d := f.Dim()
+	cur := f
+	release := func(g *FlatGrid) {
+		if g != f {
+			putFlatGrid(g)
 		}
 	}
-	return out, nil
+	for j := 0; j < d; j++ {
+		next := &FlatGrid{}
+		if j < d-1 {
+			next = getFlatGrid()
+		}
+		err := transformDimFlatCtx(ctx, cur, j, b, workers, next)
+		release(cur)
+		cur = next
+		if err == nil && maxCells > 0 && cur.Len() > maxCells {
+			err = invalidInput(fmt.Errorf(
+				"grid: wavelet transform densified the sparse grid to %d cells after dimension %d (cap %d); use the 2-tap haar basis for high-dimensional data",
+				cur.Len(), j+1, maxCells))
+		}
+		if err != nil {
+			if j < d-1 {
+				release(cur)
+			}
+			return nil, err
+		}
+	}
+	return cur, nil
 }
 
 // TransformLevelsFlat mirrors TransformLevels on the flat representation:
-// `levels` full decomposition levels, returning the approximation grid of
-// each level (level 1 first), with the same growth caps and errors. The
-// input grid's cell order is permuted (see TransformDimFlat); every
-// returned level is in canonical order — deeper levels transform a clone,
-// so earlier returned grids are never re-sorted out from under the caller.
+// `levels` full decomposition levels of a canonical grid, returning the
+// approximation grid of each level (level 1 first), with the same growth
+// caps and errors. Every returned level is canonical, and f is never
+// modified.
 func TransformLevelsFlat(f *FlatGrid, b wavelet.Basis, levels, workers int) ([]*FlatGrid, error) {
 	return TransformLevelsFlatCtx(context.Background(), f, b, levels, workers)
 }
 
 // TransformLevelsFlatCtx is TransformLevelsFlat with cooperative
-// cancellation. A cancelled chain returns no levels; the input grid's cell
-// order may be permuted (like any transform error), so callers restore
-// canonical order before reusing it.
+// cancellation. A cancelled chain returns no levels and leaves f as it was.
 func TransformLevelsFlatCtx(ctx context.Context, f *FlatGrid, b wavelet.Basis, levels, workers int) ([]*FlatGrid, error) {
 	if levels < 1 {
 		return nil, fmt.Errorf("grid: levels must be ≥ 1, got %d", levels)
@@ -299,9 +411,6 @@ func TransformLevelsFlatCtx(ctx context.Context, f *FlatGrid, b wavelet.Basis, l
 			if cur.Size[j] < 2 {
 				return nil, invalidInput(fmt.Errorf("grid: dimension %d of size %d too small for level %d", j, cur.Size[j], l+1))
 			}
-		}
-		if l > 0 {
-			cur = cur.Clone()
 		}
 		next, err := transformCappedFlat(ctx, cur, b, growthCap(cur.Len()), workers)
 		if err != nil {
