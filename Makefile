@@ -16,9 +16,11 @@ GO ?= go
 # (WAL frame replication throughput through a live Tailer into a
 # follower-side session + journal, and the 50k-point warm-failover handoff),
 # and the engine's quantize stage on each side of the dense/radix shard
-# kernel choice (2M 2-D points at scale 128; 400k 4-D points at scale 64).
+# kernel choice (2M 2-D points at scale 128; 400k 4-D points at scale 64),
+# and the connect stage alone (the Fig. 2 and highdim-embed kept grids under
+# both connectivities).
 # BENCHTIME is overridable for quicker local runs.
-BENCH_PERF = Fig2RunningExample|EmbedFig2|EmbedHighDim|FlatTransform|Fig9Roadmap|MultiResolution|AssignNoiseToNearest|SessionAppendRelabel|ColdRecluster50k|MergeThroughput|WALAppend|ColdRecovery50k|CtxOverheadFig2|SchedulerFairness|EvictRehydrate50k|GridFootprint|WALReplicationThroughput|Failover50k|QuantizeDataset
+BENCH_PERF = Fig2RunningExample|EmbedFig2|EmbedHighDim|FlatTransform|Fig9Roadmap|MultiResolution|AssignNoiseToNearest|SessionAppendRelabel|ColdRecluster50k|MergeThroughput|WALAppend|ColdRecovery50k|CtxOverheadFig2|SchedulerFairness|EvictRehydrate50k|GridFootprint|WALReplicationThroughput|Failover50k|QuantizeDataset|Components
 BENCHTIME ?= 100x
 
 # The committed perf-trajectory snapshot this PR writes (BENCH_$(BENCH_N).json)
@@ -59,14 +61,16 @@ race:
 	$(GO) test -race ./internal/grid/... ./internal/core/... ./internal/pointset/... ./internal/sched/... ./internal/persist/... ./internal/embed/... ./internal/linalg/... ./internal/cluster/... ./cmd/adawave-serve/... .
 
 # The CI fuzz smoke job: a short run of each decoder's fuzz target — the
-# grid snapshot and spill-run readers, and the WAL frame decoders recovery
-# replays and the replication stream uses (go test takes one -fuzz target
-# per invocation). FUZZTIME is overridable.
+# grid snapshot and spill-run readers, the WAL frame decoders recovery
+# replays and the replication stream uses, and the session checkpoint
+# reader (go test takes one -fuzz target per invocation). FUZZTIME is
+# overridable.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzReadSpillRun$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzParseFrame$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzReadSessionCheckpoint$$' -fuzztime $(FUZZTIME)
 
 # The CI benchmark smoke job: one iteration of the Fig. 2 benchmarks.
 bench:

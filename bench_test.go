@@ -289,31 +289,88 @@ func BenchmarkEngineFig10Runtime(b *testing.B) {
 // on two base grids: the Fig. 2 running example (2-D, scale 128; see
 // BenchmarkFig5Transform for the map engine on the same cells) and the
 // highdim-embed workload's base grid (400k 64-D points through PCA(4) at
-// scale 64, 199,626 4-D cells). The transform never modifies its input, so
-// the timed loop transforms the same grid every iteration.
+// scale 64, 199,626 4-D cells), through TransformFlatCtx. The transform
+// never modifies its input, so the timed loop transforms the same grid
+// every iteration.
 func BenchmarkFlatTransform(b *testing.B) {
-	ds := synth.RunningExampleSized(800, 1)
-	q, err := grid.NewQuantizer(ds.Points, 128)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fig2 := grid.FlatFromGrid(q.Quantize(ds.Points))
 	basis := wavelet.CDF22()
-	for _, bc := range []struct {
-		name string
-		grid func(*testing.B) *grid.FlatGrid
-	}{
-		{"fig2", func(*testing.B) *grid.FlatGrid { return fig2 }},
-		{"highdim", highdimBaseGrid},
-	} {
+	ctx := context.Background()
+	for _, bc := range baseGrids {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			b.Run(fmt.Sprintf("%s/workers=%d", bc.name, workers), func(b *testing.B) {
 				f := bc.grid(b)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					grid.TransformFlat(f, basis, workers)
+					if _, err := grid.TransformFlatCtx(ctx, f, basis, workers); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
+		}
+	}
+}
+
+// baseGrids are the quantized base grids of the flat-kernel benchmarks.
+var baseGrids = []struct {
+	name string
+	grid func(*testing.B) *grid.FlatGrid
+}{
+	{"fig2", fig2BaseGrid},
+	{"highdim", highdimBaseGrid},
+}
+
+// fig2BaseGrid quantizes the Fig. 2 running example at scale 128.
+func fig2BaseGrid(b *testing.B) *grid.FlatGrid {
+	ds := synth.RunningExampleSized(800, 1)
+	q, err := grid.NewQuantizer(ds.Points, 128)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return grid.FlatFromGrid(q.Quantize(ds.Points))
+}
+
+// BenchmarkComponents times the connect stage alone: ComponentsFlatAutoCtx
+// on the kept grid of a default pass (one CDF(2,2) level, coefficient
+// denoising, the three-segment threshold) over each base grid, under both
+// connectivities.
+func BenchmarkComponents(b *testing.B) {
+	ctx := context.Background()
+	cfg := core.DefaultConfig()
+	kept := map[string]*grid.FlatGrid{}
+	keptGrid := func(b *testing.B, name string, base func(*testing.B) *grid.FlatGrid) *grid.FlatGrid {
+		if k, ok := kept[name]; ok {
+			return k
+		}
+		t, err := grid.TransformFlatCtx(ctx, base(b), cfg.Basis, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var maxD float64
+		for _, v := range t.Vals {
+			maxD = max(maxD, v)
+		}
+		t.DropBelow(cfg.CoeffEpsilon * maxD)
+		thr, _ := cfg.Threshold.Cut(t.SortedDensities())
+		kept[name] = t.Threshold(thr)
+		return kept[name]
+	}
+	for _, bc := range baseGrids {
+		for _, conn := range []struct {
+			name string
+			c    grid.Connectivity
+		}{{"faces", grid.Faces}, {"full", grid.Full}} {
+			for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+				b.Run(fmt.Sprintf("%s/%s/workers=%d", bc.name, conn.name, workers), func(b *testing.B) {
+					k := keptGrid(b, bc.name, bc.grid)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, _, err := grid.ComponentsFlatAutoCtx(ctx, k, conn.c, workers); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(k.Len()), "cells")
+				})
+			}
 		}
 	}
 }
@@ -340,38 +397,17 @@ func highdimBaseGrid(b *testing.B) *grid.FlatGrid {
 		}
 		var q *grid.Quantizer
 		if err == nil {
-			q, err = grid.NewQuantizerDataset(pds, 64, 1)
+			q, err = grid.NewQuantizerDatasetCtx(context.Background(), pds, 64, 1)
 		}
-		if err != nil {
-			highdimBaseErr = err
-			return
+		if err == nil {
+			highdimBase, _, err = q.QuantizeDatasetCtx(context.Background(), pds, 1)
 		}
-		highdimBase, _ = q.QuantizeDataset(pds, 1)
+		highdimBaseErr = err
 	})
 	if highdimBaseErr != nil {
 		b.Fatal(highdimBaseErr)
 	}
 	return highdimBase
-}
-
-// BenchmarkQuantizationFlat times the sharded flat quantizer against the
-// map quantizer of BenchmarkQuantization on the same points.
-func BenchmarkQuantizationFlat(b *testing.B) {
-	ds := synth.Evaluation(1000, 0.5, 1)
-	q, err := grid.NewQuantizer(ds.Points, 128)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				f := q.QuantizeFlat(ds.Points, workers)
-				if f.Len() == 0 {
-					b.Fatal("empty grid")
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkQuantizeDataset times the engine's quantize stage — the
@@ -389,15 +425,20 @@ func BenchmarkQuantizeDataset(b *testing.B) {
 		{"dense/evaluation-2M", synth.Evaluation(100000, 0.75, 1).Flat(), 128},
 		{"radix/blobs-400k-d4", synth.Blobs(8, 50000, 4, 0.1, 1).Flat(), 64},
 	}
+	ctx := context.Background()
 	for _, c := range cases {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					q, err := grid.NewQuantizerDataset(c.ds, c.scale, workers)
+					q, err := grid.NewQuantizerDatasetCtx(ctx, c.ds, c.scale, workers)
 					if err != nil {
 						b.Fatal(err)
 					}
-					if f, _ := q.QuantizeDataset(c.ds, workers); f.Len() == 0 {
+					f, _, err := q.QuantizeDatasetCtx(ctx, c.ds, workers)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if f.Len() == 0 {
 						b.Fatal("empty grid")
 					}
 				}
@@ -1085,20 +1126,19 @@ func BenchmarkEvictRehydrate50k(b *testing.B) {
 }
 
 // BenchmarkMergeThroughput measures the incremental grid merge alone:
-// 2-way merging a 1 % delta grid into the live 50k-point grid, reported in
-// cells/s over the cells both inputs carry.
+// 2-way merging a 1 % delta grid into the live 50k-point grid with
+// MergeFlatCtx, reported in cells/s over the cells both inputs carry.
 func BenchmarkMergeThroughput(b *testing.B) {
 	warm, delta := streamingFixture(b)
-	q, err := grid.NewQuantizerDataset(warm, 128, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	live, _ := q.QuantizeDataset(warm, 1)
-	dg, _ := q.QuantizeDataset(delta, 1)
+	live, dg := quantizeMergeFixture(b, warm, delta)
 	cells := live.Len() + dg.Len()
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		merged, _, _ := grid.MergeFlat(live, dg)
+		merged, _, _, err := grid.MergeFlatCtx(ctx, live, dg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if merged.Len() < live.Len() {
 			b.Fatal("merge lost cells")
 		}
@@ -1113,13 +1153,8 @@ func BenchmarkMergeThroughput(b *testing.B) {
 // fixture, same cells/s metric, so the two series compare directly.
 func BenchmarkMergeThroughputPacked(b *testing.B) {
 	warm, delta := streamingFixture(b)
-	q, err := grid.NewQuantizerDataset(warm, 128, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	flat, _ := q.QuantizeDataset(warm, 1)
+	flat, dg := quantizeMergeFixture(b, warm, delta)
 	live := grid.PackFlat(flat)
-	dg, _ := q.QuantizeDataset(delta, 1)
 	cells := live.Len() + dg.Len()
 	ctx := context.Background()
 	b.ResetTimer()
@@ -1133,6 +1168,23 @@ func BenchmarkMergeThroughputPacked(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
+}
+
+// quantizeMergeFixture quantizes the warm set and the delta of the merge
+// benchmarks in the warm set's frame at scale 128.
+func quantizeMergeFixture(b *testing.B, warm, delta *pointset.Dataset) (live, dg *grid.FlatGrid) {
+	ctx := context.Background()
+	q, err := grid.NewQuantizerDatasetCtx(ctx, warm, 128, 1)
+	if err == nil {
+		live, _, err = q.QuantizeDatasetCtx(ctx, warm, 1)
+	}
+	if err == nil {
+		dg, _, err = q.QuantizeDatasetCtx(ctx, delta, 1)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	return live, dg
 }
 
 // BenchmarkGridFootprint measures resident bytes per occupied cell of the
@@ -1159,11 +1211,15 @@ func BenchmarkGridFootprint(b *testing.B) {
 	}
 	for _, fx := range fixtures {
 		b.Run(fx.name, func(b *testing.B) {
-			q, err := grid.NewQuantizerDataset(fx.ds, fx.scale, 1)
+			ctx := context.Background()
+			q, err := grid.NewQuantizerDatasetCtx(ctx, fx.ds, fx.scale, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
-			g, _ := q.QuantizeDataset(fx.ds, 1)
+			g, _, err := q.QuantizeDatasetCtx(ctx, fx.ds, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
 			var pg *grid.PackedGrid
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

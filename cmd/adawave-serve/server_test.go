@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -11,8 +12,10 @@ import (
 	"time"
 
 	"adawave"
+	"adawave/internal/api"
 	"adawave/internal/core"
 	"adawave/internal/dataio"
+	"adawave/internal/synth"
 )
 
 // mustServer builds a server from opts, failing the test on error and
@@ -272,6 +275,34 @@ func TestServeBadRequests(t *testing.T) {
 	doJSON(t, ts, "DELETE", base+"/points", "application/json", []byte(`{"indices":[5]}`), http.StatusBadRequest, nil)
 	doJSON(t, ts, "GET", base+"/multiresolution?levels=zero", "", nil, http.StatusBadRequest, nil)
 	doJSON(t, ts, "GET", base+"/multiresolution?levels=-1", "", nil, http.StatusBadRequest, nil)
+}
+
+// TestServeMultiResolutionDensificationCap: a multi-resolution read that
+// densifies the sparse grid past the transform's growth cap answers 422
+// invalid_input, like a one-shot read of the same session. 400 uniform 6-D
+// points at scale 64 under the 6-tap DB6 filter cross the cap in one level.
+func TestServeMultiResolutionDensificationCap(t *testing.T) {
+	srv := mustServer(t, serverOptions{workers: 1, timeout: 30 * time.Second})
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	var created struct {
+		ID string `json:"id"`
+	}
+	doJSON(t, ts, "POST", "/v1/sessions", "application/json", []byte(`{"scale":64,"basis":"db6"}`), http.StatusCreated, &created)
+	base := "/v1/sessions/" + created.ID
+	mins, maxs := make([]float64, 6), []float64{1, 1, 1, 1, 1, 1}
+	body, err := json.Marshal(map[string]any{"points": synth.UniformBox(rand.New(rand.NewSource(1)), 400, mins, maxs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doJSON(t, ts, "POST", base+"/points", "application/json", body, http.StatusOK, nil)
+	for _, path := range []string{"/labels", "/multiresolution?levels=1"} {
+		var env api.ErrorResponse
+		doJSON(t, ts, "GET", base+path, "", nil, http.StatusUnprocessableEntity, &env)
+		if env.Error.Code != api.CodeInvalidInput {
+			t.Fatalf("GET %s: code %q, want %q", path, env.Error.Code, api.CodeInvalidInput)
+		}
+	}
 }
 
 // TestServeCSVRollback: a CSV upload that fails after whole chunks were

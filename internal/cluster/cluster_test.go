@@ -109,28 +109,45 @@ func TestRingRejectsBadMembers(t *testing.T) {
 	}
 }
 
+// TestMembershipObserve: the router's liveness fold — one miss does not
+// fail a shard, a success resets the miss count, FailThreshold consecutive
+// misses take a shard with no follower down (no active node), and revive
+// puts it back in service against its primary.
 func TestMembershipObserve(t *testing.T) {
-	m := NewMembership([]string{"n1", "n2"}, time.Hour, 2, nil)
-	if !m.Alive("n1") {
-		t.Fatal("nodes must start alive")
+	rt, err := NewRouter(RouterOptions{Shards: []Shard{{Primary: "http://n1"}}, FailThreshold: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	m.Observe("n1", false)
-	if !m.Alive("n1") {
-		t.Fatal("one miss must not kill a node")
+	ss := rt.shards["http://n1"]
+	if ss.activeURL() != ss.primaryURL {
+		t.Fatal("shards must start healthy on their primary")
 	}
-	m.Observe("n1", false)
-	if m.Alive("n1") {
-		t.Fatal("threshold misses must kill a node")
+	rt.observe(ss, false)
+	if ss.activeURL() != ss.primaryURL {
+		t.Fatal("one miss must not fail a shard")
 	}
-	m.Observe("n1", true)
-	if !m.Alive("n1") {
-		t.Fatal("one success must revive a node")
+	rt.observe(ss, true)
+	rt.observe(ss, false)
+	if ss.activeURL() != ss.primaryURL {
+		t.Fatal("a success must reset the miss count")
 	}
-	if m.Alive("unknown") {
-		t.Fatal("unknown nodes must be dead")
+	rt.observe(ss, false)
+	if !ss.isDown() || ss.activeURL() != nil {
+		t.Fatal("threshold misses must take a follower-less shard down")
+	}
+	rt.observe(ss, true)
+	if !ss.isDown() {
+		t.Fatal("only revive may put a down shard back in service")
+	}
+	ss.revive()
+	if ss.isDown() || ss.activeURL() != ss.primaryURL {
+		t.Fatal("revive must put the shard back on its primary")
 	}
 }
 
+// TestMembershipProbesHealthz: Probe is one GET of the node's /healthz
+// (trailing slash or not) that counts only a 200 as alive; an error status
+// or an unreachable node is dead.
 func TestMembershipProbesHealthz(t *testing.T) {
 	var healthy atomic.Bool
 	healthy.Store(true)
@@ -144,29 +161,20 @@ func TestMembershipProbesHealthz(t *testing.T) {
 			w.WriteHeader(http.StatusInternalServerError)
 		}
 	}))
-	defer srv.Close()
-
-	m := NewMembership([]string{srv.URL}, 10*time.Millisecond, 2, srv.Client())
-	m.Start()
-	defer m.Stop()
-
-	deadline := time.Now().Add(2 * time.Second)
-	for m.Alive(srv.URL) != true && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	client := srv.Client()
+	for _, node := range []string{srv.URL, srv.URL + "/"} {
+		healthy.Store(true)
+		if !Probe(client, node) {
+			t.Fatalf("%s: healthy node probed dead", node)
+		}
+		healthy.Store(false)
+		if Probe(client, node) {
+			t.Fatalf("%s: failing node probed alive", node)
+		}
 	}
-	healthy.Store(false)
-	for m.Alive(srv.URL) && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if m.Alive(srv.URL) {
-		t.Fatal("node never flipped dead after failing probes")
-	}
-	healthy.Store(true)
-	for !m.Alive(srv.URL) && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !m.Alive(srv.URL) {
-		t.Fatal("node never revived after probes recovered")
+	srv.Close()
+	if Probe(client, srv.URL) {
+		t.Fatal("unreachable node probed alive")
 	}
 }
 

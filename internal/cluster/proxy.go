@@ -236,6 +236,17 @@ func (r *Router) Start() {
 	}()
 }
 
+// Probe performs one liveness check against a node base URL: a 200 from
+// /healthz within the client's timeout.
+func Probe(client *http.Client, node string) bool {
+	resp, err := client.Get(strings.TrimRight(node, "/") + "/healthz")
+	if err != nil {
+		return false
+	}
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK
+}
+
 // Stop ends the probe loop.
 func (r *Router) Stop() {
 	r.stopOnce.Do(func() { close(r.stop) })

@@ -108,21 +108,12 @@ func AutoScale(n, d int) int {
 	if n < 1 || d < 1 {
 		return 4
 	}
-	target := powNthRoot(float64(n)/4, d)
+	target := math.Pow(float64(n)/4, 1/float64(d))
 	s := 4
 	for s < 256 && float64(s) < target {
 		s <<= 1
 	}
 	return s
-}
-
-func powNthRoot(x float64, d int) float64 {
-	if x <= 0 {
-		return 0
-	}
-	// x^(1/d) via exp/log without importing math for one call is not
-	// worth it; keep it simple.
-	return math.Pow(x, 1/float64(d))
 }
 
 // Result is the outcome of one AdaWave run.

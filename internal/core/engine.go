@@ -14,10 +14,11 @@ import (
 // sharded across workers with exactly-merged per-shard accumulators (each
 // shard counted into a dense cell table when the cell space Scaleᵈ is no
 // larger than its rows, radix-sorted otherwise), the separable wavelet
-// transform sweeps radix-sorted slice lines in parallel instead of
-// rebuilding coordinate maps, components are labeled by union-find over
-// sorted runs, and point assignment is a single array lookup per point
-// through a memoized point→cell table. Scratch buffers are
+// transform merges the slabs of the canonical grid in parallel without
+// reordering it or rebuilding coordinate maps, components are labeled by
+// one union-find over the neighbor edges that range-sharded workers find by
+// binary search in canonical order, and point assignment is a single array
+// lookup per point through a memoized point→cell table. Scratch buffers are
 // pooled (radix/transform buffers in internal/grid; per-level grid clones
 // and density-curve buffers on the Engine itself), so a long-lived Engine
 // serves many requests without per-call allocation storms. An Engine is
@@ -236,8 +237,8 @@ func dropLowCoefficientsFlat(t *grid.FlatGrid, eps float64) {
 
 // ancestorGrid is the assignment base of a finishing pass: either
 // representation of the canonical quantization grid can map each of its
-// cells to a kept-grid ancestor label (flat: AncestorLabelsIntoCtx; packed:
-// block-parallel decode-and-lookup).
+// cells to a kept-grid ancestor label (flat: a cell-range-parallel lookup;
+// packed: block-parallel decode-and-lookup).
 type ancestorGrid interface {
 	AncestorLabelsCtx(ctx context.Context, dst []int32, kept *grid.FlatGrid, levels int, keptLabels []int32, workers int) ([]int32, error)
 }

@@ -2,11 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"adawave/internal/datasets"
+	"adawave/internal/grid"
 	"adawave/internal/pointset"
 	"adawave/internal/synth"
 	"adawave/internal/wavelet"
@@ -237,4 +241,36 @@ func TestEngineLevelsZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertResultsEqual(t, want, got)
+}
+
+// TestMultiResolutionDensificationCap: a multi-resolution pass applies the
+// same per-level growth cap as a one-shot run, through the engine and a
+// Session alike. 400 uniform 6-D points at scale 64 under the 6-tap DB6
+// filter densify past the 2¹⁶-cell floor within one level, so both calls
+// must fail with the densification error, tagged ErrInvalidInput.
+func TestMultiResolutionDensificationCap(t *testing.T) {
+	mins, maxs := make([]float64, 6), []float64{1, 1, 1, 1, 1, 1}
+	ds := pointset.MustFromSlices(synth.UniformBox(rand.New(rand.NewSource(1)), 400, mins, maxs))
+	cfg := DefaultConfig()
+	cfg.Basis = wavelet.DB6()
+	cfg.Scale = 64
+	eng, err := NewEngine(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	_, oneShot := eng.ClusterDatasetContext(ctx, ds)
+	if !errors.Is(oneShot, grid.ErrInvalidInput) || !strings.Contains(oneShot.Error(), "densified") {
+		t.Fatalf("one-shot: err %v, want the densification error", oneShot)
+	}
+	if _, err := eng.ClusterMultiResolutionDatasetContext(ctx, ds, 1); !errors.Is(err, grid.ErrInvalidInput) || err.Error() != oneShot.Error() {
+		t.Fatalf("engine multi-resolution: err %v, want %v", err, oneShot)
+	}
+	s := eng.NewSession()
+	if err := s.AppendContext(ctx, ds); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.MultiResolutionContext(ctx, 1); !errors.Is(err, grid.ErrInvalidInput) || err.Error() != oneShot.Error() {
+		t.Fatalf("session multi-resolution: err %v, want %v", err, oneShot)
+	}
 }

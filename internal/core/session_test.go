@@ -79,11 +79,14 @@ func assertSessionGrid(t *testing.T, s *Session) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := grid.NewQuantizerDataset(s.ds, cfg.Scale, 1)
+	q, err := grid.NewQuantizerDatasetCtx(context.Background(), s.ds, cfg.Scale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantIDs := q.QuantizeDataset(s.ds, 1)
+	want, wantIDs, err := q.QuantizeDatasetCtx(context.Background(), s.ds, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	live := s.base.Unpack()
 	if want.Len() != live.Len() {
 		t.Fatalf("live grid has %d cells, one-shot %d", live.Len(), want.Len())

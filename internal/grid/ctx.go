@@ -8,16 +8,16 @@ import (
 
 // Cooperative cancellation for the flat engine. Every parallel stage —
 // bounding-box scan, sharded quantization, slab-merge transform, incremental
-// merge, connected components, assignment — has a ctx-taking variant that
-// checks ctx.Err() at its shard boundaries (and, inside long single-shard
-// loops, every ctxCheckStride iterations) and unwinds without publishing
-// partial results. The non-ctx entry points delegate with
-// context.Background(), whose Err is a constant nil — so the hot path pays
-// one predictable-branch nil check per shard, nothing more.
+// merge, connected components, assignment — takes a ctx and checks
+// ctx.Err() at its shard boundaries (and, inside long single-shard loops,
+// every ctxCheckStride iterations), unwinding without publishing partial
+// results. A caller without a deadline passes context.Background(), whose
+// Err is a constant nil — so the hot path pays one predictable-branch nil
+// check per shard, nothing more.
 //
-// A cancelled stage never mutates its inputs beyond what the non-ctx path
-// already documents (the transform only reads its input grid), and returns
-// its pooled buffers, so a caller that sees ErrCanceled can simply retry.
+// A cancelled stage never mutates its inputs (the transform, merge and
+// component passes only read their input grids) and returns its pooled
+// buffers, so a caller that sees ErrCanceled can simply retry.
 
 // ErrCanceled tags computation abandoned because the caller's context was
 // canceled (client disconnect, explicit CancelFunc). It wraps the original

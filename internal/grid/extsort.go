@@ -478,7 +478,7 @@ func (st *runStream) close() {
 // loserTree is a k-way tournament tree over run streams: winner() is O(1),
 // fix(s) after advancing stream s replays only s's log₂(k) matches. Ties on
 // equal cells go to the lower run index, so duplicate cells are summed in
-// run (= point) order, matching mergeSortedShardsInto's shard order.
+// run (= point) order, matching mergeShards' shard order.
 type loserTree struct {
 	k       int
 	tree    []int32 // tree[0] = overall winner; tree[1:] = match losers

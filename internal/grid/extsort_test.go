@@ -61,7 +61,7 @@ func sameGrid(t *testing.T, a, b *FlatGrid, label string) {
 // merge takes runs of both kernels.
 func TestQuantizeDatasetExternalEquivalence(t *testing.T) {
 	ds := clusteredDataset(20000, 3, 42)
-	q, err := NewQuantizerDataset(ds, 64, 4)
+	q, err := NewQuantizerDatasetCtx(context.Background(), ds, 64, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestQuantizeDatasetExternalEquivalence(t *testing.T) {
 	// 9000 rows (two 4500-row shards) are counted densely; the last chunk,
 	// 2000 rows, is below the cell space and the parallel cutoff, so it is
 	// one radix run.
-	coarse, err := NewQuantizerDataset(ds, 16, 4)
+	coarse, err := NewQuantizerDatasetCtx(context.Background(), ds, 16, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestQuantizeDatasetExternalEquivalence(t *testing.T) {
 // unwinds with the taxonomy error and removes its spill directory.
 func TestQuantizeDatasetExternalCancel(t *testing.T) {
 	ds := clusteredDataset(50000, 2, 7)
-	q, err := NewQuantizerDataset(ds, 128, 1)
+	q, err := NewQuantizerDatasetCtx(context.Background(), ds, 128, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,36 +2,153 @@ package grid
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 )
 
-// ComponentsFlat labels the cells of f with consecutive component ids
-// starting at 0 under the chosen connectivity, returning one label per cell
-// index plus the component count. It is the flat counterpart of Components:
-// instead of BFS over map probes it unions sorted-adjacent cells (one
-// sorted pass per dimension for Faces; binary search per offset for Full)
-// and then numbers the components in Key byte order of their first cell —
-// exactly the order the map BFS assigns ids in, so the two labelings agree
-// cell for cell. f's cell order is left untouched.
-func ComponentsFlat(f *FlatGrid, conn Connectivity) ([]int32, int, error) {
-	return ComponentsFlatCtx(context.Background(), f, conn)
+// Flat component labeling, sharded by cell range: the canonical cell
+// stream is carved into contiguous index ranges, each worker collects its
+// range's adjacency edges independently (neighbors found by binary search
+// in the canonical order, so an edge whose endpoints straddle a range
+// boundary is discovered exactly like an interior one — boundary stitching
+// is free), one sequential union-find pass folds all edge lists together,
+// and the components are numbered in Key byte order of their first cell.
+// The labels agree with the map BFS of Components cell for cell, at every
+// worker count.
+
+// isCanonical reports whether f's cells are in strictly increasing
+// canonical order (the order quantization and the full transform emit).
+func isCanonical(f *FlatGrid) bool {
+	d := f.Dim()
+	for i := 1; i < f.Len(); i++ {
+		if cmpCoords(f.Coords[(i-1)*d:i*d], f.Coords[i*d:(i+1)*d]) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
-// ComponentsFlatCtx is ComponentsFlat with cooperative cancellation, polled
-// between the per-dimension union passes (Faces), every ctxCheckStride cells
-// of the neighbor enumeration (Full), and before the final numbering pass.
-// f is never modified, so a cancelled run has no side effects.
-func ComponentsFlatCtx(ctx context.Context, f *FlatGrid, conn Connectivity) ([]int32, int, error) {
+// ComponentsFlatAutoCtx labels the cells of canonical grid f with
+// consecutive component ids starting at 0 under the chosen connectivity,
+// returning one label per cell index plus the component count. Components
+// are numbered in Key byte order of their first cell — the order the map
+// BFS assigns ids in — so the labeling equals Components cell for cell.
+// Grids under parallelCellCutoff cells run on one worker. A grid not in
+// canonical order is refused with an ErrInvalidInput-tagged error.
+// Cancellation is polled inside every shard and between the union and
+// numbering passes; f is never modified, so a cancelled run has no side
+// effects.
+func ComponentsFlatAutoCtx(ctx context.Context, f *FlatGrid, conn Connectivity, workers int) ([]int32, int, error) {
 	d := f.Dim()
 	m := f.Len()
 	if conn == Full && d > maxFullDim {
 		return nil, 0, invalidInput(fmt.Errorf("grid: Full connectivity limited to %d dimensions, grid has %d", maxFullDim, d))
 	}
+	if !isCanonical(f) {
+		return nil, 0, invalidInput(errors.New("grid: component labeling needs a grid in canonical cell order"))
+	}
 	labels := make([]int32, m)
 	if m == 0 {
 		return labels, 0, nil
 	}
+
+	// Phase 1: each worker scans a contiguous range of the canonical cell
+	// stream and records every adjacency (i, t) with i < t as an edge pair.
+	// Only "positive" offsets are enumerated (+1 in one dimension for
+	// Faces; first non-zero offset positive for Full), so each unordered
+	// neighbor pair is found exactly once, by its lexicographically smaller
+	// endpoint — wherever the two endpoints live, range boundaries
+	// included.
+	if workers < 1 || m < parallelCellCutoff {
+		workers = 1
+	}
+	workers = min(workers, m)
+	edges := make([][]int32, workers)
+	ParallelRangesCtx(ctx, m, workers, func(w, lo, hi int) {
+		if ctx.Err() != nil {
+			return
+		}
+		var out []int32
+		nb := make([]uint16, d)
+		switch conn {
+		case Faces:
+			for i := lo; i < hi; i++ {
+				if (i-lo)%ctxCheckStride == ctxCheckStride-1 && ctx.Err() != nil {
+					return
+				}
+				cell := f.Coords[i*d : (i+1)*d]
+				copy(nb, cell)
+				for j := 0; j < d; j++ {
+					c := int(cell[j]) + 1
+					if c >= f.Size[j] {
+						continue
+					}
+					nb[j] = uint16(c)
+					if t := f.Find(nb); t >= 0 {
+						out = append(out, int32(i), int32(t))
+					}
+					nb[j] = cell[j]
+				}
+			}
+		case Full:
+			off := make([]int, d)
+			for i := lo; i < hi; i++ {
+				if (i-lo)%ctxCheckStride == ctxCheckStride-1 && ctx.Err() != nil {
+					return
+				}
+				cell := f.Coords[i*d : (i+1)*d]
+				// Enumerate offsets in {-1,0,1}ᵈ whose first non-zero
+				// entry is +1: the "greater-than" half, so every pair is
+				// seen once from its canonical-smaller endpoint.
+				for j := range off {
+					off[j] = 0
+				}
+				// Counting up from {0,…,0,+1} with off[0] most significant
+				// visits exactly the offsets lexicographically above the
+				// zero vector — the ones whose first non-zero entry is +1.
+				off[d-1] = 1
+				for {
+					inBounds := true
+					for j, o := range off {
+						c := int(cell[j]) + o
+						if c < 0 || c >= f.Size[j] {
+							inBounds = false
+							break
+						}
+						nb[j] = uint16(c)
+					}
+					if inBounds {
+						if t := f.Find(nb); t >= 0 {
+							out = append(out, int32(i), int32(t))
+						}
+					}
+					// Advance the mixed-radix counter over {-1,0,1}ᵈ
+					// (least-significant dimension last, matching canonical
+					// significance).
+					j := d - 1
+					for ; j >= 0; j-- {
+						off[j]++
+						if off[j] <= 1 {
+							break
+						}
+						off[j] = -1
+					}
+					if j < 0 {
+						break
+					}
+				}
+			}
+		}
+		edges[w] = out
+	})
+	if err := CtxErr(ctx); err != nil {
+		return nil, 0, err
+	}
+
+	// Phase 2: stitch — one union-find over every worker's edges. The
+	// union order does not affect the result (components are a partition);
+	// the numbering pass below fixes label order deterministically.
 	parent := make([]int32, m)
 	for i := range parent {
 		parent[i] = int32(i)
@@ -43,123 +160,21 @@ func ComponentsFlatCtx(ctx context.Context, f *FlatGrid, conn Connectivity) ([]i
 		}
 		return x
 	}
-	union := func(a, b int32) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
-		}
-	}
-
-	perm := make([]int32, m)
-	switch conn {
-	case Faces:
-		// One sorted pass per dimension: cells adjacent in (others-major,
-		// j-minor) order that agree on every other coordinate and differ by
-		// one in j are face neighbors.
-		for j := 0; j < d; j++ {
-			if err := CtxErr(ctx); err != nil {
-				return nil, 0, err
-			}
-			for i := range perm {
-				perm[i] = int32(i)
-			}
-			sort.Slice(perm, func(a, b int) bool {
-				ca := f.CellCoords(int(perm[a]))
-				cb := f.CellCoords(int(perm[b]))
-				for p := 0; p < d; p++ {
-					if p != j && ca[p] != cb[p] {
-						return ca[p] < cb[p]
-					}
-				}
-				return ca[j] < cb[j]
-			})
-			for t := 1; t < m; t++ {
-				a, b := perm[t-1], perm[t]
-				ca, cb := f.CellCoords(int(a)), f.CellCoords(int(b))
-				if cb[j] == ca[j]+1 && sameLineExcept(f.Coords, d, int(a), int(b), j) {
-					union(a, b)
-				}
-			}
-		}
-	case Full:
-		// Canonical order for binary-search neighbor lookups.
-		for i := range perm {
-			perm[i] = int32(i)
-		}
-		sort.Slice(perm, func(a, b int) bool {
-			return cmpCoords(f.CellCoords(int(perm[a])), f.CellCoords(int(perm[b]))) < 0
-		})
-		lookup := func(coords []uint16) int32 {
-			lo, hi := 0, m
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if cmpCoords(f.CellCoords(int(perm[mid])), coords) < 0 {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo < m && cmpCoords(f.CellCoords(int(perm[lo])), coords) == 0 {
-				return perm[lo]
-			}
-			return -1
-		}
-		off := make([]int, d)
-		nb := make([]uint16, d)
-		for i := 0; i < m; i++ {
-			if i%ctxCheckStride == ctxCheckStride-1 {
-				if err := CtxErr(ctx); err != nil {
-					return nil, 0, err
-				}
-			}
-			cell := f.CellCoords(i)
-			for j := range off {
-				off[j] = -1
-			}
-			for {
-				allZero := true
-				for _, o := range off {
-					if o != 0 {
-						allZero = false
-						break
-					}
-				}
-				if !allZero {
-					ok := true
-					for j, o := range off {
-						c := int(cell[j]) + o
-						if c < 0 || c >= f.Size[j] {
-							ok = false
-							break
-						}
-						nb[j] = uint16(c)
-					}
-					if ok {
-						if t := lookup(nb); t >= 0 {
-							union(int32(i), t)
-						}
-					}
-				}
-				j := 0
-				for ; j < len(off); j++ {
-					off[j]++
-					if off[j] <= 1 {
-						break
-					}
-					off[j] = -1
-				}
-				if j == len(off) {
-					break
-				}
+	for _, es := range edges {
+		for k := 0; k < len(es); k += 2 {
+			ra, rb := find(es[k]), find(es[k+1])
+			if ra != rb {
+				parent[rb] = ra
 			}
 		}
 	}
-
-	// Number components by the Key byte order of their first cell, matching
-	// the map BFS visit order.
 	if err := CtxErr(ctx); err != nil {
 		return nil, 0, err
 	}
+
+	// Phase 3: number components by the Key byte order of their first
+	// cell, matching the map BFS visit order.
+	perm := make([]int32, m)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
@@ -192,16 +207,4 @@ func ComponentMasses(f *FlatGrid, labels []int32, ncomp int) []float64 {
 		out[l] += f.Vals[i]
 	}
 	return out
-}
-
-// sameLineExcept reports whether cells a and b agree on every coordinate
-// except dimension j.
-func sameLineExcept(coords []uint16, d, a, b, j int) bool {
-	ca, cb := coords[a*d:(a+1)*d], coords[b*d:(b+1)*d]
-	for p := 0; p < d; p++ {
-		if p != j && ca[p] != cb[p] {
-			return false
-		}
-	}
-	return true
 }

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -37,9 +38,28 @@ func randomCanonicalGrid(t *testing.T, d, size, cells int, seed int64) *FlatGrid
 	return FlatFromGrid(g)
 }
 
-// TestComponentsFlatShardedMatchesSequential: the range-parallel labeling
-// must reproduce ComponentsFlatCtx exactly — labels and component count —
-// for both connectivities across dimensions and worker counts.
+// mapComponents labels f's cells with the map-based BFS reference,
+// Components, returning one label per cell index and the component count.
+func mapComponents(t *testing.T, f *FlatGrid, conn Connectivity) ([]int32, int) {
+	t.Helper()
+	byKey, err := Components(f.ToGrid(), conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := make([]int32, f.Len())
+	n := 0
+	for i := range labels {
+		l := byKey[f.KeyAt(i)]
+		labels[i] = int32(l)
+		n = max(n, l+1)
+	}
+	return labels, n
+}
+
+// TestComponentsFlatShardedMatchesSequential: the range-sharded labeling
+// must reproduce the map BFS of Components exactly — labels and component
+// count — for both connectivities across dimensions and worker counts,
+// including grids above parallelCellCutoff, where the shards fan out.
 func TestComponentsFlatShardedMatchesSequential(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -52,14 +72,13 @@ func TestComponentsFlatShardedMatchesSequential(t *testing.T) {
 		{3, 32, 1200, Faces},
 		{3, 32, 1200, Full},
 		{5, 8, 700, Faces},
+		{3, 32, 3 * parallelCellCutoff, Faces},
+		{3, 32, 3 * parallelCellCutoff, Full},
 	} {
 		f := randomCanonicalGrid(t, tc.d, tc.size, tc.cells, int64(tc.d*1000+tc.cells))
-		want, wantN, err := ComponentsFlatCtx(ctx, f, tc.conn)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, wantN := mapComponents(t, f, tc.conn)
 		for _, workers := range []int{1, 2, 3, 7} {
-			got, gotN, err := ComponentsFlatShardedCtx(ctx, f, tc.conn, workers)
+			got, gotN, err := ComponentsFlatAutoCtx(ctx, f, tc.conn, workers)
 			if err != nil {
 				t.Fatalf("d=%d conn=%v workers=%d: %v", tc.d, tc.conn, workers, err)
 			}
@@ -76,15 +95,13 @@ func TestComponentsFlatShardedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestComponentsFlatAuto: the dispatcher must fall back to the sequential
-// path on non-canonical grids and still produce identical labels.
+// TestComponentsFlatAuto: a canonical grid above the parallel cutoff is
+// labeled like the map BFS; a grid out of canonical order is refused with
+// ErrInvalidInput instead of being labeled wrong.
 func TestComponentsFlatAuto(t *testing.T) {
 	ctx := context.Background()
 	f := randomCanonicalGrid(t, 2, 64, 3000, 5)
-	want, wantN, err := ComponentsFlatCtx(ctx, f, Faces)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantN := mapComponents(t, f, Faces)
 	got, gotN, err := ComponentsFlatAutoCtx(ctx, f, Faces, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -98,8 +115,8 @@ func TestComponentsFlatAuto(t *testing.T) {
 		}
 	}
 
-	// Scramble the order: auto must detect non-canonical and still agree
-	// with the sequential labeling of the scrambled grid.
+	// Scramble the order: the kernel must refuse the grid, at one worker
+	// as well as many.
 	d := f.Dim()
 	swap := func(a, b int) {
 		for j := 0; j < d; j++ {
@@ -111,20 +128,9 @@ func TestComponentsFlatAuto(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		swap(rng.Intn(f.Len()), rng.Intn(f.Len()))
 	}
-	want, wantN, err = ComponentsFlatCtx(ctx, f, Faces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, gotN, err = ComponentsFlatAutoCtx(ctx, f, Faces, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotN != wantN {
-		t.Fatalf("scrambled auto: %d components, want %d", gotN, wantN)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("scrambled auto: label[%d] = %d, want %d", i, got[i], want[i])
+	for _, workers := range []int{1, 4} {
+		if _, _, err := ComponentsFlatAutoCtx(ctx, f, Faces, workers); !errors.Is(err, ErrInvalidInput) {
+			t.Fatalf("scrambled, workers=%d: err %v, want ErrInvalidInput", workers, err)
 		}
 	}
 }

@@ -7,20 +7,15 @@ import (
 	"adawave/internal/pointset"
 )
 
-// NewQuantizerDataset computes the quantizer of a flat row-major dataset:
-// the bounding-box scan reads strided rows out of one backing slice instead
-// of chasing a pointer per point. The scan is sharded across workers with
-// exact min/max merging, and non-finite coordinates are reported for the
-// lowest offending point index, so the result (and any error) is identical
-// to NewQuantizer on the same points for every worker count.
-func NewQuantizerDataset(ds *pointset.Dataset, scale, workers int) (*Quantizer, error) {
-	return NewQuantizerDatasetCtx(context.Background(), ds, scale, workers)
-}
-
-// NewQuantizerDatasetCtx is NewQuantizerDataset with cooperative
-// cancellation: every bounding-box shard polls ctx at its boundary (and
-// every ctxCheckStride points within), and a cancelled scan returns the
-// taxonomy error of CtxErr without building a quantizer.
+// NewQuantizerDatasetCtx computes the quantizer of a flat row-major
+// dataset: the bounding-box scan reads strided rows out of one backing slice
+// instead of chasing a pointer per point. The scan is sharded across
+// workers with exact min/max merging, and non-finite coordinates are
+// reported for the lowest offending point index, so the result (and any
+// error) is identical to NewQuantizer on the same points for every worker
+// count. Every shard polls ctx at its boundary (and every ctxCheckStride
+// points within), and a cancelled scan returns the taxonomy error of CtxErr
+// without building a quantizer.
 //
 // Each shard folds its rows in blocks of ctxCheckStride rows straight off
 // the backing slice, accumulating v−v over the block as its only
@@ -84,26 +79,21 @@ func NewQuantizerDatasetCtx(ctx context.Context, ds *pointset.Dataset, scale, wo
 	return finishQuantizer(states, scale, d)
 }
 
-// QuantizeDataset builds the sparse density grid of a flat dataset —
-// the same canonical grid as QuantizeFlat, identical for every worker
-// count — and additionally memoizes every point's base-cell index: ids[i]
-// is the canonical-order index of point i's cell in the returned grid.
-// Each worker quantizes a contiguous shard with quantizeShard, which
-// counts the shard into a dense cell table when the whole cell space
-// Scaleᵈ is no larger than the shard's row count and radix-sorts its cells
-// with the point index as payload otherwise; either way each point is
-// stamped with its shard-local cell number, and the exact k-way shard
-// merge renumbers those to global indices. Each point's cell coordinates
-// are computed exactly once and never recomputed by an assignment pass.
-func (q *Quantizer) QuantizeDataset(ds *pointset.Dataset, workers int) (*FlatGrid, []int32) {
-	f, ids, _ := q.QuantizeDatasetCtx(context.Background(), ds, workers)
-	return f, ids
-}
-
-// QuantizeDatasetCtx is QuantizeDataset with cooperative cancellation: each
-// quantization shard polls ctx at its boundary (and every ctxCheckStride
-// points within), and a cancelled run returns before the shard merge, with
-// no grid and no memo published.
+// QuantizeDatasetCtx builds the sparse density grid of a flat dataset in
+// canonical order — the same grid as the map-based Quantize, identical for
+// every worker count — and additionally memoizes every point's base-cell
+// index: ids[i] is the canonical-order index of point i's cell in the
+// returned grid. Each worker quantizes a contiguous shard with
+// quantizeShard, which counts the shard into a dense cell table when the
+// whole cell space Scaleᵈ is no larger than the shard's row count and
+// radix-sorts its cells with the point index as payload otherwise; either
+// way each point is stamped with its shard-local cell number, and the exact
+// k-way shard merge renumbers those to global indices. Each point's cell
+// coordinates are computed exactly once.
+//
+// Each quantization shard polls ctx at its boundary (and every
+// ctxCheckStride points within), and a cancelled run returns before the
+// shard merge, with no grid and no memo published.
 func (q *Quantizer) QuantizeDatasetCtx(ctx context.Context, ds *pointset.Dataset, workers int) (*FlatGrid, []int32, error) {
 	d := q.Dim()
 	size := q.gridSize()
@@ -128,7 +118,7 @@ func (q *Quantizer) QuantizeDatasetCtx(ctx context.Context, ds *pointset.Dataset
 	if workers == 1 {
 		return shards[0], ids, nil
 	}
-	f, remap := mergeSortedShardsInto(shards, size, d, true)
+	f, remap := mergeShards(shards, size, d)
 	// Renumber the shard-local cell ids to canonical-grid indices.
 	// ParallelRanges carves the same deterministic shard boundaries as the
 	// quantization pass above, so worker w sees exactly its own ids.
@@ -143,9 +133,9 @@ func (q *Quantizer) QuantizeDatasetCtx(ctx context.Context, ds *pointset.Dataset
 
 // dedupeRunsIdx collapses equal consecutive coordinate tuples of a sorted
 // cell list in place, returning the compacted coords and the run lengths as
-// densities. With a non-nil idx payload it additionally records, for every
-// point, the shard-local index of the cell its run collapsed into:
-// ids[idx[e]] is set to the compacted cell number of element e.
+// densities. It also records, for every point, the shard-local index of the
+// cell its run collapsed into: ids[idx[e]] is set to the compacted cell
+// number of element e.
 func dedupeRunsIdx(coords []uint16, idx []int32, d int, ids []int32) ([]uint16, []float64) {
 	n := len(coords) / d
 	if n == 0 {
@@ -158,10 +148,8 @@ func dedupeRunsIdx(coords []uint16, idx []int32, d int, ids []int32) ([]uint16, 
 		for r < n && cmpCoords(coords[i*d:(i+1)*d], coords[r*d:(r+1)*d]) == 0 {
 			r++
 		}
-		if idx != nil {
-			for e := i; e < r; e++ {
-				ids[idx[e]] = int32(w)
-			}
+		for e := i; e < r; e++ {
+			ids[idx[e]] = int32(w)
 		}
 		copy(coords[w*d:(w+1)*d], coords[i*d:(i+1)*d])
 		vals = append(vals, float64(r-i))
@@ -171,25 +159,20 @@ func dedupeRunsIdx(coords []uint16, idx []int32, d int, ids []int32) ([]uint16, 
 	return coords[:w*d], vals
 }
 
-// mergeSortedShardsInto is the one k-way merge of canonically sorted shard
-// grids: duplicate cells are summed in shard order, so the integer sums are
-// deterministic. With withMap set, remap[si][j] records where shard si's
-// cell j landed in the merged grid (QuantizeDataset renumbers its memoized
-// cell ids through it); without it no remap is allocated. Nil shards —
-// ParallelRanges can produce fewer ranges than workers — are skipped.
-func mergeSortedShardsInto(shards []*FlatGrid, size []int, d int, withMap bool) (*FlatGrid, [][]int32) {
-	var remap [][]int32
-	if withMap {
-		remap = make([][]int32, len(shards))
-	}
+// mergeShards k-way merges canonically sorted shard grids: duplicate cells
+// are summed in shard order, so the integer sums are deterministic, and
+// remap[si][j] records where shard si's cell j landed in the merged grid
+// (QuantizeDatasetCtx renumbers its memoized cell ids through it). Nil
+// shards — ParallelRanges can produce fewer ranges than workers — are
+// skipped.
+func mergeShards(shards []*FlatGrid, size []int, d int) (*FlatGrid, [][]int32) {
+	remap := make([][]int32, len(shards))
 	total := 0
 	for si, sh := range shards {
 		if sh == nil {
 			continue
 		}
-		if withMap {
-			remap[si] = make([]int32, sh.Len())
-		}
+		remap[si] = make([]int32, sh.Len())
 		total += sh.Len()
 	}
 	out := NewFlat(size, total)
@@ -213,9 +196,7 @@ func mergeSortedShardsInto(shards []*FlatGrid, size []int, d int, withMap bool) 
 		for si, sh := range shards {
 			if sh != nil && heads[si] < sh.Len() && cmpCoords(sh.CellCoords(heads[si]), cell) == 0 {
 				mass += sh.Vals[heads[si]]
-				if withMap {
-					remap[si][heads[si]] = outIdx
-				}
+				remap[si][heads[si]] = outIdx
 				heads[si]++
 			}
 		}
@@ -224,30 +205,19 @@ func mergeSortedShardsInto(shards []*FlatGrid, size []int, d int, withMap bool) 
 	return out, remap
 }
 
-// AncestorLabels builds the per-level assignment table: out[c] is the label
-// of base cell c's ancestor after `levels` dyadic downsamplings — the kept
-// cell whose coordinates equal the base cell's right-shifted by levels — or
-// −1 when the ancestor was filtered out or keptLabels demoted it. One pass
-// over the base cells (O(cells·(d + log cells)) via binary search in kept)
-// replaces a per-point coordinate recomputation and search.
-func AncestorLabels(base, kept *FlatGrid, levels int, keptLabels []int32, workers int) []int32 {
-	return AncestorLabelsInto(nil, base, kept, levels, keptLabels, workers)
-}
-
-// AncestorLabelsInto is AncestorLabels writing into dst (whose capacity is
-// reused) — the pooled form for per-level callers.
-func AncestorLabelsInto(dst []int32, base, kept *FlatGrid, levels int, keptLabels []int32, workers int) []int32 {
-	out, _ := AncestorLabelsIntoCtx(context.Background(), dst, base, kept, levels, keptLabels, workers)
-	return out
-}
-
-// AncestorLabelsIntoCtx is AncestorLabelsInto with cooperative cancellation:
-// each assignment shard polls ctx at its boundary (and every ctxCheckStride
-// cells within). The returned slice is always valid for pooling — on
-// cancellation its contents are unspecified and the error is non-nil.
-func AncestorLabelsIntoCtx(ctx context.Context, dst []int32, base, kept *FlatGrid, levels int, keptLabels []int32, workers int) ([]int32, error) {
-	d := base.Dim()
-	m := base.Len()
+// AncestorLabelsCtx builds the per-level assignment table of base grid f:
+// out[c] is the label of base cell c's ancestor after `levels` dyadic
+// downsamplings — the kept cell whose coordinates equal the base cell's
+// right-shifted by levels — or −1 when the ancestor was filtered out or
+// keptLabels demoted it. One pass over the base cells (O(cells·(d + log
+// cells)) via binary search in kept) replaces a per-point coordinate
+// recomputation and search. out reuses dst's capacity. Each assignment
+// shard polls ctx at its boundary (and every ctxCheckStride cells within);
+// the returned slice is always valid for pooling — on cancellation its
+// contents are unspecified and the error is non-nil.
+func (f *FlatGrid) AncestorLabelsCtx(ctx context.Context, dst []int32, kept *FlatGrid, levels int, keptLabels []int32, workers int) ([]int32, error) {
+	d := f.Dim()
+	m := f.Len()
 	if cap(dst) < m {
 		dst = make([]int32, m)
 	}
@@ -262,7 +232,7 @@ func AncestorLabelsIntoCtx(ctx context.Context, dst []int32, base, kept *FlatGri
 			if (c-lo)%ctxCheckStride == ctxCheckStride-1 && ctx.Err() != nil {
 				return
 			}
-			bc := base.Coords[c*d : (c+1)*d]
+			bc := f.Coords[c*d : (c+1)*d]
 			for p := 0; p < d; p++ {
 				coords[p] = bc[p] >> shift
 			}

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -23,6 +24,17 @@ func randomDataset(n, d int, seed int64) ([][]float64, *pointset.Dataset) {
 	return points, pointset.MustFromSlices(points)
 }
 
+// quantizeDataset is QuantizeDatasetCtx without a deadline, failing t on
+// error.
+func quantizeDataset(t testing.TB, q *Quantizer, ds *pointset.Dataset, workers int) (*FlatGrid, []int32) {
+	t.Helper()
+	f, ids, err := q.QuantizeDatasetCtx(context.Background(), ds, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, ids
+}
+
 // TestNewQuantizerDatasetMatchesSlices: the strided bounding-box scan must
 // reproduce the slice-based quantizer exactly at every worker count.
 func TestNewQuantizerDatasetMatchesSlices(t *testing.T) {
@@ -32,7 +44,7 @@ func TestNewQuantizerDatasetMatchesSlices(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 7} {
-		got, err := NewQuantizerDataset(ds, 64, workers)
+		got, err := NewQuantizerDatasetCtx(context.Background(), ds, 64, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,19 +60,19 @@ func TestNewQuantizerDatasetMatchesSlices(t *testing.T) {
 // TestNewQuantizerDatasetErrors mirrors the slice constructor's validation.
 func TestNewQuantizerDatasetErrors(t *testing.T) {
 	_, ds := randomDataset(10, 2, 2)
-	if _, err := NewQuantizerDataset(nil, 8, 1); err == nil {
+	if _, err := NewQuantizerDatasetCtx(context.Background(), nil, 8, 1); err == nil {
 		t.Fatal("nil dataset must error")
 	}
-	if _, err := NewQuantizerDataset(&pointset.Dataset{}, 8, 1); err == nil {
+	if _, err := NewQuantizerDatasetCtx(context.Background(), &pointset.Dataset{}, 8, 1); err == nil {
 		t.Fatal("empty dataset must error")
 	}
-	if _, err := NewQuantizerDataset(ds, 1, 1); err == nil {
+	if _, err := NewQuantizerDatasetCtx(context.Background(), ds, 1, 1); err == nil {
 		t.Fatal("scale 1 must error")
 	}
 	bad := ds.Clone()
 	bad.Data[7] = math.NaN()
 	for _, workers := range []int{1, 4} {
-		if _, err := NewQuantizerDataset(bad, 8, workers); err == nil {
+		if _, err := NewQuantizerDatasetCtx(context.Background(), bad, 8, workers); err == nil {
 			t.Fatalf("workers=%d: NaN coordinate must error", workers)
 		}
 	}
@@ -84,7 +96,7 @@ func TestNewQuantizerDatasetErrors(t *testing.T) {
 			t.Fatalf("non-finite rows %v: slice constructor must error", rows)
 		}
 		for _, workers := range []int{1, 2, 3} {
-			if _, err := NewQuantizerDataset(bad, 8, workers); err == nil || err.Error() != want.Error() {
+			if _, err := NewQuantizerDatasetCtx(context.Background(), bad, 8, workers); err == nil || err.Error() != want.Error() {
 				t.Fatalf("non-finite rows %v, workers=%d: got %v, want %v", rows, workers, err, want)
 			}
 		}
@@ -93,9 +105,9 @@ func TestNewQuantizerDatasetErrors(t *testing.T) {
 
 // TestQuantizeDatasetMatchesQuantizeFlat: identical grid (size, canonical
 // cell order, densities) for every worker count, plus a valid cell-id memo:
-// ids[i] must point at exactly the cell CellCoordsU16 puts point i in.
-// QuantizeFlat is radix-only, so it is the reference for both shard
-// kernels; the edge cases pin the dense/radix choice on each side of its
+// ids[i] must point at exactly the cell CellCoordsU16 puts point i in. The
+// map-based Quantize shares neither shard kernel, so it is the reference
+// for both; the edge cases pin the dense/radix choice on each side of its
 // boundary and check how many shards took each kernel.
 func TestQuantizeDatasetMatchesQuantizeFlat(t *testing.T) {
 	points, ds := randomDataset(6000, 2, 3)
@@ -187,12 +199,13 @@ func shardKernels(q *Quantizer, n, workers int) (dense, radix int) {
 	return dense, radix
 }
 
-// checkQuantizeDataset fails the test unless QuantizeDataset reproduces the
-// radix-only QuantizeFlat grid and memoizes every point's own cell.
+// checkQuantizeDataset fails the test unless QuantizeDatasetCtx reproduces
+// the map-based Quantize grid in canonical order and memoizes every point's
+// own cell.
 func checkQuantizeDataset(t *testing.T, q *Quantizer, points [][]float64, ds *pointset.Dataset, workers int) {
 	t.Helper()
-	want := q.QuantizeFlat(points, 1)
-	got, ids := q.QuantizeDataset(ds, workers)
+	got, ids := quantizeDataset(t, q, ds, workers)
+	want := FlatFromGrid(q.Quantize(points))
 	if got.Len() != want.Len() {
 		t.Fatalf("cells: got %d, want %d", got.Len(), want.Len())
 	}
@@ -222,27 +235,8 @@ func TestQuantizeMoreWorkersThanRanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := q.QuantizeFlat(points, 1)
 	for _, workers := range []int{64, 1024} {
-		flatGot := q.QuantizeFlat(points, workers)
-		got, ids := q.QuantizeDataset(ds, workers)
-		for _, g := range []*FlatGrid{flatGot, got} {
-			if g.Len() != want.Len() {
-				t.Fatalf("workers=%d: cells %d, want %d", workers, g.Len(), want.Len())
-			}
-			for i := 0; i < want.Len(); i++ {
-				if cmpCoords(g.CellCoords(i), want.CellCoords(i)) != 0 || g.Vals[i] != want.Vals[i] {
-					t.Fatalf("workers=%d: cell %d diverged", workers, i)
-				}
-			}
-		}
-		coords := make([]uint16, 2)
-		for i, p := range points {
-			q.CellCoordsU16(p, coords)
-			if id := int(ids[i]); id < 0 || cmpCoords(got.CellCoords(id), coords) != 0 {
-				t.Fatalf("workers=%d: point %d memo %d wrong", workers, i, ids[i])
-			}
-		}
+		checkQuantizeDataset(t, q, points, ds, workers)
 	}
 }
 
@@ -255,7 +249,7 @@ func TestAncestorLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := q.QuantizeDataset(ds, 1)
+	base, _ := quantizeDataset(t, q, ds, 1)
 	for _, levels := range []int{0, 1, 2} {
 		// A synthetic kept grid: every other ancestor of the base cells.
 		shift := uint(levels)
@@ -283,7 +277,10 @@ func TestAncestorLabels(t *testing.T) {
 			keptLabels = append(keptLabels, label)
 		}
 		for _, workers := range []int{1, 4} {
-			table := AncestorLabels(base, kept, levels, keptLabels, workers)
+			table, err := base.AncestorLabelsCtx(context.Background(), nil, kept, levels, keptLabels, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for c := 0; c < base.Len(); c++ {
 				bc := base.CellCoords(c)
 				coords[0], coords[1] = bc[0]>>shift, bc[1]>>shift
@@ -308,7 +305,7 @@ func TestSortedDensitiesInto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _ := q.QuantizeDataset(ds, 1)
+	f, _ := quantizeDataset(t, q, ds, 1)
 	want := f.SortedDensities()
 	buf := make([]float64, 0, f.Len())
 	got := f.SortedDensitiesInto(buf)
@@ -332,7 +329,7 @@ func TestCloneInto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _ := q.QuantizeDataset(ds, 1)
+	f, _ := quantizeDataset(t, q, ds, 1)
 	dst := &FlatGrid{}
 	got := f.CloneInto(dst)
 	if got != dst {

@@ -11,24 +11,19 @@ import "context"
 // index moves, and tombstones are swept out later (by the next merge, or by
 // an explicit Compact) when the id renumbering is paid anyway.
 
-// MergeFlat merges two canonically ordered grids into a new canonical grid,
-// summing the masses of cells present in both. Cells whose merged mass is
-// ≤ 0 — tombstones left by signed-mass removal, or exactly cancelled by a
-// negative delta — are dropped. It returns the merged grid plus one remap
-// per input: liveRemap[i] (resp. deltaRemap[j]) is the merged index of
-// live's cell i (delta's cell j), or −1 if the cell was dropped. Both
-// inputs must share Size and be in canonical order (see SortCanonical);
-// the inputs are not modified.
-func MergeFlat(live, delta *FlatGrid) (merged *FlatGrid, liveRemap, deltaRemap []int32) {
-	merged, liveRemap, deltaRemap, _ = MergeFlatCtx(context.Background(), live, delta)
-	return merged, liveRemap, deltaRemap
-}
-
-// MergeFlatCtx is MergeFlat with cooperative cancellation, polled every
-// ctxCheckStride merged cells. Neither input is modified, so a cancelled
-// merge leaves the live grid (and every memoized cell id into it) exactly as
-// it was — the streaming Session relies on this to keep a cancelled fold
-// invisible.
+// MergeFlatCtx merges two canonically ordered grids into a new canonical
+// grid, summing the masses of cells present in both. Cells whose merged
+// mass is ≤ 0 — tombstones left by signed-mass removal, or exactly
+// cancelled by a negative delta — are dropped. It returns the merged grid
+// plus one remap per input: liveRemap[i] (resp. deltaRemap[j]) is the
+// merged index of live's cell i (delta's cell j), or −1 if the cell was
+// dropped. Both inputs must share Size and be in canonical order (see
+// SortCanonical). It is the reference the packed fold, MergePackedFlatCtx,
+// is tested and benchmarked against.
+//
+// Cancellation is polled every ctxCheckStride merged cells. Neither input
+// is modified, so a cancelled merge leaves the live grid (and every
+// memoized cell id into it) exactly as it was.
 func MergeFlatCtx(ctx context.Context, live, delta *FlatGrid) (merged *FlatGrid, liveRemap, deltaRemap []int32, err error) {
 	d := live.Dim()
 	nl, nd := live.Len(), delta.Len()

@@ -2,11 +2,22 @@ package grid
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
 	"adawave/internal/pointset"
 )
+
+// mergeFlat is MergeFlatCtx without a deadline, failing t on error.
+func mergeFlat(t testing.TB, live, delta *FlatGrid) (*FlatGrid, []int32, []int32) {
+	t.Helper()
+	merged, liveRemap, deltaRemap, err := MergeFlatCtx(context.Background(), live, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return merged, liveRemap, deltaRemap
+}
 
 // flatGridsIdentical asserts two flat grids agree cell for cell, order
 // included (the property the incremental path must preserve so memoized ids
@@ -33,17 +44,17 @@ func flatGridsIdentical(t *testing.T, want, got *FlatGrid) {
 func TestMergeFlatMatchesUnionQuantization(t *testing.T) {
 	for _, split := range []int{1, 500, 2500, 4999} {
 		points, ds := randomDataset(5000, 3, 7)
-		q, err := NewQuantizerDataset(ds, 32, 1)
+		q, err := NewQuantizerDatasetCtx(context.Background(), ds, 32, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantIDs := q.QuantizeDataset(ds, 1)
+		want, wantIDs := quantizeDataset(t, q, ds, 1)
 
 		a := &pointset.Dataset{Data: ds.Data[:split*ds.D], N: split, D: ds.D}
 		b := &pointset.Dataset{Data: ds.Data[split*ds.D:], N: ds.N - split, D: ds.D}
-		ga, idsA := q.QuantizeDataset(a, 1)
-		gb, idsB := q.QuantizeDataset(b, 1)
-		merged, remapA, remapB := MergeFlat(ga, gb)
+		ga, idsA := quantizeDataset(t, q, a, 1)
+		gb, idsB := quantizeDataset(t, q, b, 1)
+		merged, remapA, remapB := mergeFlat(t, ga, gb)
 		flatGridsIdentical(t, want, merged)
 		for i := 0; i < split; i++ {
 			if remapA[idsA[i]] != wantIDs[i] {
@@ -68,7 +79,7 @@ func TestMergeFlatSignedRemoval(t *testing.T) {
 	delta := NewFlat([]int{8, 8}, 2)
 	delta.Append([]uint16{1, 1}, -1)
 	delta.Append([]uint16{2, 5}, -1)
-	merged, liveRemap, deltaRemap := MergeFlat(live, delta)
+	merged, liveRemap, deltaRemap := mergeFlat(t, live, delta)
 	if merged.Len() != 2 {
 		t.Fatalf("cells: got %d, want 2", merged.Len())
 	}
@@ -91,7 +102,7 @@ func TestMergeFlatSweepsTombstones(t *testing.T) {
 	live.Append([]uint16{5, 5}, 4)
 	delta := NewFlat([]int{8, 8}, 1)
 	delta.Append([]uint16{7, 7}, 1)
-	merged, liveRemap, _ := MergeFlat(live, delta)
+	merged, liveRemap, _ := mergeFlat(t, live, delta)
 	if merged.Len() != 2 {
 		t.Fatalf("cells: got %d, want 2", merged.Len())
 	}
@@ -125,11 +136,11 @@ func TestCompact(t *testing.T) {
 // reproduce the quantized grid exactly, order included.
 func TestSnapshotRoundTrip(t *testing.T) {
 	_, ds := randomDataset(3000, 3, 11)
-	q, err := NewQuantizerDataset(ds, 32, 1)
+	q, err := NewQuantizerDatasetCtx(context.Background(), ds, 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _ := q.QuantizeDataset(ds, 1)
+	f, _ := quantizeDataset(t, q, ds, 1)
 	var buf bytes.Buffer
 	if err := PackFlat(f).WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -249,7 +260,7 @@ func TestMergeFlatRandomized(t *testing.T) {
 			delta.Append(c[:], dmass[c])
 			model[c] += dmass[c]
 		}
-		merged, _, _ := MergeFlat(live, delta)
+		merged, _, _ := mergeFlat(t, live, delta)
 		kept := 0
 		for _, m := range model {
 			if m > 0 {

@@ -1,10 +1,12 @@
 package grid
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"adawave/internal/pointset"
 	"adawave/internal/wavelet"
 )
 
@@ -65,6 +67,16 @@ func TestFlatRoundTrip(t *testing.T) {
 	}
 }
 
+// transformDim is transformDimFlatCtx without a deadline into a fresh grid.
+func transformDim(t *testing.T, f *FlatGrid, j int, b wavelet.Basis, workers int) *FlatGrid {
+	t.Helper()
+	out := &FlatGrid{}
+	if err := transformDimFlatCtx(context.Background(), f, j, b, workers, out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestTransformDimFlatMatchesMap(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -104,7 +116,7 @@ func TestTransformDimFlatMatchesMap(t *testing.T) {
 			for j := range tc.sizes {
 				want := TransformDim(g, j, tc.basis)
 				for _, workers := range []int{1, 2, 4} {
-					got := TransformDimFlat(FlatFromGrid(g), j, tc.basis, workers)
+					got := transformDim(t, FlatFromGrid(g), j, tc.basis, workers)
 					gridsEqual(t, want, got.ToGrid(), tc.tol)
 				}
 			}
@@ -117,7 +129,7 @@ func TestTransformDimFlatParallelThreshold(t *testing.T) {
 	g := randomGrid(t, []int{256, 256}, 3*parallelCellCutoff, 11)
 	want := TransformDim(g, 0, wavelet.CDF22())
 	for _, workers := range []int{1, 3, 8} {
-		got := TransformDimFlat(FlatFromGrid(g), 0, wavelet.CDF22(), workers)
+		got := transformDim(t, FlatFromGrid(g), 0, wavelet.CDF22(), workers)
 		gridsEqual(t, want, got.ToGrid(), 0)
 	}
 }
@@ -128,7 +140,7 @@ func TestTransformLevelsFlatMatchesMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := TransformLevelsFlat(FlatFromGrid(g), wavelet.CDF22(), 3, 4)
+	got, err := TransformLevelsFlatCtx(context.Background(), FlatFromGrid(g), wavelet.CDF22(), 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +162,15 @@ func TestTransformLevelsFlatMatchesMap(t *testing.T) {
 	// Error parity: too-small dimension.
 	small := randomGrid(t, []int{2, 2}, 3, 1)
 	_, errMap := TransformLevels(small, wavelet.CDF22(), 2)
-	_, errFlat := TransformLevelsFlat(FlatFromGrid(small), wavelet.CDF22(), 2, 2)
+	_, errFlat := TransformLevelsFlatCtx(context.Background(), FlatFromGrid(small), wavelet.CDF22(), 2, 2)
 	if errMap == nil || errFlat == nil || errMap.Error() != errFlat.Error() {
 		t.Fatalf("error parity: map %v, flat %v", errMap, errFlat)
 	}
 }
 
+// TestQuantizeFlatMatchesMap: the sharded bounding-box scan and
+// quantization of a dataset above the parallel cutoff reproduce the
+// map-based quantizer at every worker count.
 func TestQuantizeFlatMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 3 * parallelCellCutoff
@@ -163,13 +178,14 @@ func TestQuantizeFlatMatchesMap(t *testing.T) {
 	for i := range points {
 		points[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.Float64()}
 	}
+	ds := pointset.MustFromSlices(points)
 	q, err := NewQuantizer(points, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := q.Quantize(points)
 	for _, workers := range []int{1, 2, 3, 8} {
-		qp, err := NewQuantizerParallel(points, 64, workers)
+		qp, err := NewQuantizerDatasetCtx(context.Background(), ds, 64, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +194,7 @@ func TestQuantizeFlatMatchesMap(t *testing.T) {
 				t.Fatalf("workers=%d: bounding box differs in dim %d", workers, j)
 			}
 		}
-		got := qp.QuantizeFlat(points, workers)
+		got, _ := quantizeDataset(t, qp, ds, workers)
 		gridsEqual(t, want, got.ToGrid(), 0)
 		if got.TotalMass() != float64(n) {
 			t.Fatalf("workers=%d: total mass %g, want %d", workers, got.TotalMass(), n)
@@ -186,23 +202,24 @@ func TestQuantizeFlatMatchesMap(t *testing.T) {
 	}
 }
 
+// TestNewQuantizerParallelErrorParity: a non-finite coordinate in the
+// middle of a dataset above the parallel cutoff is reported by the sharded
+// scan with the sequential constructor's message at every worker count.
 func TestNewQuantizerParallelErrorParity(t *testing.T) {
 	n := 3 * parallelCellCutoff
 	points := make([][]float64, n)
 	for i := range points {
 		points[i] = []float64{float64(i), 1}
 	}
-	points[n/2] = []float64{math.NaN(), 1}
-	_, errSeq := NewQuantizer(points, 64)
-	_, errPar := NewQuantizerParallel(points, 64, 4)
-	if errSeq == nil || errPar == nil || errSeq.Error() != errPar.Error() {
-		t.Fatalf("NaN error parity: sequential %v, parallel %v", errSeq, errPar)
-	}
-	points[n/2] = []float64{1, 2, 3}
-	_, errSeq = NewQuantizer(points, 64)
-	_, errPar = NewQuantizerParallel(points, 64, 4)
-	if errSeq == nil || errPar == nil || errSeq.Error() != errPar.Error() {
-		t.Fatalf("dimension error parity: sequential %v, parallel %v", errSeq, errPar)
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		points[n/2] = []float64{v, 1}
+		_, errSeq := NewQuantizer(points, 64)
+		for _, workers := range []int{2, 4, 8} {
+			_, errPar := NewQuantizerDatasetCtx(context.Background(), pointset.MustFromSlices(points), 64, workers)
+			if errSeq == nil || errPar == nil || errSeq.Error() != errPar.Error() {
+				t.Fatalf("%v workers=%d: sequential %v, parallel %v", v, workers, errSeq, errPar)
+			}
+		}
 	}
 }
 
@@ -219,7 +236,7 @@ func TestComponentsFlatMatchesMap(t *testing.T) {
 				t.Fatal(err)
 			}
 			f := FlatFromGrid(g)
-			got, ncomp, err := ComponentsFlat(f, conn)
+			got, ncomp, err := ComponentsFlatAutoCtx(context.Background(), f, conn, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,7 +264,7 @@ func TestComponentsFlatHighDimLimit(t *testing.T) {
 		sizes[i] = 4
 	}
 	f := FlatFromGrid(randomGrid(t, sizes, 10, 2))
-	if _, _, err := ComponentsFlat(f, Full); err == nil {
+	if _, _, err := ComponentsFlatAutoCtx(context.Background(), f, Full, 1); err == nil {
 		t.Fatal("expected dimension-limit error for Full connectivity")
 	}
 }

@@ -64,27 +64,20 @@ type dimSweep struct {
 	exact        bool
 }
 
-// TransformDimFlat applies one level of the analysis low-pass filter along
-// dimension j of a canonical grid, downsampling that dimension by 2. The
-// result is a new canonical grid; f is only read. Every output cell is the
-// merge of the input slabs under the filter's taps, accumulated from zero
-// in ascending tap order, and work units of contiguous blocks and output
-// ranges are sharded across workers (≤ 1 runs inline). Output cells whose
-// accumulated value is zero are kept, matching the map engine (which stores
-// them until coefficient denoising drops them).
-func TransformDimFlat(f *FlatGrid, j int, b wavelet.Basis, workers int) *FlatGrid {
-	out := &FlatGrid{}
-	transformDimFlatCtx(context.Background(), f, j, b, workers, out)
-	return out
-}
-
-// transformDimFlatCtx is TransformDimFlat writing into dst (reusing its
-// capacity), with cooperative cancellation: ctx is polled on entry and once
-// per work unit, and a cancelled transform returns the ctx error with dst's
-// contents unspecified. f is never modified.
+// transformDimFlatCtx applies one level of the analysis low-pass filter
+// along dimension j of a canonical grid, downsampling that dimension by 2,
+// and writes the result — again canonical — into dst, reusing its capacity;
+// f is only read. Every output cell is the merge of the input slabs under
+// the filter's taps, accumulated from zero in ascending tap order, and work
+// units of contiguous blocks and output ranges are sharded across workers
+// (≤ 1 runs inline). Output cells whose accumulated value is zero are kept,
+// matching the map engine (which stores them until coefficient denoising
+// drops them). ctx is polled on entry and once per work unit, and a
+// cancelled transform returns the ctx error with dst's contents
+// unspecified.
 func transformDimFlatCtx(ctx context.Context, f *FlatGrid, j int, b wavelet.Basis, workers int, dst *FlatGrid) error {
 	if j < 0 || j >= f.Dim() {
-		panic(fmt.Sprintf("grid: TransformDimFlat dimension %d out of range (grid is %d-D)", j, f.Dim()))
+		panic(fmt.Sprintf("grid: transform dimension %d out of range (grid is %d-D)", j, f.Dim()))
 	}
 	d := f.Dim()
 	m := f.Len()
@@ -341,25 +334,17 @@ func (sw *dimSweep) cmpSuffix(a, b int32) int {
 	return cmpCoords(sw.f.Coords[a*d+j+1:(a+1)*d], sw.f.Coords[b*d+j+1:(b+1)*d])
 }
 
-// TransformFlat applies one full decomposition level (the low-pass filter
-// along every dimension in turn) to a canonical grid, returning a new
-// canonical grid.
-func TransformFlat(f *FlatGrid, b wavelet.Basis, workers int) *FlatGrid {
-	out, _ := transformCappedFlat(context.Background(), f, b, 0, workers)
-	return out
-}
-
-// TransformFlatCtx is TransformFlat with cooperative cancellation between
-// (and within) the per-dimension sweeps. f is never modified.
+// TransformFlatCtx applies one full decomposition level (the low-pass
+// filter along every dimension in turn) to a canonical grid, returning a new
+// canonical grid; f is never modified, and ctx is polled between and within
+// the per-dimension sweeps. Like the map engine's transformCapped, it aborts
+// with an ErrInvalidInput-tagged error once the occupied cells exceed
+// growthCap(f.Len()) after any dimension: long filters densify sparse
+// high-dimensional grids exponentially. The grids between dimensions are
+// pooled; only the final one is allocated.
 func TransformFlatCtx(ctx context.Context, f *FlatGrid, b wavelet.Basis, workers int) (*FlatGrid, error) {
-	return transformCappedFlat(ctx, f, b, 0, workers)
-}
-
-// transformCappedFlat is TransformFlat with the same occupied-cell growth
-// cap (and error wording) as the map engine's transformCapped. The grids
-// between dimensions are pooled; only the final one is allocated.
-func transformCappedFlat(ctx context.Context, f *FlatGrid, b wavelet.Basis, maxCells, workers int) (*FlatGrid, error) {
 	d := f.Dim()
+	maxCells := growthCap(f.Len())
 	cur := f
 	release := func(g *FlatGrid) {
 		if g != f {
@@ -374,7 +359,7 @@ func transformCappedFlat(ctx context.Context, f *FlatGrid, b wavelet.Basis, maxC
 		err := transformDimFlatCtx(ctx, cur, j, b, workers, next)
 		release(cur)
 		cur = next
-		if err == nil && maxCells > 0 && cur.Len() > maxCells {
+		if err == nil && cur.Len() > maxCells {
 			err = invalidInput(fmt.Errorf(
 				"grid: wavelet transform densified the sparse grid to %d cells after dimension %d (cap %d); use the 2-tap haar basis for high-dimensional data",
 				cur.Len(), j+1, maxCells))
@@ -389,17 +374,12 @@ func transformCappedFlat(ctx context.Context, f *FlatGrid, b wavelet.Basis, maxC
 	return cur, nil
 }
 
-// TransformLevelsFlat mirrors TransformLevels on the flat representation:
-// `levels` full decomposition levels of a canonical grid, returning the
-// approximation grid of each level (level 1 first), with the same growth
-// caps and errors. Every returned level is canonical, and f is never
-// modified.
-func TransformLevelsFlat(f *FlatGrid, b wavelet.Basis, levels, workers int) ([]*FlatGrid, error) {
-	return TransformLevelsFlatCtx(context.Background(), f, b, levels, workers)
-}
-
-// TransformLevelsFlatCtx is TransformLevelsFlat with cooperative
-// cancellation. A cancelled chain returns no levels and leaves f as it was.
+// TransformLevelsFlatCtx mirrors TransformLevels on the flat
+// representation: `levels` full decomposition levels of a canonical grid,
+// each through TransformFlatCtx, returning the approximation grid of each
+// level (level 1 first), with the same growth caps and errors. Every
+// returned level is canonical. A cancelled chain returns no levels, and f
+// is never modified.
 func TransformLevelsFlatCtx(ctx context.Context, f *FlatGrid, b wavelet.Basis, levels, workers int) ([]*FlatGrid, error) {
 	if levels < 1 {
 		return nil, fmt.Errorf("grid: levels must be ≥ 1, got %d", levels)
@@ -412,7 +392,7 @@ func TransformLevelsFlatCtx(ctx context.Context, f *FlatGrid, b wavelet.Basis, l
 				return nil, invalidInput(fmt.Errorf("grid: dimension %d of size %d too small for level %d", j, cur.Size[j], l+1))
 			}
 		}
-		next, err := transformCappedFlat(ctx, cur, b, growthCap(cur.Len()), workers)
+		next, err := TransformFlatCtx(ctx, cur, b, workers)
 		if err != nil {
 			return nil, err
 		}

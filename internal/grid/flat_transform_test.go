@@ -46,7 +46,7 @@ func TestTransformLevelsFlatCancel(t *testing.T) {
 	in := FlatFromGrid(randomGrid(t, []int{64, 48, 40}, 6*transformUnitCells, 9))
 	pristine := in.Clone()
 	basis := wavelet.CDF22()
-	want, err := TransformLevelsFlat(in, basis, 2, 1)
+	want, err := TransformLevelsFlatCtx(context.Background(), in, basis, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -355,8 +355,8 @@ func (c *PackedCursor) Coords() []uint16 {
 // Mass returns the current cell's mass.
 func (c *PackedCursor) Mass() float64 { return c.masses[c.i-c.lo] }
 
-// AncestorLabelsCtx is AncestorLabelsIntoCtx with the packed grid as the
-// base: each worker decodes its own block range and streams the shifted
+// AncestorLabelsCtx is FlatGrid.AncestorLabelsCtx with the packed grid as
+// the base: each worker decodes its own block range and streams the shifted
 // coordinates straight into the kept-grid lookups, so per-point assignment
 // runs off the compressed base without materializing it. Block boundaries
 // are deterministic, so the result is identical for every worker count.
@@ -396,12 +396,6 @@ func (p *PackedGrid) AncestorLabelsCtx(ctx context.Context, dst []int32, kept *F
 		}
 	})
 	return out, CtxErr(ctx)
-}
-
-// AncestorLabelsCtx is AncestorLabelsIntoCtx as a method, so the engine's
-// finishing pass can take either representation as its assignment base.
-func (f *FlatGrid) AncestorLabelsCtx(ctx context.Context, dst []int32, kept *FlatGrid, levels int, keptLabels []int32, workers int) ([]int32, error) {
-	return AncestorLabelsIntoCtx(ctx, dst, f, kept, levels, keptLabels, workers)
 }
 
 // PackedBuilder appends cells (in the caller's order) into a growing
@@ -542,12 +536,6 @@ func (b *PackedBuilder) seal() {
 	g.off = append(g.off, uint32(len(data)))
 	b.coords = b.coords[:0]
 	b.masses = b.masses[:0]
-}
-
-// MergePackedFlat is MergePackedFlatCtx without cancellation.
-func MergePackedFlat(live *PackedGrid, delta *FlatGrid) (*PackedGrid, []int32, []int32) {
-	merged, liveRemap, deltaRemap, _ := MergePackedFlatCtx(context.Background(), live, delta)
-	return merged, liveRemap, deltaRemap
 }
 
 // MergePackedFlatCtx is MergeFlatCtx with a packed live grid: the live side

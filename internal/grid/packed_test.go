@@ -182,7 +182,7 @@ func TestMergePackedFlatEquivalence(t *testing.T) {
 				delta.Vals[j] = -delta.Vals[j]
 			}
 		}
-		wantMerged, wantLR, wantDR := MergeFlat(live, delta)
+		wantMerged, wantLR, wantDR := mergeFlat(t, live, delta)
 		p := PackFlat(live)
 		merged, lr, dr, err := MergePackedFlatCtx(context.Background(), p, delta)
 		if err != nil {
@@ -321,7 +321,7 @@ func TestPackedAncestorLabels(t *testing.T) {
 			keptLabels[i] = -1
 		}
 	}
-	want, err := AncestorLabelsIntoCtx(context.Background(), nil, base, kept, levels, keptLabels, 3)
+	want, err := base.AncestorLabelsCtx(context.Background(), nil, kept, levels, keptLabels, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,6 +197,22 @@ func (q *Quantizer) CellCoords(p []float64, out []int) []int {
 	return out
 }
 
+// CellCoordsU16 writes the cell coordinates of point p into out (length
+// Dim), clamped to the grid exactly like CellCoords.
+func (q *Quantizer) CellCoordsU16(p []float64, out []uint16) []uint16 {
+	for j := range q.Mins {
+		c := int((p[j] - q.Mins[j]) * q.inv[j])
+		if c < 0 {
+			c = 0
+		}
+		if c >= q.Scale {
+			c = q.Scale - 1
+		}
+		out[j] = uint16(c)
+	}
+	return out
+}
+
 // Cell returns the grid key of point p.
 func (q *Quantizer) Cell(p []float64) Key {
 	return MakeKey(q.CellCoords(p, nil))
@@ -237,33 +253,10 @@ func (q *Quantizer) Quantize(points [][]float64) *Grid {
 	return g
 }
 
-// CellOfPoint returns, for every point, the key of its cell at the
-// quantizer's base resolution — the first half of the paper's lookup table.
-// Keys are interned, so points sharing a cell share one Key allocation.
-func (q *Quantizer) CellOfPoint(points [][]float64) []Key {
-	out := make([]Key, len(points))
-	coords := make([]int, q.Dim())
-	buf := make([]byte, 2*q.Dim())
-	intern := make(map[Key]Key)
-	for i, p := range points {
-		q.CellCoords(p, coords)
-		for j, c := range coords {
-			putCoord(buf, j, c)
-		}
-		k, ok := intern[Key(buf)]
-		if !ok {
-			k = Key(buf)
-			intern[k] = k
-		}
-		out[i] = k
-	}
-	return out
-}
-
-// QuantizeWithCells fuses Quantize and CellOfPoint into one pass over the
-// points: a single slot map serves as density accumulator and key intern,
-// so the grid and the per-point base-cell table are built for one map's
-// worth of work instead of two (the sequential pipeline needs both).
+// QuantizeWithCells is Quantize that also returns every point's base-cell
+// key — the first half of the paper's lookup table. A single slot map
+// serves as density accumulator and key intern, so points sharing a cell
+// share one Key allocation.
 func (q *Quantizer) QuantizeWithCells(points [][]float64) (*Grid, []Key) {
 	size := make([]int, q.Dim())
 	for j := range size {

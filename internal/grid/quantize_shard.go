@@ -14,7 +14,7 @@ import "context"
 // space Scaleᵈ is no larger than the shard's row count, the shard is counted
 // into a dense table (quantizeDense) and no row is moved; otherwise its
 // cell coordinates are radix-sorted with the row index as payload and
-// run-length-deduped (quantizeRadix, the QuantizeFlat path). Both emit the
+// run-length-deduped (quantizeRadix). Both emit the
 // same run and the same ids, so every grid, memo and label downstream is
 // bit-identical whichever kernel a shard took.
 func (q *Quantizer) quantizeShard(ctx context.Context, rows []float64, ids []int32, size []int) *FlatGrid {

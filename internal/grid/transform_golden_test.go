@@ -48,7 +48,7 @@ type goldenGrid struct {
 }
 
 // goldenCase is one digest entry: an input, a basis and the level counts
-// whose TransformLevelsFlat outcomes are chained into the digest.
+// whose TransformLevelsFlatCtx outcomes are chained into the digest.
 type goldenCase struct {
 	name   string
 	in     *grid.FlatGrid
@@ -166,7 +166,7 @@ func goldenCases(t testing.TB) []goldenCase {
 	return cases
 }
 
-// hashOutcome folds one TransformLevelsFlat outcome into h: the error text
+// hashOutcome folds one TransformLevelsFlatCtx outcome into h: the error text
 // for a failed call, otherwise every returned level's sizes, coordinates
 // and float64 bit patterns.
 func hashOutcome(h hash.Hash, levels []*grid.FlatGrid, err error) {

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -17,7 +18,7 @@ import (
 // embedState builds a session state with a fitted embedder: raw 3-d rows,
 // a seeded random projection down to 2, and the grid built in the projected
 // space — exactly what an embedding session checkpoints.
-func embedState(t *testing.T, n int) *SessionState {
+func embedState(t testing.TB, n int) *SessionState {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	ds := pointset.New(3, n)
@@ -36,11 +37,14 @@ func embedState(t *testing.T, n int) *SessionState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := grid.NewQuantizerDataset(pds, 16, 1)
+	q, err := grid.NewQuantizerDatasetCtx(context.Background(), pds, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, ids := q.QuantizeDataset(pds, 1)
+	g, ids, err := q.QuantizeDatasetCtx(context.Background(), pds, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return &SessionState{
 		Config: ConfigMeta{Scale: 16, Levels: 1, Basis: "cdf22", Connectivity: "faces",
 			CoeffEpsilon: 0.01, Threshold: "three-segment-fit", MinClusterCells: 1, MinClusterMass: 0.05,

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"hash/crc32"
 	"math/rand"
@@ -15,18 +16,21 @@ import (
 
 // testState builds a small but structurally complete session state: random
 // rows quantized into a real grid with memoized ids.
-func testState(t *testing.T, n int) *SessionState {
+func testState(t testing.TB, n int) *SessionState {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	ds := pointset.New(2, n)
 	for i := 0; i < n; i++ {
 		ds.AppendRow([]float64{rng.Float64() * 10, rng.Float64() * 10})
 	}
-	q, err := grid.NewQuantizerDataset(ds, 16, 1)
+	q, err := grid.NewQuantizerDatasetCtx(context.Background(), ds, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, ids := q.QuantizeDataset(ds, 1)
+	g, ids, err := q.QuantizeDatasetCtx(context.Background(), ds, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return &SessionState{
 		Config: ConfigMeta{Scale: 16, Levels: 1, Basis: "cdf22", Connectivity: "faces",
 			CoeffEpsilon: 0.01, Threshold: "three-segment-fit", MinClusterCells: 1, MinClusterMass: 0.05},

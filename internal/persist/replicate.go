@@ -24,9 +24,6 @@ import (
 //   - (*WAL).AppendFrame: verbatim journaling of a received frame with
 //     strict sequence contiguity, so a reconnecting follower can prove it
 //     neither lost nor double-applied a mutation.
-//   - ReplayWALStrict: replay with the crash-recovery leniency removed — a
-//     torn tail is an error, because on the replication path the reader
-//     was promised a complete log, not a best-effort prefix.
 
 // ErrTornRecord is the sentinel matched by errors.Is for every
 // TornRecordError: the scan or stream ended inside a record rather than at
@@ -63,31 +60,6 @@ func (e *TornRecordError) Error() string {
 
 // Is makes errors.Is(err, ErrTornRecord) match any TornRecordError.
 func (e *TornRecordError) Is(target error) bool { return target == ErrTornRecord }
-
-// ReplayWALStrict is replay without the crash-recovery leniency: the intact
-// records above fromSeq stream through fn in order, but a torn or corrupt
-// tail is returned as a *TornRecordError (carrying the last intact
-// sequence) instead of silently ending the replay. A missing file still
-// replays nothing — absence is not a tear. Replication uses this form:
-// a follower asking for a complete log must hear that it got a prefix.
-func ReplayWALStrict(path string, fromSeq uint64, fn func(Record) error) (lastSeq uint64, replayed int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, 0, nil
-		}
-		return 0, 0, fmt.Errorf("persist: replay wal: %w", err)
-	}
-	defer f.Close()
-	lastSeq, _, _, replayed, tear, err := scanWAL(f, fromSeq, fn)
-	if err != nil {
-		return lastSeq, replayed, err
-	}
-	if tear != nil {
-		return lastSeq, replayed, tear
-	}
-	return lastSeq, replayed, nil
-}
 
 // ReadFrame reads one complete WAL frame (header, payload and CRC trailer,
 // verbatim) from a wire stream and returns it with its sequence number. A

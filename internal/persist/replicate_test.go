@@ -28,12 +28,12 @@ func walWithRecords(t *testing.T, dir string, n int) (*WAL, string) {
 	return w, path
 }
 
-// TestReplayWALStrictTornTail: the strict replay must surface a mid-record
-// tear as a typed error carrying the last intact sequence — the regression
-// this guards is the silent-truncation behavior of the lenient replay
-// leaking onto the replication path, where a follower asking for the log
-// from a given sequence would quietly receive a prefix and believe itself
-// caught up.
+// TestReplayWALStrictTornTail: a log whose last record is torn mid-payload
+// must reach a follower as its intact frames followed by a typed torn-stream
+// error from ReadFrame, carrying the last intact sequence — never as a
+// silent short read that would let the follower believe itself caught up.
+// The crash-recovery replay of the same bytes keeps its lenient contract
+// and replays the intact prefix.
 func TestReplayWALStrictTornTail(t *testing.T) {
 	dir := t.TempDir()
 	w, path := walWithRecords(t, dir, 3)
@@ -45,39 +45,34 @@ func TestReplayWALStrictTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Intact log: strict and lenient agree.
-	lastSeq, replayed, err := ReplayWALStrict(path, 0, func(Record) error { return nil })
-	if err != nil || lastSeq != 3 || replayed != 3 {
-		t.Fatalf("intact strict replay: seq %d, replayed %d, err %v", lastSeq, replayed, err)
-	}
-
 	// Tear the last record mid-payload.
-	torn := filepath.Join(dir, "torn.log")
-	if err := os.WriteFile(torn, full[:len(full)-5], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	torn := full[:len(full)-5]
+	br := bufio.NewReader(bytes.NewReader(torn[len(walMagic):]))
 	var got []uint64
-	lastSeq, replayed, err = ReplayWALStrict(torn, 0, func(r Record) error {
-		got = append(got, r.Seq)
-		return nil
-	})
-	if !errors.Is(err, ErrTornRecord) {
-		t.Fatalf("torn strict replay: err %v, want ErrTornRecord", err)
+	for {
+		_, seq, err := ReadFrame(br)
+		if err != nil {
+			if !errors.Is(err, ErrTornRecord) {
+				t.Fatalf("torn stream: err %v, want ErrTornRecord", err)
+			}
+			var tre *TornRecordError
+			if !errors.As(err, &tre) || tre.LastSeq != 2 {
+				t.Fatalf("torn stream: %+v, want LastSeq 2", tre)
+			}
+			break
+		}
+		got = append(got, seq)
 	}
-	var tre *TornRecordError
-	if !errors.As(err, &tre) || tre.LastSeq != 2 {
-		t.Fatalf("torn strict replay: %+v, want LastSeq 2", tre)
-	}
-	if lastSeq != 2 || replayed != 2 || len(got) != 2 {
-		t.Fatalf("torn strict replay applied seq %d / %d records before the tear", lastSeq, replayed)
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("torn stream yielded seqs %v before the tear, want [1 2]", got)
 	}
 	// The crash-recovery replay keeps its lenient contract on the same file.
-	if _, n, err := replayWAL(OS, torn, -1, 0, func(Record) error { return nil }); err != nil || n != 2 {
-		t.Fatalf("lenient replay on torn file: %d records, err %v", n, err)
+	tornPath := filepath.Join(dir, "torn.log")
+	if err := os.WriteFile(tornPath, torn, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// A missing file is absence, not a tear.
-	if _, n, err := ReplayWALStrict(filepath.Join(dir, "gone.log"), 0, func(Record) error { return nil }); err != nil || n != 0 {
-		t.Fatalf("missing file: %d records, err %v", n, err)
+	if _, n, err := replayWAL(OS, tornPath, -1, 0, func(Record) error { return nil }); err != nil || n != 2 {
+		t.Fatalf("lenient replay on torn file: %d records, err %v", n, err)
 	}
 }
 

@@ -137,7 +137,7 @@ func OpenWALFS(fsys FS, path string, policy SyncPolicy) (*WAL, error) {
 			return nil, fmt.Errorf("persist: init wal: %w", err)
 		}
 	} else {
-		lastSeq, validOff, records, _, _, err := scanWAL(f, 0, nil)
+		lastSeq, validOff, records, _, err := scanWAL(f, 0, nil)
 		if err != nil {
 			f.Close()
 			return nil, err
@@ -405,7 +405,7 @@ func replayWAL(fsys FS, path string, limit int64, fromSeq uint64, fn func(Record
 	if limit < int64(len(walMagic)) {
 		return 0, 0, nil
 	}
-	lastSeq, _, _, replayed, _, err = scanWAL(io.NewSectionReader(f, 0, limit), fromSeq, fn)
+	lastSeq, _, _, replayed, err = scanWAL(io.NewSectionReader(f, 0, limit), fromSeq, fn)
 	return lastSeq, replayed, err
 }
 
@@ -436,44 +436,38 @@ func applyTo(t Target) func(Record) error {
 // scanWAL validates the magic and walks records until the first torn or
 // corrupt one, returning the last intact sequence, the byte offset of the
 // valid prefix, and the intact record count. Records with Seq > fromSeq are
-// handed to fn (when non-nil); fn errors abort the scan. A scan that stops
-// anywhere other than a clean record boundary additionally describes the
-// tear (tear non-nil): crash recovery (OpenWAL, ReplayInto) discards it as
-// the unacknowledged tail, while the replication paths (ReplayWALStrict,
-// the stream readers) surface it so a follower resuming from a mid-record
-// offset is told the stream is incomplete instead of silently short.
-func scanWAL(r io.Reader, fromSeq uint64, fn func(Record) error) (lastSeq uint64, validOff int64, records uint64, applied int, tear *TornRecordError, err error) {
+// handed to fn (when non-nil); fn errors abort the scan. Crash recovery
+// (OpenWAL, ReplayInto) treats whatever follows the valid prefix as the
+// unacknowledged tail and discards it; the replication stream readers
+// (ReadFrame, ParseFrame) instead surface a tear as a TornRecordError, so a
+// follower is told its stream is incomplete rather than silently short.
+func scanWAL(r io.Reader, fromSeq uint64, fn func(Record) error) (lastSeq uint64, validOff int64, records uint64, applied int, err error) {
 	if seeker, ok := r.(io.Seeker); ok {
 		if _, err := seeker.Seek(0, io.SeekStart); err != nil {
-			return 0, 0, 0, 0, nil, fmt.Errorf("persist: scan wal: %w", err)
+			return 0, 0, 0, 0, fmt.Errorf("persist: scan wal: %w", err)
 		}
-	}
-	torn := func(reason string) *TornRecordError {
-		return &TornRecordError{Offset: validOff, LastSeq: lastSeq, Reason: reason}
 	}
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(walMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return 0, 0, 0, 0, nil, fmt.Errorf("persist: wal too short for magic: %w", err)
+		return 0, 0, 0, 0, fmt.Errorf("persist: wal too short for magic: %w", err)
 	}
 	if string(magic) != walMagic {
-		return 0, 0, 0, 0, nil, fmt.Errorf("persist: bad wal magic %q", magic)
+		return 0, 0, 0, 0, fmt.Errorf("persist: bad wal magic %q", magic)
 	}
 	validOff = int64(len(walMagic))
 	var payload []byte
 	for {
 		var hdr [walHeaderLen]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF {
-				return lastSeq, validOff, records, applied, nil, nil // clean end
-			}
-			return lastSeq, validOff, records, applied, torn("torn header"), nil
+			// A clean end, or a torn header.
+			return lastSeq, validOff, records, applied, nil
 		}
 		length := le.Uint32(hdr[0:4])
 		typ := hdr[4]
 		seq := le.Uint64(hdr[5:13])
 		if length > maxWALRecord || (typ != recAppend && typ != recRemove) || seq <= lastSeq {
-			return lastSeq, validOff, records, applied, torn("corrupt header"), nil
+			return lastSeq, validOff, records, applied, nil
 		}
 		// Read the payload in bounded chunks so a corrupt length that
 		// passed the cap still only allocates what the file really holds.
@@ -487,30 +481,30 @@ func scanWAL(r io.Reader, fromSeq uint64, fn func(Record) error) (lastSeq uint64
 				payload = append(payload[:read], make([]byte, n)...)[:read]
 			}
 			if _, err := io.ReadFull(br, payload[read:read+n]); err != nil {
-				return lastSeq, validOff, records, applied, torn("torn payload"), nil
+				return lastSeq, validOff, records, applied, nil
 			}
 			payload = payload[:read+n]
 			read += n
 		}
 		wantCRC, err := readU32(br)
 		if err != nil {
-			return lastSeq, validOff, records, applied, torn("torn trailer"), nil
+			return lastSeq, validOff, records, applied, nil
 		}
 		crc := crc32.Update(0, castagnoli, hdr[:])
 		crc = crc32.Update(crc, castagnoli, payload)
 		if crc != wantCRC {
-			return lastSeq, validOff, records, applied, torn("crc mismatch"), nil
+			return lastSeq, validOff, records, applied, nil
 		}
 		rec, ok := parseRecord(typ, seq, payload)
 		if !ok {
-			return lastSeq, validOff, records, applied, torn("malformed record"), nil
+			return lastSeq, validOff, records, applied, nil
 		}
 		lastSeq = seq
 		validOff += int64(walHeaderLen + int(length) + 4)
 		records++
 		if fn != nil && seq > fromSeq {
 			if err := fn(rec); err != nil {
-				return lastSeq, validOff, records, applied, nil, err
+				return lastSeq, validOff, records, applied, err
 			}
 			applied++
 		}
