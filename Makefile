@@ -39,8 +39,13 @@ TRACE ?= 0
 
 .PHONY: build test race fuzz bench bench-json bench-scale profile perfbench fmt-check vet ci
 
+# The build also fails if a command or the library links internal/oracle,
+# the test-only sequential reference.
 build:
 	$(GO) build ./...
+	@if $(GO) list -deps ./cmd/... . | grep -qx adawave/internal/oracle; then \
+		echo "adawave/internal/oracle is test-only, but a command or the library depends on it" >&2; exit 1; \
+	fi
 
 # perfbench is its own module, outside the root ./... pattern.
 test:

@@ -79,11 +79,9 @@ func AutoScale(n, d int) int { return core.AutoScale(n, d) }
 // wavelet transform and point assignment run sharded across worker
 // goroutines over a flat struct-of-arrays grid, and scratch buffers are
 // pooled across calls. A single Clusterer is safe for concurrent calls, and
-// its output does not depend on the worker count. With a dyadic-tap basis —
-// Haar, CDF(2,2) (the default), CDF(1,3) — it matches the sequential
-// reference core.Cluster label for label; with DB4/DB6 (whose irrational
-// taps make float accumulation order-sensitive) results can differ from the
-// sequential path within floating-point rounding. Build one with New.
+// its output does not depend on the worker count: for every basis it
+// matches the sequential map-based reference (internal/oracle, test-only)
+// label for label, threshold included. Build one with New.
 type Clusterer struct {
 	eng *core.Engine
 }

@@ -24,6 +24,7 @@ import (
 	"adawave/internal/embed"
 	"adawave/internal/grid"
 	"adawave/internal/metrics"
+	"adawave/internal/oracle"
 	"adawave/internal/persist"
 	"adawave/internal/pointset"
 	"adawave/internal/sched"
@@ -32,15 +33,16 @@ import (
 	"adawave/internal/wavelet"
 )
 
-// BenchmarkFig2RunningExample times AdaWave on the Fig. 1/2 running example
-// and reports the AMI the paper headline-quotes (0.76).
+// BenchmarkFig2RunningExample times the sequential reference (oracle.Cluster)
+// on the Fig. 1/2 running example and reports the AMI the paper
+// headline-quotes (0.76).
 func BenchmarkFig2RunningExample(b *testing.B) {
 	ds := synth.RunningExampleSized(800, 1)
 	cfg := core.DefaultConfig()
 	var ami float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Cluster(ds.Points, cfg)
+		res, err := oracle.Cluster(ds.Points, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -201,9 +203,8 @@ func BenchmarkEngineDatasetFig9Roadmap(b *testing.B) {
 }
 
 // BenchmarkMultiResolution times the 5-level multi-resolution pass — the
-// workload where per-level assignment cost compounds — through the three
-// paths: the sequential map pipeline, the engine's [][]float64 adapter, and
-// the flat Dataset path whose per-level assignment is one cell pass plus a
+// workload where per-level assignment cost compounds — through two paths:
+// the engine's [][]float64 adapter and the flat Dataset path whose per-level assignment is one cell pass plus a
 // table lookup per point (O(cells·log cells + n) per level instead of
 // O(n·d + n·log cells)).
 func BenchmarkMultiResolution(b *testing.B) {
@@ -216,13 +217,6 @@ func BenchmarkMultiResolution(b *testing.B) {
 	} {
 		flat := w.ds.Flat()
 		cfg := core.DefaultConfig()
-		b.Run(w.name+"/sequential", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.ClusterMultiResolution(w.ds.Points, cfg, 5); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		eng, err := core.NewEngine(cfg, 1)
 		if err != nil {
 			b.Fatal(err)
@@ -253,7 +247,7 @@ func BenchmarkMultiResolution(b *testing.B) {
 // the O(n·k·d) stage whose nearest-centroid search shards across workers.
 func BenchmarkAssignNoiseToNearest(b *testing.B) {
 	ds := synth.Evaluation(2000, 0.75, 1)
-	res, err := core.Cluster(ds.Points, core.DefaultConfig())
+	res, err := oracle.Cluster(ds.Points, core.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -322,11 +316,15 @@ var baseGrids = []struct {
 // fig2BaseGrid quantizes the Fig. 2 running example at scale 128.
 func fig2BaseGrid(b *testing.B) *grid.FlatGrid {
 	ds := synth.RunningExampleSized(800, 1)
-	q, err := grid.NewQuantizer(ds.Points, 128)
+	q, err := grid.NewQuantizerDatasetCtx(context.Background(), ds.Flat(), 128, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return grid.FlatFromGrid(q.Quantize(ds.Points))
+	f, _, err := q.QuantizeDatasetCtx(context.Background(), ds.Flat(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return f
 }
 
 // BenchmarkComponents times the connect stage alone: ComponentsFlatAutoCtx
@@ -447,21 +445,30 @@ func BenchmarkQuantizeDataset(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5Transform times the sparse 2-D DWT of the quantized running
+// oracleTransform is one full level of the oracle's map transform.
+func oracleTransform(b *testing.B, g *oracle.Grid, basis wavelet.Basis) *oracle.Grid {
+	levels, err := oracle.TransformLevels(g, basis, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return levels[0]
+}
+
+// BenchmarkFig5Transform times the oracle's sparse 2-D DWT of the quantized running
 // example (the paper's Fig. 5 illustration) and reports the outlier-cell
 // reduction.
 func BenchmarkFig5Transform(b *testing.B) {
 	ds := synth.RunningExampleSized(800, 1)
-	q, err := grid.NewQuantizer(ds.Points, 128)
+	q, err := grid.NewQuantizerDatasetCtx(context.Background(), ds.Flat(), 128, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := q.Quantize(ds.Points)
+	g, _ := oracle.Quantize(q, ds.Points)
 	basis := wavelet.CDF22()
 	var kept int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := grid.Transform(g, basis)
+		t := oracleTransform(b, g, basis)
 		kept = t.Len()
 	}
 	b.ReportMetric(float64(g.Len()), "cells-in")
@@ -472,11 +479,12 @@ func BenchmarkFig5Transform(b *testing.B) {
 // sorted density curve of the Fig. 7 data (the paper's Fig. 6).
 func BenchmarkFig6Threshold(b *testing.B) {
 	ds := synth.Evaluation(1000, 0.5, 1)
-	q, err := grid.NewQuantizer(ds.Points, 128)
+	q, err := grid.NewQuantizerDatasetCtx(context.Background(), ds.Flat(), 128, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	curve := grid.Transform(q.Quantize(ds.Points), wavelet.CDF22()).SortedDensities()
+	g, _ := oracle.Quantize(q, ds.Points)
+	curve := oracleTransform(b, g, wavelet.CDF22()).SortedDensities()
 	for _, s := range []core.ThresholdStrategy{core.ThreeSegmentFit{}, core.SecondKnee{}} {
 		b.Run(s.Name(), func(b *testing.B) {
 			var idx int
@@ -509,7 +517,7 @@ func BenchmarkFig8NoiseSweep(b *testing.B) {
 	}
 	algs := []alg{
 		{"AdaWave", func(ds *synth.Dataset) ([]int, error) {
-			r, err := core.Cluster(ds.Points, core.DefaultConfig())
+			r, err := oracle.Cluster(ds.Points, core.DefaultConfig())
 			if err != nil {
 				return nil, err
 			}
@@ -580,7 +588,7 @@ func BenchmarkTable1RealWorld(b *testing.B) {
 			}
 			var ami float64
 			for i := 0; i < b.N; i++ {
-				res, err := core.Cluster(ds.Points, cfg)
+				res, err := oracle.Cluster(ds.Points, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -624,7 +632,7 @@ func BenchmarkFig9Roadmap(b *testing.B) {
 	var ami float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Cluster(ds.Points, cfg)
+		res, err := oracle.Cluster(ds.Points, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -642,7 +650,7 @@ func BenchmarkFig10Runtime(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", ds.N()), func(b *testing.B) {
 			cfg := core.DefaultConfig()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Cluster(ds.Points, cfg); err != nil {
+				if _, err := oracle.Cluster(ds.Points, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -660,7 +668,7 @@ func BenchmarkAblationBasis(b *testing.B) {
 			cfg.Basis = basis
 			var ami float64
 			for i := 0; i < b.N; i++ {
-				res, err := core.Cluster(ds.Points, cfg)
+				res, err := oracle.Cluster(ds.Points, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -680,7 +688,7 @@ func BenchmarkAblationLevels(b *testing.B) {
 			cfg.Levels = levels
 			var ami float64
 			for i := 0; i < b.N; i++ {
-				res, err := core.Cluster(ds.Points, cfg)
+				res, err := oracle.Cluster(ds.Points, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -708,7 +716,7 @@ func BenchmarkAblationThreshold(b *testing.B) {
 			cfg.Threshold = s
 			var ami float64
 			for i := 0; i < b.N; i++ {
-				res, err := core.Cluster(ds.Points, cfg)
+				res, err := oracle.Cluster(ds.Points, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -732,7 +740,7 @@ func BenchmarkAblationConnectivity(b *testing.B) {
 			cfg.Connectivity = tc.conn
 			var ami float64
 			for i := 0; i < b.N; i++ {
-				res, err := core.Cluster(ds.Points, cfg)
+				res, err := oracle.Cluster(ds.Points, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -748,15 +756,15 @@ func BenchmarkAblationConnectivity(b *testing.B) {
 // labeling” memory/time trade the paper claims.
 func BenchmarkAblationSparseVsDense(b *testing.B) {
 	ds := synth.Evaluation(700, 0.5, 1)
-	q, err := grid.NewQuantizer(ds.Points, 128)
+	q, err := grid.NewQuantizerDatasetCtx(context.Background(), ds.Flat(), 128, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := q.Quantize(ds.Points)
+	g, _ := oracle.Quantize(q, ds.Points)
 	basis := wavelet.CDF22()
 	b.Run("sparse-grid", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			grid.Transform(g, basis)
+			oracleTransform(b, g, basis)
 		}
 	})
 	b.Run("dense-rows", func(b *testing.B) {
@@ -791,13 +799,13 @@ func BenchmarkAblationSparseVsDense(b *testing.B) {
 // BenchmarkQuantization times the linear-scan grid assignment (step 1).
 func BenchmarkQuantization(b *testing.B) {
 	ds := synth.Evaluation(1000, 0.5, 1)
-	q, err := grid.NewQuantizer(ds.Points, 128)
+	q, err := grid.NewQuantizerDatasetCtx(context.Background(), ds.Flat(), 128, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := q.Quantize(ds.Points)
+		g, _ := oracle.Quantize(q, ds.Points)
 		if g.Len() == 0 {
 			b.Fatal("empty grid")
 		}
@@ -807,7 +815,7 @@ func BenchmarkQuantization(b *testing.B) {
 // BenchmarkAMI times the evaluation metric itself on a large labeling.
 func BenchmarkAMI(b *testing.B) {
 	ds := synth.Evaluation(1000, 0.5, 1)
-	res, err := core.Cluster(ds.Points, core.DefaultConfig())
+	res, err := oracle.Cluster(ds.Points, core.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,19 +6,19 @@ import (
 	"sync"
 	"testing"
 
-	"adawave/internal/core"
+	"adawave/internal/oracle"
 	"adawave/internal/synth"
 )
 
 // TestClustererConcurrentMatchesSequential runs many concurrent
 // ClusterDatasetContext calls on one shared Clusterer and asserts
-// label-for-label equality with the sequential core.Cluster output on the
+// label-for-label equality with the sequential oracle.Cluster output on the
 // running-example dataset. The CI race job runs this test under -race to
 // exercise the parallel paths.
 func TestClustererConcurrentMatchesSequential(t *testing.T) {
 	ds := synth.RunningExampleSized(600, 1)
 	cfg := DefaultConfig()
-	want, err := core.Cluster(ds.Points, cfg)
+	want, err := oracle.Cluster(ds.Points, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,13 +66,19 @@ func TestClustererConcurrentMatchesSequential(t *testing.T) {
 }
 
 // TestClustererMultiResolution smoke-checks the facade's concurrent
-// multi-resolution path against the sequential one.
+// multi-resolution path against the oracle run at each level.
 func TestClustererMultiResolution(t *testing.T) {
 	ds := synth.RunningExampleSized(300, 1)
 	cfg := DefaultConfig()
-	want, err := core.ClusterMultiResolution(ds.Points, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
+	want := make([]*Result, 3)
+	for l := range want {
+		lcfg := cfg
+		lcfg.Levels = l + 1
+		res, err := oracle.Cluster(ds.Points, lcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[l] = res
 	}
 	c, err := New(WithConfig(cfg), WithWorkers(4))
 	if err != nil {

@@ -13,8 +13,8 @@ import (
 
 	"adawave"
 	"adawave/internal/api"
-	"adawave/internal/core"
 	"adawave/internal/dataio"
+	"adawave/internal/oracle"
 	"adawave/internal/synth"
 )
 
@@ -117,7 +117,7 @@ func TestServeLifecycle(t *testing.T) {
 	}
 	doJSON(t, ts, "GET", base+"/labels", "", nil, http.StatusOK, &got)
 
-	want, err := core.Cluster(data.Points, adawave.DefaultConfig())
+	want, err := oracle.Cluster(data.Points, adawave.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestServeAppendEquivalence(t *testing.T) {
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 	data := adawave.SyntheticEvaluation(100, 0.3, 11)
-	want, err := core.Cluster(data.Points, adawave.DefaultConfig())
+	want, err := oracle.Cluster(data.Points, adawave.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

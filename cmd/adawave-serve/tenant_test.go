@@ -17,7 +17,7 @@ import (
 
 	"adawave"
 	"adawave/client"
-	"adawave/internal/core"
+	"adawave/internal/oracle"
 	"adawave/internal/persist"
 	"adawave/internal/sched"
 )
@@ -248,7 +248,7 @@ func TestServeClientRetryTransparent(t *testing.T) {
 	if _, err := plain.Append(ctx, id, data.Points); err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Cluster(data.Points, adawave.DefaultConfig())
+	want, err := oracle.Cluster(data.Points, adawave.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestServeEvictRehydrateConcurrent(t *testing.T) {
 		if _, err := cl.Append(ctx, id, data.Points); err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.Cluster(data.Points, adawave.DefaultConfig())
+		want, err := oracle.Cluster(data.Points, adawave.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,7 +443,7 @@ func TestServeEightTenantBurst(t *testing.T) {
 		if _, err := cl.Append(ctx, id, data.Points); err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.Cluster(data.Points, adawave.DefaultConfig())
+		want, err := oracle.Cluster(data.Points, adawave.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,7 @@ import (
 	"adawave/internal/api"
 	"adawave/internal/core"
 	"adawave/internal/dataio"
+	"adawave/internal/oracle"
 	"adawave/internal/synth"
 )
 
@@ -59,7 +60,7 @@ func TestServeV1ClientLifecycle(t *testing.T) {
 		t.Fatalf("csv append: %+v, %v", ap, err)
 	}
 
-	want, err := core.Cluster(data.Points, adawave.DefaultConfig())
+	want, err := oracle.Cluster(data.Points, adawave.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestServeClientDisconnectAbortsPipeline(t *testing.T) {
 
 	// The aborted session serves the bit-identical labels on the next read,
 	// through the NDJSON stream for good measure (52k points → 7 chunks).
-	want, err := core.Cluster(data.Points, adawave.DefaultConfig())
+	want, err := oracle.Cluster(data.Points, adawave.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@ package adawave_test
 
 // Public-API equivalence tests for the flat Dataset path: the facade's
 // Dataset entry points must reproduce the sequential [][]float64 reference
-// (core.Cluster / core.ClusterMultiResolution) label for label (the
+// (oracle.Cluster, run at each level for multi-resolution) label for label (the
 // internal equivalence gates live in internal/core; these exercise the
 // library the way an external user would).
 
@@ -12,7 +12,7 @@ import (
 	"testing"
 
 	"adawave"
-	"adawave/internal/core"
+	"adawave/internal/oracle"
 )
 
 func TestDatasetFacadeMatchesSlices(t *testing.T) {
@@ -21,7 +21,7 @@ func TestDatasetFacadeMatchesSlices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Cluster(data.Points, adawave.DefaultConfig())
+	want, err := oracle.Cluster(data.Points, adawave.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +46,15 @@ func TestDatasetFacadeMultiResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.ClusterMultiResolution(data.Points, adawave.DefaultConfig(), 3)
-	if err != nil {
-		t.Fatal(err)
+	want := make([]*adawave.Result, 3)
+	for l := range want {
+		cfg := adawave.DefaultConfig()
+		cfg.Levels = l + 1
+		res, err := oracle.Cluster(data.Points, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[l] = res
 	}
 	got, err := c.ClusterMultiResolutionDatasetContext(context.Background(), data.Flat(), 3)
 	if err != nil {

@@ -37,7 +37,8 @@
 //
 // Each operation has one call: it takes a context.Context first and a
 // flat *Dataset. Two point-facing engines share the pipeline, and both
-// match the sequential map-based reference (core.Cluster) label for label.
+// match the sequential map-based reference (internal/oracle, test-only)
+// label for label.
 // Clusterer is the parallel, allocation-lean engine for one-shot requests:
 // stages run sharded across workers over a flat struct-of-arrays grid,
 // scratch buffers are pooled, and each point's grid cell is memoized

@@ -7,8 +7,11 @@
 package wavecluster
 
 import (
+	"context"
+
 	"adawave/internal/core"
 	"adawave/internal/grid"
+	"adawave/internal/pointset"
 	"adawave/internal/wavelet"
 )
 
@@ -75,5 +78,13 @@ func Cluster(points [][]float64, cfg Config) (*Result, error) {
 		MinClusterCells: 2, // drop single-cell specks, per the original
 		MinClusterMass:  0, // but no adaptive satellite suppression
 	}
-	return core.Cluster(points, ccfg)
+	eng, err := core.NewEngine(ccfg, 0)
+	if err != nil {
+		return nil, err
+	}
+	ds, err := pointset.FromSlices(points)
+	if err != nil {
+		return nil, grid.InvalidInput(err)
+	}
+	return eng.ClusterDatasetContext(context.Background(), ds)
 }

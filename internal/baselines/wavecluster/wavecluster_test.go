@@ -1,6 +1,7 @@
 package wavecluster
 
 import (
+	"context"
 	"testing"
 
 	"adawave/internal/core"
@@ -45,7 +46,11 @@ func TestWorseThanAdaWaveAtHighNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aw, err := core.Cluster(ds.Points, core.DefaultConfig())
+	eng, err := core.NewEngine(core.DefaultConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aw, err := eng.ClusterDatasetContext(context.Background(), ds.Flat())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"adawave/internal/embed"
 	"adawave/internal/grid"
-	"adawave/internal/pointset"
 	"adawave/internal/wavelet"
 )
 
@@ -195,86 +193,9 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Cluster runs AdaWave on points (row-major, equal dimension) and returns
-// per-point labels plus diagnostics. Points are not modified.
-func Cluster(points [][]float64, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(points) == 0 {
-		return nil, grid.ErrNoPoints
-	}
-	// Step 0 — embedding, when configured: fit on the input rows and
-	// project them, exactly as the parallel engine's embed stage does, so
-	// the sequential reference stays label-identical to the Engine.
-	if cfg.Embedding.Enabled() {
-		ds, err := pointset.FromSlices(points)
-		if err != nil {
-			return nil, grid.InvalidInput(err)
-		}
-		emb, err := embed.New(cfg.Embedding)
-		if err != nil {
-			return nil, err
-		}
-		if err := emb.Fit(ds); err != nil {
-			return nil, err
-		}
-		pds, err := emb.Transform(ds)
-		if err != nil {
-			return nil, err
-		}
-		points = pds.Rows()
-	}
-	cfg = resolveScale(cfg, points)
-
-	// Step 1 — quantization (Alg. 2): sparse density grid, only occupied
-	// cells stored.
-	q, err := grid.NewQuantizer(points, cfg.Scale)
-	if err != nil {
-		return nil, err
-	}
-	g, baseCells := q.QuantizeWithCells(points)
-	cellsQuantized := g.Len()
-
-	// Step 2 — wavelet decomposition (Alg. 3): keep the scale-space
-	// subband of each level; the detail subbands are the discarded
-	// “wavelet coefficients close to zero … the noise part”.
-	t := g
-	if cfg.Levels > 0 {
-		levels, err := grid.TransformLevels(g, cfg.Basis, cfg.Levels)
-		if err != nil {
-			return nil, err
-		}
-		t = levels[len(levels)-1]
-	}
-	dropLowCoefficients(t, cfg.CoeffEpsilon)
-
-	// Steps 3–6 — adaptive threshold (Alg. 4 / Fig. 6), noise filtering,
-	// connected components, and the lookup table mapping points through
-	// their base cell to its transformed-space ancestor (coordinates
-	// right-shifted once per level — the dyadic downsampling
-	// correspondence).
-	out, err := finishClustering(t, baseCells, cfg.Levels, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out.CellsQuantized = cellsQuantized
-	return out, nil
-}
-
 // resolveScale substitutes the automatic scale for Scale == 0 and clamps
 // Levels so every dimension keeps at least two cells after decomposition.
-func resolveScale(cfg Config, points [][]float64) Config {
-	d := 1
-	if len(points) > 0 {
-		d = len(points[0])
-	}
-	return resolveScaleND(cfg, len(points), d)
-}
-
-// resolveScaleND is resolveScale given the point count and dimensionality
-// directly (the flat-dataset path carries no [][]float64).
-func resolveScaleND(cfg Config, n, d int) Config {
+func resolveScale(cfg Config, n, d int) Config {
 	if cfg.Scale == 0 {
 		if d < 1 {
 			d = 1
@@ -285,76 +206,4 @@ func resolveScaleND(cfg Config, n, d int) Config {
 		}
 	}
 	return cfg
-}
-
-// dropLowCoefficients implements the paper's “remove … the low value of
-// scaling coefficients”: cells below eps × (max density) are discarded.
-func dropLowCoefficients(t *grid.Grid, eps float64) {
-	var maxD float64
-	for _, v := range t.Cells {
-		if v > maxD {
-			maxD = v
-		}
-	}
-	cut := eps * maxD
-	if cut <= 0 {
-		cut = 1e-12 // always remove zero/negative coefficients
-	}
-	t.DropBelow(cut)
-}
-
-// relabelBySize renumbers component labels 0…k−1 in decreasing mass order
-// (so label 0 is always the heaviest cluster — convenient and
-// deterministic) and demotes components below the cell-count or
-// mass-fraction floor to Noise. If every component would be demoted, the
-// heaviest survives: a non-empty grid always yields at least one cluster.
-func relabelBySize(kept *grid.Grid, cells map[grid.Key]int, minCells int, minMassFrac float64) map[grid.Key]int {
-	type comp struct {
-		label, cells int
-		mass         float64
-	}
-	byLabel := make(map[int]*comp)
-	for k, l := range cells {
-		c := byLabel[l]
-		if c == nil {
-			c = &comp{label: l}
-			byLabel[l] = c
-		}
-		c.cells++
-		c.mass += kept.Density(k)
-	}
-	comps := make([]*comp, 0, len(byLabel))
-	for _, c := range byLabel {
-		comps = append(comps, c)
-	}
-	// Sort by mass descending, breaking ties by original label for
-	// determinism.
-	sort.Slice(comps, func(i, j int) bool {
-		if comps[i].mass != comps[j].mass {
-			return comps[i].mass > comps[j].mass
-		}
-		return comps[i].label < comps[j].label
-	})
-	remap := make(map[int]int, len(comps))
-	next := 0
-	var heaviest float64
-	if len(comps) > 0 {
-		heaviest = comps[0].mass
-	}
-	for i, c := range comps {
-		tooSmall := c.cells < minCells || (minMassFrac > 0 && c.mass < minMassFrac*heaviest)
-		if tooSmall && i > 0 {
-			remap[c.label] = Noise
-			continue
-		}
-		remap[c.label] = next
-		next++
-	}
-	out := make(map[grid.Key]int, len(cells))
-	for k, l := range cells {
-		if nl := remap[l]; nl != Noise {
-			out[k] = nl
-		}
-	}
-	return out
 }

@@ -1,12 +1,28 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"adawave/internal/metrics"
+	"adawave/internal/pointset"
 	"adawave/internal/synth"
 	"adawave/internal/wavelet"
 )
+
+// engineCluster runs rows through the engine every binary ships, at three
+// workers — the path the paper-property tests below check.
+func engineCluster(points [][]float64, cfg Config) (*Result, error) {
+	eng, err := NewEngine(cfg, 3)
+	if err != nil {
+		return nil, err
+	}
+	ds, err := pointset.FromSlices(points)
+	if err != nil {
+		return nil, err
+	}
+	return eng.ClusterDatasetContext(context.Background(), ds)
+}
 
 func TestConfigValidate(t *testing.T) {
 	good := DefaultConfig()
@@ -31,14 +47,14 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestClusterEmptyInput(t *testing.T) {
-	if _, err := Cluster(nil, DefaultConfig()); err == nil {
+	if _, err := engineCluster(nil, DefaultConfig()); err == nil {
 		t.Fatal("empty input should error")
 	}
 }
 
 func TestClusterTwoBlobsNoNoise(t *testing.T) {
 	ds := synth.Blobs(2, 500, 2, 0.02, 1)
-	res, err := Cluster(ds.Points, DefaultConfig())
+	res, err := engineCluster(ds.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +103,7 @@ func TestAssignNoiseToNearest(t *testing.T) {
 func TestClusterSinglePointPerCell(t *testing.T) {
 	// A degenerate but legal input: all points identical.
 	pts := [][]float64{{1, 1}, {1, 1}, {1, 1}}
-	res, err := Cluster(pts, DefaultConfig())
+	res, err := engineCluster(pts, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +119,7 @@ func TestClusterSinglePointPerCell(t *testing.T) {
 
 func TestClusterEvaluation50(t *testing.T) {
 	ds := synth.Evaluation(2000, 0.50, 7)
-	res, err := Cluster(ds.Points, DefaultConfig())
+	res, err := engineCluster(ds.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +132,7 @@ func TestClusterEvaluation50(t *testing.T) {
 
 func TestClusterRunningExample(t *testing.T) {
 	ds := synth.RunningExample(3)
-	res, err := Cluster(ds.Points, DefaultConfig())
+	res, err := engineCluster(ds.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +144,13 @@ func TestClusterRunningExample(t *testing.T) {
 
 func TestOrderInsensitivity(t *testing.T) {
 	ds := synth.Evaluation(800, 0.5, 11)
-	res1, err := Cluster(ds.Points, DefaultConfig())
+	res1, err := engineCluster(ds.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	shuffled := ds.Clone()
 	shuffled.Shuffle(99)
-	res2, err := Cluster(shuffled.Points, DefaultConfig())
+	res2, err := engineCluster(shuffled.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +181,11 @@ func reorder(shuffledLabels []int, shuffled, orig *synth.Dataset) []int {
 
 func TestDeterminism(t *testing.T) {
 	ds := synth.Evaluation(500, 0.6, 21)
-	res1, err := Cluster(ds.Points, DefaultConfig())
+	res1, err := engineCluster(ds.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Cluster(ds.Points, DefaultConfig())
+	res2, err := engineCluster(ds.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +203,7 @@ func TestHighNoiseRobustness(t *testing.T) {
 	// At 80% noise AdaWave should still beat AMI 0.4 (the paper reports
 	// ~0.6 at 80% on the full-size dataset).
 	ds := synth.Evaluation(2000, 0.80, 13)
-	res, err := Cluster(ds.Points, DefaultConfig())
+	res, err := engineCluster(ds.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +215,7 @@ func TestHighNoiseRobustness(t *testing.T) {
 
 func TestResultAccessors(t *testing.T) {
 	ds := synth.Blobs(3, 200, 2, 0.02, 5)
-	res, err := Cluster(ds.Points, DefaultConfig())
+	res, err := engineCluster(ds.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +239,7 @@ func TestLevelsZeroSkipsTransform(t *testing.T) {
 	ds := synth.Blobs(2, 300, 2, 0.02, 9)
 	cfg := DefaultConfig()
 	cfg.Levels = 0
-	res, err := Cluster(ds.Points, cfg)
+	res, err := engineCluster(ds.Points, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +256,7 @@ func TestAllBasesWork(t *testing.T) {
 	for _, b := range wavelet.Bases() {
 		cfg := DefaultConfig()
 		cfg.Basis = b
-		res, err := Cluster(ds.Points, cfg)
+		res, err := engineCluster(ds.Points, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
@@ -251,64 +267,11 @@ func TestAllBasesWork(t *testing.T) {
 	}
 }
 
-func TestMultiResolution(t *testing.T) {
-	ds := synth.Evaluation(1500, 0.5, 41)
-	cfg := DefaultConfig()
-	results, err := ClusterMultiResolution(ds.Points, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("got %d levels", len(results))
-	}
-	for i, r := range results {
-		if r.Levels != i+1 {
-			t.Fatalf("level field %d at index %d", r.Levels, i)
-		}
-		if len(r.Labels) != len(ds.Points) {
-			t.Fatalf("level %d: %d labels", i+1, len(r.Labels))
-		}
-	}
-	// Level 1 should be the most accurate on this data.
-	ami1 := metrics.AMINonNoise(ds.Labels, results[0].Labels, synth.NoiseLabel)
-	if ami1 < 0.55 {
-		t.Fatalf("level-1 AMI %v", ami1)
-	}
-	// Deeper levels quantize coarser: cluster count should not explode.
-	if results[2].NumClusters > results[0].NumClusters+5 {
-		t.Fatalf("coarse level has more clusters (%d) than fine (%d)",
-			results[2].NumClusters, results[0].NumClusters)
-	}
-}
-
-func TestMultiResolutionMatchesCluster(t *testing.T) {
-	// Level-ℓ multi-resolution output must equal a direct Cluster run with
-	// Levels=ℓ.
-	ds := synth.Evaluation(600, 0.4, 51)
-	cfg := DefaultConfig()
-	multi, err := ClusterMultiResolution(ds.Points, cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for l := 1; l <= 2; l++ {
-		cfg.Levels = l
-		direct, err := Cluster(ds.Points, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range direct.Labels {
-			if direct.Labels[i] != multi[l-1].Labels[i] {
-				t.Fatalf("level %d: label mismatch at point %d", l, i)
-			}
-		}
-	}
-}
-
 func TestThresholdSeparatesNoise(t *testing.T) {
 	// Most ground-truth noise should be labeled Noise, and most cluster
 	// points should not.
 	ds := synth.Evaluation(2000, 0.5, 61)
-	res, err := Cluster(ds.Points, DefaultConfig())
+	res, err := engineCluster(ds.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -243,7 +243,7 @@ func TestSessionEmbeddingCheckpointRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := sess.Checkpoint(&buf); err != nil {
+	if err := sess.CheckpointContext(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := RestoreSession(bytes.NewReader(buf.Bytes()), eng)
@@ -325,7 +325,7 @@ func TestSessionEmbeddingEmptyCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := sess.Checkpoint(&buf); err != nil {
+	if err := sess.CheckpointContext(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := RestoreSession(bytes.NewReader(buf.Bytes()), eng)

@@ -19,7 +19,7 @@ import (
 // one union-find over the neighbor edges that range-sharded workers find by
 // binary search in canonical order, and point assignment is a single array
 // lookup per point through a memoized point→cell table. Scratch buffers are
-// pooled (radix/transform buffers in internal/grid; per-level grid clones
+// pooled (radix/transform buffers in internal/grid; base-grid unpackings
 // and density-curve buffers on the Engine itself), so a long-lived Engine
 // serves many requests without per-call allocation storms. An Engine is
 // safe for concurrent use.
@@ -34,21 +34,19 @@ import (
 //
 // The Engine's output does not depend on the worker count: shard merges
 // sum integer masses exactly, each transform output cell is accumulated by
-// exactly one worker in a fixed input order, and component numbering
-// reproduces the map BFS order. For bases whose filter taps are dyadic
-// rationals — Haar, CDF(2,2) (the default) and CDF(1,3) — the arithmetic
-// is exact and the Engine matches the sequential reference Cluster label
-// for label, threshold included. DB4/DB6 taps are irrational, so there the
-// two paths (and individual runs of the map-based path itself, whose
-// accumulation follows map iteration order) can differ within last-ULP
-// rounding, which can move a cell that sits exactly on the threshold.
+// exactly one worker in ascending input-coordinate order, components are
+// numbered by their first cell, and component masses are summed in
+// canonical cell order. The test-only sequential reference in
+// internal/oracle does every sum in the same order, and the Engine matches
+// it label for label, threshold and density curve included, for every
+// basis — the irrational DB4/DB6 taps as well as the dyadic ones.
 type Engine struct {
 	cfg     Config
 	workers int
-	// grids pools the per-level transform clones of a multi-resolution pass,
-	// curves the sorted-density scratch and tables the ancestor label table
-	// of every finishing pass, so clustering L levels does not allocate L
-	// fresh copies of each.
+	// grids pools the unpacking of a packed base grid, curves the
+	// sorted-density scratch and tables the ancestor label table of every
+	// finishing pass, so repeated passes do not allocate fresh copies of
+	// each.
 	grids  sync.Pool
 	curves sync.Pool
 	tables sync.Pool
@@ -82,13 +80,8 @@ func (e *Engine) effectiveWorkers() int {
 	return e.workers
 }
 
-// getGrid clones src into a pooled FlatGrid; putGrid returns it.
-func (e *Engine) getGrid(src *grid.FlatGrid) *grid.FlatGrid {
-	return src.CloneInto(e.getEmptyGrid())
-}
-
-// getEmptyGrid takes a pooled FlatGrid without copying anything into it —
-// the landing buffer for unpacking a compressed base grid.
+// getEmptyGrid takes a pooled FlatGrid — the landing buffer for unpacking
+// a compressed base grid; putGrid returns it.
 func (e *Engine) getEmptyGrid() *grid.FlatGrid {
 	g, _ := e.grids.Get().(*grid.FlatGrid)
 	if g == nil {
@@ -100,8 +93,7 @@ func (e *Engine) getEmptyGrid() *grid.FlatGrid {
 func (e *Engine) putGrid(g *grid.FlatGrid) { e.grids.Put(g) }
 
 // ClusterDatasetContext runs the parallel AdaWave pipeline on a flat
-// row-major dataset; the result is identical to the sequential Cluster on
-// the same rows. Every stage polls ctx at its shard boundaries, and a
+// row-major dataset. Every stage polls ctx at its shard boundaries, and a
 // cancelled run unwinds cleanly (pooled buffers returned, no partial
 // result) with an ErrCanceled- or ErrDeadlineExceeded-tagged error.
 func (e *Engine) ClusterDatasetContext(ctx context.Context, ds *pointset.Dataset) (*Result, error) {
@@ -117,7 +109,7 @@ func (e *Engine) ClusterDatasetContext(ctx context.Context, ds *pointset.Dataset
 // streaming Session's path: a live grid maintained by incremental merges
 // feeds the identical downstream stages, so an incrementally built base
 // yields the same Result as a one-shot run, bit for bit. cfg must already
-// be resolved (see resolveScaleND). The transform stage runs on a pooled
+// be resolved (see resolveScale). The transform stage runs on a pooled
 // private unpacking (the float64 densities it needs), and the assignment
 // stage streams ancestor labels block by block off the compressed base
 // directly.
@@ -127,11 +119,12 @@ func (e *Engine) clusterFromPacked(ctx context.Context, base *grid.PackedGrid, i
 }
 
 // ClusterMultiResolutionDatasetContext runs the pipeline at every
-// decomposition level from 1 to maxLevels in a single pass, like the
-// sequential ClusterMultiResolution (which ignores cfg.Levels). Points are
-// quantized once; the per-level threshold/components/assignment stages run
-// concurrently, each level's assignment rebuilt from one pass over the
-// cells (O(cells·log cells + n) per level). ctx cancels every stage.
+// decomposition level from 1 to maxLevels in a single pass (cfg.Levels is
+// ignored); level ℓ's Result equals a one-shot run with Levels = ℓ. Points
+// are quantized and transformed once; the per-level threshold/components/
+// assignment stages run concurrently, each level's assignment rebuilt from
+// one pass over the cells (O(cells·log cells + n) per level). ctx cancels
+// every stage.
 func (e *Engine) ClusterMultiResolutionDatasetContext(ctx context.Context, ds *pointset.Dataset, maxLevels int) ([]*Result, error) {
 	if maxLevels < 1 {
 		maxLevels = 1
@@ -147,80 +140,51 @@ func (e *Engine) ClusterMultiResolutionDatasetContext(ctx context.Context, ds *p
 }
 
 // multiResolutionFromBase is the post-quantization half of
-// ClusterMultiResolutionDatasetContext, shared with the streaming Session: the
-// transform chain starts from an existing canonical base grid with memoized
-// point ids, and the per-level finishing passes run concurrently. base is
-// only read.
+// ClusterMultiResolutionDatasetContext, shared with the streaming Session:
+// one transform chain from an existing canonical base grid with memoized
+// point ids, then concurrent per-level finishing passes. base is only read.
 func (e *Engine) multiResolutionFromBase(ctx context.Context, base *grid.FlatGrid, ids []int32, cfg Config, maxLevels, w int) ([]*Result, error) {
-	// The transform chain ends once any dimension shrinks below two cells,
-	// so levels beyond log2(max size) can never produce a result — clamp
-	// before sizing the result slices, so a caller-supplied (possibly
-	// attacker-supplied, via adawave-serve's ?levels=) count cannot force
-	// a giant upfront allocation.
-	maxUseful := 0
+	// The chain ends once any dimension would shrink below two cells. Clamp
+	// to that before transforming, so a caller-supplied (possibly
+	// attacker-supplied, via adawave-serve's ?levels=) count cannot force a
+	// giant upfront allocation.
 	for _, s := range base.Size {
-		bits := 0
-		for v := s; v >= 2; v >>= 1 {
-			bits++
+		n := 0
+		for ; s >= 2 && n < maxLevels; s = (s + 1) / 2 {
+			n++
 		}
-		if bits > maxUseful {
-			maxUseful = bits
-		}
+		maxLevels = n
 	}
-	if maxLevels > maxUseful {
-		maxLevels = maxUseful
+	levels, err := grid.TransformLevelsFlatCtx(ctx, base, cfg.Basis, maxLevels, w)
+	if err != nil {
+		return nil, err
 	}
-	cellsQuantized := base.Len()
-	results := make([]*Result, maxLevels)
-	errs := make([]error, maxLevels)
+	// The levels are fresh grids owned here, so each finisher denoises its
+	// own level in place.
+	results := make([]*Result, len(levels))
+	errs := make([]error, len(levels))
 	var wg sync.WaitGroup
-	cur := base
-	levels := 0
-	for level := 1; level <= maxLevels; level++ {
-		tooSmall := false
-		for _, s := range cur.Size {
-			if s < 2 {
-				tooSmall = true
-				break
-			}
-		}
-		if tooSmall {
-			break
-		}
-		next, err := grid.TransformFlatCtx(ctx, cur, cfg.Basis, w)
-		if err != nil {
-			// In-flight finishers of earlier levels drain before the
-			// cancellation (or transform failure) is reported.
-			wg.Wait()
-			return nil, err
-		}
-		cur = next
-		t := e.getGrid(cur)
-		levels = level
+	for l, t := range levels {
 		wg.Add(1)
-		go func(level int, t *grid.FlatGrid) {
+		go func(l int, t *grid.FlatGrid) {
 			defer wg.Done()
-			defer e.putGrid(t)
 			dropLowCoefficientsFlat(t, cfg.CoeffEpsilon)
-			res, err := e.finishClusteringFlat(ctx, t, base, ids, level, cfg, w)
-			if err != nil {
-				errs[level-1] = err
-				return
-			}
-			res.CellsQuantized = cellsQuantized
-			results[level-1] = res
-		}(level, t)
+			results[l], errs[l] = e.finishClusteringFlat(ctx, t, base, ids, l+1, cfg, w)
+		}(l, t)
 	}
 	wg.Wait()
-	for _, err := range errs[:levels] {
+	for l, err := range errs {
 		if err != nil {
 			return nil, err
 		}
+		results[l].CellsQuantized = base.Len()
 	}
-	return results[:levels], nil
+	return results, nil
 }
 
-// dropLowCoefficientsFlat mirrors dropLowCoefficients on the flat grid.
+// dropLowCoefficientsFlat implements the paper's “remove … the low value
+// of scaling coefficients”: cells below eps × (max density) are discarded,
+// and zero or negative coefficients always are.
 func dropLowCoefficientsFlat(t *grid.FlatGrid, eps float64) {
 	var maxD float64
 	for _, v := range t.Vals {
@@ -255,11 +219,12 @@ func (e *Engine) finishClusteringFlat(ctx context.Context, t *grid.FlatGrid, bas
 	return e.runStages(ctx, st, stageList[stageFromThreshold:])
 }
 
-// relabelBySizeFlat is relabelBySize on flat component labels: renumber
-// components 0…k−1 in decreasing mass order (ties by original id, which is
-// the map engine's original label) and demote components below the
-// cell-count or mass-fraction floor to −1, never demoting the heaviest.
-// It returns the per-cell new labels and the surviving cluster count.
+// relabelBySizeFlat renumbers components 0…k−1 in decreasing mass order
+// (so label 0 is always the heaviest cluster; ties by original id) and
+// demotes components below the cell-count or mass-fraction floor to −1,
+// never demoting the heaviest: a non-empty grid always yields at least one
+// cluster. It returns the per-cell new labels and the surviving cluster
+// count.
 func relabelBySizeFlat(kept *grid.FlatGrid, comp []int32, ncomp, minCells int, minMassFrac float64) ([]int32, int) {
 	cells := make([]int32, ncomp)
 	mass := grid.ComponentMasses(kept, comp, ncomp)

@@ -1,11 +1,13 @@
-package core
+package core_test
 
 import (
 	"context"
 	"fmt"
 	"testing"
 
+	"adawave/internal/core"
 	"adawave/internal/datasets"
+	"adawave/internal/oracle"
 	"adawave/internal/pointset"
 	"adawave/internal/synth"
 	"adawave/internal/wavelet"
@@ -16,16 +18,16 @@ import (
 // reproduce both the [][]float64 engine path and the sequential reference
 // label for label, threshold and cell counts included.
 
-func assertDatasetPathMatches(t *testing.T, points [][]float64, cfg Config, workerCounts []int) {
+func assertDatasetPathMatches(t *testing.T, points [][]float64, cfg core.Config, workerCounts []int) {
 	t.Helper()
-	want, err := Cluster(points, cfg)
+	want, err := oracle.Cluster(points, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ds := pointset.MustFromSlices(points)
 	for _, workers := range workerCounts {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			eng, err := NewEngine(cfg, workers)
+			eng, err := core.NewEngine(cfg, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,14 +43,14 @@ func assertDatasetPathMatches(t *testing.T, points [][]float64, cfg Config, work
 // TestDatasetPathRunningExample covers the Fig. 1/2 running example.
 func TestDatasetPathRunningExample(t *testing.T) {
 	ds := synth.RunningExampleSized(800, 1)
-	assertDatasetPathMatches(t, ds.Points, DefaultConfig(), []int{1, 2, 4})
+	assertDatasetPathMatches(t, ds.Points, core.DefaultConfig(), []int{1, 2, 4})
 }
 
 // TestDatasetPathEvaluationMixture covers the Fig. 7 mixture at heavy
 // noise, where threshold selection does real work.
 func TestDatasetPathEvaluationMixture(t *testing.T) {
 	ds := synth.Evaluation(700, 0.8, 1)
-	assertDatasetPathMatches(t, ds.Points, DefaultConfig(), []int{1, 4})
+	assertDatasetPathMatches(t, ds.Points, core.DefaultConfig(), []int{1, 4})
 }
 
 // TestDatasetPathDermatology covers the 33-dimensional dermatology stand-in
@@ -58,7 +60,7 @@ func TestDatasetPathDermatology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.Scale = 0
 	cfg.Basis = wavelet.Haar()
 	assertDatasetPathMatches(t, ds.Points, cfg, []int{1, 4})
@@ -68,25 +70,21 @@ func TestDatasetPathDermatology(t *testing.T) {
 // dataset path must clone the base grid before coefficient dropping.
 func TestDatasetPathLevelsZero(t *testing.T) {
 	ds := synth.RunningExampleSized(300, 1)
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.Levels = 0
 	assertDatasetPathMatches(t, ds.Points, cfg, []int{1, 4})
 }
 
 // TestDatasetPathMultiResolution: every level of the multi-resolution pass
-// must agree between the sequential reference, the slice adapter and the
-// flat dataset path (which reuses one quantization and pooled per-level
-// buffers).
+// must agree between the sequential reference run at each level and the
+// flat dataset path (which quantizes and transforms once).
 func TestDatasetPathMultiResolution(t *testing.T) {
 	ds := synth.RunningExampleSized(400, 1)
-	cfg := DefaultConfig()
-	want, err := ClusterMultiResolution(ds.Points, cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := core.DefaultConfig()
+	want := oracleLevels(t, ds.Points, cfg, 4)
 	flat := ds.Flat()
 	for _, workers := range []int{1, 4} {
-		eng, err := NewEngine(cfg, workers)
+		eng, err := core.NewEngine(cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +105,7 @@ func TestDatasetPathMultiResolution(t *testing.T) {
 
 // TestDatasetPathValidation mirrors the slice entry points' error behavior.
 func TestDatasetPathValidation(t *testing.T) {
-	eng, err := NewEngine(DefaultConfig(), 1)
+	eng, err := core.NewEngine(core.DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,13 +128,13 @@ func TestDatasetPathValidation(t *testing.T) {
 // worker count (centroid sums stay sequential).
 func TestAssignNoiseToNearestParallelMatchesSequential(t *testing.T) {
 	ds := synth.Evaluation(700, 0.75, 9)
-	res, err := Cluster(ds.Points, DefaultConfig())
+	res, err := oracle.Cluster(ds.Points, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := AssignNoiseToNearestParallel(ds.Points, res.Labels, 3, 1)
+	want := core.AssignNoiseToNearestParallel(ds.Points, res.Labels, 3, 1)
 	for _, workers := range []int{2, 4, 7} {
-		got := AssignNoiseToNearestParallel(ds.Points, res.Labels, 3, workers)
+		got := core.AssignNoiseToNearestParallel(ds.Points, res.Labels, 3, workers)
 		for i := range want {
 			if want[i] != got[i] {
 				t.Fatalf("workers=%d: label %d: got %d, want %d", workers, i, got[i], want[i])
@@ -144,7 +142,7 @@ func TestAssignNoiseToNearestParallelMatchesSequential(t *testing.T) {
 		}
 	}
 	for _, l := range want {
-		if l == Noise {
+		if l == core.Noise {
 			t.Fatal("no noise label may survive assignment")
 		}
 	}

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"context"
@@ -9,63 +9,28 @@ import (
 	"sync"
 	"testing"
 
+	"adawave/internal/core"
 	"adawave/internal/datasets"
 	"adawave/internal/grid"
+	"adawave/internal/oracle"
 	"adawave/internal/pointset"
 	"adawave/internal/synth"
 	"adawave/internal/wavelet"
 )
-
-// assertResultsEqual requires the parallel engine's result to match the
-// sequential reference field for field: identical labels, threshold, curve
-// and per-stage cell counts.
-func assertResultsEqual(t *testing.T, want, got *Result) {
-	t.Helper()
-	if want.NumClusters != got.NumClusters {
-		t.Fatalf("NumClusters: want %d, got %d", want.NumClusters, got.NumClusters)
-	}
-	if want.Threshold != got.Threshold {
-		t.Fatalf("Threshold: want %v, got %v", want.Threshold, got.Threshold)
-	}
-	if want.ThresholdIndex != got.ThresholdIndex {
-		t.Fatalf("ThresholdIndex: want %d, got %d", want.ThresholdIndex, got.ThresholdIndex)
-	}
-	if want.CellsQuantized != got.CellsQuantized || want.CellsTransformed != got.CellsTransformed || want.CellsKept != got.CellsKept {
-		t.Fatalf("cell counts: want %d/%d/%d, got %d/%d/%d",
-			want.CellsQuantized, want.CellsTransformed, want.CellsKept,
-			got.CellsQuantized, got.CellsTransformed, got.CellsKept)
-	}
-	if len(want.Curve) != len(got.Curve) {
-		t.Fatalf("curve length: want %d, got %d", len(want.Curve), len(got.Curve))
-	}
-	for i := range want.Curve {
-		if want.Curve[i] != got.Curve[i] {
-			t.Fatalf("curve[%d]: want %v, got %v", i, want.Curve[i], got.Curve[i])
-		}
-	}
-	if len(want.Labels) != len(got.Labels) {
-		t.Fatalf("label count: want %d, got %d", len(want.Labels), len(got.Labels))
-	}
-	for i := range want.Labels {
-		if want.Labels[i] != got.Labels[i] {
-			t.Fatalf("label %d: want %d, got %d", i, want.Labels[i], got.Labels[i])
-		}
-	}
-}
 
 // TestEngineMatchesSequentialRunningExample is the tentpole equivalence
 // gate: on the paper's running example the parallel engine must reproduce
 // the sequential pipeline label for label at every worker count.
 func TestEngineMatchesSequentialRunningExample(t *testing.T) {
 	ds := synth.RunningExampleSized(800, 1)
-	cfg := DefaultConfig()
-	want, err := Cluster(ds.Points, cfg)
+	cfg := core.DefaultConfig()
+	want, err := oracle.Cluster(ds.Points, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			eng, err := NewEngine(cfg, workers)
+			eng, err := core.NewEngine(cfg, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,15 +51,15 @@ func TestEngineMatchesSequentialHighDim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.Scale = 0
 	cfg.Basis = wavelet.Haar()
-	want, err := Cluster(ds.Points, cfg)
+	want, err := oracle.Cluster(ds.Points, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		eng, err := NewEngine(cfg, workers)
+		eng, err := core.NewEngine(cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,12 +75,12 @@ func TestEngineMatchesSequentialHighDim(t *testing.T) {
 // mixture at heavy noise, where threshold selection does real work.
 func TestEngineMatchesSequentialEvaluation(t *testing.T) {
 	ds := synth.Evaluation(700, 0.8, 1)
-	cfg := DefaultConfig()
-	want, err := Cluster(ds.Points, cfg)
+	cfg := core.DefaultConfig()
+	want, err := oracle.Cluster(ds.Points, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(cfg, 4)
+	eng, err := core.NewEngine(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,15 +92,12 @@ func TestEngineMatchesSequentialEvaluation(t *testing.T) {
 }
 
 // TestEngineMultiResolutionMatchesSequential checks the concurrent
-// per-level finishing stage against the sequential multi-resolution pass.
+// per-level finishing stage against the oracle run at each level.
 func TestEngineMultiResolutionMatchesSequential(t *testing.T) {
 	ds := synth.RunningExampleSized(400, 1)
-	cfg := DefaultConfig()
-	want, err := ClusterMultiResolution(ds.Points, cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(cfg, 4)
+	cfg := core.DefaultConfig()
+	want := oracleLevels(t, ds.Points, cfg, 4)
+	eng, err := core.NewEngine(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,12 +118,12 @@ func TestEngineMultiResolutionMatchesSequential(t *testing.T) {
 // concurrent call must reproduce the sequential labels exactly.
 func TestEngineConcurrentClusterCalls(t *testing.T) {
 	ds := synth.RunningExampleSized(500, 1)
-	cfg := DefaultConfig()
-	want, err := Cluster(ds.Points, cfg)
+	cfg := core.DefaultConfig()
+	want, err := oracle.Cluster(ds.Points, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(cfg, 2)
+	eng, err := core.NewEngine(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +163,10 @@ func TestEngineConcurrentClusterCalls(t *testing.T) {
 
 // TestEngineValidation mirrors the sequential entry points' error behavior.
 func TestEngineValidation(t *testing.T) {
-	if _, err := NewEngine(Config{}, 0); err == nil {
+	if _, err := core.NewEngine(core.Config{}, 0); err == nil {
 		t.Fatal("zero config must not validate")
 	}
-	eng, err := NewEngine(DefaultConfig(), 0)
+	eng, err := core.NewEngine(core.DefaultConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +177,7 @@ func TestEngineValidation(t *testing.T) {
 
 // clusterRows runs eng on [][]float64 rows through the one flat entry
 // point, copying them with FromSlices as slice callers do.
-func clusterRows(eng *Engine, points [][]float64) (*Result, error) {
+func clusterRows(eng *core.Engine, points [][]float64) (*core.Result, error) {
 	ds, err := pointset.FromSlices(points)
 	if err != nil {
 		return nil, err
@@ -226,13 +188,13 @@ func clusterRows(eng *Engine, points [][]float64) (*Result, error) {
 // TestEngineLevelsZero covers the ablation path that skips the transform.
 func TestEngineLevelsZero(t *testing.T) {
 	ds := synth.RunningExampleSized(300, 1)
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.Levels = 0
-	want, err := Cluster(ds.Points, cfg)
+	want, err := oracle.Cluster(ds.Points, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(cfg, 4)
+	eng, err := core.NewEngine(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,10 +213,10 @@ func TestEngineLevelsZero(t *testing.T) {
 func TestMultiResolutionDensificationCap(t *testing.T) {
 	mins, maxs := make([]float64, 6), []float64{1, 1, 1, 1, 1, 1}
 	ds := pointset.MustFromSlices(synth.UniformBox(rand.New(rand.NewSource(1)), 400, mins, maxs))
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.Basis = wavelet.DB6()
 	cfg.Scale = 64
-	eng, err := NewEngine(cfg, 1)
+	eng, err := core.NewEngine(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 func TestAffineInvariance(t *testing.T) {
 	ds := synth.Evaluation(300, 0.5, 11)
 	cfg := DefaultConfig()
-	base, err := Cluster(ds.Points, cfg)
+	base, err := engineCluster(ds.Points, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestAffineInvariance(t *testing.T) {
 			}
 			moved[i] = q
 		}
-		res, err := Cluster(moved, cfg)
+		res, err := engineCluster(moved, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -56,7 +56,7 @@ func TestDuplicationConsistency(t *testing.T) {
 	doubled := make([][]float64, 0, 2*n)
 	doubled = append(doubled, ds.Points...)
 	doubled = append(doubled, ds.Points...)
-	res, err := Cluster(doubled, DefaultConfig())
+	res, err := engineCluster(doubled, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestDuplicationConsistency(t *testing.T) {
 // with every cluster label non-empty and label 0 the heaviest cluster.
 func TestLabelsAreCanonical(t *testing.T) {
 	ds := synth.Evaluation(400, 0.6, 13)
-	res, err := Cluster(ds.Points, DefaultConfig())
+	res, err := engineCluster(ds.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestLabelsAreCanonical(t *testing.T) {
 // the reported index.
 func TestCurveIsSortedDescending(t *testing.T) {
 	ds := synth.Evaluation(300, 0.5, 14)
-	res, err := Cluster(ds.Points, DefaultConfig())
+	res, err := engineCluster(ds.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestNoiseRobustnessRamp(t *testing.T) {
 	}
 	for _, gamma := range []float64{0.3, 0.6, 0.85} {
 		ds := synth.Evaluation(1500, gamma, 15)
-		res, err := Cluster(ds.Points, DefaultConfig())
+		res, err := engineCluster(ds.Points, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestNonFiniteRejected(t *testing.T) {
 		pts[i] = []float64{rng.Float64(), rng.Float64()}
 	}
 	pts[17][1] = rng.NormFloat64() / 0 // ±Inf
-	if _, err := Cluster(pts, DefaultConfig()); err == nil {
+	if _, err := engineCluster(pts, DefaultConfig()); err == nil {
 		t.Fatal("Inf coordinate should error")
 	}
 }

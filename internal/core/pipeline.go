@@ -10,7 +10,7 @@ import (
 )
 
 // The pipeline as an explicit, ordered stage list. Every clustering path —
-// one-shot Cluster/ClusterDataset, the streaming Session's re-cluster, the
+// one-shot ClusterDatasetContext, the streaming Session's re-cluster, the
 // out-of-core external path, and each level of a multi-resolution pass —
 // runs a contiguous slice of the same six stages over a shared pipeState:
 //
@@ -162,7 +162,7 @@ func (e *Engine) stageEmbed(ctx context.Context, st *pipeState) error {
 // cell memo — in RAM normally, through the spill-to-disk external sort when
 // st.ext is set.
 func (e *Engine) stageQuantize(ctx context.Context, st *pipeState) error {
-	st.cfg = resolveScaleND(st.cfg, st.ds.N, st.ds.D)
+	st.cfg = resolveScale(st.cfg, st.ds.N, st.ds.D)
 	q, err := grid.NewQuantizerDatasetCtx(ctx, st.ds, st.cfg.Scale, st.w)
 	if err != nil {
 		return err

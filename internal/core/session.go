@@ -26,16 +26,16 @@ import (
 // read the grid and never the points, re-run on the next read.
 //
 // Lifecycle: Append and Remove mark the session dirty and return
-// immediately; Labels, Result and MultiResolution lazily fold the pending
-// mutations and recompute, then cache until the next mutation. A Session is
-// safe for one writer and many concurrent readers: reads of a clean session
-// share a read lock, and the recompute (like every mutation) runs under the
-// write lock.
+// immediately; Labels, Result and MultiResolutionContext lazily fold the
+// pending mutations and recompute, then cache until the next mutation. A
+// Session is safe for one writer and many concurrent readers: reads of a
+// clean session share a read lock, and the recompute (like every mutation)
+// runs under the write lock.
 //
 // Equivalence guarantee: after any sequence of Append and Remove calls, the
 // session's labels are bit-identical to a one-shot Engine.ClusterDataset
-// over the current point set, and MultiResolution matches
-// ClusterMultiResolutionDataset the same way. The incremental path is used
+// over the current point set, and MultiResolutionContext matches
+// ClusterMultiResolutionDatasetContext the same way. The incremental path is used
 // only while it provably preserves the one-shot quantization frame — the
 // session falls back to a full requantization when a batch expands the
 // bounding box, when a removal lets go of a boundary-touching point (the
@@ -328,7 +328,7 @@ func (s *Session) syncLocked(ctx context.Context) (Config, error) {
 	if err := stage(ctx, StageFold); err != nil {
 		return Config{}, err
 	}
-	cfg := resolveScaleND(s.eng.cfg, n, d)
+	cfg := resolveScale(s.eng.cfg, n, d)
 	w := s.eng.effectiveWorkers()
 	if s.q == nil || s.rebuild || cfg.Scale != s.scale || s.expandsBBox() {
 		q, err := grid.NewQuantizerDatasetCtx(ctx, pds, cfg.Scale, w)
@@ -439,20 +439,14 @@ func (s *Session) LabelsContext(ctx context.Context) ([]int, error) {
 	return res.Labels, nil
 }
 
-// MultiResolution clusters the current point set at every decomposition
-// level from 1 to maxLevels in one pass over the live grid (points are
-// never re-quantized), matching ClusterMultiResolutionDataset on the same
-// points level for level. Unlike Result it is not cached. The write lock
-// is held only to fold pending mutations and snapshot the grid state; the
-// multi-level pass itself runs on a private clone, so concurrent Labels
-// readers (and other MultiResolution calls) proceed during the compute.
-func (s *Session) MultiResolution(maxLevels int) ([]*Result, error) {
-	return s.MultiResolutionContext(context.Background(), maxLevels)
-}
-
-// MultiResolutionContext is MultiResolution with cooperative cancellation.
-// The multi-level pass computes on a private clone of the live grid, so a
-// cancelled call cannot disturb the session state at all.
+// MultiResolutionContext clusters the current point set at every
+// decomposition level from 1 to maxLevels in one pass over the live grid
+// (points are never re-quantized), matching
+// ClusterMultiResolutionDatasetContext on the same points level for level.
+// Unlike ResultContext it is not cached. The write lock is held only to
+// fold pending mutations and snapshot the grid state; the multi-level pass
+// computes on a private copy, so concurrent readers proceed during the
+// compute and a cancelled call cannot disturb the session state at all.
 func (s *Session) MultiResolutionContext(ctx context.Context, maxLevels int) ([]*Result, error) {
 	if maxLevels < 1 {
 		maxLevels = 1
@@ -474,7 +468,7 @@ func (s *Session) MultiResolutionContext(ctx context.Context, maxLevels int) ([]
 }
 
 // ConfigFingerprint renders cfg as the persisted configuration fingerprint
-// — the single canonical renderer shared by Session.Checkpoint,
+// — the single canonical renderer shared by Session.CheckpointContext,
 // RestoreSession and the serving layer's config.json, so the two sides can
 // never drift apart. The basis is named (the built-in filter banks are
 // fixed by name); the threshold strategy is rendered with its parameter
@@ -499,22 +493,17 @@ func ConfigFingerprint(cfg Config) persist.ConfigMeta {
 	}
 }
 
-// Checkpoint serializes the session's full state to w in the versioned,
-// CRC-framed checkpoint format of internal/persist: configuration
-// fingerprint, every current point row, the memoized per-point cell ids,
-// the quantizer frame and the live grid. It runs under the writer lock and
-// folds pending mutations first (which also sweeps any removal tombstones),
-// so the written grid is canonical and compact at any point in an
-// append/remove sequence — a checkpoint taken between a Remove and the next
-// read round-trips like any other. RestoreSession rebuilds a session that
-// reproduces this one's labels bit for bit without requantizing a point.
-func (s *Session) Checkpoint(w io.Writer) error {
-	return s.CheckpointContext(context.Background(), w)
-}
-
-// CheckpointContext is Checkpoint with cooperative cancellation of the fold
-// that precedes serialization. A cancelled call writes nothing and leaves
-// the session untouched; the serialization itself, once started, runs to
+// CheckpointContext serializes the session's full state to w in the
+// versioned, CRC-framed checkpoint format of internal/persist:
+// configuration fingerprint, every current point row, the memoized
+// per-point cell ids, the quantizer frame and the live grid. It runs under
+// the writer lock and folds pending mutations first (which also sweeps any
+// removal tombstones), so the written grid is canonical and compact at any
+// point in an append/remove sequence — a checkpoint taken between a Remove
+// and the next read round-trips like any other. RestoreSession rebuilds a
+// session that reproduces this one's labels bit for bit without
+// requantizing a point. A cancelled fold writes nothing and leaves the
+// session untouched; the serialization itself, once started, runs to
 // completion (it is the caller's write path, not engine compute).
 func (s *Session) CheckpointContext(ctx context.Context, w io.Writer) error {
 	s.mu.Lock()
@@ -534,7 +523,7 @@ func (s *Session) CheckpointContext(ctx context.Context, w io.Writer) error {
 }
 
 // RestoreSession rebuilds a streaming session from a checkpoint written by
-// Session.Checkpoint, attached to eng (which must be configured exactly as
+// Session.CheckpointContext, attached to eng (which must be configured exactly as
 // the checkpointing engine was; a differing fingerprint is reported as
 // persist.ErrConfigMismatch, since restoring under a different
 // configuration would silently break the bit-identical equivalence

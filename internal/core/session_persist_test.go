@@ -26,7 +26,7 @@ import (
 func checkpointRestore(t *testing.T, s *Session, cfg Config, workers int) *Session {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.Checkpoint(&buf); err != nil {
+	if err := s.CheckpointContext(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	eng, err := NewEngine(cfg, workers)
@@ -232,7 +232,7 @@ func TestRestoreSessionConfigMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := sess.Checkpoint(&buf); err != nil {
+	if err := sess.CheckpointContext(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	mutations := []func(*Config){
@@ -268,7 +268,7 @@ func TestRestoreSessionThresholdParamMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := sess.Checkpoint(&buf); err != nil {
+	if err := sess.CheckpointContext(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	other := cfg

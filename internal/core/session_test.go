@@ -145,7 +145,7 @@ func TestSessionStreamingEquivalence(t *testing.T) {
 								// One reader exercises the multi-level
 								// path, which computes on a private
 								// snapshot outside the session lock.
-								_, _ = sess.MultiResolution(2)
+								_, _ = sess.MultiResolutionContext(context.Background(), 2)
 								continue
 							}
 							if res, err := sess.Result(); err == nil && res != nil {
@@ -282,7 +282,7 @@ func TestSessionMultiResolutionEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sess.MultiResolution(4)
+	got, err := sess.MultiResolutionContext(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestSessionMultiResolutionEquivalence(t *testing.T) {
 
 	// An absurd level count is clamped to what the grid scale can yield
 	// (scale 128 → 7 levels) instead of sizing result slices to it.
-	huge, err := sess.MultiResolution(1 << 30)
+	huge, err := sess.MultiResolutionContext(context.Background(), 1<<30)
 	if err != nil {
 		t.Fatal(err)
 	}

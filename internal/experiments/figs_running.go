@@ -67,12 +67,19 @@ func RunFig5(opt Options) error {
 	ds := synth.RunningExampleSized(per, opt.seed())
 
 	cfg := core.DefaultConfig()
-	q, err := grid.NewQuantizer(ds.Points, cfg.Scale)
+	ctx, flat, workers := context.Background(), ds.Flat(), opt.engineWorkers()
+	q, err := grid.NewQuantizerDatasetCtx(ctx, flat, cfg.Scale, workers)
 	if err != nil {
 		return fmt.Errorf("fig5: %w", err)
 	}
-	g := q.Quantize(ds.Points)
-	t := grid.Transform(g, cfg.Basis)
+	g, _, err := q.QuantizeDatasetCtx(ctx, flat, workers)
+	if err != nil {
+		return fmt.Errorf("fig5: %w", err)
+	}
+	t, err := grid.TransformFlatCtx(ctx, g, cfg.Basis, workers)
+	if err != nil {
+		return fmt.Errorf("fig5: %w", err)
+	}
 	t.DropBelow(cfg.CoeffEpsilon * maxDensity(t))
 
 	// “The number of points sparsely scattered (outliers) in the
@@ -83,7 +90,7 @@ func RunFig5(opt Options) error {
 	fmt.Fprintf(w, "%-28s  %10s  %12s\n", "", "original", "transformed")
 	fmt.Fprintf(w, "%-28s  %10d  %12d\n", "occupied cells", g.Len(), t.Len())
 	fmt.Fprintf(w, "%-28s  %10d  %12d\n", "sparse (outlier) cells", before, after)
-	fmt.Fprintf(w, "%-28s  %10d  %12d\n", "isolated cells", isolatedCells(g), isolatedCells(t))
+	fmt.Fprintf(w, "%-28s  %10d  %12d\n", "isolated cells", isolatedCells(g, workers), isolatedCells(t, workers))
 	fmt.Fprintf(w, "%-28s  %10.2f  %12.2f\n", "max cell density", maxDensity(g), maxDensity(t))
 	if after >= before {
 		fmt.Fprintf(w, "\nWARNING: outliers did not decrease (paper expects a drop)\n")
@@ -97,9 +104,9 @@ func RunFig5(opt Options) error {
 // sparseCells counts occupied cells carrying less than two points' worth
 // of mass — the sparsely scattered background the paper's Fig. 5 narrates
 // (an absolute cut: cell values are densities in units of points).
-func sparseCells(g *grid.Grid) int {
+func sparseCells(g *grid.FlatGrid) int {
 	count := 0
-	for _, v := range g.Cells {
+	for _, v := range g.Vals {
 		if v < 2 {
 			count++
 		}
@@ -152,9 +159,9 @@ func RunFig7(opt Options) error {
 }
 
 // maxDensity returns the largest cell density of a grid (0 when empty).
-func maxDensity(g *grid.Grid) float64 {
+func maxDensity(g *grid.FlatGrid) float64 {
 	var mx float64
-	for _, v := range g.Cells {
+	for _, v := range g.Vals {
 		if v > mx {
 			mx = v
 		}
@@ -164,12 +171,12 @@ func maxDensity(g *grid.Grid) float64 {
 
 // isolatedCells counts occupied cells with no occupied face-neighbor — the
 // “sparsely scattered points (outliers)” of the paper's Fig. 5 narration.
-func isolatedCells(g *grid.Grid) int {
-	labels, err := grid.Components(g, grid.Faces)
+func isolatedCells(g *grid.FlatGrid, workers int) int {
+	labels, ncomp, err := grid.ComponentsFlatAutoCtx(context.Background(), g, grid.Faces, workers)
 	if err != nil {
 		return 0
 	}
-	sizes := make(map[int]int)
+	sizes := make([]int, ncomp)
 	for _, l := range labels {
 		sizes[l]++
 	}

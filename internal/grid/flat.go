@@ -1,3 +1,10 @@
+// Package grid implements the sparse-grid substrate of AdaWave: the “grid
+// labeling” data structure from the paper (only occupied cells are stored,
+// so memory is O(occupied cells) instead of O(Mᵈ)), the feature-space
+// quantizer, the per-dimension sparse wavelet transform, connected-
+// component labeling over occupied cells, and the packed, snapshot, merge
+// and external-sort machinery that keeps a grid resident, durable or out of
+// core.
 package grid
 
 import (
@@ -6,15 +13,14 @@ import (
 	"sync/atomic"
 )
 
-// FlatGrid is the struct-of-arrays rendering of Grid: packed uint16 cell
-// coordinates plus a parallel density slice. Where Grid pays a string hash,
-// a map probe and a key allocation per cell per stage, FlatGrid is two flat
-// slices that radix-sort in O(m·d) and sweep with sequential memory access —
-// the representation the parallel engine (quantize shards, slab-merge
-// transform, union-find components) runs on. Cell order is an explicit,
-// documented property of each operation rather than map-iteration noise:
-// quantization and the full separable transform leave the grid in canonical
-// order (lexicographic by dimension 0 first), which Find relies on.
+// FlatGrid is the working grid: packed uint16 cell coordinates plus a
+// parallel density slice — two flat slices that radix-sort in O(m·d) and
+// sweep with sequential memory access, the representation the parallel
+// engine (quantize shards, slab-merge transform, union-find components)
+// runs on. Cell order is an explicit, documented property of each
+// operation: quantization and the full separable transform leave the grid
+// in canonical order (lexicographic by coordinate, dimension 0 first),
+// which Find relies on.
 type FlatGrid struct {
 	// Size is the number of cells along each dimension.
 	Size []int
@@ -128,40 +134,6 @@ func (f *FlatGrid) CloneInto(dst *FlatGrid) *FlatGrid {
 	return dst
 }
 
-// KeyAt returns the map-representation Key of cell i.
-func (f *FlatGrid) KeyAt(i int) Key {
-	d := f.Dim()
-	buf := make([]byte, 2*d)
-	for j, c := range f.CellCoords(i) {
-		buf[2*j] = byte(c)
-		buf[2*j+1] = byte(c >> 8)
-	}
-	return Key(buf)
-}
-
-// ToGrid converts to the map representation.
-func (f *FlatGrid) ToGrid() *Grid {
-	g := New(f.Size)
-	for i, v := range f.Vals {
-		g.Cells[f.KeyAt(i)] = v
-	}
-	return g
-}
-
-// FlatFromGrid converts a map grid to flat form in canonical order.
-func FlatFromGrid(g *Grid) *FlatGrid {
-	d := g.Dim()
-	f := NewFlat(g.Size, g.Len())
-	for k, v := range g.Cells {
-		for j := 0; j < d; j++ {
-			f.Coords = append(f.Coords, uint16(k.Coord(j)))
-		}
-		f.Vals = append(f.Vals, v)
-	}
-	f.SortCanonical()
-	return f
-}
-
 // SortCanonical reorders cells into canonical order: lexicographic by
 // coordinate, dimension 0 most significant.
 func (f *FlatGrid) SortCanonical() {
@@ -213,10 +185,11 @@ func cmpCoords(a, b []uint16) int {
 	return 0
 }
 
-// keyByteLess compares coordinate tuples in Key byte order — the order
-// Grid.SortedKeys yields (per dimension: low byte, then high byte). The
-// flat component labeling numbers components in this order so its labels
-// coincide with the map-based BFS labeling cell for cell.
+// keyByteLess orders coordinate tuples dimension by dimension, comparing
+// each coordinate's low byte first and its high byte second — the order of
+// the coordinates' little-endian byte strings. Component labeling numbers
+// components in this order of their first cell; it matches canonical order
+// while every coordinate is below 256.
 func keyByteLess(a, b []uint16) bool {
 	for j := range a {
 		al, bl := a[j]&0xFF, b[j]&0xFF

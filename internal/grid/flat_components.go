@@ -7,15 +7,32 @@ import (
 	"sort"
 )
 
-// Flat component labeling, sharded by cell range: the canonical cell
-// stream is carved into contiguous index ranges, each worker collects its
-// range's adjacency edges independently (neighbors found by binary search
-// in the canonical order, so an edge whose endpoints straddle a range
-// boundary is discovered exactly like an interior one — boundary stitching
-// is free), one sequential union-find pass folds all edge lists together,
-// and the components are numbered in Key byte order of their first cell.
-// The labels agree with the map BFS of Components cell for cell, at every
-// worker count.
+// Connectivity selects which cells count as neighbors during
+// connected-component labeling.
+type Connectivity int
+
+const (
+	// Faces connects cells that differ by ±1 in exactly one dimension
+	// (2d neighbors; 4-connectivity in 2-D). This is the default and the
+	// only option that scales to high dimension.
+	Faces Connectivity = iota
+	// Full connects cells that differ by at most 1 in every dimension
+	// (3ᵈ−1 neighbors; 8-connectivity in 2-D). Limited to d ≤ 8.
+	Full
+)
+
+// maxFullDim bounds Full connectivity: 3⁸−1 = 6560 neighbor offsets is the
+// largest fan-out we allow per cell.
+const maxFullDim = 8
+
+// Component labeling, sharded by cell range: the canonical cell stream is
+// carved into contiguous index ranges, each worker collects its range's
+// adjacency edges independently (neighbors found by binary search in the
+// canonical order, so an edge whose endpoints straddle a range boundary is
+// discovered exactly like an interior one — boundary stitching is free),
+// one sequential union-find pass folds all edge lists together, and the
+// components are numbered in keyByteLess order of their first cell. The
+// labels are the same at every worker count.
 
 // isCanonical reports whether f's cells are in strictly increasing
 // canonical order (the order quantization and the full transform emit).
@@ -32,8 +49,8 @@ func isCanonical(f *FlatGrid) bool {
 // ComponentsFlatAutoCtx labels the cells of canonical grid f with
 // consecutive component ids starting at 0 under the chosen connectivity,
 // returning one label per cell index plus the component count. Components
-// are numbered in Key byte order of their first cell — the order the map
-// BFS assigns ids in — so the labeling equals Components cell for cell.
+// are numbered in keyByteLess order of their first cell: per dimension,
+// by the coordinate's low byte, then its high byte.
 // Grids under parallelCellCutoff cells run on one worker. A grid not in
 // canonical order is refused with an ErrInvalidInput-tagged error.
 // Cancellation is polled inside every shard and between the union and
@@ -172,8 +189,8 @@ func ComponentsFlatAutoCtx(ctx context.Context, f *FlatGrid, conn Connectivity, 
 		return nil, 0, err
 	}
 
-	// Phase 3: number components by the Key byte order of their first
-	// cell, matching the map BFS visit order.
+	// Phase 3: number components in keyByteLess order of their first
+	// cell.
 	perm := make([]int32, m)
 	for i := range perm {
 		perm[i] = int32(i)
@@ -199,8 +216,8 @@ func ComponentsFlatAutoCtx(ctx context.Context, f *FlatGrid, conn Connectivity, 
 	return labels, int(next), nil
 }
 
-// ComponentMasses returns the total density mass of each component label
-// (flat counterpart of ComponentSizes), summed in cell order.
+// ComponentMasses returns the total density mass of each component label,
+// summed in cell order.
 func ComponentMasses(f *FlatGrid, labels []int32, ncomp int) []float64 {
 	out := make([]float64, ncomp)
 	for i, l := range labels {

@@ -1,18 +1,21 @@
-package grid
+package grid_test
 
 import (
 	"context"
 	"errors"
 	"math/rand"
 	"testing"
+
+	"adawave/internal/grid"
+	"adawave/internal/oracle"
 )
 
 // randomCanonicalGrid builds a sparse canonical grid with clumped occupancy
 // so components of many shapes and sizes appear.
-func randomCanonicalGrid(t *testing.T, d, size, cells int, seed int64) *FlatGrid {
+func randomCanonicalGrid(t *testing.T, d, size, cells int, seed int64) *grid.FlatGrid {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	g := New(make([]int, d))
+	g := oracle.New(make([]int, d))
 	for j := range g.Size {
 		g.Size[j] = size
 	}
@@ -22,7 +25,7 @@ func randomCanonicalGrid(t *testing.T, d, size, cells int, seed int64) *FlatGrid
 		for j := range coords {
 			coords[j] = rng.Intn(size)
 		}
-		g.Cells[MakeKey(coords)] = 1
+		g.Cells[oracle.MakeKey(coords)] = 1
 		for s := 0; s < 6; s++ {
 			j := rng.Intn(d)
 			coords[j] += rng.Intn(3) - 1
@@ -32,24 +35,25 @@ func randomCanonicalGrid(t *testing.T, d, size, cells int, seed int64) *FlatGrid
 			if coords[j] >= size {
 				coords[j] = size - 1
 			}
-			g.Cells[MakeKey(coords)] = 1
+			g.Cells[oracle.MakeKey(coords)] = 1
 		}
 	}
-	return FlatFromGrid(g)
+	return oracle.FlatFromGrid(g)
 }
 
 // mapComponents labels f's cells with the map-based BFS reference,
-// Components, returning one label per cell index and the component count.
-func mapComponents(t *testing.T, f *FlatGrid, conn Connectivity) ([]int32, int) {
+// oracle.Components, returning one label per cell index and the component
+// count.
+func mapComponents(t *testing.T, f *grid.FlatGrid, conn grid.Connectivity) ([]int32, int) {
 	t.Helper()
-	byKey, err := Components(f.ToGrid(), conn)
+	byKey, err := oracle.Components(oracle.ToGrid(f), conn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	labels := make([]int32, f.Len())
 	n := 0
 	for i := range labels {
-		l := byKey[f.KeyAt(i)]
+		l := byKey[oracle.CellKey(f, i)]
 		labels[i] = int32(l)
 		n = max(n, l+1)
 	}
@@ -57,28 +61,29 @@ func mapComponents(t *testing.T, f *FlatGrid, conn Connectivity) ([]int32, int) 
 }
 
 // TestComponentsFlatShardedMatchesSequential: the range-sharded labeling
-// must reproduce the map BFS of Components exactly — labels and component
-// count — for both connectivities across dimensions and worker counts,
-// including grids above parallelCellCutoff, where the shards fan out.
+// must reproduce the map BFS of oracle.Components exactly — labels and
+// component count — for both connectivities across dimensions and worker
+// counts, including grids above the parallel cutoff, where the shards fan
+// out.
 func TestComponentsFlatShardedMatchesSequential(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		d, size, cells int
-		conn           Connectivity
+		conn           grid.Connectivity
 	}{
-		{1, 64, 40, Faces},
-		{2, 64, 900, Faces},
-		{2, 64, 900, Full},
-		{3, 32, 1200, Faces},
-		{3, 32, 1200, Full},
-		{5, 8, 700, Faces},
-		{3, 32, 3 * parallelCellCutoff, Faces},
-		{3, 32, 3 * parallelCellCutoff, Full},
+		{1, 64, 40, grid.Faces},
+		{2, 64, 900, grid.Faces},
+		{2, 64, 900, grid.Full},
+		{3, 32, 1200, grid.Faces},
+		{3, 32, 1200, grid.Full},
+		{5, 8, 700, grid.Faces},
+		{3, 32, 3 * grid.ParallelCellCutoff, grid.Faces},
+		{3, 32, 3 * grid.ParallelCellCutoff, grid.Full},
 	} {
 		f := randomCanonicalGrid(t, tc.d, tc.size, tc.cells, int64(tc.d*1000+tc.cells))
 		want, wantN := mapComponents(t, f, tc.conn)
 		for _, workers := range []int{1, 2, 3, 7} {
-			got, gotN, err := ComponentsFlatAutoCtx(ctx, f, tc.conn, workers)
+			got, gotN, err := grid.ComponentsFlatAutoCtx(ctx, f, tc.conn, workers)
 			if err != nil {
 				t.Fatalf("d=%d conn=%v workers=%d: %v", tc.d, tc.conn, workers, err)
 			}
@@ -101,8 +106,8 @@ func TestComponentsFlatShardedMatchesSequential(t *testing.T) {
 func TestComponentsFlatAuto(t *testing.T) {
 	ctx := context.Background()
 	f := randomCanonicalGrid(t, 2, 64, 3000, 5)
-	want, wantN := mapComponents(t, f, Faces)
-	got, gotN, err := ComponentsFlatAutoCtx(ctx, f, Faces, 4)
+	want, wantN := mapComponents(t, f, grid.Faces)
+	got, gotN, err := grid.ComponentsFlatAutoCtx(ctx, f, grid.Faces, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +134,7 @@ func TestComponentsFlatAuto(t *testing.T) {
 		swap(rng.Intn(f.Len()), rng.Intn(f.Len()))
 	}
 	for _, workers := range []int{1, 4} {
-		if _, _, err := ComponentsFlatAutoCtx(ctx, f, Faces, workers); !errors.Is(err, ErrInvalidInput) {
+		if _, _, err := grid.ComponentsFlatAutoCtx(ctx, f, grid.Faces, workers); !errors.Is(err, grid.ErrInvalidInput) {
 			t.Fatalf("scrambled, workers=%d: err %v, want ErrInvalidInput", workers, err)
 		}
 	}

@@ -12,16 +12,15 @@ import (
 // instead of chasing a pointer per point. The scan is sharded across
 // workers with exact min/max merging, and non-finite coordinates are
 // reported for the lowest offending point index, so the result (and any
-// error) is identical to NewQuantizer on the same points for every worker
-// count. Every shard polls ctx at its boundary (and every ctxCheckStride
-// points within), and a cancelled scan returns the taxonomy error of CtxErr
-// without building a quantizer.
+// error) is identical for every worker count. Every shard polls ctx at its
+// boundary (and every ctxCheckStride points within), and a cancelled scan
+// returns the taxonomy error of CtxErr without building a quantizer.
 //
 // Each shard folds its rows in blocks of ctxCheckStride rows straight off
 // the backing slice, accumulating v−v over the block as its only
 // finiteness test (zero unless some coordinate is NaN or ±Inf). A flagged
 // block is rescanned row by row with bboxShard.scan, so the error names
-// the lowest offending point exactly as the sequential constructor does.
+// the lowest offending point exactly as a row-by-row scan would.
 func NewQuantizerDatasetCtx(ctx context.Context, ds *pointset.Dataset, scale, workers int) (*Quantizer, error) {
 	if ds == nil || ds.N == 0 {
 		return nil, ErrNoPoints
@@ -80,15 +79,15 @@ func NewQuantizerDatasetCtx(ctx context.Context, ds *pointset.Dataset, scale, wo
 }
 
 // QuantizeDatasetCtx builds the sparse density grid of a flat dataset in
-// canonical order — the same grid as the map-based Quantize, identical for
-// every worker count — and additionally memoizes every point's base-cell
-// index: ids[i] is the canonical-order index of point i's cell in the
-// returned grid. Each worker quantizes a contiguous shard with
-// quantizeShard, which counts the shard into a dense cell table when the
-// whole cell space Scaleᵈ is no larger than the shard's row count and
-// radix-sorts its cells with the point index as payload otherwise; either
-// way each point is stamped with its shard-local cell number, and the exact
-// k-way shard merge renumbers those to global indices. Each point's cell
+// canonical order — identical for every worker count — and additionally
+// memoizes every point's base-cell index: ids[i] is the canonical-order
+// index of point i's cell in the returned grid. Each worker quantizes a
+// contiguous shard with quantizeShard, which counts the shard into a dense
+// cell table when the whole cell space Scaleᵈ is no larger than the
+// shard's row count and radix-sorts its cells with the point index as
+// payload otherwise; either way each point is stamped with its shard-local
+// cell number, and the exact k-way shard merge renumbers those to global
+// indices. Each point's cell
 // coordinates are computed exactly once.
 //
 // Each quantization shard polls ctx at its boundary (and every

@@ -70,9 +70,8 @@ type dimSweep struct {
 // f is only read. Every output cell is the merge of the input slabs under
 // the filter's taps, accumulated from zero in ascending tap order, and work
 // units of contiguous blocks and output ranges are sharded across workers
-// (≤ 1 runs inline). Output cells whose accumulated value is zero are kept,
-// matching the map engine (which stores them until coefficient denoising
-// drops them). ctx is polled on entry and once per work unit, and a
+// (≤ 1 runs inline). Output cells whose accumulated value is zero are kept
+// until coefficient denoising drops them. ctx is polled on entry and once per work unit, and a
 // cancelled transform returns the ctx error with dst's contents
 // unspecified.
 func transformDimFlatCtx(ctx context.Context, f *FlatGrid, j int, b wavelet.Basis, workers int, dst *FlatGrid) error {
@@ -334,13 +333,28 @@ func (sw *dimSweep) cmpSuffix(a, b int32) int {
 	return cmpCoords(sw.f.Coords[a*d+j+1:(a+1)*d], sw.f.Coords[b*d+j+1:(b+1)*d])
 }
 
+// DefaultTransformCellCap bounds the occupied cells the sparse transform
+// may produce (see growthCap). It is far above any healthy workload — a
+// densifying high-dimensional transform crosses it within seconds, a
+// legitimate one never does.
+const DefaultTransformCellCap = 1 << 23
+
+// growthCap returns the per-level occupied-cell budget for an input of m
+// cells: healthy transforms either shrink the cell count (dense low-d
+// grids merge under downsampling) or scatter by at most ⌈L/2⌉ per
+// dimension bounded by the output grid size; 32× input with a 2¹⁶ floor
+// accommodates every legitimate case while catching exponential
+// densification after a couple of dimensions instead of gigabytes later.
+func growthCap(m int) int {
+	return min(max(32*m, 1<<16), DefaultTransformCellCap)
+}
+
 // TransformFlatCtx applies one full decomposition level (the low-pass
 // filter along every dimension in turn) to a canonical grid, returning a new
 // canonical grid; f is never modified, and ctx is polled between and within
-// the per-dimension sweeps. Like the map engine's transformCapped, it aborts
-// with an ErrInvalidInput-tagged error once the occupied cells exceed
-// growthCap(f.Len()) after any dimension: long filters densify sparse
-// high-dimensional grids exponentially. The grids between dimensions are
+// the per-dimension sweeps. It aborts with an ErrInvalidInput-tagged error
+// once the occupied cells exceed growthCap(f.Len()) after any dimension:
+// long filters densify sparse high-dimensional grids exponentially. The grids between dimensions are
 // pooled; only the final one is allocated.
 func TransformFlatCtx(ctx context.Context, f *FlatGrid, b wavelet.Basis, workers int) (*FlatGrid, error) {
 	d := f.Dim()
@@ -374,12 +388,11 @@ func TransformFlatCtx(ctx context.Context, f *FlatGrid, b wavelet.Basis, workers
 	return cur, nil
 }
 
-// TransformLevelsFlatCtx mirrors TransformLevels on the flat
-// representation: `levels` full decomposition levels of a canonical grid,
-// each through TransformFlatCtx, returning the approximation grid of each
-// level (level 1 first), with the same growth caps and errors. Every
-// returned level is canonical. A cancelled chain returns no levels, and f
-// is never modified.
+// TransformLevelsFlatCtx applies `levels` full decomposition levels to a
+// canonical grid, each through TransformFlatCtx, and returns the
+// approximation grid of each level (level 1 first) — the multi-resolution
+// stack. Every returned level is canonical, freshly allocated and owned by
+// the caller. A cancelled chain returns no levels, and f is never modified.
 func TransformLevelsFlatCtx(ctx context.Context, f *FlatGrid, b wavelet.Basis, levels, workers int) ([]*FlatGrid, error) {
 	if levels < 1 {
 		return nil, fmt.Errorf("grid: levels must be ≥ 1, got %d", levels)

@@ -1,19 +1,23 @@
-package grid
+package grid_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"adawave/internal/grid"
+	"adawave/internal/oracle"
+	"adawave/internal/pointset"
 	"adawave/internal/wavelet"
 )
 
 func TestKeyRoundTrip(t *testing.T) {
 	cases := [][]int{{0}, {1, 2}, {65535, 0, 123}, {7, 7, 7, 7, 7, 7, 7, 7, 7, 7}}
 	for _, coords := range cases {
-		k := MakeKey(coords)
+		k := oracle.MakeKey(coords)
 		if k.Dim() != len(coords) {
 			t.Fatalf("Dim = %d, want %d", k.Dim(), len(coords))
 		}
@@ -27,7 +31,7 @@ func TestKeyRoundTrip(t *testing.T) {
 }
 
 func TestKeyWith(t *testing.T) {
-	k := MakeKey([]int{3, 5, 9})
+	k := oracle.MakeKey([]int{3, 5, 9})
 	k2 := k.With(1, 300)
 	if k2.Coord(0) != 3 || k2.Coord(1) != 300 || k2.Coord(2) != 9 {
 		t.Fatalf("With produced %v", k2.Coords())
@@ -44,12 +48,12 @@ func TestKeyRangePanics(t *testing.T) {
 			t.Fatal("out-of-range coordinate should panic")
 		}
 	}()
-	MakeKey([]int{70000})
+	oracle.MakeKey([]int{70000})
 }
 
 func TestGridBasics(t *testing.T) {
-	g := New([]int{4, 4})
-	k := MakeKey([]int{1, 2})
+	g := oracle.New([]int{4, 4})
+	k := oracle.MakeKey([]int{1, 2})
 	g.Add(k, 2)
 	g.Add(k, 3)
 	if g.Density(k) != 5 {
@@ -58,10 +62,10 @@ func TestGridBasics(t *testing.T) {
 	if g.Len() != 1 || g.Dim() != 2 {
 		t.Fatalf("Len/Dim wrong: %d %d", g.Len(), g.Dim())
 	}
-	if g.Density(MakeKey([]int{0, 0})) != 0 {
+	if g.Density(oracle.MakeKey([]int{0, 0})) != 0 {
 		t.Fatal("absent cell should read 0")
 	}
-	g.Add(MakeKey([]int{0, 0}), 1)
+	g.Add(oracle.MakeKey([]int{0, 0}), 1)
 	if g.TotalMass() != 6 {
 		t.Fatalf("TotalMass = %v", g.TotalMass())
 	}
@@ -81,9 +85,9 @@ func TestGridBasics(t *testing.T) {
 }
 
 func TestDropBelow(t *testing.T) {
-	g := New([]int{8})
-	g.Add(MakeKey([]int{0}), 0.001)
-	g.Add(MakeKey([]int{1}), 5)
+	g := oracle.New([]int{8})
+	g.Add(oracle.MakeKey([]int{0}), 0.001)
+	g.Add(oracle.MakeKey([]int{1}), 5)
 	if removed := g.DropBelow(0.01); removed != 1 {
 		t.Fatalf("removed %d cells", removed)
 	}
@@ -92,56 +96,57 @@ func TestDropBelow(t *testing.T) {
 	}
 }
 
+// quantize builds the quantizer and grid of points at one worker.
+func quantize(t testing.TB, points [][]float64, scale int) (*grid.FlatGrid, error) {
+	t.Helper()
+	ds := pointset.MustFromSlices(points)
+	q, err := grid.NewQuantizerDatasetCtx(context.Background(), ds, scale, 1)
+	if err != nil {
+		return nil, err
+	}
+	g, _, err := q.QuantizeDatasetCtx(context.Background(), ds, 1)
+	return g, err
+}
+
 func TestQuantizerBasics(t *testing.T) {
-	pts := [][]float64{{0, 0}, {1, 1}, {0.49, 0.51}}
-	q, err := NewQuantizer(pts, 2)
+	g, err := quantize(t, [][]float64{{0, 0}, {1, 1}, {0.49, 0.51}}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := q.Quantize(pts)
-	// (0,0)→cell(0,0); (1,1)→clamped to (1,1); (0.49,0.51)→(0,1)
-	if g.Density(MakeKey([]int{0, 0})) != 1 {
-		t.Fatalf("cell (0,0) density %v", g.Density(MakeKey([]int{0, 0})))
+	// (0,0)→cell(0,0); (0.49,0.51)→(0,1); (1,1)→clamped to (1,1)
+	for i, want := range [][]uint16{{0, 0}, {0, 1}, {1, 1}} {
+		if c := g.CellCoords(i); c[0] != want[0] || c[1] != want[1] || g.Vals[i] != 1 {
+			t.Fatalf("cell %d = %v mass %v, want %v mass 1", i, c, g.Vals[i], want)
+		}
 	}
-	if g.Density(MakeKey([]int{1, 1})) != 1 {
-		t.Fatalf("cell (1,1) density %v", g.Density(MakeKey([]int{1, 1})))
-	}
-	if g.Density(MakeKey([]int{0, 1})) != 1 {
-		t.Fatalf("cell (0,1) density %v", g.Density(MakeKey([]int{0, 1})))
-	}
-	if g.TotalMass() != 3 {
-		t.Fatalf("mass %v", g.TotalMass())
+	if g.Len() != 3 || g.TotalMass() != 3 {
+		t.Fatalf("%d cells, mass %v", g.Len(), g.TotalMass())
 	}
 }
 
 func TestQuantizerErrors(t *testing.T) {
-	if _, err := NewQuantizer(nil, 4); err != ErrNoPoints {
+	if _, err := quantize(t, nil, 4); err != grid.ErrNoPoints {
 		t.Fatalf("want ErrNoPoints, got %v", err)
 	}
-	if _, err := NewQuantizer([][]float64{{1}}, 1); err == nil {
+	if _, err := quantize(t, [][]float64{{1}}, 1); err == nil {
 		t.Fatal("scale < 2 should error")
 	}
-	if _, err := NewQuantizer([][]float64{{1}}, 1<<20); err == nil {
+	if _, err := quantize(t, [][]float64{{1}}, 1<<20); err == nil {
 		t.Fatal("huge scale should error")
 	}
-	if _, err := NewQuantizer([][]float64{{1, 2}, {1}}, 4); err == nil {
-		t.Fatal("ragged points should error")
-	}
-	if _, err := NewQuantizer([][]float64{{}}, 4); err == nil {
+	if _, err := quantize(t, [][]float64{{}}, 4); err == nil {
 		t.Fatal("zero-dimensional points should error")
 	}
 }
 
 func TestQuantizerConstantDimension(t *testing.T) {
-	pts := [][]float64{{1, 5}, {2, 5}, {3, 5}}
-	q, err := NewQuantizer(pts, 4)
+	g, err := quantize(t, [][]float64{{1, 5}, {2, 5}, {3, 5}}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := q.Quantize(pts)
-	for k := range g.Cells {
-		if k.Coord(1) != 0 {
-			t.Fatalf("constant dimension should map to cell 0, got %d", k.Coord(1))
+	for i := 0; i < g.Len(); i++ {
+		if c := g.CellCoords(i)[1]; c != 0 {
+			t.Fatalf("constant dimension should map to cell 0, got %d", c)
 		}
 	}
 	if g.TotalMass() != 3 {
@@ -162,12 +167,8 @@ func TestQuantizeMassConservation(t *testing.T) {
 			}
 			pts[i] = p
 		}
-		q, err := NewQuantizer(pts, 16)
-		if err != nil {
-			return false
-		}
-		g := q.Quantize(pts)
-		return g.TotalMass() == float64(n) && g.Len() <= n
+		g, err := quantize(t, pts, 16)
+		return err == nil && g.TotalMass() == float64(n) && g.Len() <= n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -183,23 +184,23 @@ func TestSparseTransformMatchesDense(t *testing.T) {
 		// 1-D grid: direct comparison with wavelet.Approx.
 		n := 32
 		sig := make([]float64, n)
-		g := New([]int{n})
+		g := oracle.New([]int{n})
 		for i := range sig {
 			if rng.Float64() < 0.5 { // keep it sparse
 				sig[i] = rng.Float64() * 10
 				if sig[i] != 0 {
-					g.Add(MakeKey([]int{i}), sig[i])
+					g.Add(oracle.MakeKey([]int{i}), sig[i])
 				}
 			}
 		}
 		want := wavelet.Approx(sig, b)
-		got := TransformDim(g, 0, b)
+		got := oracle.TransformDim(g, 0, b)
 		if got.Size[0] != len(want) {
 			t.Fatalf("%s: size %d, want %d", b.Name, got.Size[0], len(want))
 		}
 		for k, w := range want {
-			if math.Abs(got.Density(MakeKey([]int{k}))-w) > 1e-10 {
-				t.Fatalf("%s: coeff %d = %v, want %v", b.Name, k, got.Density(MakeKey([]int{k})), w)
+			if math.Abs(got.Density(oracle.MakeKey([]int{k}))-w) > 1e-10 {
+				t.Fatalf("%s: coeff %d = %v, want %v", b.Name, k, got.Density(oracle.MakeKey([]int{k})), w)
 			}
 		}
 	}
@@ -219,15 +220,15 @@ func TestTransform2DSeparable(t *testing.T) {
 	for i := range fy {
 		fy[i] = rng.Float64()
 	}
-	g := New([]int{nx, ny})
+	g := oracle.New([]int{nx, ny})
 	for i := 0; i < nx; i++ {
 		for j := 0; j < ny; j++ {
 			if v := fx[i] * fy[j]; v != 0 {
-				g.Add(MakeKey([]int{i, j}), v)
+				g.Add(oracle.MakeKey([]int{i, j}), v)
 			}
 		}
 	}
-	got := Transform(g, b)
+	got := transform1(g, b)
 	ax, ay := wavelet.Approx(fx, b), wavelet.Approx(fy, b)
 	if got.Size[0] != len(ax) || got.Size[1] != len(ay) {
 		t.Fatalf("size %v", got.Size)
@@ -235,17 +236,17 @@ func TestTransform2DSeparable(t *testing.T) {
 	for i := range ax {
 		for j := range ay {
 			want := ax[i] * ay[j]
-			if math.Abs(got.Density(MakeKey([]int{i, j}))-want) > 1e-9 {
-				t.Fatalf("cell (%d,%d) = %v, want %v", i, j, got.Density(MakeKey([]int{i, j})), want)
+			if math.Abs(got.Density(oracle.MakeKey([]int{i, j}))-want) > 1e-9 {
+				t.Fatalf("cell (%d,%d) = %v, want %v", i, j, got.Density(oracle.MakeKey([]int{i, j})), want)
 			}
 		}
 	}
 }
 
 func TestTransformLevels(t *testing.T) {
-	g := New([]int{16, 16})
-	g.Add(MakeKey([]int{8, 8}), 4)
-	levels, err := TransformLevels(g, wavelet.Haar(), 3)
+	g := oracle.New([]int{16, 16})
+	g.Add(oracle.MakeKey([]int{8, 8}), 4)
+	levels, err := oracle.TransformLevels(g, wavelet.Haar(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,20 +265,20 @@ func TestTransformLevels(t *testing.T) {
 			t.Fatalf("level %d mass %v, want %v", l+1, lg.TotalMass(), want)
 		}
 	}
-	if _, err := TransformLevels(g, wavelet.Haar(), 0); err == nil {
+	if _, err := oracle.TransformLevels(g, wavelet.Haar(), 0); err == nil {
 		t.Fatal("levels=0 should error")
 	}
-	if _, err := TransformLevels(g, wavelet.Haar(), 10); err == nil {
+	if _, err := oracle.TransformLevels(g, wavelet.Haar(), 10); err == nil {
 		t.Fatal("too many levels should error")
 	}
 }
 
 func TestShiftKey(t *testing.T) {
-	k := MakeKey([]int{12, 7})
-	if s := ShiftKey(k, 1); s.Coord(0) != 6 || s.Coord(1) != 3 {
+	k := oracle.MakeKey([]int{12, 7})
+	if s := oracle.Key(oracle.AppendShiftedKey(nil, k, 1)); s.Coord(0) != 6 || s.Coord(1) != 3 {
 		t.Fatalf("shift 1 = %v", s.Coords())
 	}
-	if s := ShiftKey(k, 2); s.Coord(0) != 3 || s.Coord(1) != 1 {
+	if s := oracle.Key(oracle.AppendShiftedKey(nil, k, 2)); s.Coord(0) != 3 || s.Coord(1) != 1 {
 		t.Fatalf("shift 2 = %v", s.Coords())
 	}
 }
@@ -288,22 +289,22 @@ func TestComponentsFaces(t *testing.T) {
 	//  . A . .
 	//  . . . .
 	//  C . . .
-	g := New([]int{4, 4})
+	g := oracle.New([]int{4, 4})
 	for _, c := range [][]int{{0, 0}, {1, 0}, {1, 1}, {3, 0}, {0, 3}} {
-		g.Add(MakeKey(c), 1)
+		g.Add(oracle.MakeKey(c), 1)
 	}
-	labels, err := Components(g, Faces)
+	labels, err := oracle.Components(g, grid.Faces)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(labels) != 5 {
 		t.Fatalf("labeled %d cells", len(labels))
 	}
-	la := labels[MakeKey([]int{0, 0})]
-	if labels[MakeKey([]int{1, 0})] != la || labels[MakeKey([]int{1, 1})] != la {
+	la := labels[oracle.MakeKey([]int{0, 0})]
+	if labels[oracle.MakeKey([]int{1, 0})] != la || labels[oracle.MakeKey([]int{1, 1})] != la {
 		t.Fatal("L-shape not connected")
 	}
-	if labels[MakeKey([]int{3, 0})] == la || labels[MakeKey([]int{0, 3})] == la {
+	if labels[oracle.MakeKey([]int{3, 0})] == la || labels[oracle.MakeKey([]int{0, 3})] == la {
 		t.Fatal("separate cells merged")
 	}
 	ids := map[int]bool{}
@@ -316,48 +317,48 @@ func TestComponentsFaces(t *testing.T) {
 }
 
 func TestComponentsFullVsFaces(t *testing.T) {
-	// Two cells touching only diagonally: separate under Faces, joined
-	// under Full.
-	g := New([]int{4, 4})
-	g.Add(MakeKey([]int{0, 0}), 1)
-	g.Add(MakeKey([]int{1, 1}), 1)
-	faces, err := Components(g, Faces)
+	// Two cells touching only diagonally: separate under grid.Faces, joined
+	// under grid.Full.
+	g := oracle.New([]int{4, 4})
+	g.Add(oracle.MakeKey([]int{0, 0}), 1)
+	g.Add(oracle.MakeKey([]int{1, 1}), 1)
+	faces, err := oracle.Components(g, grid.Faces)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if faces[MakeKey([]int{0, 0})] == faces[MakeKey([]int{1, 1})] {
-		t.Fatal("diagonal cells should be separate under Faces")
+	if faces[oracle.MakeKey([]int{0, 0})] == faces[oracle.MakeKey([]int{1, 1})] {
+		t.Fatal("diagonal cells should be separate under grid.Faces")
 	}
-	full, err := Components(g, Full)
+	full, err := oracle.Components(g, grid.Full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full[MakeKey([]int{0, 0})] != full[MakeKey([]int{1, 1})] {
-		t.Fatal("diagonal cells should join under Full")
+	if full[oracle.MakeKey([]int{0, 0})] != full[oracle.MakeKey([]int{1, 1})] {
+		t.Fatal("diagonal cells should join under grid.Full")
 	}
 }
 
 func TestComponentsFullDimensionLimit(t *testing.T) {
-	g := New(make([]int, 9))
+	g := oracle.New(make([]int, 9))
 	for j := range g.Size {
 		g.Size[j] = 2
 	}
-	if _, err := Components(g, Full); err == nil {
-		t.Fatal("Full connectivity in 9-D should error")
+	if _, err := oracle.Components(g, grid.Full); err == nil {
+		t.Fatal("grid.Full connectivity in 9-D should error")
 	}
 }
 
 func TestComponentsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	g := New([]int{32, 32})
+	g := oracle.New([]int{32, 32})
 	for i := 0; i < 200; i++ {
-		g.Add(MakeKey([]int{int(rng.Int31n(32)), int(rng.Int31n(32))}), 1)
+		g.Add(oracle.MakeKey([]int{int(rng.Int31n(32)), int(rng.Int31n(32))}), 1)
 	}
-	l1, err := Components(g, Faces)
+	l1, err := oracle.Components(g, grid.Faces)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Components(g.Clone(), Faces)
+	l2, err := oracle.Components(g.Clone(), grid.Faces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,19 +370,19 @@ func TestComponentsDeterministic(t *testing.T) {
 }
 
 func TestComponentSizes(t *testing.T) {
-	g := New([]int{4})
-	g.Add(MakeKey([]int{0}), 2)
-	g.Add(MakeKey([]int{1}), 3)
-	g.Add(MakeKey([]int{3}), 7)
-	labels, err := Components(g, Faces)
+	g := grid.NewFlat([]int{4}, 3)
+	g.Append([]uint16{0}, 2)
+	g.Append([]uint16{1}, 3)
+	g.Append([]uint16{3}, 7)
+	labels, n, err := grid.ComponentsFlatAutoCtx(context.Background(), g, grid.Faces, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes := ComponentSizes(g, labels)
+	sizes := grid.ComponentMasses(g, labels, n)
 	if len(sizes) != 2 {
 		t.Fatalf("sizes %v", sizes)
 	}
-	if sizes[labels[MakeKey([]int{0})]] != 5 || sizes[labels[MakeKey([]int{3})]] != 7 {
+	if sizes[labels[0]] != 5 || sizes[labels[2]] != 7 {
 		t.Fatalf("sizes %v", sizes)
 	}
 }
@@ -392,12 +393,12 @@ func TestComponentSizes(t *testing.T) {
 func TestHaarMassScalingProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := New([]int{64, 64})
+		g := oracle.New([]int{64, 64})
 		for i := 0; i < 100; i++ {
-			g.Add(MakeKey([]int{int(rng.Int31n(64)), int(rng.Int31n(64))}), rng.Float64()*5)
+			g.Add(oracle.MakeKey([]int{int(rng.Int31n(64)), int(rng.Int31n(64))}), rng.Float64()*5)
 		}
 		before := g.TotalMass()
-		after := Transform(g, wavelet.Haar()).TotalMass()
+		after := transform1(g, wavelet.Haar()).TotalMass()
 		return math.Abs(after-before/4) < 1e-9*(1+before)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -408,12 +409,12 @@ func TestHaarMassScalingProperty(t *testing.T) {
 // Property: transform output never exceeds the size bound and the memory
 // stays proportional to occupied cells (the grid-labeling guarantee).
 func TestSparsityPreserved(t *testing.T) {
-	g := New([]int{1024, 1024, 1024}) // a dense 1024³ grid would be 10⁹ cells
+	g := oracle.New([]int{1024, 1024, 1024}) // a dense 1024³ grid would be 10⁹ cells
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
-		g.Add(MakeKey([]int{int(rng.Int31n(1024)), int(rng.Int31n(1024)), int(rng.Int31n(1024))}), 1)
+		g.Add(oracle.MakeKey([]int{int(rng.Int31n(1024)), int(rng.Int31n(1024)), int(rng.Int31n(1024))}), 1)
 	}
-	out := Transform(g, wavelet.CDF22())
+	out := transform1(g, wavelet.CDF22())
 	// Each cell scatters into ≤ ⌈5/2⌉ = 3 cells per dimension ⇒ ≤ 27×.
 	if out.Len() > 27*500 {
 		t.Fatalf("sparse transform exploded: %d cells", out.Len())
@@ -429,24 +430,33 @@ func BenchmarkQuantize100k(b *testing.B) {
 	for i := range pts {
 		pts[i] = []float64{rng.Float64(), rng.Float64()}
 	}
-	q, _ := NewQuantizer(pts, 128)
+	q, _ := grid.NewQuantizerDatasetCtx(context.Background(), pointset.MustFromSlices(pts), 128, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Quantize(pts)
+		oracle.Quantize(q, pts)
 	}
 }
 
 func BenchmarkSparseTransform(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	g := New([]int{128, 128})
+	g := oracle.New([]int{128, 128})
 	for i := 0; i < 5000; i++ {
-		g.Add(MakeKey([]int{int(rng.Int31n(128)), int(rng.Int31n(128))}), rng.Float64())
+		g.Add(oracle.MakeKey([]int{int(rng.Int31n(128)), int(rng.Int31n(128))}), rng.Float64())
 	}
 	basis := wavelet.CDF22()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Transform(g, basis)
+		transform1(g, basis)
 	}
+}
+
+// transform1 is one full oracle decomposition level.
+func transform1(g *oracle.Grid, b wavelet.Basis) *oracle.Grid {
+	levels, err := oracle.TransformLevels(g, b, 1)
+	if err != nil {
+		panic(err)
+	}
+	return levels[0]
 }
 
 func TestTransformLevelsDensificationGuard(t *testing.T) {
@@ -459,15 +469,15 @@ func TestTransformLevelsDensificationGuard(t *testing.T) {
 	for j := range size {
 		size[j] = 4
 	}
-	g := New(size)
+	g := oracle.New(size)
 	coords := make([]int, dim)
 	for i := 0; i < 100; i++ {
 		for j := range coords {
 			coords[j] = (i + j) % 4
 		}
-		g.Add(MakeKey(coords), 1)
+		g.Add(oracle.MakeKey(coords), 1)
 	}
-	_, err := TransformLevels(g, wavelet.CDF22(), 1)
+	_, err := oracle.TransformLevels(g, wavelet.CDF22(), 1)
 	if err == nil {
 		t.Fatal("expected densification error for CDF(2,2) in 20-D")
 	}
@@ -475,7 +485,7 @@ func TestTransformLevelsDensificationGuard(t *testing.T) {
 		t.Fatalf("error should recommend haar: %v", err)
 	}
 	// Haar maps each cell to exactly one output cell: same workload fine.
-	levels, err := TransformLevels(g, wavelet.Haar(), 1)
+	levels, err := oracle.TransformLevels(g, wavelet.Haar(), 1)
 	if err != nil {
 		t.Fatalf("haar should not densify: %v", err)
 	}
@@ -485,13 +495,13 @@ func TestTransformLevelsDensificationGuard(t *testing.T) {
 }
 
 func TestGrowthCapBounds(t *testing.T) {
-	if got := growthCap(10); got != 1<<16 {
+	if got := grid.GrowthCap(10); got != 1<<16 {
 		t.Fatalf("small input cap = %d, want the 2^16 floor", got)
 	}
-	if got := growthCap(1 << 20); got != 1<<23 {
+	if got := grid.GrowthCap(1 << 20); got != 1<<23 {
 		t.Fatalf("huge input cap = %d, want the absolute ceiling", got)
 	}
-	if got := growthCap(10000); got != 320000 {
+	if got := grid.GrowthCap(10000); got != 320000 {
 		t.Fatalf("mid input cap = %d, want 32×", got)
 	}
 }

@@ -19,8 +19,7 @@ type Quantizer struct {
 var ErrNoPoints = errors.New("grid: no points to quantize")
 
 // checkScale validates the per-dimension cell count — shared by every
-// quantizer constructor so the error wording cannot diverge between the
-// slice and dataset paths.
+// quantizer constructor so the error wording cannot diverge between them.
 func checkScale(scale int) error {
 	if scale < 2 {
 		return fmt.Errorf("grid: scale must be ≥ 2, got %d", scale)
@@ -31,8 +30,7 @@ func checkScale(scale int) error {
 	return nil
 }
 
-// bboxShard accumulates one shard of the bounding-box scan; the sequential
-// constructors use a single shard.
+// bboxShard accumulates one shard of the bounding-box scan.
 type bboxShard struct {
 	mins, maxs []float64
 	err        error
@@ -116,32 +114,6 @@ func finishQuantizer(states []bboxShard, scale, d int) (*Quantizer, error) {
 	return q, nil
 }
 
-// NewQuantizer computes the bounding box of points and prepares a quantizer
-// with scale cells per dimension. All points must share the same dimension.
-func NewQuantizer(points [][]float64, scale int) (*Quantizer, error) {
-	if len(points) == 0 {
-		return nil, ErrNoPoints
-	}
-	if err := checkScale(scale); err != nil {
-		return nil, err
-	}
-	d := len(points[0])
-	if d == 0 {
-		return nil, errors.New("grid: zero-dimensional points")
-	}
-	var st bboxShard
-	st.init(points[0])
-	for i, p := range points {
-		if len(p) != d {
-			return nil, fmt.Errorf("grid: inconsistent dimensions %d and %d", d, len(p))
-		}
-		if !st.scan(i, p) {
-			return nil, st.err
-		}
-	}
-	return finishQuantizer([]bboxShard{st}, scale, d)
-}
-
 // RestoreQuantizer rebuilds a quantizer from a persisted frame — the exact
 // bounds and scale a checkpointed session was quantized in. The cell-width
 // inverses are derived with the same float arithmetic as finishQuantizer,
@@ -179,26 +151,8 @@ func RestoreQuantizer(mins, maxs []float64, scale int) (*Quantizer, error) {
 // Dim returns the quantizer's dimensionality.
 func (q *Quantizer) Dim() int { return len(q.Mins) }
 
-// CellCoords returns the cell coordinates of point p (clamped to the grid).
-func (q *Quantizer) CellCoords(p []float64, out []int) []int {
-	if out == nil {
-		out = make([]int, q.Dim())
-	}
-	for j := range q.Mins {
-		c := int((p[j] - q.Mins[j]) * q.inv[j])
-		if c < 0 {
-			c = 0
-		}
-		if c >= q.Scale {
-			c = q.Scale - 1
-		}
-		out[j] = c
-	}
-	return out
-}
-
 // CellCoordsU16 writes the cell coordinates of point p into out (length
-// Dim), clamped to the grid exactly like CellCoords.
+// Dim), clamped to [0, Scale−1] (the box maximum lands in the last cell).
 func (q *Quantizer) CellCoordsU16(p []float64, out []uint16) []uint16 {
 	for j := range q.Mins {
 		c := int((p[j] - q.Mins[j]) * q.inv[j])
@@ -211,96 +165,4 @@ func (q *Quantizer) CellCoordsU16(p []float64, out []uint16) []uint16 {
 		out[j] = uint16(c)
 	}
 	return out
-}
-
-// Cell returns the grid key of point p.
-func (q *Quantizer) Cell(p []float64) Key {
-	return MakeKey(q.CellCoords(p, nil))
-}
-
-// Quantize builds the sparse density grid of points (each point adds mass 1
-// to its cell). This is the paper's Algorithm 2: linear in n, storing only
-// occupied cells. Keys are packed into a reused buffer and interned once
-// per distinct cell, so the per-point cost is allocation-free — cells, not
-// points, bound the allocations.
-func (q *Quantizer) Quantize(points [][]float64) *Grid {
-	size := make([]int, q.Dim())
-	for j := range size {
-		size[j] = q.Scale
-	}
-	g := New(size)
-	coords := make([]int, q.Dim())
-	buf := make([]byte, 2*q.Dim())
-	slot := make(map[Key]int32)
-	masses := make([]float64, 0, 1024)
-	for _, p := range points {
-		q.CellCoords(p, coords)
-		for j, c := range coords {
-			putCoord(buf, j, c)
-		}
-		s, ok := slot[Key(buf)]
-		if !ok {
-			s = int32(len(masses))
-			masses = append(masses, 0)
-			slot[Key(buf)] = s
-		}
-		masses[s] += 1
-	}
-	g.Cells = make(map[Key]float64, len(slot))
-	for k, s := range slot {
-		g.Cells[k] = masses[s]
-	}
-	return g
-}
-
-// QuantizeWithCells is Quantize that also returns every point's base-cell
-// key — the first half of the paper's lookup table. A single slot map
-// serves as density accumulator and key intern, so points sharing a cell
-// share one Key allocation.
-func (q *Quantizer) QuantizeWithCells(points [][]float64) (*Grid, []Key) {
-	size := make([]int, q.Dim())
-	for j := range size {
-		size[j] = q.Scale
-	}
-	g := New(size)
-	cells := make([]Key, len(points))
-	coords := make([]int, q.Dim())
-	buf := make([]byte, 2*q.Dim())
-	slot := make(map[Key]int32)
-	keys := make([]Key, 0, 1024)
-	masses := make([]float64, 0, 1024)
-	for i, p := range points {
-		q.CellCoords(p, coords)
-		for j, c := range coords {
-			putCoord(buf, j, c)
-		}
-		s, ok := slot[Key(buf)]
-		if !ok {
-			s = int32(len(masses))
-			k := Key(buf)
-			keys = append(keys, k)
-			masses = append(masses, 0)
-			slot[k] = s
-		}
-		masses[s] += 1
-		cells[i] = keys[s]
-	}
-	g.Cells = make(map[Key]float64, len(masses))
-	for s, k := range keys {
-		g.Cells[k] = masses[s]
-	}
-	return g, cells
-}
-
-// ShiftKey maps a base-resolution cell key to its ancestor cell after
-// `levels` dyadic downsamplings (coordinates right-shifted) — the second
-// half of the lookup table: a transformed-space cell at level ℓ covers the
-// base cells whose coordinates shift down to it.
-func ShiftKey(k Key, levels int) Key {
-	d := k.Dim()
-	coords := make([]int, d)
-	for j := 0; j < d; j++ {
-		coords[j] = k.Coord(j) >> uint(levels)
-	}
-	return MakeKey(coords)
 }
