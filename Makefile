@@ -67,15 +67,16 @@ race:
 
 # The CI fuzz smoke job: a short run of each decoder's fuzz target — the
 # grid snapshot and spill-run readers, the WAL frame decoders recovery
-# replays and the replication stream uses, and the session checkpoint
-# reader (go test takes one -fuzz target per invocation). FUZZTIME is
-# overridable.
+# replays and the replication stream uses, the session checkpoint reader,
+# and the mapped-dataset (AWDSET01) header check (go test takes one -fuzz
+# target per invocation). FUZZTIME is overridable.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzReadSpillRun$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzParseFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzReadSessionCheckpoint$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/pointset -run '^$$' -fuzz '^FuzzOpenMapped$$' -fuzztime $(FUZZTIME)
 
 # The CI benchmark smoke job: one iteration of the Fig. 2 benchmarks.
 bench:

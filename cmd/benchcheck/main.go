@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -96,23 +97,33 @@ func parse(path string) (map[string]map[string]float64, error) {
 }
 
 func main() {
-	oldPath := flag.String("old", "", "baseline bench snapshot (test2json)")
-	newPath := flag.String("new", "", "current bench snapshot (test2json)")
-	factor := flag.Float64("factor", 2, "fail when current ns/op, B/op or allocs/op exceeds baseline by this factor")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, gates the snapshots and
+// returns the exit code — 0 pass, 1 regression, 2 usage or input error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	oldPath := fs.String("old", "", "baseline bench snapshot (test2json)")
+	newPath := fs.String("new", "", "current bench snapshot (test2json)")
+	factor := fs.Float64("factor", 2, "fail when current ns/op, B/op or allocs/op exceeds baseline by this factor")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *oldPath == "" || *newPath == "" {
-		fmt.Fprintln(os.Stderr, "benchcheck: -old and -new are required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchcheck: -old and -new are required")
+		return 2
 	}
 	oldRes, err := parse(*oldPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchcheck: %v\n", err)
+		return 2
 	}
 	newRes, err := parse(*newPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchcheck: %v\n", err)
+		return 2
 	}
 	names := make([]string, 0, len(newRes))
 	added := make([]string, 0)
@@ -133,24 +144,24 @@ func main() {
 	sort.Strings(added)
 	sort.Strings(retired)
 	for _, name := range added {
-		fmt.Printf("NEW        %-60s %12.0f ns/op (no baseline, not gated)\n", name, newRes[name]["ns/op"])
+		fmt.Fprintf(stdout, "NEW        %-60s %12.0f ns/op (no baseline, not gated)\n", name, newRes[name]["ns/op"])
 	}
 	for _, name := range retired {
-		fmt.Printf("RETIRED    %-60s %12.0f ns/op (absent from current snapshot)\n", name, oldRes[name]["ns/op"])
+		fmt.Fprintf(stdout, "RETIRED    %-60s %12.0f ns/op (absent from current snapshot)\n", name, oldRes[name]["ns/op"])
 	}
 	if len(names) == 0 {
 		if len(added) > 0 {
 			// A snapshot of entirely new benchmarks (a fresh axis, like the
 			// scale benches) has nothing to gate yet — warn, don't fail.
-			fmt.Printf("benchcheck: no common benchmarks; %d new, nothing to gate\n", len(added))
-			return
+			fmt.Fprintf(stdout, "benchcheck: no common benchmarks; %d new, nothing to gate\n", len(added))
+			return 0
 		}
 		if len(retired) > 0 {
-			fmt.Fprintln(os.Stderr, "benchcheck: current snapshot has no benchmarks")
+			fmt.Fprintln(stderr, "benchcheck: current snapshot has no benchmarks")
 		} else {
-			fmt.Fprintln(os.Stderr, "benchcheck: no benchmarks in either snapshot")
+			fmt.Fprintln(stderr, "benchcheck: no benchmarks in either snapshot")
 		}
-		os.Exit(2)
+		return 2
 	}
 	var compared, failed int
 	for _, name := range names {
@@ -167,19 +178,20 @@ func main() {
 			ratio := newV / oldV
 			if ratio > *factor {
 				failed++
-				fmt.Printf("REGRESSION %-60s %12.0f → %12.0f %-9s (%.2fx > %.2gx)\n",
+				fmt.Fprintf(stdout, "REGRESSION %-60s %12.0f → %12.0f %-9s (%.2fx > %.2gx)\n",
 					name, oldV, newV, unit, ratio, *factor)
 				continue
 			}
 			// One line per passing series too, so the snapshot diff in review
 			// reads as a delta table instead of silence-until-failure.
-			fmt.Printf("OK         %-60s %12.0f → %12.0f %-9s (%+.1f%%)\n",
+			fmt.Fprintf(stdout, "OK         %-60s %12.0f → %12.0f %-9s (%+.1f%%)\n",
 				name, oldV, newV, unit, (ratio-1)*100)
 		}
 	}
-	fmt.Printf("benchcheck: %d benchmarks, %d unit series compared, %d regressed beyond %.2gx\n",
+	fmt.Fprintf(stdout, "benchcheck: %d benchmarks, %d unit series compared, %d regressed beyond %.2gx\n",
 		len(names), compared, failed, *factor)
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

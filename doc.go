@@ -186,10 +186,12 @@
 // resident bytes per occupied cell several-fold versus the flat
 // struct-of-arrays layout — about 12 B/cell down to 2.2 on the paper's
 // running example — and the external sort's spill runs and checkpoint grid
-// snapshots reuse the same encoding on disk. The flat layout survives only
-// as transient scratch (the one-shot in-RAM quantization and the
-// transform's private unpacking); checkpoints whose grid was written in
-// the retired flat snapshot format still restore.
+// snapshots are the same AWG2 block stream on disk. The packed form is
+// storage only: each clustering pass unpacks its base once and every stage
+// computes on that flat copy, so the flat layout lives only as per-pass
+// scratch (the one-shot in-RAM quantization and that unpacking);
+// checkpoints whose grid was written in the retired flat snapshot format
+// still restore.
 //
 // # Out-of-core clustering
 //

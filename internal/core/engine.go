@@ -109,12 +109,11 @@ func (e *Engine) ClusterDatasetContext(ctx context.Context, ds *pointset.Dataset
 // streaming Session's path: a live grid maintained by incremental merges
 // feeds the identical downstream stages, so an incrementally built base
 // yields the same Result as a one-shot run, bit for bit. cfg must already
-// be resolved (see resolveScale). The transform stage runs on a pooled
-// private unpacking (the float64 densities it needs), and the assignment
-// stage streams ancestor labels block by block off the compressed base
-// directly.
+// be resolved (see resolveScale). base is unpacked once, before the first
+// stage, and only read: every stage runs on that flat copy.
 func (e *Engine) clusterFromPacked(ctx context.Context, base *grid.PackedGrid, ids []int32, cfg Config, w int) (*Result, error) {
-	st := &pipeState{cfg: cfg, w: w, pbase: base, ids: ids}
+	st := &pipeState{cfg: cfg, w: w, ids: ids}
+	e.unpackBase(st, base)
 	return e.runStages(ctx, st, stageList[stageFromTransform:])
 }
 
@@ -173,11 +172,10 @@ func (e *Engine) multiResolutionFromBase(ctx context.Context, base *grid.FlatGri
 		}(l, t)
 	}
 	wg.Wait()
-	for l, err := range errs {
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		results[l].CellsQuantized = base.Len()
 	}
 	return results, nil
 }
@@ -199,23 +197,14 @@ func dropLowCoefficientsFlat(t *grid.FlatGrid, eps float64) {
 	t.DropBelow(cut)
 }
 
-// ancestorGrid is the assignment base of a finishing pass: either
-// representation of the canonical quantization grid can map each of its
-// cells to a kept-grid ancestor label (flat: a cell-range-parallel lookup;
-// packed: block-parallel decode-and-lookup).
-type ancestorGrid interface {
-	AncestorLabelsCtx(ctx context.Context, dst []int32, kept *grid.FlatGrid, levels int, keptLabels []int32, workers int) ([]int32, error)
-}
-
 // finishClusteringFlat re-enters the stage list at the threshold — the
 // per-level finisher of a multi-resolution pass (threshold, components,
 // assignment on an already-transformed grid; steps 3–6 of Alg. 1). t must
 // be in canonical cell order (quantization and the full transform guarantee
 // it) and is owned by the caller; base is the canonical-order quantization
-// grid (in either representation), read-only, and ids holds each point's
-// memoized index into it.
-func (e *Engine) finishClusteringFlat(ctx context.Context, t *grid.FlatGrid, base ancestorGrid, ids []int32, levels int, cfg Config, workers int) (*Result, error) {
-	st := &pipeState{cfg: cfg, w: workers, t: t, abase: base, ids: ids, levels: levels}
+// grid, read-only, and ids holds each point's memoized index into it.
+func (e *Engine) finishClusteringFlat(ctx context.Context, t *grid.FlatGrid, base *grid.FlatGrid, ids []int32, levels int, cfg Config, workers int) (*Result, error) {
+	st := &pipeState{cfg: cfg, w: workers, t: t, base: base, ids: ids, levels: levels}
 	return e.runStages(ctx, st, stageList[stageFromThreshold:])
 }
 

@@ -12,9 +12,10 @@ import (
 // with the point-side memory decoupled from the dataset size. Its quantize
 // stage runs the external sort (chunks quantized by the in-RAM shard
 // kernel, sorted runs spilled to temp files, loser-tree merge into a packed
-// grid — see grid.QuantizeDatasetExternalPackedCtx), and runStages carries
-// that packed base through the same transform → assign stages as every
-// other path, so the labels are bit-identical to the in-RAM path for every
+// grid — see grid.QuantizeDatasetExternalPackedCtx), unpacks that packed
+// base once, and runStages carries the flat copy through the same
+// transform → assign stages as every other path, so the labels are
+// bit-identical to the in-RAM path for every
 // chunk size and spill threshold. Pair it with a pointset.Mapped dataset
 // and the float64 payload never touches the Go heap either: resident
 // memory is the O(points) label/memo outputs plus the configured working

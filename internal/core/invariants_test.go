@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"adawave/internal/pointset"
 	"adawave/internal/synth"
 )
 
@@ -69,10 +71,23 @@ func TestDuplicationConsistency(t *testing.T) {
 }
 
 // TestLabelsAreCanonical: labels must be exactly Noise ∪ {0…NumClusters−1}
-// with every cluster label non-empty and label 0 the heaviest cluster.
+// with every cluster label non-empty and label 0 the heaviest cluster. The
+// pass runs through the stage list by hand (exactly what
+// ClusterDatasetContext does) so the kept grid and its final per-cell
+// labels stay readable afterwards: the kept mass summed per label must
+// never increase with the label number.
 func TestLabelsAreCanonical(t *testing.T) {
 	ds := synth.Evaluation(400, 0.6, 13)
-	res, err := engineCluster(ds.Points, DefaultConfig())
+	pds, err := pointset.FromSlices(ds.Points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(DefaultConfig(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &pipeState{cfg: eng.cfg, w: 3, ds: pds}
+	res, err := eng.runStages(context.Background(), st, stageList[stageFromTop:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,9 +103,19 @@ func TestLabelsAreCanonical(t *testing.T) {
 			t.Fatalf("cluster %d is empty", c)
 		}
 	}
-	sizes := res.ClusterSizes()
+	if res.NumClusters < 2 {
+		t.Fatalf("%d clusters; the mass order needs at least two", res.NumClusters)
+	}
+	mass := make([]float64, res.NumClusters)
+	for i, l := range st.keptLabels {
+		if l >= 0 {
+			mass[l] += st.kept.Vals[i]
+		}
+	}
 	for c := 1; c < res.NumClusters; c++ {
-		_ = sizes
+		if mass[c] > mass[c-1] {
+			t.Fatalf("cluster %d has kept mass %v, heavier than cluster %d's %v", c, mass[c], c-1, mass[c-1])
+		}
 	}
 }
 

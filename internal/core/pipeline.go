@@ -17,10 +17,12 @@ import (
 //	embed → quantize → transform → threshold → connect → assign
 //
 // Entry points differ only in where they enter the list: a one-shot call
-// runs it from the top, a Session re-enters at transform with its live
-// packed base grid, the external path swaps the quantize stage's
-// implementation (its merge emits a packed base), and a multi-resolution
-// finisher enters at threshold with a per-level transform.
+// runs it from the top, a Session re-enters at transform with a flat
+// unpacking of its live packed base grid, the external path swaps the
+// quantize stage's implementation (its merge emits a packed base, unpacked
+// the same way), and a multi-resolution finisher enters at threshold with a
+// per-level transform. Every stage computes on the one flat base; packed
+// grids are only ever the storage a pass starts from.
 // The stage runner emits each stage's name to the test hook and polls
 // cancellation exactly once per boundary, so hook sequences and abort
 // positions are identical to the previously fused code; the embed stage is
@@ -46,14 +48,13 @@ type pipeState struct {
 	// ext selects the out-of-core quantizer when non-nil.
 	ext *ExternalOptions
 
-	// The canonical base grid is flat only as the one-shot in-RAM
-	// quantizer's transient output; every base that outlives a pass (a
-	// Session's live grid, the external merge) arrives packed.
-	base           *grid.FlatGrid   // canonical base grid, flat form
-	pbase          *grid.PackedGrid // canonical base grid, packed form
-	abase          ancestorGrid     // whichever of the two assignment reads
-	ids            []int32          // memoized point→cell indexes into the base
-	cellsQuantized int
+	// base is the canonical quantization grid every stage reads: the
+	// one-shot quantizer's output, or the Engine's pooled unpacking of a
+	// packed base (a Session's live grid, the external merge) that the
+	// pass cleanup returns. Stages only read it, so it stays in the
+	// canonical order the memoized ids index into.
+	base *grid.FlatGrid
+	ids  []int32 // memoized point→cell indexes into the base
 
 	t          *grid.FlatGrid // transformed (and coefficient-denoised) grid
 	kept       *grid.FlatGrid // cells surviving the threshold
@@ -173,58 +174,45 @@ func (e *Engine) stageQuantize(ctx context.Context, st *pipeState) error {
 			return err
 		}
 		// The merged grid comes out block-compressed straight from the
-		// loser-tree merge; downstream, only the transform's private
-		// unpacking is ever materialized flat.
-		st.pbase, st.ids, err = q.QuantizeDatasetExternalPackedCtx(ctx, st.ds, st.w, ext)
-		return err
+		// loser-tree merge; the pass computes on one flat unpacking of it.
+		var p *grid.PackedGrid
+		if p, st.ids, err = q.QuantizeDatasetExternalPackedCtx(ctx, st.ds, st.w, ext); err != nil {
+			return err
+		}
+		e.unpackBase(st, p)
+		return nil
 	}
 	st.base, st.ids, err = q.QuantizeDatasetCtx(ctx, st.ds, st.w)
 	return err
 }
 
 // stageTransform runs the separable wavelet chain and the preliminary
-// coefficient denoising. A packed base (a Session's live grid, the external
-// merge) transforms a pooled private unpacking — the promotion point where
-// bit-packed integer masses become float64 densities; the one-shot in-RAM
-// flat base is transformed directly. The transform only reads its input, so
-// either base stays in the canonical order the assignment stage's memoized
-// ids index into.
+// coefficient denoising. The transform only reads the base, so it stays in
+// the canonical order the assignment stage's memoized ids index into.
 func (e *Engine) stageTransform(ctx context.Context, st *pipeState) error {
 	st.levels = st.cfg.Levels
-	if st.pbase != nil {
-		st.abase = st.pbase
-		st.cellsQuantized = st.pbase.Len()
-		u := st.pbase.UnpackInto(e.getEmptyGrid())
-		st.cleanups = append(st.cleanups, func() { e.putGrid(u) })
-		if st.cfg.Levels > 0 {
-			levels, err := grid.TransformLevelsFlatCtx(ctx, u, st.cfg.Basis, st.cfg.Levels, st.w)
-			if err != nil {
-				return err
-			}
-			st.t = levels[len(levels)-1]
-		} else {
-			// The ablation path skips the transform; u is already a private
-			// copy, so coefficient dropping can run on it directly.
-			st.t = u
+	if st.cfg.Levels > 0 {
+		levels, err := grid.TransformLevelsFlatCtx(ctx, st.base, st.cfg.Basis, st.cfg.Levels, st.w)
+		if err != nil {
+			return err
 		}
+		st.t = levels[len(levels)-1]
 	} else {
-		st.abase = st.base
-		st.cellsQuantized = st.base.Len()
-		if st.cfg.Levels > 0 {
-			levels, err := grid.TransformLevelsFlatCtx(ctx, st.base, st.cfg.Basis, st.cfg.Levels, st.w)
-			if err != nil {
-				return err
-			}
-			st.t = levels[len(levels)-1]
-		} else {
-			// The ablation path skips the transform; finish on a copy so
-			// the base grid (and the ids into it) survives coefficient
-			// dropping.
-			st.t = st.base.Clone()
-		}
+		// The ablation path skips the transform; finish on a copy so the
+		// base grid (and the ids into it) survives coefficient dropping.
+		st.t = st.base.Clone()
 	}
 	dropLowCoefficientsFlat(st.t, st.cfg.CoeffEpsilon)
 	return nil
+}
+
+// unpackBase makes p the pass's base: one unpacking into a pooled grid,
+// which the pass cleanup returns on every exit. This is where bit-packed
+// integer masses become the float64 densities every stage reads.
+func (e *Engine) unpackBase(st *pipeState, p *grid.PackedGrid) {
+	u := p.UnpackInto(e.getEmptyGrid())
+	st.cleanups = append(st.cleanups, func() { e.putGrid(u) })
+	st.base = u
 }
 
 // stageThreshold initializes the Result, sorts the density curve and picks
@@ -242,7 +230,7 @@ func (e *Engine) stageThreshold(ctx context.Context, st *pipeState) error {
 		for i := range res.Labels {
 			res.Labels[i] = Noise
 		}
-		res.CellsQuantized = st.cellsQuantized
+		res.CellsQuantized = st.base.Len()
 		st.done = true
 		return nil
 	}
@@ -285,7 +273,7 @@ func (e *Engine) stageAssign(ctx context.Context, st *pipeState) error {
 	if tbl == nil {
 		tbl = new([]int32)
 	}
-	cellLabels, err := st.abase.AncestorLabelsCtx(ctx, *tbl, st.kept, st.levels, st.keptLabels, st.w)
+	cellLabels, err := st.base.AncestorLabelsCtx(ctx, *tbl, st.kept, st.levels, st.keptLabels, st.w)
 	*tbl = cellLabels
 	if err != nil {
 		// The pooled table goes back even on a cancelled pass.
@@ -299,6 +287,6 @@ func (e *Engine) stageAssign(ctx context.Context, st *pipeState) error {
 		}
 	})
 	e.tables.Put(tbl)
-	res.CellsQuantized = st.cellsQuantized
+	res.CellsQuantized = st.base.Len()
 	return nil
 }

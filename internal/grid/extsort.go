@@ -3,10 +3,8 @@ package grid
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -84,8 +82,8 @@ func (q *Quantizer) gridSize() []int {
 // through in chunks (an mmap-backed Dataset is paged in and dropped by the
 // OS), each chunk's sorted run spills to disk once the in-memory run budget
 // is exhausted, and a loser-tree merge re-reads the runs sequentially and
-// streams straight into a PackedBuilder, so the uncompressed cell array
-// never materializes at any point of the external pipeline. Cancellation
+// streams straight into a PackedBuilder, so the external sort never
+// materializes the uncompressed cell array. Cancellation
 // is polled at chunk and merge boundaries and every ctxCheckStride points
 // within; a cancelled call removes its spill directory before returning.
 func (q *Quantizer) QuantizeDatasetExternalPackedCtx(ctx context.Context, ds *pointset.Dataset, workers int, opts ExtSortOptions) (*PackedGrid, []int32, error) {
@@ -176,8 +174,16 @@ func (q *Quantizer) QuantizeDatasetExternalPackedCtx(ctx context.Context, ds *po
 					}
 				}
 				path := filepath.Join(tmpDir, fmt.Sprintf("run-%06d.spill", len(runs)))
-				if err := writeSpillRun(path, pg); err != nil {
-					return nil, nil, err
+				f, err := os.Create(path)
+				if err != nil {
+					return nil, nil, fmt.Errorf("grid: external sort spill: %w", err)
+				}
+				err = pg.WriteSnapshot(f)
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
+					return nil, nil, fmt.Errorf("grid: external sort spill %s: %w", filepath.Base(path), err)
 				}
 				run.path = path
 			}
@@ -278,54 +284,12 @@ func mergeExtRuns(ctx context.Context, runs []extRun, d int, bld *PackedBuilder)
 	return remap, nil
 }
 
-// --- spill encoding (format v2) -------------------------------------------
-//
-// A spill file is one sorted run as a sequence of the same block payloads
-// PackedGrid holds in memory (frame-of-reference delta-coded bit-packed
-// coordinates, bit-packed integer masses; see packed.go for the layout):
-//
-//	uvarint cellCount
-//	per block: uvarint payloadLen, then payloadLen payload bytes
-//
-// Spilling a packed run is therefore a straight copy of its block payloads
-// — no re-encode — and reading one back is the block decoder shared with
-// the in-memory representation: fixed-width branch-free unpacking instead
-// of format v1's per-value varint loop, at ~2–4 bytes per cell either way.
-
 // ErrCorruptSpillRun reports a spill file whose bytes do not decode as the
-// packed run format — truncation, a bad length prefix, or a malformed
-// block. Every decode failure wraps it, and decoding never panics or
-// allocates beyond the fixed per-block buffers however corrupt the input.
+// AWG2 stream the spill wrote — truncation, a header that does not match
+// the run, a bad length prefix, or a malformed block. Every decode failure
+// wraps it, and decoding never panics or allocates beyond the fixed
+// per-block buffers however corrupt the input.
 var ErrCorruptSpillRun = errors.New("grid: corrupt spill run")
-
-// writeSpillRun writes p (a sorted run) into a new spill file.
-func writeSpillRun(path string, p *PackedGrid) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("grid: external sort spill: %w", err)
-	}
-	bw := bufio.NewWriterSize(f, 256<<10)
-	var buf [binary.MaxVarintLen64]byte
-	put := func(b []byte) error { _, err := bw.Write(b); return err }
-
-	werr := put(buf[:binary.PutUvarint(buf[:], uint64(p.Len()))])
-	for b := 0; b < p.blocks() && werr == nil; b++ {
-		pl := p.payload(b)
-		if werr = put(buf[:binary.PutUvarint(buf[:], uint64(len(pl)))]); werr == nil {
-			werr = put(pl)
-		}
-	}
-	if werr == nil {
-		werr = bw.Flush()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("grid: external sort spill %s: %w", filepath.Base(path), werr)
-	}
-	return nil
-}
 
 // runStream yields one run's cells in order, decoding one block at a time
 // from either the retained packed grid or its spill file.
@@ -335,7 +299,8 @@ type runStream struct {
 	curMass float64
 	emitted int32 // cells already handed to the merge (run-local index)
 
-	// decoded block window, shared by both sources
+	// decoded block window: the stream's own buffers for a retained run,
+	// the block reader's for a spilled one
 	blkCoords []uint16
 	blkMasses []float64
 	count     int // cells in the window
@@ -346,47 +311,38 @@ type runStream struct {
 	next int // next block to decode
 
 	// spilled source
-	f         *os.File
-	br        *bufio.Reader
-	remaining int
-	payload   []byte
+	f      *os.File
+	blocks *blockReader
 
 	done bool
 }
 
 // openRunStream opens a cursor over run and positions it on the first cell.
+// A spilled run is an AWG2 stream whose header must match the run.
 func openRunStream(run *extRun, d int) (*runStream, error) {
-	buf := run.cells
-	if buf < 0 {
-		buf = 0
-	}
-	if buf > packedBlockCells {
-		buf = packedBlockCells
-	}
-	st := &runStream{
-		d:         d,
-		blkCoords: make([]uint16, buf*d),
-		blkMasses: make([]float64, buf),
-	}
+	st := &runStream{d: d}
 	if run.p != nil {
+		buf := min(max(run.cells, 0), packedBlockCells)
 		st.p = run.p
+		st.blkCoords = make([]uint16, buf*d)
+		st.blkMasses = make([]float64, buf)
 	} else {
 		f, err := os.Open(run.path)
 		if err != nil {
 			return nil, fmt.Errorf("grid: external sort merge: %w", err)
 		}
 		st.f = f
-		st.br = bufio.NewReaderSize(f, 256<<10)
-		m, err := binary.ReadUvarint(st.br)
+		br := bufio.NewReaderSize(f, 256<<10)
+		h, err := readSnapshotHeader(br)
+		if err == nil && (!h.v2 || len(h.size) != d || h.cells != uint64(run.cells)) {
+			err = fmt.Errorf("AWG2 stream of %d cells in %d dimensions expected", run.cells, d)
+		}
 		if err != nil {
 			st.close()
-			return nil, fmt.Errorf("grid: external sort merge %s: %w: cell count: %v", filepath.Base(run.path), ErrCorruptSpillRun, err)
+			return nil, fmt.Errorf("grid: external sort merge %s: %w: %v", filepath.Base(run.path), ErrCorruptSpillRun, err)
 		}
-		if m > uint64(math.MaxInt32) || int(m) != run.cells {
-			st.close()
-			return nil, fmt.Errorf("grid: external sort merge %s: %w: %d cells on disk, expected %d", filepath.Base(run.path), ErrCorruptSpillRun, m, run.cells)
-		}
-		st.remaining = int(m)
+		st.blocks = newBlockReader(br, d, h.cells)
+		st.blkCoords, st.blkMasses = st.blocks.coords, st.blocks.masses
 	}
 	if err := st.advance(); err != nil {
 		st.close()
@@ -422,47 +378,13 @@ func (st *runStream) nextBlock() error {
 		st.next++
 		return nil
 	}
-	if st.remaining == 0 {
-		st.done = true
-		return nil
-	}
-	plen, err := binary.ReadUvarint(st.br)
-	if err != nil {
-		return fmt.Errorf("grid: external sort merge: %w: block length: %v", ErrCorruptSpillRun, err)
-	}
-	if plen == 0 || plen > uint64(maxPackedPayload(st.d)) {
-		return fmt.Errorf("grid: external sort merge: %w: block length %d out of range", ErrCorruptSpillRun, plen)
-	}
-	if cap(st.payload) < int(plen) {
-		st.payload = make([]byte, plen)
-	}
-	st.payload = st.payload[:plen]
-	if _, err := readFull(st.br, st.payload); err != nil {
-		return fmt.Errorf("grid: external sort merge: %w: truncated block: %v", ErrCorruptSpillRun, err)
-	}
-	count, err := decodePackedBlock(st.payload, st.d, st.blkCoords, st.blkMasses)
+	count, err := st.blocks.next()
 	if err != nil {
 		return fmt.Errorf("grid: external sort merge: %w: %v", ErrCorruptSpillRun, err)
 	}
-	if count > st.remaining {
-		return fmt.Errorf("grid: external sort merge: %w: block of %d cells exceeds remaining %d", ErrCorruptSpillRun, count, st.remaining)
-	}
-	st.remaining -= count
 	st.count = count
+	st.done = count == 0
 	return nil
-}
-
-// readFull is io.ReadFull without the io import dance for a bufio.Reader.
-func readFull(br *bufio.Reader, p []byte) (int, error) {
-	n := 0
-	for n < len(p) {
-		m, err := br.Read(p[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }
 
 // close releases the stream's file handle, if any.

@@ -1,9 +1,9 @@
 package grid
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -173,17 +173,28 @@ func TestQuantizeDatasetExternalCancel(t *testing.T) {
 	}
 }
 
-// TestSpillRunRoundTrip round-trips the packed run encoding directly,
-// including masses that need the raw-float64 block mode.
+// TestSpillRunRoundTrip round-trips a run through the spill format — an
+// AWG2 stream written by WriteSnapshot, streamed back block by block —
+// including masses that need the raw-float64 block mode, and checks that a
+// stream whose header does not match the run is typed ErrCorruptSpillRun.
 func TestSpillRunRoundTrip(t *testing.T) {
 	g := NewFlat([]int{16, 16}, 4)
 	g.Append([]uint16{0, 3}, 1)
 	g.Append([]uint16{2, 1}, 7)
 	g.Append([]uint16{2, 2}, 0.5)     // non-integral → float mass mode
 	g.Append([]uint16{15, 15}, 1<<33) // too big for uint32 → float mass mode
-	path := t.TempDir() + "/run.spill"
-	if err := writeSpillRun(path, PackFlat(g)); err != nil {
+	var buf bytes.Buffer
+	if err := PackFlat(g).WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
+	}
+	path := t.TempDir() + "/run.spill"
+	if err := os.WriteFile(path, buf.Bytes(), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ cells, d int }{{g.Len() + 1, 2}, {g.Len(), 3}} {
+		if err := drainSpillRun(path, c.cells, c.d); !errors.Is(err, ErrCorruptSpillRun) {
+			t.Fatalf("run of %d cells in %d dims read as %v, want ErrCorruptSpillRun", c.cells, c.d, err)
+		}
 	}
 	st, err := openRunStream(&extRun{path: path, cells: g.Len()}, 2)
 	if err != nil {
@@ -242,21 +253,16 @@ func FuzzReadSpillRun(f *testing.F) {
 	small := NewFlat([]int{16, 16}, 2)
 	small.Append([]uint16{1, 2}, 0.25)
 	small.Append([]uint16{3, 4}, 1<<40)
-	dir := f.TempDir()
-	for i, g := range []*FlatGrid{big, small} {
-		path := fmt.Sprintf("%s/seed-%d.spill", dir, i)
-		if err := writeSpillRun(path, PackFlat(g)); err != nil {
+	for _, g := range []*FlatGrid{big, small} {
+		var buf bytes.Buffer
+		if err := PackFlat(g).WriteSnapshot(&buf); err != nil {
 			f.Fatal(err)
 		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw, g.Len())
+		f.Add(buf.Bytes(), g.Len())
 	}
 	f.Add([]byte{}, 0)
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, 12)
-	f.Add([]byte{4, 200, 1}, 4)
+	f.Add([]byte("AWG2\x02\x00\x00\x00\x10\x00\x00\x00\x10\x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff"), 4)
+	f.Add([]byte("AWG1\x02\x00\x00\x00"), 12)
 
 	f.Fuzz(func(t *testing.T, data []byte, cells int) {
 		if cells < 0 || cells > 1<<20 {

@@ -23,7 +23,9 @@ import (
 //	       (see packed.go for the block layout)
 //
 // AWG2 is what PackedGrid.WriteSnapshot emits — the payload bytes are the
-// in-memory blocks verbatim, so checkpointing a session grid is a copy.
+// in-memory blocks verbatim, so checkpointing a session grid is a copy. The
+// external sort's spill runs are AWG2 streams too, read back through the
+// same blockReader as a snapshot body.
 // AWG1, the flat struct-of-arrays encoding, is read-only: nothing writes it
 // any more, but checkpoints taken before the flat writer was retired still
 // restore, through the same validation.
@@ -43,65 +45,82 @@ var ErrUnserializableGrid = errors.New("grid: non-finite cell mass cannot be sna
 // instead of yielding a quietly broken grid.
 func ReadSnapshot(r io.Reader) (*PackedGrid, error) {
 	br := bufio.NewReader(r)
+	h, err := readSnapshotHeader(br)
+	if err != nil {
+		return nil, err
+	}
+	// The builder's staging buffers are capped at one block, so a corrupt
+	// header declaring a huge cell count allocates at most that up front.
+	expected := packedBlockCells
+	if h.cells < uint64(expected) {
+		expected = int(h.cells)
+	}
+	sb := snapshotBuilder{PackedBuilder: NewPackedBuilder(h.size, expected), size: h.size}
+	if h.v2 {
+		err = sb.readV2Body(newBlockReader(br, len(h.size), h.cells))
+	} else {
+		err = sb.readV1Body(br, h.cells)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return sb.Grid(), nil
+}
+
+// awgHeader is the fixed prefix both snapshot versions share.
+type awgHeader struct {
+	v2    bool // AWG2 block body; AWG1 flat body otherwise
+	size  []int
+	cells uint64
+}
+
+// readSnapshotHeader reads and range-checks a snapshot's magic, sizes and
+// cell count. The checks bound every allocation a body reader makes from
+// the header alone.
+func readSnapshotHeader(br *bufio.Reader) (awgHeader, error) {
+	var h awgHeader
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("grid: read snapshot magic: %w", err)
+		return h, fmt.Errorf("grid: read snapshot magic: %w", err)
 	}
 	if magic != snapshotMagic && magic != snapshotMagic2 {
-		return nil, fmt.Errorf("grid: bad snapshot magic %q", magic[:])
+		return h, fmt.Errorf("grid: bad snapshot magic %q", magic[:])
 	}
+	h.v2 = magic == snapshotMagic2
 	var d32 uint32
 	if err := binary.Read(br, binary.LittleEndian, &d32); err != nil {
-		return nil, fmt.Errorf("grid: read snapshot header: %w", err)
+		return h, fmt.Errorf("grid: read snapshot header: %w", err)
 	}
 	const maxDim = 1 << 10 // far above any real workload; bounds allocation
 	if d32 == 0 || d32 > maxDim {
-		return nil, fmt.Errorf("grid: snapshot dimension %d out of range", d32)
+		return h, fmt.Errorf("grid: snapshot dimension %d out of range", d32)
 	}
-	d := int(d32)
-	size := make([]int, d)
-	for j := range size {
+	h.size = make([]int, d32)
+	for j := range h.size {
 		var s uint32
 		if err := binary.Read(br, binary.LittleEndian, &s); err != nil {
-			return nil, fmt.Errorf("grid: read snapshot header: %w", err)
+			return h, fmt.Errorf("grid: read snapshot header: %w", err)
 		}
 		if s == 0 || s > 0x10000 {
-			return nil, fmt.Errorf("grid: snapshot size %d of dimension %d out of range", s, j)
+			return h, fmt.Errorf("grid: snapshot size %d of dimension %d out of range", s, j)
 		}
-		size[j] = int(s)
+		h.size[j] = int(s)
 	}
-	var cells uint64
-	if err := binary.Read(br, binary.LittleEndian, &cells); err != nil {
-		return nil, fmt.Errorf("grid: read snapshot header: %w", err)
+	if err := binary.Read(br, binary.LittleEndian, &h.cells); err != nil {
+		return h, fmt.Errorf("grid: read snapshot header: %w", err)
 	}
 	max := uint64(1)
-	for _, s := range size {
+	for _, s := range h.size {
 		max *= uint64(s)
 		if max > 1<<40 {
 			max = 1 << 40 // cap the check; sparse grids never approach this
 			break
 		}
 	}
-	if cells > max {
-		return nil, fmt.Errorf("grid: snapshot cell count %d exceeds grid volume", cells)
+	if h.cells > max {
+		return h, fmt.Errorf("grid: snapshot cell count %d exceeds grid volume", h.cells)
 	}
-	// The builder's staging buffers are capped at one block, so a corrupt
-	// header declaring a huge cell count allocates at most that up front.
-	expected := packedBlockCells
-	if cells < uint64(expected) {
-		expected = int(cells)
-	}
-	sb := snapshotBuilder{PackedBuilder: NewPackedBuilder(size, expected), size: size}
-	var err error
-	if magic == snapshotMagic2 {
-		err = sb.readV2Body(br, cells)
-	} else {
-		err = sb.readV1Body(br, cells)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return sb.Grid(), nil
+	return h, nil
 }
 
 // snapshotBuilder is the validating sink both snapshot versions decode
@@ -236,47 +255,83 @@ func (p *PackedGrid) WriteSnapshot(w io.Writer) error {
 	return nil
 }
 
-// readV2Body restores the block-encoded body of an AWG2 snapshot.
-// Decoding is bounded block by block — a corrupt header or length prefix
-// fails before any allocation beyond one block's buffers — and every cell
-// passes the same validation as AWG1's.
-func (sb snapshotBuilder) readV2Body(br *bufio.Reader, cells uint64) error {
+// readV2Body restores the block-encoded body of an AWG2 snapshot. Every
+// cell passes the same validation as AWG1's.
+func (sb snapshotBuilder) readV2Body(blocks *blockReader) error {
 	d := len(sb.size)
+	for {
+		count, err := blocks.next()
+		if err != nil || count == 0 {
+			return err
+		}
+		for i := 0; i < count; i++ {
+			if err := sb.add(blocks.coords[i*d:(i+1)*d], blocks.masses[i]); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// blockReader streams the block body of an AWG2 stream — a snapshot's or a
+// spill run's — one length-prefixed block payload at a time, decoding each
+// into its own one-block buffers. Decoding is bounded block by block: a
+// corrupt header or length prefix fails before any allocation beyond one
+// block's buffers.
+type blockReader struct {
+	br        *bufio.Reader
+	d         int
+	remaining uint64 // cells the header declared and no block has delivered yet
+	payload   []byte
+	// coords and masses hold the last decoded block, valid until the next
+	// call to next.
+	coords []uint16
+	masses []float64
+}
+
+// newBlockReader returns a reader over the body of an AWG2 stream whose
+// header declared cells cells of dimension d.
+func newBlockReader(br *bufio.Reader, d int, cells uint64) *blockReader {
 	buf := uint64(packedBlockCells)
 	if cells < buf {
 		buf = cells
 	}
-	blkCoords := make([]uint16, buf*uint64(d))
-	blkMasses := make([]float64, buf)
-	payload := make([]byte, 0, 64)
-	for remaining := cells; remaining > 0; {
-		var plen uint32
-		if err := binary.Read(br, binary.LittleEndian, &plen); err != nil {
-			return fmt.Errorf("grid: read snapshot block length: %w", err)
-		}
-		if plen == 0 || int(plen) > maxPackedPayload(d) {
-			return fmt.Errorf("grid: snapshot block length %d out of range", plen)
-		}
-		if cap(payload) < int(plen) {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return fmt.Errorf("grid: read snapshot block: %w", err)
-		}
-		count, err := decodePackedBlock(payload, d, blkCoords, blkMasses)
-		if err != nil {
-			return fmt.Errorf("grid: read snapshot block: %w", err)
-		}
-		if uint64(count) > remaining {
-			return fmt.Errorf("grid: snapshot block of %d cells exceeds declared count", count)
-		}
-		for i := 0; i < count; i++ {
-			if err := sb.add(blkCoords[i*d:(i+1)*d], blkMasses[i]); err != nil {
-				return err
-			}
-		}
-		remaining -= uint64(count)
+	return &blockReader{
+		br:        br,
+		d:         d,
+		remaining: cells,
+		payload:   make([]byte, 0, 64),
+		coords:    make([]uint16, buf*uint64(d)),
+		masses:    make([]float64, buf),
 	}
-	return nil
+}
+
+// next decodes the next block and returns its cell count, or 0 once the
+// declared cells have all been delivered.
+func (r *blockReader) next() (int, error) {
+	if r.remaining == 0 {
+		return 0, nil
+	}
+	var plen uint32
+	if err := binary.Read(r.br, binary.LittleEndian, &plen); err != nil {
+		return 0, fmt.Errorf("grid: read snapshot block length: %w", err)
+	}
+	if plen == 0 || int(plen) > maxPackedPayload(r.d) {
+		return 0, fmt.Errorf("grid: snapshot block length %d out of range", plen)
+	}
+	if cap(r.payload) < int(plen) {
+		r.payload = make([]byte, plen)
+	}
+	r.payload = r.payload[:plen]
+	if _, err := io.ReadFull(r.br, r.payload); err != nil {
+		return 0, fmt.Errorf("grid: read snapshot block: %w", err)
+	}
+	count, err := decodePackedBlock(r.payload, r.d, r.coords, r.masses)
+	if err != nil {
+		return 0, fmt.Errorf("grid: read snapshot block: %w", err)
+	}
+	if uint64(count) > r.remaining {
+		return 0, fmt.Errorf("grid: snapshot block of %d cells exceeds declared count", count)
+	}
+	r.remaining -= uint64(count)
+	return count, nil
 }

@@ -9,8 +9,10 @@ import (
 )
 
 // Compressed cell storage: PackedGrid is the block-compressed rendering of
-// FlatGrid for grids that stay resident — a streaming session's live base
-// grid, the external sort's retained runs and merged output, and snapshots.
+// FlatGrid for grids at rest — a streaming session's live base grid, the
+// external sort's runs and merged output, and snapshots. It is storage
+// only: every clustering pass unpacks its base once (UnpackInto) and
+// computes on the flat form.
 // Cells are grouped into blocks of up to packedBlockCells cells; within a
 // block every coordinate is frame-of-reference coded against the block's
 // per-dimension minimum and bit-packed at the block's per-dimension width,
@@ -33,12 +35,12 @@ import (
 // Sorted grids change slowly within a 4096-cell window, so the deltas pack
 // to a few bits and a typical quantization grid costs ~2–4 bytes per cell
 // against the flat 2·d+8 — the same resident budget holds 2–4× more cells.
-// The same payload bytes are the unit of the spill-run format v2 and the
-// AWG2 snapshot encoding, so spilling or checkpointing a packed grid is a
-// straight copy of its blocks.
+// The same payload bytes are the unit of the AWG2 snapshot encoding, which
+// both checkpoints and the external sort's spill runs use, so writing a
+// packed grid to disk is a straight copy of its blocks.
 //
 // Cell order is the caller's, exactly like FlatGrid; every producer in this
-// package emits canonical order, which Find and the merges rely on. The
+// package emits canonical order, which the merges rely on. The
 // representation is positional: cell i of the packed grid corresponds to
 // cell i of the equivalent FlatGrid, so memoized cell ids work unchanged.
 const (
@@ -86,17 +88,6 @@ func (p *PackedGrid) blocks() int {
 // payload returns the raw payload bytes of block b.
 func (p *PackedGrid) payload(b int) []byte { return p.data[p.off[b]:p.off[b+1]] }
 
-// Clone returns a deep copy (cheap: the payload bytes copy as one memmove).
-func (p *PackedGrid) Clone() *PackedGrid {
-	return &PackedGrid{
-		Size:  append([]int(nil), p.Size...),
-		n:     p.n,
-		tombs: p.tombs,
-		data:  append([]byte(nil), p.data...),
-		off:   append([]uint32(nil), p.off...),
-	}
-}
-
 // decodeBlockInto decodes block b into coords (count·d values) and masses
 // (count values), which must be large enough, and returns the cell count.
 // It trusts the payload — only this package writes blocks — so it performs
@@ -130,17 +121,6 @@ func (p *PackedGrid) decodeBlockInto(b int, coords []uint16, masses []float64) i
 		}
 	}
 	return count
-}
-
-// firstCell decodes only the first cell of block b into dst — the probe of
-// Find's block-level binary search.
-func (p *PackedGrid) firstCell(b int, dst []uint16) {
-	d := len(p.Size)
-	pl := p.payload(b)
-	br := bitReader{b: pl[3*d+4:]}
-	for j := 0; j < d; j++ {
-		dst[j] = binary.LittleEndian.Uint16(pl[2*j:]) + uint16(br.read(uint(pl[2*d+j])))
-	}
 }
 
 // UnpackInto decodes the whole grid into dst (reusing its capacity) and
@@ -178,48 +158,6 @@ func (p *PackedGrid) TotalMass() float64 {
 	return s
 }
 
-// Find returns the index of the cell with the given coordinates, or −1.
-// The grid must be in canonical order, like FlatGrid.Find.
-func (p *PackedGrid) Find(coords []uint16) int {
-	nb := p.blocks()
-	if nb == 0 {
-		return 0 - 1
-	}
-	d := len(p.Size)
-	probe := make([]uint16, d)
-	// Last block whose first cell is ≤ coords.
-	lo, hi := 0, nb
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		p.firstCell(mid, probe)
-		if cmpCoords(probe, coords) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	b := lo - 1
-	if b < 0 {
-		return -1
-	}
-	bc := make([]uint16, packedBlockCells*d)
-	bm := make([]float64, packedBlockCells)
-	count := p.decodeBlockInto(b, bc, bm)
-	clo, chi := 0, count
-	for clo < chi {
-		mid := int(uint(clo+chi) >> 1)
-		if cmpCoords(bc[mid*d:(mid+1)*d], coords) < 0 {
-			clo = mid + 1
-		} else {
-			chi = mid
-		}
-	}
-	if clo < count && cmpCoords(bc[clo*d:(clo+1)*d], coords) == 0 {
-		return b*packedBlockCells + clo
-	}
-	return -1
-}
-
 // massSection locates the mass encoding of cell i: its block payload, the
 // byte offset of the mass section, the in-block index, the mode and the
 // integer width.
@@ -235,15 +173,6 @@ func (p *PackedGrid) massSection(i int) (pl []byte, massOff, j int, mode byte, m
 	count := int(binary.LittleEndian.Uint16(pl[3*d+2:]))
 	massOff = 3*d + 4 + (count*sumW+7)/8
 	return pl, massOff, j, pl[3*d], uint(pl[3*d+1])
-}
-
-// MassAt returns the mass of cell i.
-func (p *PackedGrid) MassAt(i int) float64 {
-	pl, massOff, j, mode, mw := p.massSection(i)
-	if mode == packedMassFloats {
-		return math.Float64frombits(binary.LittleEndian.Uint64(pl[massOff+8*j:]))
-	}
-	return float64(getBits(pl[massOff:], uint64(j)*uint64(mw), mw))
 }
 
 // DecMassAt subtracts one unit of mass from cell i in place and returns the
@@ -308,8 +237,8 @@ func PackFlat(f *FlatGrid) *PackedGrid {
 }
 
 // PackedCursor streams a packed grid's cells in order, decoding one block
-// at a time — the iteration primitive of the merges, the external sort and
-// the snapshot writer, which never materialize the uncompressed grid. The
+// at a time — the iteration primitive of the merges, compaction and the
+// snapshot writer, which never materialize the uncompressed grid. The
 // Coords view is valid until the next Next call.
 type PackedCursor struct {
 	p      *PackedGrid
@@ -357,9 +286,11 @@ func (c *PackedCursor) Mass() float64 { return c.masses[c.i-c.lo] }
 
 // AncestorLabelsCtx is FlatGrid.AncestorLabelsCtx with the packed grid as
 // the base: each worker decodes its own block range and streams the shifted
-// coordinates straight into the kept-grid lookups, so per-point assignment
-// runs off the compressed base without materializing it. Block boundaries
-// are deterministic, so the result is identical for every worker count.
+// coordinates straight into the kept-grid lookups. Block boundaries are
+// deterministic, so the result is identical for every worker count. The
+// engine assigns from its flat unpacking of the base instead; this entry
+// stays only because perfbench's stage replay (perfbench/replay.go)
+// compiles against it.
 func (p *PackedGrid) AncestorLabelsCtx(ctx context.Context, dst []int32, kept *FlatGrid, levels int, keptLabels []int32, workers int) ([]int32, error) {
 	d := len(p.Size)
 	m := p.n
@@ -699,7 +630,7 @@ func putBits(b []byte, off uint64, bitCount uint, v uint64) {
 }
 
 // decodePackedBlock validates and decodes one block payload read from an
-// untrusted source (a spill file or an AWG2 snapshot) into coords and
+// untrusted source (an AWG2 stream: a snapshot or a spill run) into coords and
 // masses, which must hold packedBlockCells·d and packedBlockCells values —
 // the decode is bounded by the block size no matter what the stream claims.
 // It returns the cell count or a descriptive error; it never panics.

@@ -77,11 +77,12 @@ func sortCoords(cs [][]uint16) {
 
 // TestPackedRoundTrip packs random grids across dimensions, sizes (within
 // one block and spanning several), and mass shapes, and checks the packed
-// form reproduces every cell bit for bit through UnpackInto, the cursor,
-// MassAt and Find — and that integer-mass grids actually compress below
-// the flat 2·d+8 bytes per cell.
+// form reproduces every cell bit for bit through Unpack, UnpackInto into a
+// reused grid, and the cursor — and that integer-mass grids actually
+// compress below the flat 2·d+8 bytes per cell.
 func TestPackedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	reused := &FlatGrid{}
 	for iter := 0; iter < 40; iter++ {
 		d := 1 + rng.Intn(4)
 		n := 1 + rng.Intn(3*packedBlockCells)
@@ -122,13 +123,12 @@ func TestPackedRoundTrip(t *testing.T) {
 		if cur.Next() {
 			t.Fatalf("iter %d: cursor past the end", iter)
 		}
-		for _, i := range []int{0, f.Len() / 2, f.Len() - 1} {
-			if got := p.MassAt(i); math.Float64bits(got) != math.Float64bits(f.Vals[i]) {
-				t.Fatalf("iter %d: MassAt(%d) = %v, want %v", iter, i, got, f.Vals[i])
-			}
-			if got := p.Find(f.CellCoords(i)); got != i {
-				t.Fatalf("iter %d: Find(cell %d) = %d", iter, i, got)
-			}
+		// Like a pass's pooled landing grid, reused still holds the previous
+		// iteration's unpacking; UnpackInto must overwrite and resize it.
+		reused = p.UnpackInto(reused)
+		sameGrid(t, f, reused, "unpack into reused grid")
+		if reused.Dim() != d || reused.Size[0] != scale {
+			t.Fatalf("iter %d: reused unpacking has size %v, want %d × %d", iter, reused.Size, d, scale)
 		}
 		if tm, want := p.TotalMass(), f.TotalMass(); math.Abs(tm-want) > 1e-6*math.Max(1, math.Abs(want)) {
 			t.Fatalf("iter %d: total mass %v, want %v", iter, tm, want)
@@ -142,9 +142,14 @@ func TestPackedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPackedFindMissing checks Find on absent cells and empty grids.
+// TestPackedFindMissing checks cell lookups on the flat unpacking every
+// pass computes on: present cells keep their positional index, absent cells
+// and an empty grid (which keeps its sizes) find nothing.
 func TestPackedFindMissing(t *testing.T) {
-	empty := PackFlat(NewFlat([]int{8, 8}, 0))
+	empty := PackFlat(NewFlat([]int{8, 8}, 0)).Unpack()
+	if empty.Len() != 0 || empty.Dim() != 2 || empty.Size[1] != 8 {
+		t.Fatalf("empty unpacking: %d cells, size %v", empty.Len(), empty.Size)
+	}
 	if got := empty.Find([]uint16{1, 1}); got != -1 {
 		t.Fatalf("empty Find = %d", got)
 	}
@@ -152,9 +157,14 @@ func TestPackedFindMissing(t *testing.T) {
 	g.Append([]uint16{1, 1}, 1)
 	g.Append([]uint16{4, 0}, 2)
 	g.Append([]uint16{4, 7}, 3)
-	p := PackFlat(g)
+	u := PackFlat(g).Unpack()
+	for i := 0; i < g.Len(); i++ {
+		if got := u.Find(g.CellCoords(i)); got != i {
+			t.Fatalf("Find(%v) = %d, want %d", g.CellCoords(i), got, i)
+		}
+	}
 	for _, c := range [][]uint16{{0, 0}, {1, 2}, {4, 1}, {7, 7}} {
-		if got := p.Find(c); got != -1 {
+		if got := u.Find(c); got != -1 {
 			t.Fatalf("Find(%v) = %d, want -1", c, got)
 		}
 	}

@@ -211,3 +211,55 @@ func TestMappedRowMismatch(t *testing.T) {
 		t.Fatal("AppendRow accepted a short row")
 	}
 }
+
+// FuzzOpenMapped feeds arbitrary bytes to OpenMapped as a mapped-Dataset
+// file. It must never panic; a rejected file must fail with an
+// ErrCorruptDataset-tagged error, and an accepted one must expose exactly
+// the N·D coordinates its header declares. The seed corpus in
+// testdata/fuzz/FuzzOpenMapped holds valid, empty, truncated, torn and
+// overflowing headers; the in-code seed is whatever CreateMapped writes
+// today.
+func FuzzOpenMapped(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "seed.awds")
+	w, err := CreateMapped(path, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range [][]float64{{1, 2, 3}, {-4, 0.5, math.MaxFloat64}} {
+		if err := w.AppendRow(r); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.awds")
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		m, err := OpenMapped(path)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptDataset) {
+				t.Fatalf("rejection not typed as ErrCorruptDataset: %v", err)
+			}
+			return
+		}
+		defer m.Close()
+		ds := m.Dataset()
+		if ds.N*ds.D != len(ds.Data) || ds.N != m.N() || ds.D != m.Dim() {
+			t.Fatalf("accepted %d×%d dataset over %d coordinates", ds.N, ds.D, len(ds.Data))
+		}
+		if len(ds.Data) > 0 {
+			// Touch both ends: a view longer than the file's payload
+			// would fault here.
+			_ = ds.Data[0] + ds.Data[len(ds.Data)-1]
+		}
+	})
+}
