@@ -80,17 +80,18 @@ func (e *Engine) effectiveWorkers() int {
 	return e.workers
 }
 
-// getEmptyGrid takes a pooled FlatGrid — the landing buffer for unpacking
-// a compressed base grid; putGrid returns it.
-func (e *Engine) getEmptyGrid() *grid.FlatGrid {
-	g, _ := e.grids.Get().(*grid.FlatGrid)
-	if g == nil {
-		g = &grid.FlatGrid{}
+// unpackBase makes p the pass's base: one unpacking into a pooled grid,
+// which the pass cleanup returns on every exit. This is where bit-packed
+// integer masses become the float64 densities every stage reads.
+func (e *Engine) unpackBase(st *pipeState, p *grid.PackedGrid) {
+	u, _ := e.grids.Get().(*grid.FlatGrid)
+	if u == nil {
+		u = &grid.FlatGrid{}
 	}
-	return g
+	u = p.UnpackInto(u)
+	st.cleanups = append(st.cleanups, func() { e.grids.Put(u) })
+	st.base = u
 }
-
-func (e *Engine) putGrid(g *grid.FlatGrid) { e.grids.Put(g) }
 
 // ClusterDatasetContext runs the parallel AdaWave pipeline on a flat
 // row-major dataset. Every stage polls ctx at its shard boundaries, and a

@@ -206,15 +206,6 @@ func (e *Engine) stageTransform(ctx context.Context, st *pipeState) error {
 	return nil
 }
 
-// unpackBase makes p the pass's base: one unpacking into a pooled grid,
-// which the pass cleanup returns on every exit. This is where bit-packed
-// integer masses become the float64 densities every stage reads.
-func (e *Engine) unpackBase(st *pipeState, p *grid.PackedGrid) {
-	u := p.UnpackInto(e.getEmptyGrid())
-	st.cleanups = append(st.cleanups, func() { e.putGrid(u) })
-	st.base = u
-}
-
 // stageThreshold initializes the Result, sorts the density curve and picks
 // the adaptive noise cut. An empty transformed grid short-circuits the rest
 // of the pipeline: every point is noise.

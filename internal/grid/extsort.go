@@ -322,7 +322,7 @@ type runStream struct {
 func openRunStream(run *extRun, d int) (*runStream, error) {
 	st := &runStream{d: d}
 	if run.p != nil {
-		buf := min(max(run.cells, 0), packedBlockCells)
+		buf := min(run.cells, packedBlockCells)
 		st.p = run.p
 		st.blkCoords = make([]uint16, buf*d)
 		st.blkMasses = make([]float64, buf)

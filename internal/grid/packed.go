@@ -125,7 +125,7 @@ func (p *PackedGrid) decodeBlockInto(b int, coords []uint16, masses []float64) i
 
 // UnpackInto decodes the whole grid into dst (reusing its capacity) and
 // returns dst — the promotion point where bit-packed integer masses become
-// the float64 densities the wavelet transform runs on.
+// the float64 densities every stage of a clustering pass reads.
 func (p *PackedGrid) UnpackInto(dst *FlatGrid) *FlatGrid {
 	d := len(p.Size)
 	dst.Size = append(dst.Size[:0], p.Size...)
@@ -630,8 +630,8 @@ func putBits(b []byte, off uint64, bitCount uint, v uint64) {
 }
 
 // decodePackedBlock validates and decodes one block payload read from an
-// untrusted source (an AWG2 stream: a snapshot or a spill run) into coords and
-// masses, which must hold packedBlockCells·d and packedBlockCells values —
+// untrusted source (an AWG2 stream: a snapshot or a spill run) into coords
+// and masses, which must hold packedBlockCells·d and packedBlockCells values —
 // the decode is bounded by the block size no matter what the stream claims.
 // It returns the cell count or a descriptive error; it never panics.
 func decodePackedBlock(payload []byte, d int, coords []uint16, masses []float64) (int, error) {
