@@ -68,8 +68,9 @@ race:
 # The CI fuzz smoke job: a short run of each decoder's fuzz target — the
 # grid snapshot and spill-run readers, the WAL frame decoders recovery
 # replays and the replication stream uses, the session checkpoint reader,
-# and the mapped-dataset (AWDSET01) header check (go test takes one -fuzz
-# target per invocation). FUZZTIME is overridable.
+# the mapped-dataset (AWDSET01) header check, and the CSV batch reader
+# behind the served text/csv append (go test takes one -fuzz target per
+# invocation). FUZZTIME is overridable.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME)
@@ -77,6 +78,7 @@ fuzz:
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzParseFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzReadSessionCheckpoint$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pointset -run '^$$' -fuzz '^FuzzOpenMapped$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dataio -run '^$$' -fuzz '^FuzzBatchReader$$' -fuzztime $(FUZZTIME)
 
 # The CI benchmark smoke job: one iteration of the Fig. 2 benchmarks.
 bench:

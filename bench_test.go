@@ -1133,32 +1133,13 @@ func BenchmarkEvictRehydrate50k(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeThroughput measures the incremental grid merge alone:
-// 2-way merging a 1 % delta grid into the live 50k-point grid with
-// MergeFlatCtx, reported in cells/s over the cells both inputs carry.
-func BenchmarkMergeThroughput(b *testing.B) {
-	warm, delta := streamingFixture(b)
-	live, dg := quantizeMergeFixture(b, warm, delta)
-	cells := live.Len() + dg.Len()
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		merged, _, _, err := grid.MergeFlatCtx(ctx, live, dg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if merged.Len() < live.Len() {
-			b.Fatal("merge lost cells")
-		}
-	}
-	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
-}
-
-// BenchmarkMergeThroughputPacked is BenchmarkMergeThroughput on the
-// representation a Session actually folds into: the same 1 % delta merged
-// into the packed live grid by MergePackedFlatCtx, which streams the live
-// blocks through a cursor and re-packs the union as it is emitted. Same
-// fixture, same cells/s metric, so the two series compare directly.
+// BenchmarkMergeThroughputPacked measures the incremental grid merge on
+// the representation a Session actually folds into: 2-way merging a 1 %
+// delta grid into the packed live 50k-point grid with MergePackedFlatCtx,
+// which streams the live blocks through the grid package's merge kernel
+// and re-packs the union as it is emitted, reported in cells/s over the
+// cells both inputs carry. The flat-input series of the same kernel is
+// internal/grid's BenchmarkMergeThroughput, on the same fixture shape.
 func BenchmarkMergeThroughputPacked(b *testing.B) {
 	warm, delta := streamingFixture(b)
 	flat, dg := quantizeMergeFixture(b, warm, delta)

@@ -258,6 +258,10 @@ func TestServeBadRequests(t *testing.T) {
 	base := "/v1/sessions/" + created.ID
 	doJSON(t, ts, "POST", base+"/points", "application/json", []byte(`{"points":[[1,2],[3]]}`), http.StatusBadRequest, nil)
 	doJSON(t, ts, "POST", base+"/points", "text/csv", []byte("x0,x1\n1,2\n3\n"), http.StatusBadRequest, nil)
+	// Rows narrower or wider than the header are refused like a ragged row,
+	// not read as 1-D points with a label or as 3-D points.
+	doJSON(t, ts, "POST", base+"/points", "text/csv", []byte("x0,x1,label\n1,2\n3,4\n"), http.StatusBadRequest, nil)
+	doJSON(t, ts, "POST", base+"/points", "text/csv", []byte("x0,x1\n1,2,0\n3,4,1\n"), http.StatusBadRequest, nil)
 	// A failed CSV upload must be atomic: no partial rows survive it.
 	var listed struct {
 		Sessions []struct {

@@ -204,7 +204,8 @@
 // ClusterDatasetExternalOptions streams quantization through a
 // spill-to-disk external sort — chunks quantized by the in-RAM shard
 // kernel (a dense count when a shard holds at least Scaleᵈ rows, a radix
-// sort otherwise), sorted runs on temp files, loser-tree merge — then
+// sort otherwise), sorted runs on temp files, the same loser-tree cell
+// merge that combines in-RAM shards and folds Session deltas — then
 // re-enter the shared
 // pipeline over cell-id-sharded connected components. The budget derives
 // chunk size, spill threshold and merge fan-in (the other ExternalOptions

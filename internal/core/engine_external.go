@@ -11,8 +11,9 @@ import (
 // Out-of-core clustering: ClusterDatasetExternal is ClusterDatasetContext
 // with the point-side memory decoupled from the dataset size. Its quantize
 // stage runs the external sort (chunks quantized by the in-RAM shard
-// kernel, sorted runs spilled to temp files, loser-tree merge into a packed
-// grid — see grid.QuantizeDatasetExternalPackedCtx), unpacks that packed
+// kernel, sorted runs spilled to temp files, and the grid package's one
+// cell merge, shared with the in-RAM shards and the Session fold, into a
+// packed grid — see grid.QuantizeDatasetExternalPackedCtx), unpacks that packed
 // base once, and runStages carries the flat copy through the same
 // transform → assign stages as every other path, so the labels are
 // bit-identical to the in-RAM path for every

@@ -174,7 +174,8 @@ func (e *Engine) stageQuantize(ctx context.Context, st *pipeState) error {
 			return err
 		}
 		// The merged grid comes out block-compressed straight from the
-		// loser-tree merge; the pass computes on one flat unpacking of it.
+		// grid package's cell merge over the sorted runs; the pass computes
+		// on one flat unpacking of it.
 		var p *grid.PackedGrid
 		if p, st.ids, err = q.QuantizeDatasetExternalPackedCtx(ctx, st.ds, st.w, ext); err != nil {
 			return err

@@ -350,9 +350,9 @@ func (s *Session) syncLocked(ctx context.Context) (Config, error) {
 		if err != nil {
 			return Config{}, err
 		}
-		// The 2-way fold streams the compressed live grid and re-packs the
-		// union as it is emitted — MergeFlatCtx semantics, block
-		// representation throughout.
+		// The 2-way fold streams the compressed live grid through the grid
+		// package's one cell merge and re-packs the union as it is emitted:
+		// live before delta on equal cells, merged mass ≤ 0 dropped.
 		merged, liveRemap, deltaRemap, err := grid.MergePackedFlatCtx(ctx, s.base, dg)
 		if err != nil {
 			return Config{}, err

@@ -14,15 +14,15 @@ import (
 // without ever materializing the whole point set. It accepts the same
 // format as ReadCSVDataset: an optional header row (detected by its first
 // field not parsing as a number), coordinate columns, and labels when the
-// header's last column is named “label”. Row geometry is validated against
-// the first data row, and errors carry absolute (1-based, header included)
-// row numbers.
+// header's last column is named “label”. Every data row must be as wide as
+// the header, or, without one, as the first data row; errors carry
+// absolute (1-based, header included) row numbers.
 type BatchReader struct {
 	cr        *csv.Reader
 	batchSize int
 	row       int // rows consumed so far (1-based numbering for errors)
-	width     int // fields per data row, 0 until the first data row
-	d         int // coordinate columns
+	width     int // fields per data row, 0 until the header or first data row
+	d         int // coordinate columns, 0 until the first data row
 	hasLabels bool
 	started   bool // first record consumed (header detection done)
 	err       error
@@ -68,13 +68,16 @@ func (br *BatchReader) Next() (*pointset.Dataset, []int, error) {
 		if !br.started {
 			br.started = true
 			if _, ferr := strconv.ParseFloat(rec[0], 64); ferr != nil {
-				// Header row.
+				// Header row: it fixes the width of every data row.
 				br.hasLabels = rec[len(rec)-1] == "label"
+				br.width = len(rec)
 				continue
 			}
 		}
-		if br.width == 0 {
-			br.width = len(rec)
+		if br.d == 0 {
+			if br.width == 0 {
+				br.width = len(rec)
+			}
 			br.d = br.width
 			if br.hasLabels {
 				br.d--

@@ -2,7 +2,9 @@ package dataio
 
 import (
 	"bytes"
+	"encoding/csv"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -102,6 +104,22 @@ func TestBatchReaderErrors(t *testing.T) {
 	if _, _, err := br.Next(); err == nil || !strings.Contains(err.Error(), "label") {
 		t.Fatalf("bad label: err=%v", err)
 	}
+	// The header fixes the row width: a label column over narrower rows
+	// must not turn the last coordinate into a label, and a wider row must
+	// not add a dimension.
+	for _, in := range []string{"x0,x1,label\n1,2\n", "x0,x1\n1,2,3\n"} {
+		br = NewBatchReader(strings.NewReader(in), 10)
+		if _, _, err := br.Next(); err == nil || !strings.Contains(err.Error(), "row 2") {
+			t.Fatalf("%q: width mismatch against the header: err=%v", in, err)
+		}
+	}
+	br = NewBatchReader(strings.NewReader("x0,x1\n1,2\n3,4\n5\n"), 2)
+	if ds, _, err := br.Next(); err != nil || ds.N != 2 {
+		t.Fatalf("rows before a ragged one: ds=%+v err=%v", ds, err)
+	}
+	if _, _, err := br.Next(); err == nil || !strings.Contains(err.Error(), "row 4") {
+		t.Fatalf("ragged row after a full batch: err=%v", err)
+	}
 	br = NewBatchReader(strings.NewReader("label\n"), 10)
 	if _, _, err := br.Next(); err != io.EOF {
 		t.Fatalf("header-only stream: err=%v", err)
@@ -137,4 +155,85 @@ func TestEachBatch(t *testing.T) {
 	if err != sentinel {
 		t.Fatalf("callback error must propagate, got %v", err)
 	}
+}
+
+// FuzzBatchReader feeds arbitrary bytes to the chunked CSV reader (the
+// served text/csv append path) at several batch sizes. It must never
+// panic; every batch it accepts must be as wide as the stream's first row
+// (the header, or the first data row without one); and a stream it accepts
+// to the end must round-trip bit for bit through WriteCSVDataset and
+// ReadCSVDataset. Seeds live in testdata/fuzz/FuzzBatchReader/.
+func FuzzBatchReader(f *testing.F) {
+	f.Add([]byte("x0,x1,label\n1,2,0\n3.5,-4,1\n"), 1)
+	f.Add([]byte("1,2\n3,4\n"), 0)
+	f.Fuzz(func(t *testing.T, data []byte, batchSize int) {
+		batchSize %= 5 // 0 drains the stream into one batch
+		width := 0
+		if first, err := firstRecord(data); err == nil {
+			width = len(first)
+		}
+		br := NewBatchReader(bytes.NewReader(data), batchSize)
+		var all *pointset.Dataset
+		var labels []int
+		for {
+			ds, ls, err := br.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return // rejected input: only the absence of a panic matters
+			}
+			hasLabels := 0
+			if br.HasLabels() {
+				hasLabels = 1
+			}
+			if ds.D+hasLabels != width {
+				t.Fatalf("accepted a %d-D batch (labels %v) from a stream %d fields wide", ds.D, br.HasLabels(), width)
+			}
+			if br.HasLabels() != (ls != nil) || (ls != nil && len(ls) != ds.N) {
+				t.Fatalf("%d labels for %d points (header label column %v)", len(ls), ds.N, br.HasLabels())
+			}
+			if all == nil {
+				all = pointset.New(ds.D, 0)
+			}
+			all.Data = append(all.Data, ds.Data[:ds.N*ds.D]...)
+			all.N += ds.N
+			labels = append(labels, ls...)
+		}
+		if all == nil {
+			return
+		}
+		if !br.HasLabels() {
+			labels = nil
+		}
+		var buf bytes.Buffer
+		if err := WriteCSVDataset(&buf, all, labels); err != nil {
+			t.Fatalf("write accepted stream: %v", err)
+		}
+		got, gotLabels, err := ReadCSVDataset(&buf)
+		if err != nil {
+			t.Fatalf("re-read accepted stream: %v", err)
+		}
+		if got.N != all.N || got.D != all.D || len(gotLabels) != len(labels) {
+			t.Fatalf("round trip: %d×%d with %d labels, want %d×%d with %d", got.N, got.D, len(gotLabels), all.N, all.D, len(labels))
+		}
+		for i, v := range all.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("round trip: coordinate %d is %v, want %v", i, got.Data[i], v)
+			}
+		}
+		for i, l := range labels {
+			if gotLabels[i] != l {
+				t.Fatalf("round trip: label %d is %d, want %d", i, gotLabels[i], l)
+			}
+		}
+	})
+}
+
+// firstRecord parses the first CSV record of data the way BatchReader's
+// csv.Reader does.
+func firstRecord(data []byte) ([]string, error) {
+	cr := csv.NewReader(bytes.NewReader(data))
+	cr.FieldsPerRecord = -1
+	return cr.Read()
 }

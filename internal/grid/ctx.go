@@ -7,8 +7,9 @@ import (
 )
 
 // Cooperative cancellation for the flat engine. Every parallel stage —
-// bounding-box scan, sharded quantization, slab-merge transform, incremental
-// merge, connected components, assignment — takes a ctx and checks
+// bounding-box scan, sharded quantization, the cell merge kernel (shards,
+// spill runs, a session's fold), slab-merge transform, connected
+// components, assignment — takes a ctx and checks
 // ctx.Err() at its shard boundaries (and, inside long single-shard loops,
 // every ctxCheckStride iterations), unwinding without publishing partial
 // results. A caller without a deadline passes context.Background(), whose

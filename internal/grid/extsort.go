@@ -19,11 +19,12 @@ import (
 // at once. Out of core, the same plan is cut into fixed-size point chunks:
 // each chunk's shards run the same quantizeShard kernel, but every
 // resulting sorted run is block-compressed (PackedGrid) and either
-// retained in memory (small) or spilled to a temp file (large), and a
-// loser-tree k-way merge over all runs emits cells in canonical order
-// while renumbering every point's memoized chunk-local cell id to its
-// canonical-grid index. Cell masses are integer point counts, so the merge
-// sums are exact in any order and the resulting grid, ids, and every label
+// retained in memory (small) or spilled to a temp file (large), and the
+// package's one k-way merge, mergeCells, reads all runs back through cell
+// cursors, emitting cells in canonical order while renumbering every
+// point's memoized chunk-local cell id to its canonical-grid index. Cell
+// masses are integer point counts, so the merge sums are exact in any
+// order and the resulting grid, ids, and every label
 // derived from them are bit-identical to QuantizeDatasetCtx — only the
 // peak resident memory changes: O(chunk + retained runs + cells) instead
 // of O(points), and the packed runs hold ~4× the cells of the former flat
@@ -81,11 +82,12 @@ func (q *Quantizer) gridSize() []int {
 // plus the final grid, independent of the dataset size. Points stream
 // through in chunks (an mmap-backed Dataset is paged in and dropped by the
 // OS), each chunk's sorted run spills to disk once the in-memory run budget
-// is exhausted, and a loser-tree merge re-reads the runs sequentially and
-// streams straight into a PackedBuilder, so the external sort never
-// materializes the uncompressed cell array. Cancellation
-// is polled at chunk and merge boundaries and every ctxCheckStride points
-// within; a cancelled call removes its spill directory before returning.
+// is exhausted, and mergeCells re-reads the runs sequentially and streams
+// straight into a PackedBuilder, so the external sort never materializes
+// the uncompressed cell array. Cancellation is polled at chunk boundaries,
+// every ctxCheckStride points within a chunk and every ctxCheckStride
+// merged cells; a cancelled call removes its spill directory before
+// returning.
 func (q *Quantizer) QuantizeDatasetExternalPackedCtx(ctx context.Context, ds *pointset.Dataset, workers int, opts ExtSortOptions) (*PackedGrid, []int32, error) {
 	d := q.Dim()
 	size := q.gridSize()
@@ -191,10 +193,24 @@ func (q *Quantizer) QuantizeDatasetExternalPackedCtx(ctx context.Context, ds *po
 		}
 	}
 
-	// Phase 2: loser-tree k-way merge over all runs, emitting canonical
-	// order and recording, per run, where each run-local cell landed in
-	// the merged grid.
-	remap, err := mergeExtRuns(ctx, runs, d, bld)
+	// Phase 2: k-way merge over all runs, emitting canonical order and
+	// recording, per run, where each run-local cell landed in the merged
+	// grid. Spilled runs stream back block by block; nothing beyond the
+	// builder and the remap tables is materialized.
+	srcs := make([]*cellCursor, 0, len(runs))
+	defer func() {
+		for _, c := range srcs {
+			c.close()
+		}
+	}()
+	for i := range runs {
+		c, err := runs[i].cursor(d)
+		if err != nil {
+			return nil, nil, err
+		}
+		srcs = append(srcs, c)
+	}
+	remap, err := mergeCells(ctx, srcs, bld)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -227,63 +243,6 @@ func (q *Quantizer) QuantizeDatasetExternalCtx(ctx context.Context, ds *pointset
 	return p.Unpack(), ids, nil
 }
 
-// mergeExtRuns k-way merges sorted runs into bld, summing duplicate cells
-// in run order (exact: masses are integer point counts) and filling
-// remap[r][j] = merged index of run r's j-th cell. Spilled runs are
-// streamed back block by block through buffered readers; nothing beyond
-// the builder and the remap tables is materialized.
-func mergeExtRuns(ctx context.Context, runs []extRun, d int, bld *PackedBuilder) ([][]int32, error) {
-	remap := make([][]int32, len(runs))
-	streams := make([]*runStream, len(runs))
-	defer func() {
-		for _, st := range streams {
-			if st != nil {
-				st.close()
-			}
-		}
-	}()
-	for i := range runs {
-		remap[i] = make([]int32, runs[i].cells)
-		st, err := openRunStream(&runs[i], d)
-		if err != nil {
-			return nil, err
-		}
-		streams[i] = st
-	}
-	if len(streams) == 0 {
-		return remap, nil
-	}
-	lt := newLoserTree(streams)
-	emitted := 0
-	for {
-		s := lt.winner()
-		if s < 0 {
-			break
-		}
-		if emitted%ctxCheckStride == ctxCheckStride-1 {
-			if err := CtxErr(ctx); err != nil {
-				return nil, err
-			}
-		}
-		st := streams[s]
-		m := bld.Len()
-		if m > 0 && cmpCoords(bld.LastCoords(), st.cur) == 0 {
-			bld.AddLast(st.curMass)
-			remap[s][st.emitted] = int32(m - 1)
-		} else {
-			bld.Append(st.cur, st.curMass)
-			remap[s][st.emitted] = int32(m)
-		}
-		st.emitted++
-		emitted++
-		if err := st.advance(); err != nil {
-			return nil, err
-		}
-		lt.fix(s)
-	}
-	return remap, nil
-}
-
 // ErrCorruptSpillRun reports a spill file whose bytes do not decode as the
 // AWG2 stream the spill wrote — truncation, a header that does not match
 // the run, a bad length prefix, or a malformed block. Every decode failure
@@ -291,181 +250,38 @@ func mergeExtRuns(ctx context.Context, runs []extRun, d int, bld *PackedBuilder)
 // per-block buffers however corrupt the input.
 var ErrCorruptSpillRun = errors.New("grid: corrupt spill run")
 
-// runStream yields one run's cells in order, decoding one block at a time
-// from either the retained packed grid or its spill file.
-type runStream struct {
-	d       int
-	cur     []uint16 // current cell coordinates (view into blkCoords)
-	curMass float64
-	emitted int32 // cells already handed to the merge (run-local index)
-
-	// decoded block window: the stream's own buffers for a retained run,
-	// the block reader's for a spilled one
-	blkCoords []uint16
-	blkMasses []float64
-	count     int // cells in the window
-	pos       int // next cell within the window
-
-	// retained source
-	p    *PackedGrid
-	next int // next block to decode
-
-	// spilled source
-	f      *os.File
-	blocks *blockReader
-
-	done bool
+// cursor returns a cursor on the run's first cell, reading a spilled run
+// back from its file.
+func (r *extRun) cursor(d int) (*cellCursor, error) {
+	if r.p != nil {
+		return packedCursor(r.p), nil
+	}
+	return openSpillCursor(r.path, d, r.cells)
 }
 
-// openRunStream opens a cursor over run and positions it on the first cell.
-// A spilled run is an AWG2 stream whose header must match the run.
-func openRunStream(run *extRun, d int) (*runStream, error) {
-	st := &runStream{d: d}
-	if run.p != nil {
-		buf := min(run.cells, packedBlockCells)
-		st.p = run.p
-		st.blkCoords = make([]uint16, buf*d)
-		st.blkMasses = make([]float64, buf)
-	} else {
-		f, err := os.Open(run.path)
-		if err != nil {
-			return nil, fmt.Errorf("grid: external sort merge: %w", err)
-		}
-		st.f = f
-		br := bufio.NewReaderSize(f, 256<<10)
-		h, err := readSnapshotHeader(br)
-		if err == nil && (!h.v2 || len(h.size) != d || h.cells != uint64(run.cells)) {
-			err = fmt.Errorf("AWG2 stream of %d cells in %d dimensions expected", run.cells, d)
-		}
-		if err != nil {
-			st.close()
-			return nil, fmt.Errorf("grid: external sort merge %s: %w: %v", filepath.Base(run.path), ErrCorruptSpillRun, err)
-		}
-		st.blocks = newBlockReader(br, d, h.cells)
-		st.blkCoords, st.blkMasses = st.blocks.coords, st.blocks.masses
+// openSpillCursor opens the spill run at path, an AWG2 stream of cells
+// d-dimensional cells, and positions a cursor on its first cell. The
+// window is the block reader's own one-block buffers. A header that does
+// not match the run is ErrCorruptSpillRun.
+func openSpillCursor(path string, d, cells int) (*cellCursor, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("grid: external sort merge: %w", err)
 	}
-	if err := st.advance(); err != nil {
-		st.close()
+	br := bufio.NewReaderSize(f, 256<<10)
+	h, err := readSnapshotHeader(br)
+	if err == nil && (!h.v2 || len(h.size) != d || h.cells != uint64(cells)) {
+		err = fmt.Errorf("AWG2 stream of %d cells in %d dimensions expected", cells, d)
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("grid: external sort merge %s: %w: %v", filepath.Base(path), ErrCorruptSpillRun, err)
+	}
+	blocks := newBlockReader(br, d, h.cells)
+	c := &cellCursor{d: d, n: cells, idx: -1, coords: blocks.coords, masses: blocks.masses, pos: -1, blocks: blocks, f: f}
+	if err := c.advance(); err != nil {
+		c.close()
 		return nil, err
 	}
-	return st, nil
-}
-
-// advance moves the cursor to the next cell, decoding the next block when
-// the window is exhausted; after the last cell the stream reports done and
-// loses to every live stream in the tree.
-func (st *runStream) advance() error {
-	if st.pos >= st.count {
-		if err := st.nextBlock(); err != nil || st.done {
-			return err
-		}
-	}
-	st.cur = st.blkCoords[st.pos*st.d : (st.pos+1)*st.d]
-	st.curMass = st.blkMasses[st.pos]
-	st.pos++
-	return nil
-}
-
-// nextBlock refills the decode window from the stream's source.
-func (st *runStream) nextBlock() error {
-	st.pos, st.count = 0, 0
-	if st.p != nil {
-		if st.next >= st.p.blocks() {
-			st.done = true
-			return nil
-		}
-		st.count = st.p.decodeBlockInto(st.next, st.blkCoords, st.blkMasses)
-		st.next++
-		return nil
-	}
-	count, err := st.blocks.next()
-	if err != nil {
-		return fmt.Errorf("grid: external sort merge: %w: %v", ErrCorruptSpillRun, err)
-	}
-	st.count = count
-	st.done = count == 0
-	return nil
-}
-
-// close releases the stream's file handle, if any.
-func (st *runStream) close() {
-	if st.f != nil {
-		st.f.Close()
-		st.f = nil
-	}
-}
-
-// --- loser tree -----------------------------------------------------------
-
-// loserTree is a k-way tournament tree over run streams: winner() is O(1),
-// fix(s) after advancing stream s replays only s's log₂(k) matches. Ties on
-// equal cells go to the lower run index, so duplicate cells are summed in
-// run (= point) order, matching mergeShards' shard order.
-type loserTree struct {
-	k       int
-	tree    []int32 // tree[0] = overall winner; tree[1:] = match losers
-	streams []*runStream
-}
-
-func newLoserTree(streams []*runStream) *loserTree {
-	k := len(streams)
-	lt := &loserTree{k: k, streams: streams, tree: make([]int32, k)}
-	for i := range lt.tree {
-		lt.tree[i] = -1
-	}
-	for s := k - 1; s >= 0; s-- {
-		lt.seed(int32(s))
-	}
-	return lt
-}
-
-// beats reports whether stream a wins against stream b (smaller cell, run
-// index breaking ties; an exhausted stream loses to every live one).
-func (lt *loserTree) beats(a, b int32) bool {
-	sa, sb := lt.streams[a], lt.streams[b]
-	if sa.done {
-		return false
-	}
-	if sb.done {
-		return true
-	}
-	c := cmpCoords(sa.cur, sb.cur)
-	return c < 0 || (c == 0 && a < b)
-}
-
-// seed plays stream s up the tree during construction: the first arrival at
-// an empty match waits there as the provisional loser.
-func (lt *loserTree) seed(s int32) {
-	winner := s
-	for t := (int(s) + lt.k) / 2; t > 0; t /= 2 {
-		if lt.tree[t] < 0 {
-			lt.tree[t] = winner
-			return
-		}
-		if lt.beats(lt.tree[t], winner) {
-			winner, lt.tree[t] = lt.tree[t], winner
-		}
-	}
-	lt.tree[0] = winner
-}
-
-// fix replays stream s's matches after its head advanced.
-func (lt *loserTree) fix(s int32) {
-	winner := s
-	for t := (int(s) + lt.k) / 2; t > 0; t /= 2 {
-		if lt.beats(lt.tree[t], winner) {
-			winner, lt.tree[t] = lt.tree[t], winner
-		}
-	}
-	lt.tree[0] = winner
-}
-
-// winner returns the stream index holding the smallest head cell, or −1
-// when every stream is exhausted.
-func (lt *loserTree) winner() int32 {
-	w := lt.tree[0]
-	if w < 0 || lt.streams[w].done {
-		return -1
-	}
-	return w
+	return c, nil
 }

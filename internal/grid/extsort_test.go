@@ -196,26 +196,26 @@ func TestSpillRunRoundTrip(t *testing.T) {
 			t.Fatalf("run of %d cells in %d dims read as %v, want ErrCorruptSpillRun", c.cells, c.d, err)
 		}
 	}
-	st, err := openRunStream(&extRun{path: path, cells: g.Len()}, 2)
+	c, err := openSpillCursor(path, 2, g.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.close()
+	defer c.close()
 	for i := 0; i < g.Len(); i++ {
-		if st.done {
+		if c.done {
 			t.Fatalf("stream exhausted at cell %d", i)
 		}
-		if cmpCoords(st.cur, g.CellCoords(i)) != 0 {
-			t.Fatalf("cell %d coords %v, want %v", i, st.cur, g.CellCoords(i))
+		if cmpCoords(c.cur, g.CellCoords(i)) != 0 {
+			t.Fatalf("cell %d coords %v, want %v", i, c.cur, g.CellCoords(i))
 		}
-		if math.Float64bits(st.curMass) != math.Float64bits(g.Vals[i]) {
-			t.Fatalf("cell %d mass %v, want %v", i, st.curMass, g.Vals[i])
+		if math.Float64bits(c.mass()) != math.Float64bits(g.Vals[i]) {
+			t.Fatalf("cell %d mass %v, want %v", i, c.mass(), g.Vals[i])
 		}
-		if err := st.advance(); err != nil {
+		if err := c.advance(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !st.done {
+	if !c.done {
 		t.Fatal("stream not exhausted after last cell")
 	}
 }
@@ -223,13 +223,13 @@ func TestSpillRunRoundTrip(t *testing.T) {
 // drainSpillRun opens path as a spill run of declared cells and streams it
 // to the end, returning the first error.
 func drainSpillRun(path string, cells, d int) error {
-	st, err := openRunStream(&extRun{path: path, cells: cells}, d)
+	c, err := openSpillCursor(path, d, cells)
 	if err != nil {
 		return err
 	}
-	defer st.close()
-	for !st.done {
-		if err := st.advance(); err != nil {
+	defer c.close()
+	for !c.done {
+		if err := c.advance(); err != nil {
 			return err
 		}
 	}

@@ -86,13 +86,14 @@ func NewQuantizerDatasetCtx(ctx context.Context, ds *pointset.Dataset, scale, wo
 // cell table when the whole cell space Scaleᵈ is no larger than the
 // shard's row count and radix-sorts its cells with the point index as
 // payload otherwise; either way each point is stamped with its shard-local
-// cell number, and the exact k-way shard merge renumbers those to global
-// indices. Each point's cell
-// coordinates are computed exactly once.
+// cell number, and mergeCells, the package's one k-way cell merge, sums
+// the shards in shard order and renumbers those ids to global indices.
+// Each point's cell coordinates are computed exactly once.
 //
 // Each quantization shard polls ctx at its boundary (and every
-// ctxCheckStride points within), and a cancelled run returns before the
-// shard merge, with no grid and no memo published.
+// ctxCheckStride points within), and so does the shard merge every
+// ctxCheckStride merged cells; a cancelled run publishes no grid and no
+// memo.
 func (q *Quantizer) QuantizeDatasetCtx(ctx context.Context, ds *pointset.Dataset, workers int) (*FlatGrid, []int32, error) {
 	d := q.Dim()
 	size := q.gridSize()
@@ -117,7 +118,21 @@ func (q *Quantizer) QuantizeDatasetCtx(ctx context.Context, ds *pointset.Dataset
 	if workers == 1 {
 		return shards[0], ids, nil
 	}
-	f, remap := mergeShards(shards, size, d)
+	// ParallelRanges can carve fewer ranges than workers; the missing
+	// shards are the trailing ones, so shard w stays merge input w.
+	srcs := make([]*cellCursor, 0, workers)
+	total := 0
+	for _, sh := range shards {
+		if sh != nil {
+			srcs = append(srcs, flatCursor(sh))
+			total += sh.Len()
+		}
+	}
+	f := NewFlat(size, total)
+	remap, err := mergeCells(ctx, srcs, f)
+	if err != nil {
+		return nil, nil, err
+	}
 	// Renumber the shard-local cell ids to canonical-grid indices.
 	// ParallelRanges carves the same deterministic shard boundaries as the
 	// quantization pass above, so worker w sees exactly its own ids.
@@ -156,52 +171,6 @@ func dedupeRunsIdx(coords []uint16, idx []int32, d int, ids []int32) ([]uint16, 
 		i = r
 	}
 	return coords[:w*d], vals
-}
-
-// mergeShards k-way merges canonically sorted shard grids: duplicate cells
-// are summed in shard order, so the integer sums are deterministic, and
-// remap[si][j] records where shard si's cell j landed in the merged grid
-// (QuantizeDatasetCtx renumbers its memoized cell ids through it). Nil
-// shards — ParallelRanges can produce fewer ranges than workers — are
-// skipped.
-func mergeShards(shards []*FlatGrid, size []int, d int) (*FlatGrid, [][]int32) {
-	remap := make([][]int32, len(shards))
-	total := 0
-	for si, sh := range shards {
-		if sh == nil {
-			continue
-		}
-		remap[si] = make([]int32, sh.Len())
-		total += sh.Len()
-	}
-	out := NewFlat(size, total)
-	heads := make([]int, len(shards))
-	for {
-		min := -1
-		for si, sh := range shards {
-			if sh == nil || heads[si] >= sh.Len() {
-				continue
-			}
-			if min < 0 || cmpCoords(sh.CellCoords(heads[si]), shards[min].CellCoords(heads[min])) < 0 {
-				min = si
-			}
-		}
-		if min < 0 {
-			break
-		}
-		cell := shards[min].CellCoords(heads[min])
-		outIdx := int32(out.Len())
-		var mass float64
-		for si, sh := range shards {
-			if sh != nil && heads[si] < sh.Len() && cmpCoords(sh.CellCoords(heads[si]), cell) == 0 {
-				mass += sh.Vals[heads[si]]
-				remap[si][heads[si]] = outIdx
-				heads[si]++
-			}
-		}
-		out.Append(cell, mass)
-	}
-	return out, remap
 }
 
 // AncestorLabelsCtx builds the per-level assignment table of base grid f:

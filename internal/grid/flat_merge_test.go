@@ -9,14 +9,16 @@ import (
 	"adawave/internal/pointset"
 )
 
-// mergeFlat is MergeFlatCtx without a deadline, failing t on error.
+// mergeFlat merges two flat grids into a flat grid with the merge kernel,
+// without a deadline, failing t on error.
 func mergeFlat(t testing.TB, live, delta *FlatGrid) (*FlatGrid, []int32, []int32) {
 	t.Helper()
-	merged, liveRemap, deltaRemap, err := MergeFlatCtx(context.Background(), live, delta)
+	merged := NewFlat(live.Size, live.Len()+delta.Len())
+	remap, err := mergeCells(context.Background(), []*cellCursor{flatCursor(live), flatCursor(delta)}, merged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return merged, liveRemap, deltaRemap
+	return merged, remap[0], remap[1]
 }
 
 // flatGridsIdentical asserts two flat grids agree cell for cell, order
@@ -111,23 +113,28 @@ func TestMergeFlatSweepsTombstones(t *testing.T) {
 	}
 }
 
+// TestCompact: the tombstone sweep drops zero-mass cells, keeps canonical
+// order and remaps swept cells to −1; a clean grid is left as it is.
 func TestCompact(t *testing.T) {
 	f := NewFlat([]int{8, 8}, 4)
 	f.Append([]uint16{0, 1}, 2)
 	f.Append([]uint16{1, 0}, 0)
 	f.Append([]uint16{3, 3}, 1)
 	f.Append([]uint16{6, 2}, 0)
-	remap := f.Compact()
-	if f.Len() != 2 || f.Vals[0] != 2 || f.Vals[1] != 1 {
-		t.Fatalf("compacted grid: len %d vals %v", f.Len(), f.Vals)
+	p, remap := PackFlat(f).Compact()
+	if g := p.Unpack(); g.Len() != 2 || g.Vals[0] != 2 || g.Vals[1] != 1 {
+		t.Fatalf("compacted grid: len %d vals %v", g.Len(), g.Vals)
 	}
 	want := []int32{0, -1, 1, -1}
+	if len(remap) != len(want) {
+		t.Fatalf("remap: got %v, want %v", remap, want)
+	}
 	for i, r := range remap {
 		if r != want[i] {
 			t.Fatalf("remap: got %v, want %v", remap, want)
 		}
 	}
-	if f.Compact() != nil {
+	if p2, r2 := p.Compact(); r2 != nil || p2 != p {
 		t.Fatal("clean grid must report a nil remap")
 	}
 }

@@ -218,8 +218,8 @@ func (sb snapshotBuilder) readV1Body(br *bufio.Reader, cells uint64) error {
 // ErrUnserializableGrid.
 func (p *PackedGrid) WriteSnapshot(w io.Writer) error {
 	// Check before sweeping: a −Inf mass is corruption, not a tombstone.
-	for c := p.Cursor(); c.Next(); {
-		if v := c.Mass(); math.IsNaN(v) || math.IsInf(v, 0) {
+	for c := packedCursor(p); !c.done; c.advance() {
+		if v := c.mass(); math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("grid: write snapshot: cell mass %v: %w", v, ErrUnserializableGrid)
 		}
 	}

@@ -2,14 +2,10 @@ package grid
 
 import "context"
 
-// Incremental grid maintenance: AdaWave's cell masses are additive point
-// counts, so a delta batch quantized into its own small canonical grid folds
-// into a live grid by one 2-way merge over cell ids — O(cells_live +
-// cells_delta), never a full re-sort of the union. Removal is the signed
-// form of the same identity: subtracting a departed point's mass leaves a
-// zero-mass tombstone cell in place, so no surviving point's memoized cell
-// index moves, and tombstones are swept out later (by the next merge, or by
-// an explicit Compact) when the id renumbering is paid anyway.
+// The flat two-way merge and in-place compaction the production merge
+// kernel replaced, kept verbatim as the reference the kernel's tests
+// compare against (on the want side only). They live here rather than in
+// internal/oracle because oracle imports this package.
 
 // MergeFlatCtx merges two canonically ordered grids into a new canonical
 // grid, summing the masses of cells present in both. Cells whose merged

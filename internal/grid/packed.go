@@ -40,7 +40,7 @@ import (
 // packed grid to disk is a straight copy of its blocks.
 //
 // Cell order is the caller's, exactly like FlatGrid; every producer in this
-// package emits canonical order, which the merges rely on. The
+// package emits canonical order, which the merge kernel relies on. The
 // representation is positional: cell i of the packed grid corresponds to
 // cell i of the equivalent FlatGrid, so memoized cell ids work unchanged.
 const (
@@ -52,7 +52,8 @@ const (
 
 // PackedGrid is a block-compressed sparse grid; see the package comment
 // above for the encoding. The zero value is an empty grid with no
-// dimensions; build one with PackFlat, a PackedBuilder, or MergePackedFlatCtx.
+// dimensions; build one with PackFlat, a PackedBuilder, or the merge kernel
+// (mergeCells, behind MergePackedFlatCtx, Compact and the external sort).
 type PackedGrid struct {
 	// Size is the number of cells along each dimension.
 	Size []int
@@ -152,8 +153,8 @@ func (p *PackedGrid) Unpack() *FlatGrid {
 // TotalMass returns the sum of all cell masses.
 func (p *PackedGrid) TotalMass() float64 {
 	var s float64
-	for c := p.Cursor(); c.Next(); {
-		s += c.Mass()
+	for c := packedCursor(p); !c.done; c.advance() {
+		s += c.mass()
 	}
 	return s
 }
@@ -204,25 +205,17 @@ func (p *PackedGrid) DecMassAt(i int) float64 {
 }
 
 // Compact returns the grid without its tombstone cells (mass ≤ 0) plus the
-// remap: remap[i] is cell i's new index, or −1 if it was swept — the packed
-// mirror of FlatGrid.Compact. A grid holding no tombstones is returned
+// remap: remap[i] is cell i's new index, or −1 if it was swept. It is
+// mergeCells over the one grid. A grid holding no tombstones is returned
 // unchanged with a nil remap.
 func (p *PackedGrid) Compact() (*PackedGrid, []int32) {
 	if p.tombs == 0 {
 		return p, nil
 	}
 	bld := NewPackedBuilder(p.Size, p.n-p.tombs)
-	remap := make([]int32, p.n)
-	i := 0
-	for c := p.Cursor(); c.Next(); i++ {
-		if m := c.Mass(); m > 0 {
-			remap[i] = int32(bld.Len())
-			bld.Append(c.Coords(), m)
-		} else {
-			remap[i] = -1
-		}
-	}
-	return bld.Grid(), remap
+	// Neither the background context nor an in-memory source can fail.
+	remap, _ := mergeCells(context.Background(), []*cellCursor{packedCursor(p)}, bld)
+	return bld.Grid(), remap[0]
 }
 
 // PackFlat compresses f into the block representation, preserving cell
@@ -235,54 +228,6 @@ func PackFlat(f *FlatGrid) *PackedGrid {
 	}
 	return bld.Grid()
 }
-
-// PackedCursor streams a packed grid's cells in order, decoding one block
-// at a time — the iteration primitive of the merges, compaction and the
-// snapshot writer, which never materialize the uncompressed grid. The
-// Coords view is valid until the next Next call.
-type PackedCursor struct {
-	p      *PackedGrid
-	d      int
-	i      int // current cell (global index); -1 before the first Next
-	blk    int // decoded block, -1 before the first
-	lo     int // global index of the decoded block's first cell
-	coords []uint16
-	masses []float64
-}
-
-// Cursor returns a cursor positioned before the first cell.
-func (p *PackedGrid) Cursor() *PackedCursor {
-	d := len(p.Size)
-	buf := min(p.n, packedBlockCells)
-	return &PackedCursor{
-		p: p, d: d, i: -1, blk: -1,
-		coords: make([]uint16, buf*d),
-		masses: make([]float64, buf),
-	}
-}
-
-// Next advances to the next cell, reporting whether one exists.
-func (c *PackedCursor) Next() bool {
-	c.i++
-	if c.i >= c.p.n {
-		return false
-	}
-	if b := c.i / packedBlockCells; b != c.blk {
-		c.p.decodeBlockInto(b, c.coords, c.masses)
-		c.blk, c.lo = b, b*packedBlockCells
-	}
-	return true
-}
-
-// Coords returns the current cell's coordinates (a view into the cursor's
-// decode buffer — copy it if it must outlive the next Next).
-func (c *PackedCursor) Coords() []uint16 {
-	j := c.i - c.lo
-	return c.coords[j*c.d : (j+1)*c.d]
-}
-
-// Mass returns the current cell's mass.
-func (c *PackedCursor) Mass() float64 { return c.masses[c.i-c.lo] }
 
 // AncestorLabelsCtx is FlatGrid.AncestorLabelsCtx with the packed grid as
 // the base: each worker decodes its own block range and streams the shifted
@@ -330,9 +275,7 @@ func (p *PackedGrid) AncestorLabelsCtx(ctx context.Context, dst []int32, kept *F
 }
 
 // PackedBuilder appends cells (in the caller's order) into a growing
-// PackedGrid, sealing a block every packedBlockCells cells. The last
-// appended cell stays mutable until the next Append or Grid call, which the
-// k-way merges use to fold duplicate cells (AddLast) without re-encoding.
+// PackedGrid, sealing a block every packedBlockCells cells.
 type PackedBuilder struct {
 	g        *PackedGrid
 	d        int
@@ -372,12 +315,6 @@ func (b *PackedBuilder) Append(coords []uint16, mass float64) {
 	}
 	b.coords = append(b.coords, coords...)
 	b.masses = append(b.masses, mass)
-}
-
-// AddLast adds mass to the most recently appended cell. At least one cell
-// must have been appended.
-func (b *PackedBuilder) AddLast(mass float64) {
-	b.masses[len(b.masses)-1] += mass
 }
 
 // LastCoords returns the coordinates of the most recently appended cell.
@@ -469,71 +406,20 @@ func (b *PackedBuilder) seal() {
 	b.masses = b.masses[:0]
 }
 
-// MergePackedFlatCtx is MergeFlatCtx with a packed live grid: the live side
-// streams through a block cursor and the merged result is re-packed as it
-// is emitted, so the 2-way fold of a streaming session never materializes
-// the uncompressed union. Semantics are identical to MergeFlatCtx — cells
-// merged in canonical order, duplicate masses summed, tombstones (merged
-// mass ≤ 0) dropped with a −1 remap — and the live grid is never modified,
-// so a cancelled merge leaves the session state untouched.
+// MergePackedFlatCtx folds a streaming session's delta into its packed
+// live grid: mergeCells over the live blocks and the flat delta, re-packed
+// as it is emitted, so the fold never materializes the uncompressed union.
+// Equal cells sum live before delta; a cell whose merged mass is ≤ 0 (a
+// removal tombstone, or one cancelled by a negative delta) is dropped with
+// a −1 remap entry. The live grid is never modified, so a cancelled merge
+// leaves the session state untouched.
 func MergePackedFlatCtx(ctx context.Context, live *PackedGrid, delta *FlatGrid) (merged *PackedGrid, liveRemap, deltaRemap []int32, err error) {
-	d := len(live.Size)
-	nl, nd := live.Len(), delta.Len()
-	bld := NewPackedBuilder(live.Size, nl+nd)
-	liveRemap = make([]int32, nl)
-	deltaRemap = make([]int32, nd)
-	cur := live.Cursor()
-	haveLive := cur.Next()
-	i, j := 0, 0
-	for iter := 0; haveLive || j < nd; iter++ {
-		if iter%ctxCheckStride == ctxCheckStride-1 {
-			if err := CtxErr(ctx); err != nil {
-				return nil, nil, nil, err
-			}
-		}
-		var c int
-		switch {
-		case !haveLive:
-			c = 1
-		case j == nd:
-			c = -1
-		default:
-			c = cmpCoords(cur.Coords(), delta.Coords[j*d:(j+1)*d])
-		}
-		out := int32(bld.Len())
-		// Append before advancing the cursor: its Coords view dies with the
-		// next block decode.
-		switch {
-		case c < 0:
-			if mass := cur.Mass(); mass > 0 {
-				bld.Append(cur.Coords(), mass)
-				liveRemap[i] = out
-			} else {
-				liveRemap[i] = -1
-			}
-			i++
-			haveLive = cur.Next()
-		case c > 0:
-			if mass := delta.Vals[j]; mass > 0 {
-				bld.Append(delta.Coords[j*d:(j+1)*d], mass)
-				deltaRemap[j] = out
-			} else {
-				deltaRemap[j] = -1
-			}
-			j++
-		default:
-			if mass := cur.Mass() + delta.Vals[j]; mass > 0 {
-				bld.Append(cur.Coords(), mass)
-				liveRemap[i], deltaRemap[j] = out, out
-			} else {
-				liveRemap[i], deltaRemap[j] = -1, -1
-			}
-			i++
-			j++
-			haveLive = cur.Next()
-		}
+	bld := NewPackedBuilder(live.Size, live.Len()+delta.Len())
+	remap, err := mergeCells(ctx, []*cellCursor{packedCursor(live), flatCursor(delta)}, bld)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return bld.Grid(), liveRemap, deltaRemap, nil
+	return bld.Grid(), remap[0], remap[1], nil
 }
 
 // --- bit-level plumbing ---------------------------------------------------

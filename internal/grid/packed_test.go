@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -67,13 +68,7 @@ func keyBytes(c []uint16) []byte {
 	return b
 }
 
-func sortCoords(cs [][]uint16) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cmpCoords(cs[j], cs[j-1]) < 0; j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
-	}
-}
+func sortCoords(cs [][]uint16) { slices.SortFunc(cs, cmpCoords) }
 
 // TestPackedRoundTrip packs random grids across dimensions, sizes (within
 // one block and spanning several), and mass shapes, and checks the packed
@@ -108,20 +103,21 @@ func TestPackedRoundTrip(t *testing.T) {
 			t.Fatalf("iter %d: packed %d cells dim %d, want %d dim %d", iter, p.Len(), p.Dim(), f.Len(), f.Dim())
 		}
 		sameGrid(t, f, p.Unpack(), "unpack")
-		cur := p.Cursor()
+		cur := packedCursor(p)
 		for i := 0; i < f.Len(); i++ {
-			if !cur.Next() {
+			if cur.done {
 				t.Fatalf("iter %d: cursor exhausted at %d", iter, i)
 			}
-			if cmpCoords(cur.Coords(), f.CellCoords(i)) != 0 {
-				t.Fatalf("iter %d: cursor cell %d coords %v, want %v", iter, i, cur.Coords(), f.CellCoords(i))
+			if cmpCoords(cur.cur, f.CellCoords(i)) != 0 {
+				t.Fatalf("iter %d: cursor cell %d coords %v, want %v", iter, i, cur.cur, f.CellCoords(i))
 			}
-			if math.Float64bits(cur.Mass()) != math.Float64bits(f.Vals[i]) {
-				t.Fatalf("iter %d: cursor cell %d mass %v, want %v", iter, i, cur.Mass(), f.Vals[i])
+			if math.Float64bits(cur.mass()) != math.Float64bits(f.Vals[i]) {
+				t.Fatalf("iter %d: cursor cell %d mass %v, want %v", iter, i, cur.mass(), f.Vals[i])
 			}
+			cur.advance()
 		}
-		if cur.Next() {
-			t.Fatalf("iter %d: cursor past the end", iter)
+		if !cur.done {
+			t.Fatalf("iter %d: cursor not exhausted after the last cell", iter)
 		}
 		// Like a pass's pooled landing grid, reused still holds the previous
 		// iteration's unpacking; UnpackInto must overwrite and resize it.
@@ -171,8 +167,9 @@ func TestPackedFindMissing(t *testing.T) {
 }
 
 // TestMergePackedFlatEquivalence checks MergePackedFlatCtx produces the
-// same merged cells and remaps as MergeFlatCtx on the flat equivalents,
-// including tombstone drops from signed-mass deltas.
+// same merged cells and remaps as the flat reference merge, MergeFlatCtx,
+// on the flat equivalents, including tombstone drops from signed-mass
+// deltas.
 func TestMergePackedFlatEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 30; iter++ {
@@ -192,7 +189,10 @@ func TestMergePackedFlatEquivalence(t *testing.T) {
 				delta.Vals[j] = -delta.Vals[j]
 			}
 		}
-		wantMerged, wantLR, wantDR := mergeFlat(t, live, delta)
+		wantMerged, wantLR, wantDR, err := MergeFlatCtx(context.Background(), live, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
 		p := PackFlat(live)
 		merged, lr, dr, err := MergePackedFlatCtx(context.Background(), p, delta)
 		if err != nil {
