@@ -37,12 +37,9 @@ func TestMergeCellsKWay(t *testing.T) {
 				if rng.Intn(3) == 0 {
 					n = packedBlockCells + rng.Intn(2*packedBlockCells)
 				}
-				var g *FlatGrid
+				g := randomPackedGrid(rng, max(n, 1), d, scale, 0.5)
 				if n == 0 {
-					g = randomPackedGrid(rng, 1, d, scale, 1)
 					g = NewFlat(g.Size, 0)
-				} else {
-					g = randomPackedGrid(rng, n, d, scale, 0.5)
 				}
 				for i := range g.Vals {
 					key := string(keyBytes(g.CellCoords(i)))
