@@ -18,7 +18,10 @@ GO ?= go
 # and the engine's quantize stage on each side of the dense/radix shard
 # kernel choice (2M 2-D points at scale 128; 400k 4-D points at scale 64),
 # and the connect stage alone (the Fig. 2 and highdim-embed kept grids under
-# both connectivities).
+# both connectivities), and the embed stage (the PCA front-end overhead on
+# Fig. 2, the PCA-vs-random-projection pair on the d=64 mixture, and the
+# row-sharded projection alone at the highdim-embed shape: 400k×64 rows
+# through a fitted PCA(4), in rows/s).
 # BENCHTIME is overridable for quicker local runs.
 BENCH_PERF = Fig2RunningExample|EmbedFig2|EmbedHighDim|FlatTransform|Fig9Roadmap|MultiResolution|AssignNoiseToNearest|SessionAppendRelabel|ColdRecluster50k|MergeThroughput|WALAppend|ColdRecovery50k|CtxOverheadFig2|SchedulerFairness|EvictRehydrate50k|GridFootprint|WALReplicationThroughput|Failover50k|QuantizeDataset|Components
 BENCHTIME ?= 100x
@@ -54,7 +57,8 @@ test:
 
 # Race-exercise the parallel engine: grid substrate, core pipeline, the
 # shared worker pool + quota governor, the persistence layer, the embedding
-# front-end (internal/embed, internal/linalg), the facade, and
+# front-end (internal/embed's row-sharded projection and covariance,
+# internal/linalg), the facade, and
 # the HTTP serving layer (whose httptest smoke drives one writer and many
 # concurrent readers through a shared Session, whose crash-recovery
 # property test replays every WAL crash point, and whose evict→rehydrate
@@ -68,9 +72,10 @@ race:
 # The CI fuzz smoke job: a short run of each decoder's fuzz target — the
 # grid snapshot and spill-run readers, the WAL frame decoders recovery
 # replays and the replication stream uses, the session checkpoint reader,
-# the mapped-dataset (AWDSET01) header check, and the CSV batch reader
-# behind the served text/csv append (go test takes one -fuzz target per
-# invocation). FUZZTIME is overridable.
+# the mapped-dataset (AWDSET01) header check, the CSV batch reader
+# behind the served text/csv append, and the fitted-embedder (AWE1) decoder
+# a checkpoint's embedder section goes through (go test takes one -fuzz
+# target per invocation). FUZZTIME is overridable.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME)
@@ -79,6 +84,7 @@ fuzz:
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzReadSessionCheckpoint$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pointset -run '^$$' -fuzz '^FuzzOpenMapped$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataio -run '^$$' -fuzz '^FuzzBatchReader$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/embed -run '^$$' -fuzz '^FuzzUnmarshalEmbedder$$' -fuzztime $(FUZZTIME)
 
 # The CI benchmark smoke job: one iteration of the Fig. 2 benchmarks.
 bench:

@@ -1273,7 +1273,9 @@ func BenchmarkEmbedFig2(b *testing.B) {
 // 64×64 covariance accumulation plus the Jacobi solve per fit; the seeded
 // random projection fits in O(d·k) draws, so the pair separates fit cost
 // from the shared projection + clustering cost. Both run the parallel
-// engine at GOMAXPROCS workers.
+// engine at GOMAXPROCS workers. The project sub-benchmark times the
+// projection alone at the highdim-embed workload's shape: 400k×64 rows
+// through a fitted PCA(4) at GOMAXPROCS workers, reported in rows/s.
 func BenchmarkEmbedHighDim(b *testing.B) {
 	ds := synth.HighDimMixture(5, 250, 64, 4, 0.2, 1)
 	flat := ds.Flat()
@@ -1305,6 +1307,24 @@ func BenchmarkEmbedHighDim(b *testing.B) {
 			b.ReportMetric(ami, "AMI")
 		})
 	}
+	b.Run("project", func(b *testing.B) {
+		big := synth.HighDimMixture(8, 25_000, 64, 4, 0.5, 1).Flat()
+		emb, err := embed.New(embed.Spec{Kind: embed.KindPCA, K: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := emb.Fit(big); err != nil {
+			b.Fatal(err)
+		}
+		workers := runtime.GOMAXPROCS(0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := emb.TransformCtx(context.Background(), big, workers); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(big.N)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+	})
 }
 
 // BenchmarkWALReplicationThroughput measures the full replication data

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"adawave/internal/embed"
+	"adawave/internal/grid"
 	"adawave/internal/persist"
 	"adawave/internal/pointset"
 	"adawave/internal/synth"
@@ -349,5 +353,126 @@ func TestSessionEmbeddingEmptyCheckpoint(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("label %d: got %d, want %d", i, got[i], want[i])
 		}
+	}
+}
+
+// pollCancelCtx is a context whose Err reports context.Canceled from its
+// (n+1)-th poll on, so a test can land a cancellation at every poll point
+// of a computation in turn.
+type pollCancelCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func cancelAfterPolls(n int) *pollCancelCtx {
+	c := &pollCancelCtx{Context: context.Background()}
+	c.left.Store(int64(n))
+	return c
+}
+
+func (c *pollCancelCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestEmbeddingCancelAtEveryPoll lands a cancel at every poll point of a
+// one-shot clustering under a PCA embedding in turn, the embed stage's fit
+// and projection polls included: each cancelled call aborts with the
+// taxonomy error, and the first call that completes equals an uncancelled
+// one.
+func TestEmbeddingCancelAtEveryPoll(t *testing.T) {
+	ds := synth.Blobs(4, 1500, 8, 0.5, 3).Flat()
+	cfg := DefaultConfig()
+	cfg.Scale = 64
+	cfg.Embedding = embed.Spec{Kind: embed.KindPCA, K: 3}
+	eng, err := NewEngine(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.ClusterDatasetContext(context.Background(), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled := 0
+	for n := 0; ; n++ {
+		got, err := eng.ClusterDatasetContext(cancelAfterPolls(n), ds)
+		if err == nil {
+			assertResultsEqual(t, want, got)
+			break
+		}
+		if !errors.Is(err, grid.ErrCanceled) || !errors.Is(err, context.Canceled) || got != nil {
+			t.Fatalf("polls=%d: got a result %v, err %v; want none and ErrCanceled", n, got != nil, err)
+		}
+		cancelled++
+	}
+	// The fit alone polls per sample block of each covariance shard and the
+	// projection per row block of each shard.
+	t.Logf("%d poll points cancelled", cancelled)
+	if cancelled < 10 {
+		t.Fatalf("only %d poll points cancelled", cancelled)
+	}
+}
+
+// TestSessionEmbeddingAppendCancel lands a cancel at every poll point of a
+// session's first append under PCA, which fits the embedder and projects
+// the batch. A cancelled append leaves the session empty and unfitted, so
+// appending the same batch again gives a session bit-identical to one that
+// was never cancelled: the same fitted embedder, projected rows,
+// checkpoint bytes and labels.
+func TestSessionEmbeddingAppendCancel(t *testing.T) {
+	ds := synth.Blobs(4, 1500, 8, 0.5, 3).Flat()
+	cfg := DefaultConfig()
+	cfg.Scale = 64
+	cfg.Embedding = embed.Spec{Kind: embed.KindPCA, K: 3}
+	eng, err := NewEngine(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func(s *Session) ([]byte, []int) {
+		var buf bytes.Buffer
+		if err := s.CheckpointContext(context.Background(), &buf); err != nil {
+			t.Fatal(err)
+		}
+		labels, err := s.Labels()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), labels
+	}
+	ref := eng.NewSession()
+	if err := ref.AppendContext(context.Background(), ds); err != nil {
+		t.Fatal(err)
+	}
+	wantCkpt, wantLabels := snapshot(ref)
+	cancelled := 0
+	for n := 0; ; n++ {
+		sess := eng.NewSession()
+		err := sess.AppendContext(cancelAfterPolls(n), ds)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, grid.ErrCanceled) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("polls=%d: err %v, want ErrCanceled", n, err)
+		}
+		if sess.Len() != 0 || sess.emb != nil || sess.eds != nil {
+			t.Fatalf("polls=%d: cancelled append changed the session", n)
+		}
+		if err := sess.AppendContext(context.Background(), ds); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(sess.eds.Data, ref.eds.Data, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("polls=%d: projected rows differ from the never-cancelled session", n)
+		}
+		gotCkpt, gotLabels := snapshot(sess)
+		if !bytes.Equal(gotCkpt, wantCkpt) || !slices.Equal(gotLabels, wantLabels) {
+			t.Fatalf("polls=%d: session differs from the never-cancelled one", n)
+		}
+		cancelled++
+	}
+	t.Logf("%d poll points cancelled", cancelled)
+	if cancelled < 10 {
+		t.Fatalf("only %d poll points cancelled", cancelled)
 	}
 }

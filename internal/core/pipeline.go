@@ -130,12 +130,12 @@ func (e *Engine) stageEmbed(ctx context.Context, st *pipeState) error {
 		if err != nil {
 			return err
 		}
-		if err := emb.Fit(st.ds); err != nil {
+		if err := emb.FitCtx(ctx, st.ds, st.w); err != nil {
 			return err
 		}
 		st.emb = emb
 	}
-	pds, err := st.emb.Transform(st.ds)
+	pds, err := st.emb.TransformCtx(ctx, st.ds, st.w)
 	if err != nil {
 		return err
 	}

@@ -156,11 +156,11 @@ func (s *Session) AppendContext(ctx context.Context, batch *pointset.Dataset) er
 			if emb, err = embed.New(s.eng.cfg.Embedding); err != nil {
 				return err
 			}
-			if err := emb.Fit(batch); err != nil {
+			if err := emb.FitCtx(ctx, batch, s.eng.effectiveWorkers()); err != nil {
 				return err
 			}
 		}
-		pbatch, err := emb.Transform(batch)
+		pbatch, err := emb.TransformCtx(ctx, batch, s.eng.effectiveWorkers())
 		if err != nil {
 			return err
 		}
@@ -547,7 +547,7 @@ func RestoreSession(r io.Reader, eng *Engine) (*Session, error) {
 		// re-projection bit-identical to the one the checkpointing session
 		// quantized, so the adopted grid and ids stay consistent with it.
 		s.emb = st.Embedder
-		if s.eds, err = st.Embedder.Transform(st.DS); err != nil {
+		if s.eds, err = st.Embedder.TransformCtx(context.Background(), st.DS, eng.effectiveWorkers()); err != nil {
 			return nil, err
 		}
 	}

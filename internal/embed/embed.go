@@ -11,6 +11,7 @@
 package embed
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -116,22 +117,32 @@ func ParseSpec(in string) (Spec, error) {
 	return sp, nil
 }
 
-// Embedder is a fitted linear projection. Fit learns the transform's
+// Embedder is a fitted linear projection. FitCtx learns the transform's
 // parameters from a dataset (once — refitting an already fitted embedder is
-// an error, so a streaming session's projection can never drift), Transform
-// projects rows with the frozen parameters, and MarshalBinary serializes
-// the fitted state for checkpoints. Implementations are deterministic and
-// safe for concurrent Transform calls after Fit.
+// an error, so a streaming session's projection can never drift),
+// TransformCtx projects rows with the frozen parameters, and MarshalBinary
+// serializes the fitted state for checkpoints. Both ctx forms shard their
+// row work over at most workers ranges of the context's worker pool (see
+// grid.ParallelRangesCtx) and give the same bits for every worker count; a
+// cancelled call returns the taxonomy error (grid.CtxErr) and changes
+// nothing. Implementations are deterministic and safe for concurrent
+// Transform calls after Fit.
 type Embedder interface {
 	// Spec returns the declaration this embedder was built from.
 	Spec() Spec
-	// Fitted reports whether Fit has completed.
+	// Fitted reports whether a fit has completed.
 	Fitted() bool
-	// Fit learns the projection parameters from ds. The input
-	// dimensionality is adopted from ds; K must not exceed it.
-	Fit(ds *pointset.Dataset) error
-	// Transform projects every row of ds into a fresh K-dimensional
+	// FitCtx learns the projection parameters from ds. The input
+	// dimensionality is adopted from ds; K must not exceed it. A
+	// cancelled fit leaves the embedder unfitted.
+	FitCtx(ctx context.Context, ds *pointset.Dataset, workers int) error
+	// TransformCtx projects every row of ds into a fresh K-dimensional
 	// dataset. ds.D must equal InDim.
+	TransformCtx(ctx context.Context, ds *pointset.Dataset, workers int) (*pointset.Dataset, error)
+	// Fit is FitCtx with context.Background and GOMAXPROCS workers.
+	Fit(ds *pointset.Dataset) error
+	// Transform is TransformCtx with context.Background and GOMAXPROCS
+	// workers.
 	Transform(ds *pointset.Dataset) (*pointset.Dataset, error)
 	// InDim returns the fitted input dimensionality (0 before Fit).
 	InDim() int
@@ -278,33 +289,90 @@ func checkTransform(fitted bool, inDim int, ds *pointset.Dataset) error {
 	return nil
 }
 
+// blockRows is how many rows a projection or covariance shard runs between
+// ctx polls; it is also the fewest rows worth a projection shard of their
+// own.
+const blockRows = 1024
+
 // project applies a k×inDim row-major matrix to every (optionally
 // mean-centered) row of ds. It is the single projection kernel both
 // embedders share, so "embedding inside the pipeline" and "manual
 // projection by the caller" are the same float operations in the same
 // order — the bit-identity equivalence the tests assert.
-func project(ds *pointset.Dataset, mean []float64, mat []float64, k int) *pointset.Dataset {
-	out := pointset.New(k, ds.N)
-	out.N = ds.N
-	out.Data = out.Data[:ds.N*k]
-	inDim := ds.D
-	for i := 0; i < ds.N; i++ {
-		row := ds.Data[i*inDim : (i+1)*inDim]
-		dst := out.Data[i*k : (i+1)*k]
-		for j := 0; j < k; j++ {
-			comp := mat[j*inDim : (j+1)*inDim]
-			var acc float64
-			if mean != nil {
-				for c, v := range row {
-					acc += (v - mean[c]) * comp[c]
-				}
-			} else {
-				for c, v := range row {
-					acc += v * comp[c]
-				}
-			}
-			dst[j] = acc
+//
+// Rows are sharded over at most workers ranges through
+// grid.ParallelRangesCtx. Each row is centered once into a per-shard
+// scratch row, then the outputs are accumulated four at a time in one pass
+// over its coordinates (the remainder one at a time). Every output still
+// starts at 0 and sums its terms in coordinate order, so the result is
+// bit-identical for any worker count. ctx is polled every blockRows
+// rows of a shard; a cancelled call returns the taxonomy error and no
+// dataset.
+func project(ctx context.Context, ds *pointset.Dataset, mean, mat []float64, k, workers int) (*pointset.Dataset, error) {
+	n, d := ds.N, ds.D
+	out := pointset.New(k, n)
+	out.N = n
+	out.Data = out.Data[:n*k]
+	workers = min(workers, (n+blockRows-1)/blockRows)
+	grid.ParallelRangesCtx(ctx, n, workers, func(_, lo, hi int) {
+		var centered []float64
+		if mean != nil {
+			centered = make([]float64, d)
 		}
+		for blo := lo; blo < hi; blo += blockRows {
+			if ctx.Err() != nil {
+				return
+			}
+			bhi := min(blo+blockRows, hi)
+			for i := blo; i < bhi; i++ {
+				x := ds.Data[i*d : (i+1)*d]
+				if mean != nil {
+					center(centered, x, mean)
+					x = centered
+				}
+				projectRow(out.Data[i*k:(i+1)*k], x, mat)
+			}
+		}
+	})
+	if err := grid.CtxErr(ctx); err != nil {
+		return nil, err
 	}
-	return out
+	return out, nil
+}
+
+// center sets dst[c] to x[c] − mean[c] for every c < len(mean).
+func center(dst, x, mean []float64) {
+	dst, x = dst[:len(mean)], x[:len(mean)]
+	for c, v := range mean {
+		dst[c] = x[c] - v
+	}
+}
+
+// projectRow sets dst[j] to the dot product of x with row j of the
+// len(dst)×len(x) matrix mat, summing each product chain from 0 in x order.
+func projectRow(dst, x, mat []float64) {
+	d, k := len(x), len(dst)
+	j := 0
+	for ; j+4 <= k; j += 4 {
+		m0 := mat[j*d:][:d]
+		m1 := mat[(j+1)*d:][:d]
+		m2 := mat[(j+2)*d:][:d]
+		m3 := mat[(j+3)*d:][:d]
+		var a0, a1, a2, a3 float64
+		for c, v := range x {
+			a0 += v * m0[c]
+			a1 += v * m1[c]
+			a2 += v * m2[c]
+			a3 += v * m3[c]
+		}
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = a0, a1, a2, a3
+	}
+	for ; j < k; j++ {
+		m := mat[j*d:][:d]
+		var a float64
+		for c, v := range x {
+			a += v * m[c]
+		}
+		dst[j] = a
+	}
 }

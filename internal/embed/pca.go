@@ -1,7 +1,9 @@
 package embed
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 
 	"adawave/internal/grid"
 	"adawave/internal/linalg"
@@ -34,6 +36,10 @@ func (p *pcaEmbedder) InDim() int   { return p.inDim }
 func (p *pcaEmbedder) OutDim() int  { return p.spec.K }
 
 func (p *pcaEmbedder) Fit(ds *pointset.Dataset) error {
+	return p.FitCtx(context.Background(), ds, runtime.GOMAXPROCS(0))
+}
+
+func (p *pcaEmbedder) FitCtx(ctx context.Context, ds *pointset.Dataset, workers int) error {
 	d, err := checkFit(p.Fitted(), p.spec, ds)
 	if err != nil {
 		return err
@@ -54,23 +60,12 @@ func (p *pcaEmbedder) Fit(ds *pointset.Dataset) error {
 	for c := range mean {
 		mean[c] /= float64(m)
 	}
+	cov, err := covariance(ctx, ds, mean, step, workers)
+	if err != nil {
+		return err
+	}
 	// Sample covariance (normalized by m, not m-1: the eigenvectors are
 	// identical and m ≥ 1 always divides).
-	cov := linalg.NewMatrix(d, d)
-	centered := make([]float64, d)
-	for i := 0; i < ds.N; i += step {
-		row := ds.Data[i*d : (i+1)*d]
-		for c, v := range row {
-			centered[c] = v - mean[c]
-		}
-		for r := 0; r < d; r++ {
-			vr := centered[r]
-			covr := cov.Row(r)
-			for c := r; c < d; c++ {
-				covr[c] += vr * centered[c]
-			}
-		}
-	}
 	inv := 1 / float64(m)
 	for r := 0; r < d; r++ {
 		for c := r; c < d; c++ {
@@ -107,11 +102,53 @@ func (p *pcaEmbedder) Fit(ds *pointset.Dataset) error {
 	return nil
 }
 
+// covariance accumulates the upper triangle of the unnormalized covariance
+// of the sampled rows 0, step, 2·step, … about mean. Each entry sums its
+// terms in sample order, so sharding by output row leaves it bit-identical
+// for any worker count. Row r holds d−r entries; a shard takes whole pairs
+// of rows (r, d−1−r), d+1 entries a pair, so contiguous ranges of pairs
+// carry equal work. ctx is polled every blockRows samples of a shard.
+func covariance(ctx context.Context, ds *pointset.Dataset, mean []float64, step, workers int) (*linalg.Matrix, error) {
+	d := ds.D
+	cov := linalg.NewMatrix(d, d)
+	grid.ParallelRangesCtx(ctx, (d+1)/2, workers, func(_, lo, hi int) {
+		centered := make([]float64, d)
+		for s, i := 0, 0; i < ds.N; s, i = s+1, i+step {
+			if s%blockRows == 0 && ctx.Err() != nil {
+				return
+			}
+			center(centered, ds.Data[i*d:(i+1)*d], mean)
+			for r := lo; r < hi; r++ {
+				addScaled(cov.Row(r)[r:], centered[r], centered[r:])
+				if q := d - 1 - r; q != r {
+					addScaled(cov.Row(q)[q:], centered[q], centered[q:])
+				}
+			}
+		}
+	})
+	if err := grid.CtxErr(ctx); err != nil {
+		return nil, err
+	}
+	return cov, nil
+}
+
+// addScaled adds v·x[c] to dst[c] for every c < len(x).
+func addScaled(dst []float64, v float64, x []float64) {
+	dst = dst[:len(x)]
+	for c, xc := range x {
+		dst[c] += v * xc
+	}
+}
+
 func (p *pcaEmbedder) Transform(ds *pointset.Dataset) (*pointset.Dataset, error) {
+	return p.TransformCtx(context.Background(), ds, runtime.GOMAXPROCS(0))
+}
+
+func (p *pcaEmbedder) TransformCtx(ctx context.Context, ds *pointset.Dataset, workers int) (*pointset.Dataset, error) {
 	if err := checkTransform(p.Fitted(), p.inDim, ds); err != nil {
 		return nil, err
 	}
-	return project(ds, p.mean, p.comps, p.spec.K), nil
+	return project(ctx, ds, p.mean, p.comps, p.spec.K, workers)
 }
 
 func (p *pcaEmbedder) MarshalBinary() ([]byte, error) {
