@@ -21,9 +21,10 @@ GO ?= go
 # both connectivities), and the embed stage (the PCA front-end overhead on
 # Fig. 2, the PCA-vs-random-projection pair on the d=64 mixture, and the
 # row-sharded projection alone at the highdim-embed shape: 400k×64 rows
-# through a fitted PCA(4), in rows/s).
+# through a fitted PCA(4), in rows/s), and the served label codec (one
+# 50k-label /labels body encoded and decoded, in labels/s).
 # BENCHTIME is overridable for quicker local runs.
-BENCH_PERF = Fig2RunningExample|EmbedFig2|EmbedHighDim|FlatTransform|Fig9Roadmap|MultiResolution|AssignNoiseToNearest|SessionAppendRelabel|ColdRecluster50k|MergeThroughput|WALAppend|ColdRecovery50k|CtxOverheadFig2|SchedulerFairness|EvictRehydrate50k|GridFootprint|WALReplicationThroughput|Failover50k|QuantizeDataset|Components
+BENCH_PERF = Fig2RunningExample|EmbedFig2|EmbedHighDim|FlatTransform|Fig9Roadmap|MultiResolution|AssignNoiseToNearest|SessionAppendRelabel|ColdRecluster50k|MergeThroughput|WALAppend|ColdRecovery50k|CtxOverheadFig2|SchedulerFairness|EvictRehydrate50k|GridFootprint|WALReplicationThroughput|Failover50k|QuantizeDataset|Components|LabelsWire
 BENCHTIME ?= 100x
 
 # The committed perf-trajectory snapshot this PR writes (BENCH_$(BENCH_N).json)
@@ -73,9 +74,10 @@ race:
 # grid snapshot and spill-run readers, the WAL frame decoders recovery
 # replays and the replication stream uses, the session checkpoint reader,
 # the mapped-dataset (AWDSET01) header check, the CSV batch reader
-# behind the served text/csv append, and the fitted-embedder (AWE1) decoder
-# a checkpoint's embedder section goes through (go test takes one -fuzz
-# target per invocation). FUZZTIME is overridable.
+# behind the served text/csv append, the fitted-embedder (AWE1) decoder
+# a checkpoint's embedder section goes through, and the label codec's
+# /labels body and NDJSON chunk decoders, each checked against encoding/json
+# (go test takes one -fuzz target per invocation). FUZZTIME is overridable.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME)
@@ -85,6 +87,8 @@ fuzz:
 	$(GO) test ./internal/pointset -run '^$$' -fuzz '^FuzzOpenMapped$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataio -run '^$$' -fuzz '^FuzzBatchReader$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/embed -run '^$$' -fuzz '^FuzzUnmarshalEmbedder$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/api -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/api -run '^$$' -fuzz '^FuzzDecodeLabelsChunk$$' -fuzztime $(FUZZTIME)
 
 # The CI benchmark smoke job: one iteration of the Fig. 2 benchmarks.
 bench:

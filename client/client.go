@@ -26,6 +26,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"adawave"
@@ -139,7 +140,8 @@ func (c *Client) auth(req *http.Request) {
 }
 
 // do issues one JSON round trip: method + path, optional request body,
-// optional response decode. Non-2xx responses decode into *APIError. The
+// optional response decode (encoding/json into out, or out itself when it
+// is a bodyReader). Non-2xx responses decode into *APIError. The
 // body is marshaled once and replayed on every attempt, so WithRetry can
 // resend 429-rejected requests verbatim.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
@@ -169,6 +171,9 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 		if resp.StatusCode >= 200 && resp.StatusCode <= 299 {
 			defer resp.Body.Close()
+			if read, ok := out.(bodyReader); ok {
+				return read(resp.Body)
+			}
 			if out != nil {
 				return json.NewDecoder(resp.Body).Decode(out)
 			}
@@ -360,12 +365,32 @@ func (c *Client) Remove(ctx context.Context, id string, indices []int) (*api.Rem
 	return &out, nil
 }
 
+// bodyReader, passed to do as out, consumes a 2xx response body in place
+// of encoding/json.
+type bodyReader func(body io.Reader) error
+
+// labelBufs pools the buffers Labels reads response bodies into.
+var labelBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // Labels clusters the current point set and returns the full result,
 // labels included, as one JSON document. For very large sessions prefer
 // LabelsStream. Cancelling ctx mid-call aborts the server-side pipeline.
+//
+// The body is read whole and decoded by api.DecodeResult, which scans the
+// label array the server writes without encoding/json and gives the same
+// result encoding/json would on any other input.
 func (c *Client) Labels(ctx context.Context, id string) (*api.Result, error) {
 	var out api.Result
-	if err := c.do(ctx, http.MethodGet, "/v1/sessions/"+id+"/labels", nil, &out); err != nil {
+	read := bodyReader(func(body io.Reader) error {
+		buf := labelBufs.Get().(*bytes.Buffer)
+		defer labelBufs.Put(buf)
+		buf.Reset()
+		if _, err := buf.ReadFrom(body); err != nil {
+			return err
+		}
+		return api.DecodeResult(buf.Bytes(), &out)
+	})
+	if err := c.do(ctx, http.MethodGet, "/v1/sessions/"+id+"/labels", nil, read); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -375,7 +400,10 @@ func (c *Client) Labels(ctx context.Context, id string) (*api.Result, error) {
 // streamed representation: the result meta is returned, and fn is invoked
 // once per streamed chunk with the offset of its first label — million-label
 // sessions arrive in bounded memory on both sides. A non-nil error from fn
-// aborts the stream (and, through ctx, the transfer).
+// aborts the stream (and, through ctx, the transfer). The chunks must
+// arrive in order, each starting where the previous one ended, and cover
+// exactly the meta's point count; any other stream is an error. Chunk lines
+// are decoded by api.DecodeLabelsChunk.
 func (c *Client) LabelsStream(ctx context.Context, id string, fn func(offset int, labels []int) error) (*api.Result, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/sessions/"+id+"/labels", nil)
 	if err != nil {
@@ -406,8 +434,11 @@ func (c *Client) LabelsStream(ctx context.Context, id string, fn func(offset int
 	seen := 0
 	for sc.Scan() {
 		var chunk api.LabelsChunk
-		if err := json.Unmarshal(sc.Bytes(), &chunk); err != nil {
+		if err := api.DecodeLabelsChunk(sc.Bytes(), &chunk); err != nil {
 			return nil, fmt.Errorf("bad NDJSON chunk line: %w", err)
+		}
+		if chunk.Offset != seen {
+			return nil, fmt.Errorf("NDJSON chunk at offset %d, want %d", chunk.Offset, seen)
 		}
 		if fn != nil {
 			if err := fn(chunk.Offset, chunk.Labels); err != nil {

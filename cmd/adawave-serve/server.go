@@ -741,6 +741,18 @@ func (s *server) appendPoints(w http.ResponseWriter, r *http.Request) {
 	if ss == nil {
 		return
 	}
+	// A JSON body is read and decoded before the writer lock, as in
+	// removePoints, so a slow uploader holds up no other writer of the
+	// session. A text/csv body streams into the session chunk by chunk and
+	// is read under the lock below.
+	ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
+	var body api.AppendRequest
+	if ct != "text/csv" {
+		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+			s.writeBodyErr(w, r, fmt.Errorf("bad batch: %w", err))
+			return
+		}
+	}
 	// One mutation request at a time per session: this upholds the
 	// Session's one-writer contract across HTTP clients and guarantees the
 	// rollback below only ever removes this request's own points. Queued
@@ -756,7 +768,6 @@ func (s *server) appendPoints(w http.ResponseWriter, r *http.Request) {
 		writeCode(w, http.StatusInternalServerError, api.CodeInternal, fmt.Sprintf("rehydrate: %v", err))
 		return
 	}
-	ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	var appended int
 	switch ct {
 	case "text/csv":
@@ -817,11 +828,6 @@ func (s *server) appendPoints(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	default:
-		var body api.AppendRequest
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			s.writeBodyErr(w, r, fmt.Errorf("bad batch: %w", err))
-			return
-		}
 		if sess.Len()+len(body.Points) > s.maxPoints {
 			writeCode(w, http.StatusRequestEntityTooLarge, api.CodePointLimit, errPointLimit(s.maxPoints).Error())
 			return
@@ -984,26 +990,46 @@ func (s *server) labels(w http.ResponseWriter, r *http.Request) {
 		s.streamLabels(w, r, res)
 		return
 	}
-	writeJSON(w, http.StatusOK, toAPIResult(res, true))
+	out := toAPIResult(res, true)
+	writeAppended(w, func(b []byte) []byte { return api.AppendResult(b, &out) })
+}
+
+// bodyBufs pools the response buffers of the label routes, whose bodies
+// are a few bytes per point.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeAppended answers 200 application/json with the body build appends
+// to a pooled buffer, in one Write: the label routes' json.Encoder
+// rendering, written by the internal/api label codec.
+func writeAppended(w http.ResponseWriter, build func([]byte) []byte) {
+	bp := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(bp)
+	*bp = build((*bp)[:0])
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(*bp) // the status is sent; a failed write is a client gone
 }
 
 // streamLabels writes the NDJSON representation: one meta line, then the
 // label vector in ndjsonChunk-sized lines, each flushed as soon as it is
 // encoded — a million-label session streams in constant server memory
-// instead of materializing one giant JSON array.
+// instead of materializing one giant JSON array. The chunk lines go
+// through the internal/api label codec, the meta line through
+// encoding/json.
 func (s *server) streamLabels(w http.ResponseWriter, r *http.Request, res *adawave.Result) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
 	var meta api.LabelsMeta
 	meta.Meta.Result = toAPIResult(res, false)
 	meta.Meta.Points = len(res.Labels)
 	meta.Meta.Chunk = ndjsonChunk
-	if err := enc.Encode(meta); err != nil {
+	if err := json.NewEncoder(w).Encode(meta); err != nil {
 		return
 	}
 	_ = rc.Flush()
+	bp := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(bp)
 	for off := 0; off < len(res.Labels); off += ndjsonChunk {
 		if r.Context().Err() != nil {
 			// The 200 header is long gone, so instrument() cannot see this
@@ -1016,7 +1042,8 @@ func (s *server) streamLabels(w http.ResponseWriter, r *http.Request, res *adawa
 		if end > len(res.Labels) {
 			end = len(res.Labels)
 		}
-		if err := enc.Encode(api.LabelsChunk{Offset: off, Labels: res.Labels[off:end]}); err != nil {
+		*bp = api.AppendLabelsChunk((*bp)[:0], off, res.Labels[off:end])
+		if _, err := w.Write(*bp); err != nil {
 			return
 		}
 		_ = rc.Flush()
@@ -1068,7 +1095,9 @@ func (s *server) multiResolution(w http.ResponseWriter, r *http.Request) {
 	for i, res := range results {
 		out[i] = toAPIResult(res, withLabels)
 	}
-	writeJSON(w, http.StatusOK, api.MultiResolutionResponse{Levels: out})
+	writeAppended(w, func(b []byte) []byte {
+		return api.AppendMultiResolution(b, &api.MultiResolutionResponse{Levels: out})
+	})
 }
 
 // checkpointSession is the admin endpoint: force a checkpoint now (folding

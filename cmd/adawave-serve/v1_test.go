@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -231,6 +232,60 @@ func TestServeWriterLockRespectsDeadline(t *testing.T) {
 	res, err := cl.Labels(ctx, id)
 	if err != nil || len(res.Labels) != 2 {
 		t.Fatalf("session after refused mutation: %+v, %v (want the original 2 points)", res, err)
+	}
+}
+
+// TestServeSlowJSONUploadHoldsNoWriter: a JSON append body is read before
+// the session writer lock, so a client that uploads slowly does not make
+// the session's other writers wait for it (with the lock taken first, the
+// second append below would queue until its deadline and answer 504).
+func TestServeSlowJSONUploadHoldsNoWriter(t *testing.T) {
+	srv := mustServer(t, serverOptions{workers: 1, timeout: 5 * time.Second})
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	cl := client.New(ts.URL, client.WithHTTPClient(ts.Client()))
+	ctx := context.Background()
+	id, err := cl.CreateSession(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pr, pw := io.Pipe()
+	defer pw.Close() // a failure below must not leave the upload open
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sessions/"+id+"/points", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	slow := make(chan int, 1)
+	go func() {
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			slow <- 0
+			return
+		}
+		resp.Body.Close()
+		slow <- resp.StatusCode
+	}()
+	if _, err := pw.Write([]byte(`{"points":[[1,2],`)); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(200 * time.Millisecond) // let the handler block on the rest of the body
+
+	t0 := time.Now()
+	if ap, err := cl.Append(ctx, id, [][]float64{{3, 4}}); err != nil || ap.Points != 1 {
+		t.Fatalf("append beside a slow upload: %+v, %v", ap, err)
+	}
+	if waited := time.Since(t0); waited > 2*time.Second {
+		t.Fatalf("append beside a slow upload took %v", waited)
+	}
+	pw.Write([]byte(`[5,6]]}`))
+	pw.Close()
+	if code := <-slow; code != http.StatusOK {
+		t.Fatalf("slow upload answered %d", code)
+	}
+	if res, err := cl.Labels(ctx, id); err != nil || len(res.Labels) != 3 {
+		t.Fatalf("after both appends: %+v, %v (want 3 points)", res, err)
 	}
 }
 

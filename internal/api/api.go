@@ -5,6 +5,14 @@
 // one set of types makes a silent server/client drift a compile error
 // instead of a production incident.
 //
+// Label arrays, the bulk of every served read, are written and read by the
+// append codec in labels.go (AppendResult, AppendLabelsChunk,
+// AppendMultiResolution, DecodeResult, DecodeLabelsChunk) on both sides of
+// the wire instead of by encoding/json. Its output is pinned byte for byte
+// to encoding/json's, so the codec changes no response; its decoders give
+// encoding/json's values on any input, falling back to encoding/json for
+// every shape the server does not write.
+//
 // The wire surface is versioned under /v1; the DTOs here describe v1.
 // Compatible additions (new optional fields, new endpoints) extend these
 // types in place; an incompatible change must fork a v2 package and mount it
