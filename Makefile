@@ -15,8 +15,9 @@ GO ?= go
 # 50k-point session evict→rehydrate round trip), and the cluster workloads
 # (WAL frame replication throughput through a live Tailer into a
 # follower-side session + journal, and the 50k-point warm-failover handoff),
-# and the engine's quantize stage on each side of the dense/radix shard
-# kernel choice (2M 2-D points at scale 128; 400k 4-D points at scale 64),
+# and the engine's quantize stage on each side of the dense/radix kernel
+# choice (2M 2-D points at scale 128; 400k 4-D points at scale 64), in
+# rows/s, each with a /scan series timing the bounding-box scan alone,
 # and the connect stage alone (the Fig. 2 and highdim-embed kept grids under
 # both connectivities), and the embed stage (the PCA front-end overhead on
 # Fig. 2, the PCA-vs-random-projection pair on the d=64 mixture, and the
@@ -75,9 +76,11 @@ race:
 # replays and the replication stream uses, the session checkpoint reader,
 # the mapped-dataset (AWDSET01) header check, the CSV batch reader
 # behind the served text/csv append, the fitted-embedder (AWE1) decoder
-# a checkpoint's embedder section goes through, and the label codec's
-# /labels body and NDJSON chunk decoders, each checked against encoding/json
-# (go test takes one -fuzz target per invocation). FUZZTIME is overridable.
+# a checkpoint's embedder section goes through, the label codec's
+# /labels body and NDJSON chunk decoders, each checked against encoding/json,
+# and the served session-create body decoder, whose accepted configs
+# adawave.New must accept (go test takes one -fuzz target per invocation).
+# FUZZTIME is overridable.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME)
@@ -89,6 +92,7 @@ fuzz:
 	$(GO) test ./internal/embed -run '^$$' -fuzz '^FuzzUnmarshalEmbedder$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/api -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/api -run '^$$' -fuzz '^FuzzDecodeLabelsChunk$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./cmd/adawave-serve -run '^$$' -fuzz '^FuzzCreateSessionBody$$' -fuzztime $(FUZZTIME)
 
 # The CI benchmark smoke job: one iteration of the Fig. 2 benchmarks.
 bench:

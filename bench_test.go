@@ -410,10 +410,13 @@ func highdimBaseGrid(b *testing.B) *grid.FlatGrid {
 
 // BenchmarkQuantizeDataset times the engine's quantize stage — the
 // bounding-box scan and QuantizeDatasetCtx over a flat dataset — on each
-// side of the shard kernel choice: the paper's Sec. V workload (2M 2-D
-// points at scale 128: 16,384 cells, no more than any shard's rows, so
-// shards are counted into a dense table) and 400k 4-D points at scale 64
-// (16.8M cells, more than the rows, so shards are radix-sorted).
+// side of the dense/radix kernel choice: the paper's Sec. V workload (2M
+// 2-D points at scale 128: 16,384 cells, no more than any shard's rows, so
+// the call counts every shard into its own table and ranks their sum) and
+// 400k 4-D points at scale 64 (16.8M cells, more than the rows, so shards
+// are radix-sorted and merged). The /scan series times the bounding-box
+// scan (NewQuantizerDatasetCtx) alone, so the two passes read apart. Both
+// report rows/s.
 func BenchmarkQuantizeDataset(b *testing.B) {
 	cases := []struct {
 		name  string
@@ -440,6 +443,15 @@ func BenchmarkQuantizeDataset(b *testing.B) {
 						b.Fatal("empty grid")
 					}
 				}
+				b.ReportMetric(float64(c.ds.N)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+			})
+			b.Run(fmt.Sprintf("%s/scan/workers=%d", c.name, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := grid.NewQuantizerDatasetCtx(ctx, c.ds, c.scale, workers); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(c.ds.N)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 			})
 		}
 	}

@@ -503,9 +503,17 @@ func (s *server) handler() http.Handler {
 	return h
 }
 
-// configFromAPI layers an api.SessionConfig over the paper's parameter-free
-// defaults; every unset field keeps its default.
-func configFromAPI(sc *api.SessionConfig) (adawave.Config, error) {
+// sessionConfig decodes a session-create body — an api.SessionConfig, or
+// no body at all — and layers it over the paper's parameter-free defaults;
+// every unset field keeps its default. A config it returns without error
+// passes Validate, so adawave.New accepts it.
+func sessionConfig(body io.Reader) (adawave.Config, error) {
+	var sc api.SessionConfig
+	if body != nil {
+		if err := json.NewDecoder(body).Decode(&sc); err != nil && err != io.EOF {
+			return adawave.Config{}, fmt.Errorf("bad config: %v", err)
+		}
+	}
 	cfg := adawave.DefaultConfig()
 	if sc.Scale != nil {
 		cfg.Scale = *sc.Scale
@@ -538,11 +546,8 @@ func configFromAPI(sc *api.SessionConfig) (adawave.Config, error) {
 	}
 	if sc.Embedding != nil {
 		cfg.Embedding = adawave.Embedding{Kind: sc.Embedding.Kind, K: sc.Embedding.K, Seed: sc.Embedding.Seed}
-		if err := cfg.Embedding.Validate(); err != nil {
-			return cfg, err
-		}
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 // embeddingDTO renders a config's embedding spec for the wire; nil when the
@@ -555,14 +560,7 @@ func embeddingDTO(e adawave.Embedding) *api.EmbeddingSpec {
 }
 
 func (s *server) createSession(w http.ResponseWriter, r *http.Request) {
-	var sc api.SessionConfig
-	if r.Body != nil {
-		if err := json.NewDecoder(r.Body).Decode(&sc); err != nil && err != io.EOF {
-			writeCode(w, http.StatusBadRequest, api.CodeInvalidInput, fmt.Sprintf("bad config: %v", err))
-			return
-		}
-	}
-	cfg, err := configFromAPI(&sc)
+	cfg, err := sessionConfig(r.Body)
 	if err != nil {
 		writeCode(w, http.StatusBadRequest, api.CodeInvalidInput, err.Error())
 		return

@@ -15,9 +15,11 @@ var (
 	QuantizeDataset     = quantizeDataset
 )
 
-// ShardKernels counts the shards QuantizeDatasetCtx puts through the dense
-// and the radix kernel for n rows at the given worker count.
-func ShardKernels(q *Quantizer, n, workers int) (dense, radix int) {
+// ShardKernels reports how QuantizeDatasetCtx quantizes n rows at the given
+// worker count. When every shard's rows cover the cell space the call is
+// dense and all its shards are counted into the summed table (summed);
+// otherwise each shard takes the per-shard dense or radix kernel.
+func ShardKernels(q *Quantizer, n, workers int) (summed, dense, radix int) {
 	if workers <= 1 || n < parallelCellCutoff {
 		workers = 1
 	}
@@ -32,5 +34,8 @@ func ShardKernels(q *Quantizer, n, workers int) (dense, radix int) {
 			radix++
 		}
 	})
-	return dense, radix
+	if radix == 0 {
+		return dense, 0, 0
+	}
+	return 0, dense, radix
 }

@@ -17,10 +17,10 @@ import (
 // returns the taxonomy error of CtxErr without building a quantizer.
 //
 // Each shard folds its rows in blocks of ctxCheckStride rows straight off
-// the backing slice, accumulating v−v over the block as its only
-// finiteness test (zero unless some coordinate is NaN or ±Inf). A flagged
-// block is rescanned row by row with bboxShard.scan, so the error names
-// the lowest offending point exactly as a row-by-row scan would.
+// the backing slice with the scanBox kernel, whose only finiteness test is
+// a sum of v−v over the block (zero unless some coordinate is NaN or ±Inf).
+// A flagged block is rescanned row by row with bboxShard.scan, so the error
+// names the lowest offending point exactly as a row-by-row scan would.
 func NewQuantizerDatasetCtx(ctx context.Context, ds *pointset.Dataset, scale, workers int) (*Quantizer, error) {
 	if ds == nil || ds.N == 0 {
 		return nil, ErrNoPoints
@@ -43,31 +43,17 @@ func NewQuantizerDatasetCtx(ctx context.Context, ds *pointset.Dataset, scale, wo
 		}
 		st := &states[w]
 		st.init(ds.Row(lo))
-		mins, maxs := st.mins, st.maxs
 		for blo := lo; blo < hi; blo += ctxCheckStride {
 			if blo > lo && ctx.Err() != nil {
 				return
 			}
 			bhi := min(blo+ctxCheckStride, hi)
-			var nonFinite float64
-			j := 0
-			for _, v := range ds.Data[blo*d : bhi*d] {
-				nonFinite += v - v
-				if v < mins[j] {
-					mins[j] = v
-				}
-				if v > maxs[j] {
-					maxs[j] = v
-				}
-				if j++; j == d {
-					j = 0
-				}
+			if scanBox(ds.Data[blo*d:bhi*d], st.mins, st.maxs) {
+				continue
 			}
-			if nonFinite != 0 {
-				for i := blo; i < bhi; i++ {
-					if !st.scan(i, ds.Data[i*d:(i+1)*d]) {
-						return
-					}
+			for i := blo; i < bhi; i++ {
+				if !st.scan(i, ds.Data[i*d:(i+1)*d]) {
+					return
 				}
 			}
 		}
@@ -78,22 +64,79 @@ func NewQuantizerDatasetCtx(ctx context.Context, ds *pointset.Dataset, scale, wo
 	return finishQuantizer(states, scale, d)
 }
 
+// scanBox is the box-scan kernel: it folds the row-major rows of blk
+// (len(mins) values each) into the running bounds mins and maxs, in row
+// order, and reports whether every value is finite. The bounds move only on
+// a strict < or >, exactly as bboxShard.scan moves them, so a −0 after a +0
+// (or the reverse) leaves the bound as a row-by-row scan leaves it. The
+// finiteness flag sums v−v, which is +0 for every finite v and NaN
+// otherwise; a sum is order-free, so the loop takes values in pairs and
+// feeds each to its own accumulator. It is a leaf so the compiler keeps the
+// loop state in registers.
+func scanBox(blk, mins, maxs []float64) bool {
+	d := len(mins)
+	maxs = maxs[:d]
+	var f0, f1 float64
+	j, k := 0, 0
+	for ; k+1 < len(blk); k += 2 {
+		v, w := blk[k], blk[k+1]
+		f0 += v - v
+		f1 += w - w
+		if v < mins[j] {
+			mins[j] = v
+		}
+		if v > maxs[j] {
+			maxs[j] = v
+		}
+		if j++; j == d {
+			j = 0
+		}
+		if w < mins[j] {
+			mins[j] = w
+		}
+		if w > maxs[j] {
+			maxs[j] = w
+		}
+		if j++; j == d {
+			j = 0
+		}
+	}
+	if k < len(blk) {
+		v := blk[k]
+		f0 += v - v
+		if v < mins[j] {
+			mins[j] = v
+		}
+		if v > maxs[j] {
+			maxs[j] = v
+		}
+	}
+	return f0+f1 == 0
+}
+
 // QuantizeDatasetCtx builds the sparse density grid of a flat dataset in
 // canonical order — identical for every worker count — and additionally
 // memoizes every point's base-cell index: ids[i] is the canonical-order
-// index of point i's cell in the returned grid. Each worker quantizes a
-// contiguous shard with quantizeShard, which counts the shard into a dense
-// cell table when the whole cell space Scaleᵈ is no larger than the
-// shard's row count and radix-sorts its cells with the point index as
-// payload otherwise; either way each point is stamped with its shard-local
-// cell number, and mergeCells, the package's one k-way cell merge, sums
-// the shards in shard order and renumbers those ids to global indices.
-// Each point's cell coordinates are computed exactly once.
+// index of point i's cell in the returned grid. Each worker quantizes one
+// contiguous shard, and each point's cell coordinates are computed exactly
+// once.
 //
-// Each quantization shard polls ctx at its boundary (and every
-// ctxCheckStride points within), and so does the shard merge every
-// ctxCheckStride merged cells; a cancelled run publishes no grid and no
-// memo.
+// When the whole cell space Scaleᵈ is no larger than the smallest shard's
+// row count, the call is dense: every worker counts its shard into a table
+// of its own over all cells (countRows), the tables are summed — integer
+// counts, so exactly — and rankCells emits the grid from the sum and turns
+// it into ranks, which one parallel pass writes over the points' linear
+// cell ids. A dense call runs no shard merge. Otherwise every shard runs
+// quantizeShard, which takes the dense kernel when the cell space fits its
+// own rows and radix-sorts its cells with the point index as payload
+// otherwise; either way each point is stamped with its shard-local cell
+// number, and mergeCells, the package's one k-way cell merge, sums the
+// shards in shard order and renumbers those ids to global indices.
+//
+// Each shard polls ctx at its boundary and every ctxCheckStride points
+// within, in the count and the rank pass alike, and so does the shard merge
+// every ctxCheckStride merged cells; a cancelled run publishes no grid and
+// no memo.
 func (q *Quantizer) QuantizeDatasetCtx(ctx context.Context, ds *pointset.Dataset, workers int) (*FlatGrid, []int32, error) {
 	d := q.Dim()
 	size := q.gridSize()
@@ -105,6 +148,9 @@ func (q *Quantizer) QuantizeDatasetCtx(ctx context.Context, ds *pointset.Dataset
 		workers = 1
 	}
 	ids := make([]int32, n)
+	if cells, ok := denseCellSpace(q.Scale, d, smallestRange(n, workers)); ok {
+		return q.quantizeDenseDataset(ctx, ds, ids, cells, size, workers)
+	}
 	shards := make([]*FlatGrid, workers)
 	ParallelRangesCtx(ctx, n, workers, func(w, lo, hi int) {
 		if ctx.Err() != nil {
@@ -142,6 +188,49 @@ func (q *Quantizer) QuantizeDatasetCtx(ctx context.Context, ds *pointset.Dataset
 			ids[i] = r[ids[i]]
 		}
 	})
+	return f, ids, nil
+}
+
+// quantizeDenseDataset is the dense path of QuantizeDatasetCtx: one count
+// table per shard over the whole cell space (cells entries, no more than
+// the shard's rows), their sum ranked once by rankCells, and one parallel
+// pass that maps every point's linear cell id to its rank.
+func (q *Quantizer) quantizeDenseDataset(ctx context.Context, ds *pointset.Dataset, ids []int32, cells int, size []int, workers int) (*FlatGrid, []int32, error) {
+	d := q.Dim()
+	tbls := make([][]int32, workers)
+	ParallelRangesCtx(ctx, ds.N, workers, func(w, lo, hi int) {
+		if ctx.Err() != nil {
+			return
+		}
+		tbl := make([]int32, cells)
+		if q.countRows(ctx, ds.Data[lo*d:hi*d], ids[lo:hi], tbl) {
+			tbls[w] = tbl
+		}
+	})
+	if err := CtxErr(ctx); err != nil {
+		return nil, nil, err
+	}
+	sum := tbls[0]
+	for _, tbl := range tbls[1:] {
+		for c, k := range tbl {
+			sum[c] += k
+		}
+	}
+	f := rankCells(sum, d, q.Scale, size)
+	ParallelRangesCtx(ctx, ds.N, workers, func(_, lo, hi int) {
+		for blo := lo; blo < hi; blo += ctxCheckStride {
+			if ctx.Err() != nil {
+				return
+			}
+			blk := ids[blo:min(blo+ctxCheckStride, hi)]
+			for i, lin := range blk {
+				blk[i] = sum[lin]
+			}
+		}
+	})
+	if err := CtxErr(ctx); err != nil {
+		return nil, nil, err
+	}
 	return f, ids, nil
 }
 

@@ -2,9 +2,12 @@ package grid
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"adawave/internal/pointset"
@@ -98,6 +101,158 @@ func TestNewQuantizerDatasetErrors(t *testing.T) {
 		for _, workers := range []int{1, 2, 3} {
 			if _, err := NewQuantizerDatasetCtx(context.Background(), bad, 8, workers); err == nil || err.Error() != want {
 				t.Fatalf("non-finite rows %v, workers=%d: got %v, want %v", rows, workers, err, want)
+			}
+		}
+	}
+}
+
+// TestNewQuantizerDatasetSignedZeros: the box scan must return the bit
+// patterns a row-by-row scan finds when a bound is a zero. Dimension 0 is
+// positive but for two zeros, so its minimum is a zero; dimension 1 is
+// negative but for two zeros, so its maximum is one. A strict < or > keeps
+// the first zero seen, so −0 after +0 leaves +0 and +0 after −0 leaves −0;
+// math.Min and math.Max would pick −0 and +0 either way. The pairs
+// straddle every block and shard boundary of workers 1…8, and d = 3 with
+// an odd row count leaves the kernel an unpaired last value.
+func TestNewQuantizerDatasetSignedZeros(t *testing.T) {
+	const d = 3
+	n := 2*ctxCheckStride + 1001
+	_, ds := randomDataset(n, d, 12)
+	for i := 0; i < n; i++ {
+		ds.Data[i*d] = 1 + math.Abs(ds.Data[i*d])
+		ds.Data[i*d+1] = -1 - math.Abs(ds.Data[i*d+1])
+	}
+	bounds := map[int]bool{1: true, n - 1: true}
+	var mu sync.Mutex
+	for workers := 1; workers <= 8; workers++ {
+		ParallelRanges(n, workers, func(_, lo, hi int) {
+			mu.Lock()
+			defer mu.Unlock()
+			for b := lo; b < hi; b += ctxCheckStride {
+				bounds[max(b, 1)] = true
+			}
+		})
+	}
+	ref := func() (mins, maxs []float64) {
+		mins = append([]float64(nil), ds.Row(0)...)
+		maxs = append([]float64(nil), ds.Row(0)...)
+		for i := 1; i < n; i++ {
+			for j, v := range ds.Row(i) {
+				if v < mins[j] {
+					mins[j] = v
+				}
+				if v > maxs[j] {
+					maxs[j] = v
+				}
+			}
+		}
+		return mins, maxs
+	}
+	negZero := math.Copysign(0, -1)
+	for b := range bounds {
+		for _, zeros := range [][2]float64{{0, negZero}, {negZero, 0}} {
+			saved := append([]float64(nil), ds.Data[(b-1)*d:(b+1)*d]...)
+			for k, z := range zeros {
+				ds.Data[(b-1+k)*d], ds.Data[(b-1+k)*d+1] = z, z
+			}
+			wantMins, wantMaxs := ref()
+			if math.Float64bits(wantMins[0]) != math.Float64bits(zeros[0]) || math.Float64bits(wantMaxs[1]) != math.Float64bits(zeros[0]) {
+				t.Fatalf("rows %d,%d: reference bounds %v %v do not keep the first zero", b-1, b, wantMins, wantMaxs)
+			}
+			for workers := 1; workers <= 8; workers++ {
+				q, err := NewQuantizerDatasetCtx(context.Background(), ds, 64, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < d; j++ {
+					if math.Float64bits(q.Mins[j]) != math.Float64bits(wantMins[j]) || math.Float64bits(q.Maxs[j]) != math.Float64bits(wantMaxs[j]) {
+						t.Fatalf("zeros %v at rows %d,%d, workers=%d dim %d: bounds (%v,%v) want (%v,%v)",
+							zeros, b-1, b, workers, j, q.Mins[j], q.Maxs[j], wantMins[j], wantMaxs[j])
+					}
+				}
+			}
+			copy(ds.Data[(b-1)*d:], saved)
+		}
+	}
+}
+
+// TestSmallestRange: the dense-call rule's shard size must be the smallest
+// range ParallelRanges carves, fewer ranges than workers included.
+func TestSmallestRange(t *testing.T) {
+	for n := 1; n <= 300; n++ {
+		for workers := 1; workers <= 70; workers++ {
+			var mu sync.Mutex
+			want := n
+			ParallelRanges(n, workers, func(_, lo, hi int) {
+				mu.Lock()
+				defer mu.Unlock()
+				want = min(want, hi-lo)
+			})
+			if got := smallestRange(n, workers); got != want {
+				t.Fatalf("n=%d workers=%d: smallest range %d, want %d", n, workers, got, want)
+			}
+		}
+	}
+}
+
+// TestQuantizeDatasetCancel cancels the in-RAM quantize after each number
+// of ctx polls in turn, until one call completes: the box scan, then the
+// count and rank passes of a dense call, or the radix shards and their
+// merge. Every cancelled call must return the taxonomy error and publish no
+// quantizer, grid or memo; the completed call must equal an uncancelled
+// run.
+func TestQuantizeDatasetCancel(t *testing.T) {
+	_, ds := randomDataset(3*ctxCheckStride+100, 2, 11)
+	blocks := (ds.N + ctxCheckStride - 1) / ctxCheckStride
+	for _, c := range []struct {
+		name  string
+		scale int
+		dense bool
+		polls int // a floor on the poll points of one worker
+	}{
+		// Scan, count and rank each poll once per block and once more
+		// when they end.
+		{"dense", 64, true, 3*blocks + 3},
+		// Scan and radix shard each poll about once per block, and once
+		// more when the scan ends.
+		{"radix", 1024, false, 2*blocks + 1},
+	} {
+		q, err := NewQuantizerDatasetCtx(context.Background(), ds, c.scale, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantIDs := quantizeDataset(t, q, ds, 1)
+		for _, workers := range []int{1, 3} {
+			if _, dense := denseCellSpace(c.scale, ds.D, smallestRange(ds.N, workers)); dense != c.dense {
+				t.Fatalf("%s workers=%d: dense call %v", c.name, workers, dense)
+			}
+			cancelled := 0
+			for n := 0; ; n++ {
+				ctx := cancelAfterPolls(n)
+				q, err := NewQuantizerDatasetCtx(ctx, ds, c.scale, workers)
+				var (
+					f   *FlatGrid
+					ids []int32
+				)
+				if err == nil {
+					f, ids, err = q.QuantizeDatasetCtx(ctx, ds, workers)
+				} else if q != nil {
+					t.Fatalf("%s workers=%d polls=%d: cancelled scan returned a quantizer", c.name, workers, n)
+				}
+				if err == nil {
+					if !flatBitsEqual(f, want) || !slices.Equal(ids, wantIDs) {
+						t.Fatalf("%s workers=%d polls=%d: differs from the uncancelled run", c.name, workers, n)
+					}
+					break
+				}
+				if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) || f != nil || ids != nil {
+					t.Fatalf("%s workers=%d polls=%d: got grid %v, %d ids, err %v; want none and ErrCanceled",
+						c.name, workers, n, f != nil, len(ids), err)
+				}
+				cancelled++
+			}
+			if cancelled < c.polls {
+				t.Fatalf("%s workers=%d: only %d poll points cancelled, want ≥ %d", c.name, workers, cancelled, c.polls)
 			}
 		}
 	}

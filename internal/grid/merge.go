@@ -8,7 +8,9 @@ import (
 
 // The cell merge kernel. AdaWave's cell masses are additive point counts,
 // so every grid this package builds from parts is a k-way merge of
-// canonical cell sequences: the in-RAM quantize shards (QuantizeDatasetCtx),
+// canonical cell sequences — but for a dense in-RAM quantize, whose shards
+// share one cell space and are summed as count tables before any grid
+// exists: the in-RAM quantize shards of any other call (QuantizeDatasetCtx),
 // the external sort's retained and spilled runs
 // (QuantizeDatasetExternalPackedCtx), a streaming session's live grid plus
 // its delta (MergePackedFlatCtx) and the tombstone sweep of one grid

@@ -5,10 +5,12 @@ import "context"
 // quantizeShard quantizes one contiguous shard of row-major rows (len(ids)
 // points of Dim coordinates each) into the shard's canonical run — its
 // occupied cells in canonical order with integer point counts as masses —
-// and stamps ids[i] with the run-local index of row i's cell. It is the one
-// per-shard kernel of the in-RAM (QuantizeDatasetCtx) and out-of-core
-// (quantizeDatasetExternalInto) paths. It returns nil when ctx is cancelled
-// mid-shard; callers check CtxErr before using any shard.
+// and stamps ids[i] with the run-local index of row i's cell. It is the
+// per-shard kernel of the out-of-core path (QuantizeDatasetExternalPackedCtx)
+// and of an in-RAM call (QuantizeDatasetCtx) that is not dense throughout;
+// both merge its runs. A dense in-RAM call does not use it: it ranks one
+// summed table and runs no shard merge. It returns nil when ctx is
+// cancelled mid-shard; callers check CtxErr before using any shard.
 //
 // Which of two kernels runs depends only on the input. When the whole cell
 // space Scaleᵈ is no larger than the shard's row count, the shard is counted
@@ -38,43 +40,75 @@ func denseCellSpace(scale, d, n int) (int, bool) {
 	return cells, true
 }
 
-// quantizeDense is the counting kernel of paper Alg. 2: every row's cell is
-// linearized with dimension 0 most significant — so table order is
-// canonical cell order — and counted into an int32 table of all cells. One
-// pass over the table emits the occupied cells in order and overwrites
-// each count with the cell's rank in the run; a last pass maps every row's
-// linear id to that rank. The table holds cells ≤ len(ids) entries, 4 bytes
-// per row at most, less than the coordinate, payload and scratch buffers
-// the radix kernel needs for the same rows.
+// quantizeDense is the counting kernel of paper Alg. 2 for one shard:
+// countRows stamps every row with its linear cell id and counts it into a
+// table of all cells, rankCells emits the occupied cells and turns the
+// counts into ranks, and a last pass maps every row's linear id to that
+// rank. The table holds cells ≤ len(ids) entries, 4 bytes per row at most,
+// less than the coordinate, payload and scratch buffers the radix kernel
+// needs for the same rows. A dense in-RAM call does not come here: it
+// counts every shard into a table of its own and ranks their sum once
+// (QuantizeDatasetCtx); the per-shard kernel serves the external sort's
+// chunks and the dense shards of a call that also has radix shards.
 func (q *Quantizer) quantizeDense(ctx context.Context, rows []float64, ids []int32, cells int, size []int) *FlatGrid {
-	d, scale := q.Dim(), q.Scale
-	mins, inv := q.Mins, q.inv
-	n := len(ids)
 	tbl := make([]int32, cells)
-	for lo := 0; lo < n; lo += ctxCheckStride {
-		if ctx.Err() != nil {
-			return nil
-		}
-		hi := min(lo+ctxCheckStride, n)
-		blk := rows[lo*d : hi*d]
-		ib := ids[lo:hi]
-		for i := range ib {
-			lin := 0
-			for j, v := range blk[i*d : (i+1)*d] {
-				// The cell of coordinate j exactly as CellCoordsU16 computes it.
-				c := int((v - mins[j]) * inv[j])
-				if c < 0 {
-					c = 0
-				}
-				if c >= scale {
-					c = scale - 1
-				}
-				lin = lin*scale + c
-			}
-			ib[i] = int32(lin)
-			tbl[lin]++
-		}
+	if !q.countRows(ctx, rows, ids, tbl) {
+		return nil
 	}
+	f := rankCells(tbl, q.Dim(), q.Scale, size)
+	for i, lin := range ids {
+		ids[i] = tbl[lin]
+	}
+	return f
+}
+
+// countRows runs countCells over rows in blocks of ctxCheckStride rows,
+// polling ctx before each block. It reports false when ctx was cancelled;
+// ids and tbl then hold a partial count.
+func (q *Quantizer) countRows(ctx context.Context, rows []float64, ids, tbl []int32) bool {
+	d := q.Dim()
+	for lo := 0; lo < len(ids); lo += ctxCheckStride {
+		if ctx.Err() != nil {
+			return false
+		}
+		hi := min(lo+ctxCheckStride, len(ids))
+		q.countCells(rows[lo*d:hi*d], ids[lo:hi], tbl)
+	}
+	return true
+}
+
+// countCells is the count kernel: it linearizes the cell of every row of
+// rows (Dim coordinates each) with dimension 0 most significant — so table
+// order is canonical cell order —, stores that linear id in ids and counts
+// it in tbl. Each coordinate's cell is exactly the one CellCoordsU16
+// computes, int((v−min)·inv) clamped to [0, Scale−1]. It is a leaf with few
+// arguments so the compiler keeps the row loop's state in registers.
+func (q *Quantizer) countCells(rows []float64, ids, tbl []int32) {
+	mins, scale := q.Mins, q.Scale
+	d := len(mins)
+	inv := q.inv[:d]
+	for i := range ids {
+		lin := 0
+		for j, v := range rows[i*d : i*d+d] {
+			c := int((v - mins[j]) * inv[j])
+			if c < 0 {
+				c = 0
+			}
+			if c >= scale {
+				c = scale - 1
+			}
+			lin = lin*scale + c
+		}
+		ids[i] = int32(lin)
+		tbl[lin]++
+	}
+}
+
+// rankCells emits the occupied cells of the count table tbl — indexed by
+// linear cell id, dimension 0 most significant — as a canonical grid with
+// the counts as masses, and overwrites each occupied entry with its cell's
+// rank in that grid. Entries of empty cells are left at zero.
+func rankCells(tbl []int32, d, scale int, size []int) *FlatGrid {
 	occupied := 0
 	for _, c := range tbl {
 		if c != 0 {
@@ -98,9 +132,6 @@ func (q *Quantizer) quantizeDense(ctx context.Context, rows []float64, ids []int
 			}
 			cell[j] = 0
 		}
-	}
-	for i, lin := range ids {
-		ids[i] = tbl[lin]
 	}
 	return f
 }

@@ -23,15 +23,16 @@ func TestQuantizeDatasetMatchesQuantizeFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3, 8} {
+	for _, workers := range []int{1, 2, 3, 4, 8, 64, 1024} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			checkQuantizeDataset(t, q, points, ds, workers)
 		})
 	}
 
-	// run is one worker count and the number of shards it puts through
-	// each kernel.
-	type run struct{ workers, dense, radix int }
+	// run is one worker count and the number of shards it counts into the
+	// summed table of a dense call (summed) or, when some shard is smaller
+	// than the cell space, puts through each per-shard kernel.
+	type run struct{ workers, summed, dense, radix int }
 	maxEdge := func(points [][]float64) {
 		// Every fifth row sits on the bounding box's upper corner, which
 		// clamps to cell scale-1 in every dimension.
@@ -56,15 +57,18 @@ func TestQuantizeDatasetMatchesQuantizeFlat(t *testing.T) {
 		edit        func([][]float64)
 		runs        []run
 	}{
-		{"cells=rows", 1024, 2, 32, nil, []run{{1, 1, 0}}},
-		{"cells=rows+1", 1023, 2, 32, nil, []run{{1, 0, 1}}},
-		{"cells=shard", 4096, 2, 32, nil, []run{{4, 4, 0}}},
-		{"cells=shard+1", 4092, 2, 32, nil, []run{{4, 0, 4}}},
-		{"mixed-shards", 4097, 2, 32, nil, []run{{2, 2, 0}, {4, 3, 1}}},
-		{"max-edge", 3000, 2, 16, maxEdge, []run{{1, 1, 0}, {5, 5, 0}, {16, 0, 16}}},
-		{"constant-dim", 3000, 3, 8, constantDim, []run{{1, 1, 0}, {7, 0, 7}}},
-		{"d=1", 2500, 1, 64, nil, []run{{1, 1, 0}, {3, 3, 0}, {64, 0, 63}}},
-		{"d=3", 5000, 3, 16, nil, []run{{1, 1, 0}, {2, 0, 2}}},
+		{"cells=rows", 1024, 2, 32, nil, []run{{1, 1, 0, 0}}},
+		{"cells=rows+1", 1023, 2, 32, nil, []run{{1, 0, 0, 1}}},
+		{"cells=shard", 4096, 2, 32, nil, []run{{4, 4, 0, 0}}},
+		{"cells=shard+1", 4092, 2, 32, nil, []run{{4, 0, 0, 4}}},
+		{"mixed-shards", 4097, 2, 32, nil, []run{{2, 2, 0, 0}, {4, 0, 3, 1}}},
+		{"max-edge", 3000, 2, 16, maxEdge, []run{{1, 1, 0, 0}, {5, 5, 0, 0}, {16, 0, 0, 16}}},
+		{"constant-dim", 3000, 3, 8, constantDim, []run{{1, 1, 0, 0}, {7, 0, 0, 7}}},
+		{"d=1", 2500, 1, 64, nil, []run{{1, 1, 0, 0}, {3, 3, 0, 0}, {64, 0, 0, 63}}},
+		{"d=3", 5000, 3, 16, nil, []run{{1, 1, 0, 0}, {2, 0, 0, 2}}},
+		// 1000 workers carve 683 ranges of 3 rows, each
+		// covering the 2 cells: a dense call with trailing empty tables.
+		{"fewer-ranges", 2049, 1, 2, nil, []run{{1000, 683, 0, 0}}},
 	}
 	for ci, tc := range cases {
 		points, _ := grid.RandomDataset(tc.n, tc.d, int64(10+ci))
@@ -78,8 +82,9 @@ func TestQuantizeDatasetMatchesQuantizeFlat(t *testing.T) {
 		}
 		for _, r := range tc.runs {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, r.workers), func(t *testing.T) {
-				if dense, radix := grid.ShardKernels(q, tc.n, r.workers); dense != r.dense || radix != r.radix {
-					t.Fatalf("shards: %d dense + %d radix, want %d + %d", dense, radix, r.dense, r.radix)
+				if summed, dense, radix := grid.ShardKernels(q, tc.n, r.workers); summed != r.summed || dense != r.dense || radix != r.radix {
+					t.Fatalf("shards: %d summed + %d dense + %d radix, want %d + %d + %d",
+						summed, dense, radix, r.summed, r.dense, r.radix)
 				}
 				checkQuantizeDataset(t, q, points, ds, r.workers)
 			})
