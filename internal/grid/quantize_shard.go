@@ -47,9 +47,7 @@ func denseCellSpace(scale, d, n int) (int, bool) {
 // rank. The table holds cells ≤ len(ids) entries, 4 bytes per row at most,
 // less than the coordinate, payload and scratch buffers the radix kernel
 // needs for the same rows. A dense in-RAM call does not come here: it
-// counts every shard into a table of its own and ranks their sum once
-// (QuantizeDatasetCtx); the per-shard kernel serves the external sort's
-// chunks and the dense shards of a call that also has radix shards.
+// ranks one summed table and runs no shard merge (QuantizeDatasetCtx).
 func (q *Quantizer) quantizeDense(ctx context.Context, rows []float64, ids []int32, cells int, size []int) *FlatGrid {
 	tbl := make([]int32, cells)
 	if !q.countRows(ctx, rows, ids, tbl) {
