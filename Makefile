@@ -18,6 +18,8 @@ GO ?= go
 # and the engine's quantize stage on each side of the dense/radix kernel
 # choice (2M 2-D points at scale 128; 400k 4-D points at scale 64), in
 # rows/s, each with a /scan series timing the bounding-box scan alone,
+# the transform stage alone (one CDF(2,2) level of the Fig. 2 and
+# highdim-embed base grids at 1 and GOMAXPROCS workers, in input cells/s),
 # and the connect stage alone (the Fig. 2 and highdim-embed kept grids under
 # both connectivities), and the embed stage (the PCA front-end overhead on
 # Fig. 2, the PCA-vs-random-projection pair on the d=64 mixture, and the
@@ -78,8 +80,10 @@ race:
 # behind the served text/csv append, the fitted-embedder (AWE1) decoder
 # a checkpoint's embedder section goes through, the label codec's
 # /labels body and NDJSON chunk decoders, each checked against encoding/json,
-# and the served session-create body decoder, whose accepted configs
-# adawave.New must accept (go test takes one -fuzz target per invocation).
+# the served session-create body decoder, whose accepted configs
+# adawave.New must accept, and the served session-remove body decoder,
+# whose accepted index lists a session removes or refuses as invalid input
+# (go test takes one -fuzz target per invocation).
 # FUZZTIME is overridable.
 FUZZTIME ?= 15s
 fuzz:
@@ -93,6 +97,7 @@ fuzz:
 	$(GO) test ./internal/api -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/api -run '^$$' -fuzz '^FuzzDecodeLabelsChunk$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/adawave-serve -run '^$$' -fuzz '^FuzzCreateSessionBody$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./cmd/adawave-serve -run '^$$' -fuzz '^FuzzRemoveBody$$' -fuzztime $(FUZZTIME)
 
 # The CI benchmark smoke job: one iteration of the Fig. 2 benchmarks.
 bench:

@@ -891,9 +891,9 @@ func (s *server) removePoints(w http.ResponseWriter, r *http.Request) {
 	if ss == nil {
 		return
 	}
-	var body api.RemoveRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		s.writeBodyErr(w, r, fmt.Errorf("bad body: %w", err))
+	indices, err := removeIndices(r.Body)
+	if err != nil {
+		s.writeBodyErr(w, r, err)
 		return
 	}
 	if err := ss.lockWrite(r.Context()); err != nil {
@@ -909,11 +909,11 @@ func (s *server) removePoints(w http.ResponseWriter, r *http.Request) {
 	// RemoveContext refuses the mutation once the deadline expired or the
 	// client went away: a client retry must never double-remove shifted
 	// indices.
-	if err := sess.RemoveContext(r.Context(), body.Indices); err != nil {
+	if err := sess.RemoveContext(r.Context(), indices); err != nil {
 		s.writeMutationErr(w, r, err)
 		return
 	}
-	if err := ss.journalRemove(body.Indices); err != nil {
+	if err := ss.journalRemove(indices); err != nil {
 		// Neither the WAL nor the fallback checkpoint took the removal, and
 		// it cannot be undone in place: park the session so it rebuilds
 		// from its durable state, which never saw the removal. The session
@@ -925,9 +925,20 @@ func (s *server) removePoints(w http.ResponseWriter, r *http.Request) {
 		writeCode(w, http.StatusInternalServerError, api.CodeDurability, err.Error())
 		return
 	}
-	s.gov.AddPoints(ss.tenant, -int64(len(body.Indices)))
+	s.gov.AddPoints(ss.tenant, -int64(len(indices)))
 	ss.cacheShape(sess)
-	writeJSON(w, http.StatusOK, api.RemoveResponse{Removed: len(body.Indices), Points: sess.Len()})
+	writeJSON(w, http.StatusOK, api.RemoveResponse{Removed: len(indices), Points: sess.Len()})
+}
+
+// removeIndices decodes a remove-points body, an api.RemoveRequest, into
+// its indices. Their range and uniqueness are Session.RemoveContext's to
+// check.
+func removeIndices(body io.Reader) ([]int, error) {
+	var rr api.RemoveRequest
+	if err := json.NewDecoder(body).Decode(&rr); err != nil {
+		return nil, fmt.Errorf("bad body: %w", err)
+	}
+	return rr.Indices, nil
 }
 
 func toAPIResult(res *adawave.Result, withLabels bool) api.Result {

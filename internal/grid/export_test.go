@@ -39,3 +39,14 @@ func ShardKernels(q *Quantizer, n, workers int) (summed, dense, radix int) {
 	}
 	return 0, dense, radix
 }
+
+// TransformKernels runs fn and reports how many windows each transform
+// kernel summed during it: the dense suffix table and the slab merge. With
+// forceMerge set, every window fn's transforms sweep is merged.
+func TransformKernels(forceMerge bool, fn func()) (dense, merge int64) {
+	mergeOnly = forceMerge
+	defer func() { mergeOnly = false }()
+	d0, m0 := sweptWindows[denseKernel].Load(), sweptWindows[mergeKernel].Load()
+	fn()
+	return sweptWindows[denseKernel].Load() - d0, sweptWindows[mergeKernel].Load() - m0
+}

@@ -205,10 +205,10 @@ func keyByteLess(a, b []uint16) bool {
 }
 
 // flatScratch holds the reusable buffers of the flat engine: radix-sort
-// ping-pong arrays, counting-sort buckets, the transform's slab table and
-// merge cursors, and one worker's transform output. Instances are pooled
-// so repeated Cluster calls (and concurrent workers) do not reallocate per
-// pass.
+// ping-pong arrays, counting-sort buckets, the transform's slab table,
+// and one worker's merge cursors, dense suffix table and transform output.
+// Instances are pooled so repeated Cluster calls (and concurrent workers)
+// do not reallocate per pass.
 type flatScratch struct {
 	coords []uint16  // radix scatter buffer (m·d)
 	vals   []float64 // radix scatter buffer (m)
@@ -224,6 +224,14 @@ type flatScratch struct {
 	units  []unitPos
 	// curs are one worker's slab-merge cursors.
 	curs []cursor
+	// acc and occ are one worker's dense suffix table: a value per suffix
+	// key and an occupancy bit per key. Both are all zeros between
+	// windows, so a later sweep can take them as they are.
+	acc []float64
+	occ []uint64
+	// windows counts the windows this worker summed with each kernel
+	// (see sweptWindows).
+	windows [2]int64
 	// outCoords/outVals collect one worker's transform output before
 	// concatenation into the result grid.
 	outCoords []uint16

@@ -134,9 +134,9 @@ func scanBox(blk, mins, maxs []float64) bool {
 // shards in shard order and renumbers those ids to global indices.
 //
 // Each shard polls ctx at its boundary and every ctxCheckStride points
-// within, in the count and the rank pass alike, and so does the shard merge
-// every ctxCheckStride merged cells; a cancelled run publishes no grid and
-// no memo.
+// within, in the count and the rank pass alike, and so do the shard merge
+// every ctxCheckStride merged cells and the id renumbering after it every
+// ctxCheckStride ids; a cancelled run publishes no grid and no memo.
 func (q *Quantizer) QuantizeDatasetCtx(ctx context.Context, ds *pointset.Dataset, workers int) (*FlatGrid, []int32, error) {
 	d := q.Dim()
 	size := q.gridSize()
@@ -184,10 +184,19 @@ func (q *Quantizer) QuantizeDatasetCtx(ctx context.Context, ds *pointset.Dataset
 	// quantization pass above, so worker w sees exactly its own ids.
 	ParallelRangesCtx(ctx, n, workers, func(w, lo, hi int) {
 		r := remap[w]
-		for i := lo; i < hi; i++ {
-			ids[i] = r[ids[i]]
+		for blo := lo; blo < hi; blo += ctxCheckStride {
+			if ctx.Err() != nil {
+				return
+			}
+			blk := ids[blo:min(blo+ctxCheckStride, hi)]
+			for i, id := range blk {
+				blk[i] = r[id]
+			}
 		}
 	})
+	if err := CtxErr(ctx); err != nil {
+		return nil, nil, err
+	}
 	return f, ids, nil
 }
 

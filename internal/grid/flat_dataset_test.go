@@ -209,13 +209,16 @@ func TestQuantizeDatasetCancel(t *testing.T) {
 		scale int
 		dense bool
 		polls int // a floor on the poll points of one worker
+		merge int // the floor's rise at three workers
 	}{
 		// Scan, count and rank each poll once per block and once more
 		// when they end.
-		{"dense", 64, true, 3*blocks + 3},
+		{"dense", 64, true, 3*blocks + 3, 0},
 		// Scan and radix shard each poll about once per block, and once
-		// more when the scan ends.
-		{"radix", 1024, false, 2*blocks + 1},
+		// more when the scan ends. With three shards the id renumbering
+		// after the merge polls once per shard block, 2 in each of the
+		// three shards here, and once more when it ends.
+		{"radix", 1024, false, 2*blocks + 1, 7},
 	} {
 		q, err := NewQuantizerDatasetCtx(context.Background(), ds, c.scale, 1)
 		if err != nil {
@@ -251,8 +254,12 @@ func TestQuantizeDatasetCancel(t *testing.T) {
 				}
 				cancelled++
 			}
-			if cancelled < c.polls {
-				t.Fatalf("%s workers=%d: only %d poll points cancelled, want ≥ %d", c.name, workers, cancelled, c.polls)
+			floor := c.polls
+			if workers > 1 {
+				floor += c.merge
+			}
+			if cancelled < floor {
+				t.Fatalf("%s workers=%d: only %d poll points cancelled, want ≥ %d", c.name, workers, cancelled, floor)
 			}
 		}
 	}

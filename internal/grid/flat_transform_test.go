@@ -69,12 +69,19 @@ func flatBitsEqual(a, b *FlatGrid) bool {
 // number of ctx polls in turn, until one call completes. Every cancelled
 // call must report ErrCanceled with no grids, return every pooled buffer
 // and grid it took, and leave the input byte-identical; the completed call
-// must equal an uncancelled run.
+// must equal an uncancelled run. After every cancelled call a different
+// grid, transformed at one and at three workers, must equal a fresh run
+// bit for bit: a pooled dense suffix table left dirty would corrupt it.
 func TestTransformLevelsFlatCancel(t *testing.T) {
 	in := randomFlat([]int{64, 48, 40}, 6*transformUnitCells, 9)
 	pristine := in.Clone()
 	basis := wavelet.CDF22()
 	want, err := TransformLevelsFlatCtx(context.Background(), in, basis, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := randomFlat([]int{40, 32, 56}, 4*transformUnitCells, 10)
+	otherWant, err := TransformLevelsFlatCtx(context.Background(), other, basis, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +108,17 @@ func TestTransformLevelsFlatCancel(t *testing.T) {
 				t.Fatalf("workers=%d polls=%d: got %d grids, err %v; want none and ErrCanceled", workers, n, len(got), err)
 			}
 			cancelled++
+			for _, w := range []int{1, 3} {
+				got, err := TransformLevelsFlatCtx(context.Background(), other, basis, 2, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for l := range otherWant {
+					if !flatBitsEqual(got[l], otherWant[l]) {
+						t.Fatalf("workers=%d polls=%d: a later transform at workers=%d differs from a fresh run at level %d", workers, n, w, l+1)
+					}
+				}
+			}
 		}
 		// Two levels of three dimensions, each polled on entry, once per
 		// work unit and after its shards: far more than six polls.
