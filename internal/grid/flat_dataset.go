@@ -183,16 +183,7 @@ func (q *Quantizer) QuantizeDatasetCtx(ctx context.Context, ds *pointset.Dataset
 	// ParallelRanges carves the same deterministic shard boundaries as the
 	// quantization pass above, so worker w sees exactly its own ids.
 	ParallelRangesCtx(ctx, n, workers, func(w, lo, hi int) {
-		r := remap[w]
-		for blo := lo; blo < hi; blo += ctxCheckStride {
-			if ctx.Err() != nil {
-				return
-			}
-			blk := ids[blo:min(blo+ctxCheckStride, hi)]
-			for i, id := range blk {
-				blk[i] = r[id]
-			}
-		}
+		renumberIDs(ctx, ids[lo:hi], remap[w])
 	})
 	if err := CtxErr(ctx); err != nil {
 		return nil, nil, err
@@ -227,20 +218,26 @@ func (q *Quantizer) quantizeDenseDataset(ctx context.Context, ds *pointset.Datas
 	}
 	f := rankCells(sum, d, q.Scale, size)
 	ParallelRangesCtx(ctx, ds.N, workers, func(_, lo, hi int) {
-		for blo := lo; blo < hi; blo += ctxCheckStride {
-			if ctx.Err() != nil {
-				return
-			}
-			blk := ids[blo:min(blo+ctxCheckStride, hi)]
-			for i, lin := range blk {
-				blk[i] = sum[lin]
-			}
-		}
+		renumberIDs(ctx, ids[lo:hi], sum)
 	})
 	if err := CtxErr(ctx); err != nil {
 		return nil, nil, err
 	}
 	return f, ids, nil
+}
+
+// renumberIDs maps every id through table in place, polling ctx every
+// ctxCheckStride ids and stopping once it is done.
+func renumberIDs(ctx context.Context, ids, table []int32) {
+	for lo := 0; lo < len(ids); lo += ctxCheckStride {
+		if ctx.Err() != nil {
+			return
+		}
+		blk := ids[lo:min(lo+ctxCheckStride, len(ids))]
+		for i, id := range blk {
+			blk[i] = table[id]
+		}
+	}
 }
 
 // dedupeRunsIdx collapses equal consecutive coordinate tuples of a sorted
