@@ -411,41 +411,68 @@ func highdimBaseGrid(b *testing.B) *grid.FlatGrid {
 
 // BenchmarkQuantizeDataset times the engine's quantize stage — the
 // bounding-box scan and QuantizeDatasetCtx over a flat dataset — on each
-// side of the dense/radix kernel choice: the paper's Sec. V workload (2M
-// 2-D points at scale 128: 16,384 cells, no more than any shard's rows, so
-// the call counts every shard into its own table and ranks their sum) and
-// 400k 4-D points at scale 64 (16.8M cells, more than the rows, so shards
-// are radix-sorted and merged). The /scan series times the bounding-box
-// scan (NewQuantizerDatasetCtx) alone, so the two passes read apart. Both
+// side of the dense/radix choice: the paper's Sec. V workload (2M 2-D
+// points at scale 128: 16,384 cells, whose per-shard count tables fit
+// within the rows, so the call counts every shard into its own table and
+// ranks their sum) and 400k 4-D points at scale 64 (16.8M cells, more than
+// the rows, so shards are radix-sorted and merged). The /scan series times
+// the bounding-box scan (NewQuantizerDatasetCtx) alone, so the two passes
+// read apart. The external/ series run the same scan and
+// QuantizeDatasetExternalPackedCtx on each route: the dense one with
+// 500k-point chunks, which the count tables still fit, and the radix one
+// with SpillBytes 1, so every run is written to disk and merged back. All
 // report rows/s.
 func BenchmarkQuantizeDataset(b *testing.B) {
+	evaluation := synth.Evaluation(100000, 0.75, 1).Flat()
+	blobs := synth.Blobs(8, 50000, 4, 0.1, 1).Flat()
 	cases := []struct {
 		name  string
 		ds    *pointset.Dataset
 		scale int
+		ext   *grid.ExtSortOptions // nil: the in-RAM QuantizeDatasetCtx
 	}{
-		{"dense/evaluation-2M", synth.Evaluation(100000, 0.75, 1).Flat(), 128},
-		{"radix/blobs-400k-d4", synth.Blobs(8, 50000, 4, 0.1, 1).Flat(), 64},
+		{"dense/evaluation-2M", evaluation, 128, nil},
+		{"radix/blobs-400k-d4", blobs, 64, nil},
+		{"external/dense/evaluation-2M", evaluation, 128, &grid.ExtSortOptions{ChunkPoints: 500_000}},
+		{"external/radix/blobs-400k-d4", blobs, 64, &grid.ExtSortOptions{SpillBytes: 1}},
 	}
 	ctx := context.Background()
 	for _, c := range cases {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
+				var opts grid.ExtSortOptions
+				if c.ext != nil {
+					opts = *c.ext
+					opts.TempDir = b.TempDir()
+				}
 				for i := 0; i < b.N; i++ {
 					q, err := grid.NewQuantizerDatasetCtx(ctx, c.ds, c.scale, workers)
 					if err != nil {
 						b.Fatal(err)
 					}
-					f, _, err := q.QuantizeDatasetCtx(ctx, c.ds, workers)
-					if err != nil {
-						b.Fatal(err)
+					var cells int
+					if c.ext == nil {
+						f, _, err := q.QuantizeDatasetCtx(ctx, c.ds, workers)
+						if err != nil {
+							b.Fatal(err)
+						}
+						cells = f.Len()
+					} else {
+						p, _, err := q.QuantizeDatasetExternalPackedCtx(ctx, c.ds, workers, opts)
+						if err != nil {
+							b.Fatal(err)
+						}
+						cells = p.Len()
 					}
-					if f.Len() == 0 {
+					if cells == 0 {
 						b.Fatal("empty grid")
 					}
 				}
 				b.ReportMetric(float64(c.ds.N)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 			})
+			if c.ext != nil {
+				continue // the scan is the in-RAM series' own
+			}
 			b.Run(fmt.Sprintf("%s/scan/workers=%d", c.name, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := grid.NewQuantizerDatasetCtx(ctx, c.ds, c.scale, workers); err != nil {

@@ -201,12 +201,14 @@
 // dataset file into a zero-copy read-only Dataset whose coordinates never
 // enter the Go heap (CreateMappedDataset streams one in with O(1)
 // memory; a torn file fails validation with ErrCorruptDataset), and
-// ClusterDatasetExternalOptions streams quantization through a
-// spill-to-disk external sort — chunks quantized by the in-RAM shard
-// kernel (a dense count when a shard holds at least Scaleᵈ rows, a radix
-// sort otherwise), sorted runs on temp files, the same loser-tree cell
-// merge that combines in-RAM shards and folds Session deltas — then
-// re-enter the shared
+// ClusterDatasetExternalOptions quantizes without holding more than a
+// chunk's working set: when one count table per worker over all Scaleᵈ
+// cells fits within a chunk's rows, the points are counted in one pass,
+// exactly as the in-RAM dense route counts them, with no chunk or spill
+// file; otherwise quantization streams through a spill-to-disk external
+// sort — chunks radix-sorted by the in-RAM shard kernel, sorted runs on
+// temp files, the same loser-tree cell merge that combines in-RAM shards
+// and folds Session deltas. Either way the cells re-enter the shared
 // pipeline over cell-id-sharded connected components. The budget derives
 // chunk size, spill threshold and merge fan-in (the other ExternalOptions
 // fields pin any of them per call); temp files are removed on every exit

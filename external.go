@@ -10,9 +10,10 @@ import (
 // Out-of-core facade: mapped dataset files plus the bounded-memory
 // clustering entry point. A MappedDataset is an mmap view over a simple
 // header + row-major float64 file — its coordinates never enter the Go
-// heap — and ClusterDatasetExternalOptions streams quantization through an
-// external sort (chunks quantized by the in-RAM shard kernel, sorted runs
-// spilled to temp files, loser-tree merge), so one clustering job over
+// heap — and ClusterDatasetExternalOptions quantizes in one counting pass
+// when the grid's count tables fit within a chunk, and otherwise through
+// an external sort (chunks quantized by the in-RAM shard kernel, sorted
+// runs spilled to temp files, loser-tree merge), so one clustering job over
 // hundreds of millions of points runs with resident memory bounded by
 // ExternalOptions.MaxResidentBytes instead of the dataset size. Labels are
 // bit-identical to ClusterDatasetContext on the same rows.
@@ -52,8 +53,10 @@ func CreateMappedDataset(path string, d int) (*MappedDatasetWriter, error) {
 type ExternalOptions = core.ExternalOptions
 
 // ClusterDatasetExternalOptions clusters ds with resident memory bounded by
-// opts.MaxResidentBytes: quantization streams the points in chunks through
-// a spill-to-disk external sort and re-enters the shared pipeline, so the
+// opts.MaxResidentBytes: quantization counts the points in one pass when
+// the grid's count tables fit within a chunk, streams them in chunks
+// through a spill-to-disk external sort otherwise, and re-enters the
+// shared pipeline, so the
 // Result — labels, threshold, curve — is bit-identical to
 // ClusterDatasetContext on the same rows. ds is typically a MappedDataset
 // view, but any Dataset works.

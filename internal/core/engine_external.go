@@ -10,18 +10,19 @@ import (
 
 // Out-of-core clustering: ClusterDatasetExternal is ClusterDatasetContext
 // with the point-side memory decoupled from the dataset size. Its quantize
-// stage runs the external sort (chunks quantized by the in-RAM shard
-// kernel, sorted runs spilled to temp files, and the grid package's one
-// cell merge, shared with the in-RAM shards and the Session fold, into a
-// packed grid — see grid.QuantizeDatasetExternalPackedCtx), unpacks that packed
-// base once, and runStages carries the flat copy through the same
-// transform → assign stages as every other path, so the labels are
-// bit-identical to the in-RAM path for every
-// chunk size and spill threshold. Pair it with a pointset.Mapped dataset
-// and the float64 payload never touches the Go heap either: resident
-// memory is the O(points) label/memo outputs plus the configured working
-// budget plus the O(cells) grid, independent of how many points stream
-// through.
+// stage runs grid.QuantizeDatasetExternalPackedCtx: a grid whose
+// per-worker count tables fit within one chunk's rows is counted in one
+// pass by the in-RAM dense route, and any larger grid goes through the
+// external sort (chunks radix-sorted by the in-RAM shard kernel, sorted
+// runs spilled to temp files, and the grid package's one cell merge,
+// shared with the in-RAM shards and the Session fold, into a packed grid).
+// The stage unpacks that packed base once, and runStages carries the flat
+// copy through the same transform → assign stages as every other path, so
+// the labels are bit-identical to the in-RAM path for every chunk size and
+// spill threshold. Pair it with a pointset.Mapped dataset and the float64
+// payload never touches the Go heap either: resident memory is the
+// O(points) label/memo outputs plus the configured working budget plus the
+// O(cells) grid, independent of how many points stream through.
 
 // ExternalOptions tunes ClusterDatasetExternal. The zero value derives
 // everything from DefaultMaxResidentBytes.
@@ -61,10 +62,11 @@ const perPointOutputBytes = 4 + 8
 // the chunk working set and a quarter funds retained sorted runs — the
 // rest is headroom for the merged grid and transform stages. The chunk
 // working set is sized for the radix kernel (coordinates, index payload,
-// and their scratch doubles: 2·(2d+4) bytes per point). A shard that takes
-// the dense kernel instead holds one int32 per cell of a cell space no
-// larger than its row count — at most 4 bytes per point, less than the
-// radix buffers — so the derived chunk stays within budget either way.
+// and their scratch doubles: 2·(2d+4) bytes per point). A dense call
+// instead holds one int32 table over all cells per worker, taken only when
+// those tables have no more entries than a chunk has rows — at most 4
+// bytes per chunk point, less than the radix buffers — and it retains no
+// runs, so the derived chunk stays within budget either way.
 func deriveExtSort(opts ExternalOptions, n, d int) (grid.ExtSortOptions, error) {
 	budget := opts.MaxResidentBytes
 	if budget <= 0 {

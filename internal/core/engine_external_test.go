@@ -20,6 +20,10 @@ type extFixture struct {
 	name string
 	ds   *pointset.Dataset
 	cfg  Config
+	// denseChunk, when set, is a chunk size whose count tables fit within
+	// its rows: a run with it takes the dense route, which makes no spill
+	// directory even at SpillBytes 1.
+	denseChunk int
 }
 
 // externalFixtures returns the equivalence fixtures of the out-of-core
@@ -27,7 +31,10 @@ type extFixture struct {
 // and the 33-dimensional dermatology stand-in (Haar basis — long filters
 // densify high-dimensional grids). Each fixture runs with both merged-grid
 // representations: the flat path and the block-compressed one must
-// reproduce the in-RAM result bit for bit.
+// reproduce the in-RAM result bit for bit. Fig. 7 at scale 16 (256 cells)
+// adds the dense route: its 17,500 rows are counted into four tables, one
+// per worker, whenever a chunk holds at least their 1024 entries, and
+// radix-sorted in chunks otherwise.
 func externalFixtures(t *testing.T) []extFixture {
 	t.Helper()
 	derm, err := datasets.ByName("dermatology", 1)
@@ -38,9 +45,9 @@ func externalFixtures(t *testing.T) []extFixture {
 	haar.Basis = wavelet.Haar()
 	haar.Scale = 0 // automatic scale, as the high-dimensional tests use
 	base := []extFixture{
-		{"fig2", synth.RunningExampleSized(800, 1).Flat(), DefaultConfig()},
-		{"fig7", synth.Evaluation(700, 0.8, 1).Flat(), DefaultConfig()},
-		{"dermatology", pointset.MustFromSlices(derm.Points), haar},
+		{"fig2", synth.RunningExampleSized(800, 1).Flat(), DefaultConfig(), 0},
+		{"fig7", synth.Evaluation(700, 0.8, 1).Flat(), DefaultConfig(), 0},
+		{"dermatology", pointset.MustFromSlices(derm.Points), haar, 0},
 	}
 	out := make([]extFixture, 0, 2*len(base))
 	for _, fx := range base {
@@ -49,17 +56,21 @@ func externalFixtures(t *testing.T) []extFixture {
 		// deprecated PackedCells=false, which core ignores.
 		packed.PackedCells, flat.PackedCells = true, false
 		out = append(out,
-			extFixture{fx.name + "/packed", fx.ds, packed},
-			extFixture{fx.name + "/flat", fx.ds, flat})
+			extFixture{fx.name + "/packed", fx.ds, packed, 0},
+			extFixture{fx.name + "/flat", fx.ds, flat, 0})
 	}
-	return out
+	coarse := DefaultConfig()
+	coarse.Scale = 16
+	return append(out, extFixture{"fig7/scale16", base[1].ds, coarse, 1024})
 }
 
 // TestClusterDatasetExternalEquivalence is the out-of-core acceptance
 // gate: across random chunk sizes and spill thresholds (always-spill
 // included), ClusterDatasetExternal must reproduce ClusterDataset bit for
 // bit on every fixture — labels, threshold, curve, cell counts — and leave
-// the spill directory empty after every iteration.
+// the spill directory empty after every iteration. A fixture with a dense
+// chunk also runs it at SpillBytes 1 under a spill base directory that
+// does not exist, which fails any run that tries to spill.
 func TestClusterDatasetExternalEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, fx := range externalFixtures(t) {
@@ -93,6 +104,17 @@ func TestClusterDatasetExternalEquivalence(t *testing.T) {
 				if len(entries) != 0 {
 					t.Fatalf("chunk=%d spill=%d: %d leaked spill entries", chunk, spill, len(entries))
 				}
+			}
+			if fx.denseChunk > 0 {
+				got, err := eng.ClusterDatasetExternal(ctx, fx.ds, ExternalOptions{
+					ChunkPoints: fx.denseChunk,
+					SpillBytes:  1,
+					TempDir:     filepath.Join(t.TempDir(), "absent"),
+				})
+				if err != nil {
+					t.Fatalf("dense chunk=%d: %v", fx.denseChunk, err)
+				}
+				assertResultsEqual(t, want, got)
 			}
 		})
 	}
@@ -157,29 +179,57 @@ func TestClusterDatasetExternalBudgetTooSmall(t *testing.T) {
 	}
 }
 
-// TestClusterDatasetExternalCancel: cancellation must unwind with the
-// taxonomy error and leave no spill files.
+// TestClusterDatasetExternalCancel lands a cancel at every poll point of an
+// out-of-core run in turn, on both quantize routes: radix runs spilled to
+// disk (scale 128, 16,384 cells against 512-point chunks) and the dense
+// count (scale 16, whose two workers' 256-cell tables fit a chunk; its
+// spill base directory does not exist, so a run that tried to spill would
+// fail).
+// Every cancelled run must unwind with the taxonomy error and leave the
+// temp directory empty, and the first run that completes must equal the
+// in-RAM result.
 func TestClusterDatasetExternalCancel(t *testing.T) {
 	ds := synth.Evaluation(2000, 0.5, 9).Flat()
-	eng, err := NewEngine(DefaultConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	tmp := t.TempDir()
-	_, err = eng.ClusterDatasetExternal(ctx, ds, ExternalOptions{ChunkPoints: 512, SpillBytes: 1, TempDir: tmp})
-	if err == nil {
-		t.Fatal("cancelled run returned no error")
-	}
-	if !errors.Is(err, grid.ErrCanceled) {
-		t.Fatalf("error %v is not ErrCanceled", err)
-	}
-	entries, rerr := os.ReadDir(tmp)
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("%d leaked spill entries after cancel", len(entries))
+	for _, c := range []struct {
+		name  string
+		scale int
+	}{{"radix", 128}, {"dense", 16}} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Scale = c.scale
+			eng, err := NewEngine(cfg, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := eng.ClusterDatasetContext(context.Background(), ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := 0; ; n++ {
+				tmp := t.TempDir()
+				opts := ExternalOptions{ChunkPoints: 512, SpillBytes: 1, TempDir: tmp}
+				if c.name == "dense" {
+					opts.TempDir = filepath.Join(tmp, "absent")
+				}
+				got, err := eng.ClusterDatasetExternal(cancelAfterPolls(n), ds, opts)
+				entries, rerr := os.ReadDir(tmp)
+				if rerr != nil {
+					t.Fatal(rerr)
+				}
+				if len(entries) != 0 {
+					t.Fatalf("polls=%d: %d leaked spill entries", n, len(entries))
+				}
+				if err == nil {
+					if n == 0 {
+						t.Fatal("a run with no poll left completed")
+					}
+					assertResultsEqual(t, want, got)
+					break
+				}
+				if !errors.Is(err, grid.ErrCanceled) || got != nil {
+					t.Fatalf("polls=%d: got a result %v, err %v; want none and ErrCanceled", n, got != nil, err)
+				}
+			}
+		})
 	}
 }

@@ -1,7 +1,5 @@
 package grid
 
-import "sync"
-
 // Unexported helpers the external test files (package grid_test, which
 // import the internal/oracle reference) need.
 
@@ -16,28 +14,15 @@ var (
 )
 
 // ShardKernels reports how QuantizeDatasetCtx quantizes n rows at the given
-// worker count. When every shard's rows cover the cell space the call is
-// dense and all its shards are counted into the summed table (summed);
-// otherwise each shard takes the per-shard dense or radix kernel.
-func ShardKernels(q *Quantizer, n, workers int) (summed, dense, radix int) {
-	if workers <= 1 || n < parallelCellCutoff {
-		workers = 1
+// worker count: a dense call counts every shard into the summed table
+// (summed); otherwise every shard is radix-sorted (radix).
+func ShardKernels(q *Quantizer, n, workers int) (summed, radix int) {
+	workers = quantizeWorkers(n, workers)
+	ranges := carvedRanges(n, workers)
+	if _, ok := denseCall(q.Scale, q.Dim(), n, workers, n); ok {
+		return ranges, 0
 	}
-	var mu sync.Mutex
-	ParallelRanges(n, workers, func(_, lo, hi int) {
-		_, ok := denseCellSpace(q.Scale, q.Dim(), hi-lo)
-		mu.Lock()
-		defer mu.Unlock()
-		if ok {
-			dense++
-		} else {
-			radix++
-		}
-	})
-	if radix == 0 {
-		return dense, 0, 0
-	}
-	return 0, dense, radix
+	return 0, ranges
 }
 
 // TransformKernels runs fn and reports how many windows each transform

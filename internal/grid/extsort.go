@@ -11,31 +11,36 @@ import (
 	"adawave/internal/pointset"
 )
 
-// External sort: the out-of-core rendering of QuantizeDatasetCtx. The
-// in-RAM path shards the points, turns each shard into a sorted per-shard
-// accumulator with quantizeShard (a dense count when the cell space Scaleᵈ
-// is no larger than the shard's rows, a radix sort with the point index as
-// payload otherwise), and k-way merges — every intermediate lives in memory
-// at once. Out of core, the same plan is cut into fixed-size point chunks:
-// each chunk's shards run the same quantizeShard kernel, but every
-// resulting sorted run is block-compressed (PackedGrid) and either
-// retained in memory (small) or spilled to a temp file (large), and the
-// package's one k-way merge, mergeCells, reads all runs back through cell
-// cursors, emitting cells in canonical order while renumbering every
-// point's memoized chunk-local cell id to its canonical-grid index. Cell
-// masses are integer point counts, so the merge sums are exact in any
-// order and the resulting grid, ids, and every label
-// derived from them are bit-identical to QuantizeDatasetCtx — only the
-// peak resident memory changes: O(chunk + retained runs + cells) instead
-// of O(points), and the packed runs hold ~4× the cells of the former flat
-// runs in the same spill budget.
+// External sort: the out-of-core rendering of QuantizeDatasetCtx. When the
+// count tables of a dense call fit within one chunk's rows (denseCall over
+// min(ChunkPoints, n) rows), there is nothing to sort: the call is the
+// in-RAM dense route, quantizeDenseDataset, over the whole dataset — one
+// table per worker over all Scaleᵈ cells, their sum ranked once, the ids
+// renumbered in one pass — and it makes no chunk, run or spill directory.
+// The tables hold at most 4 bytes per chunk row, less than the radix
+// working set a chunk is budgeted for, and the rows are read once.
+//
+// Otherwise the in-RAM plan (shard the points, radix-sort each shard with
+// quantizeShard, k-way merge) is cut into fixed-size point chunks: each
+// chunk's shards run the same quantizeShard kernel, but every resulting
+// sorted run is block-compressed (PackedGrid) and either retained in
+// memory (small) or spilled to a temp file (large), and the package's one
+// k-way merge, mergeCells, reads all runs back through cell cursors,
+// emitting cells in canonical order while renumbering every point's
+// memoized chunk-local cell id to its canonical-grid index. Cell masses are
+// integer point counts, so the sums are exact in any order and the
+// resulting grid, ids, and every label derived from them are bit-identical
+// to QuantizeDatasetCtx on either route — only the peak resident memory
+// changes: O(chunk + retained runs + cells) instead of O(points).
 
 // ExtSortOptions tunes the external sort. The zero value selects defaults
 // suitable for a machine with a few GB to spare; core.ExternalOptions
 // derives these knobs from a single resident-memory budget.
 type ExtSortOptions struct {
 	// ChunkPoints is the number of points quantized and sorted per chunk
-	// (the unit of in-memory work). ≤ 0 selects 1<<20.
+	// (the unit of in-memory work). A grid whose dense count tables fit
+	// within one chunk's rows is counted in one pass without chunks. ≤ 0
+	// selects 1<<20.
 	ChunkPoints int
 	// SpillBytes bounds the total bytes of sorted runs retained in memory:
 	// once retained runs exceed it, further runs spill to disk. Runs are
@@ -46,7 +51,7 @@ type ExtSortOptions struct {
 	// TempDir is the base directory for the spill directory ("" uses the
 	// system default). Spill files live in a fresh os.MkdirTemp directory
 	// that is removed — error and cancellation paths included — before
-	// QuantizeDatasetExternalPackedCtx returns.
+	// QuantizeDatasetExternalPackedCtx returns. A dense call creates none.
 	TempDir string
 }
 
@@ -79,26 +84,36 @@ func (q *Quantizer) gridSize() []int {
 // and point→cell memo as QuantizeDatasetCtx — bit-identical cells, masses
 // and ids for every chunk size, spill threshold and worker count — while
 // keeping resident memory bounded by the chunk size plus the spill budget
-// plus the final grid, independent of the dataset size. Points stream
-// through in chunks (an mmap-backed Dataset is paged in and dropped by the
-// OS), each chunk's sorted run spills to disk once the in-memory run budget
-// is exhausted, and mergeCells re-reads the runs sequentially and streams
-// straight into a PackedBuilder, so the external sort never materializes
-// the uncompressed cell array. Cancellation is polled at chunk boundaries,
-// every ctxCheckStride points within a chunk and every ctxCheckStride
-// merged cells; a cancelled call removes its spill directory before
-// returning.
+// plus the final grid, independent of the dataset size. A dense call counts
+// the rows straight into per-worker tables no larger than a chunk's rows
+// and packs the ranked grid. Otherwise points stream through in chunks (an
+// mmap-backed Dataset is paged in and dropped by the OS), each chunk's
+// sorted run spills to disk once the in-memory run budget is exhausted,
+// and mergeCells re-reads the runs sequentially and streams straight into
+// a PackedBuilder, so the external sort never materializes the
+// uncompressed cell array. Cancellation is polled at chunk boundaries,
+// every ctxCheckStride points within a chunk or a dense pass and every
+// ctxCheckStride merged cells; a cancelled call removes its spill
+// directory before returning.
 func (q *Quantizer) QuantizeDatasetExternalPackedCtx(ctx context.Context, ds *pointset.Dataset, workers int, opts ExtSortOptions) (*PackedGrid, []int32, error) {
 	d := q.Dim()
 	size := q.gridSize()
 	n := ds.N
-	bld := NewPackedBuilder(size, -1)
 	if n == 0 {
-		return bld.Grid(), nil, nil
+		return NewPackedBuilder(size, -1).Grid(), nil, nil
 	}
 	chunkPts := opts.ChunkPoints
 	if chunkPts <= 0 {
 		chunkPts = defaultChunkPoints
+	}
+	// A dense call sorts nothing: it is the in-RAM dense route.
+	dw := quantizeWorkers(n, workers)
+	if cells, ok := denseCall(q.Scale, d, n, dw, min(chunkPts, n)); ok {
+		f, ids, err := q.quantizeDenseDataset(ctx, ds, make([]int32, n), cells, size, dw)
+		if err != nil {
+			return nil, nil, err
+		}
+		return PackFlat(f), ids, nil
 	}
 	spillBytes := opts.SpillBytes
 	if spillBytes <= 0 {
@@ -121,9 +136,9 @@ func (q *Quantizer) QuantizeDatasetExternalPackedCtx(ctx context.Context, ds *po
 	}()
 
 	// Phase 1: chunked quantize. Each chunk is sharded across the workers
-	// exactly like QuantizeDatasetCtx shards the whole dataset, and every
-	// shard runs the same quantizeShard kernel, yielding one sorted run
-	// with shard-local cell ids stamped on its points.
+	// exactly like QuantizeDatasetCtx shards a dataset it does not count
+	// densely, and every shard runs the same quantizeShard kernel, yielding
+	// one sorted run with shard-local cell ids stamped on its points.
 	shardGrids := make([]*FlatGrid, workers)
 	shardLo := make([]int, workers)
 	shardHi := make([]int, workers)
@@ -136,10 +151,7 @@ func (q *Quantizer) QuantizeDatasetExternalPackedCtx(ctx context.Context, ds *po
 			return nil, nil, err
 		}
 		nn := hi - lo
-		w := workers
-		if nn < parallelCellCutoff {
-			w = 1
-		}
+		w := quantizeWorkers(nn, workers)
 		for i := range shardGrids {
 			shardGrids[i] = nil
 		}
@@ -197,6 +209,7 @@ func (q *Quantizer) QuantizeDatasetExternalPackedCtx(ctx context.Context, ds *po
 	// recording, per run, where each run-local cell landed in the merged
 	// grid. Spilled runs stream back block by block; nothing beyond the
 	// builder and the remap tables is materialized.
+	bld := NewPackedBuilder(size, -1)
 	srcs := make([]*cellCursor, 0, len(runs))
 	defer func() {
 		for _, c := range srcs {

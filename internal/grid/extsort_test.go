@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"adawave/internal/pointset"
@@ -55,10 +58,10 @@ func sameGrid(t *testing.T, a, b *FlatGrid, label string) {
 // TestQuantizeDatasetExternalEquivalence sweeps chunk sizes and spill
 // thresholds (including "spill everything") and checks the external sort
 // reproduces QuantizeDatasetCtx's grid and point→cell memo bit for bit,
-// at several worker counts, leaving no spill files behind. A coarse grid
-// adds chunkings whose full chunks are counted by the dense kernel while
-// the last chunk, smaller than the cell space, is radix-sorted, so one
-// merge takes runs of both kernels.
+// at several worker counts, leaving no spill files behind. The fine 3-D
+// scale-64 grid is larger than any chunk, so it is radix-sorted into runs
+// that spill and merge; a coarse grid whose count tables fit within a
+// chunk takes the dense route, which makes no run and no spill directory.
 func TestQuantizeDatasetExternalEquivalence(t *testing.T) {
 	ds := clusteredDataset(20000, 3, 42)
 	q, err := NewQuantizerDatasetCtx(context.Background(), ds, 64, 4)
@@ -69,9 +72,10 @@ func TestQuantizeDatasetExternalEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(q *Quantizer, wantGrid *FlatGrid, wantIDs []int32, chunk int, spill int64, workers int) {
+	// check runs the flat and the packed external call with spill files
+	// under tmp, which must be empty (or still absent) afterwards.
+	check := func(q *Quantizer, wantGrid *FlatGrid, wantIDs []int32, chunk int, spill int64, workers int, tmp string) {
 		t.Helper()
-		tmp := t.TempDir()
 		g, ids, err := q.QuantizeDatasetExternalCtx(context.Background(), ds, workers,
 			ExtSortOptions{ChunkPoints: chunk, SpillBytes: spill, TempDir: tmp})
 		if err != nil {
@@ -101,7 +105,7 @@ func TestQuantizeDatasetExternalEquivalence(t *testing.T) {
 		// Spill hygiene: every temp file and the spill dir itself must be
 		// gone after the call.
 		entries, err := os.ReadDir(tmp)
-		if err != nil {
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
 			t.Fatal(err)
 		}
 		if len(entries) != 0 {
@@ -119,13 +123,24 @@ func TestQuantizeDatasetExternalEquivalence(t *testing.T) {
 			spill = 1 << 30 // all in memory
 		}
 		workers := 1 + rng.Intn(4)
-		check(q, wantGrid, wantIDs, chunk, spill, workers)
+		if _, ok := denseCall(q.Scale, q.Dim(), ds.N, quantizeWorkers(ds.N, workers), min(chunk, ds.N)); ok {
+			t.Fatalf("chunk=%d workers=%d: the fine grid must be radix-sorted", chunk, workers)
+		}
+		check(q, wantGrid, wantIDs, chunk, spill, workers, t.TempDir())
+	}
+	// At SpillBytes 1 the fine grid writes its first run to a spill
+	// directory, so a base directory that does not exist fails the call.
+	absent := filepath.Join(t.TempDir(), "absent")
+	if _, _, err := q.QuantizeDatasetExternalPackedCtx(context.Background(), ds, 2,
+		ExtSortOptions{ChunkPoints: 5000, SpillBytes: 1, TempDir: absent}); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("radix call under a missing spill base dir: err %v, want fs.ErrNotExist", err)
 	}
 
-	// Scale 16 in 3-D is 4096 cells. Chunks of 6000 rows (one worker) or
-	// 9000 rows (two 4500-row shards) are counted densely; the last chunk,
-	// 2000 rows, is below the cell space and the parallel cutoff, so it is
-	// one radix run.
+	// Scale 16 in 3-D is 4096 cells. One table over 20000 rows fits a chunk
+	// of 6000 rows, and two tables over 10000-row shards fit a chunk of
+	// 9000, so these calls count densely. They create no spill directory
+	// even at SpillBytes 1: the base directory does not exist, so any
+	// os.MkdirTemp would fail the call.
 	coarse, err := NewQuantizerDatasetCtx(context.Background(), ds, 16, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -138,38 +153,61 @@ func TestQuantizeDatasetExternalEquivalence(t *testing.T) {
 		chunk, workers int
 		spill          int64
 	}{{6000, 1, 1}, {6000, 1, 1 << 30}, {9000, 2, 1}, {9000, 2, 1 << 30}} {
-		if _, ok := denseCellSpace(coarse.Scale, coarse.Dim(), c.chunk/c.workers); !ok {
-			t.Fatalf("chunk=%d workers=%d: full-chunk shards must take the dense kernel", c.chunk, c.workers)
+		if _, ok := denseCall(coarse.Scale, coarse.Dim(), ds.N, c.workers, c.chunk); !ok {
+			t.Fatalf("chunk=%d workers=%d: the coarse grid must take the dense route", c.chunk, c.workers)
 		}
-		if last := ds.N % c.chunk; last >= 4096 {
-			t.Fatalf("chunk=%d: last chunk of %d rows must fall below the cell space", c.chunk, last)
-		}
-		check(coarse, coarseGrid, coarseIDs, c.chunk, c.spill, c.workers)
+		check(coarse, coarseGrid, coarseIDs, c.chunk, c.spill, c.workers, absent)
 	}
 }
 
-// TestQuantizeDatasetExternalCancel checks a cancelled external sort
-// unwinds with the taxonomy error and removes its spill directory.
+// TestQuantizeDatasetExternalCancel cancels the external sort after each
+// number of ctx polls in turn, until one call completes, on both routes:
+// radix runs spilled and merged, and the dense count. Every cancelled call
+// must unwind with the taxonomy error, publish no grid and no memo, and
+// remove its spill directory; the completed call must equal the in-RAM
+// quantize.
 func TestQuantizeDatasetExternalCancel(t *testing.T) {
 	ds := clusteredDataset(50000, 2, 7)
-	q, err := NewQuantizerDatasetCtx(context.Background(), ds, 128, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	tmp := t.TempDir()
-	_, _, err = q.QuantizeDatasetExternalPackedCtx(ctx, ds, 2,
-		ExtSortOptions{ChunkPoints: 1024, SpillBytes: 1, TempDir: tmp})
-	if err == nil {
-		t.Fatal("cancelled external sort returned no error")
-	}
-	entries, rerr := os.ReadDir(tmp)
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("%d leaked entries after cancellation", len(entries))
+	opts := ExtSortOptions{ChunkPoints: 1024, SpillBytes: 1}
+	const workers = 2
+	for _, c := range []struct {
+		name  string
+		scale int
+		dense bool
+	}{{"radix", 128, false}, {"dense", 16, true}} {
+		q, err := NewQuantizerDatasetCtx(context.Background(), ds, c.scale, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := denseCall(q.Scale, q.Dim(), ds.N, workers, opts.ChunkPoints); ok != c.dense {
+			t.Fatalf("%s: dense call %v", c.name, ok)
+		}
+		want, wantIDs := quantizeDataset(t, q, ds, workers)
+		for n := 0; ; n++ {
+			opts.TempDir = t.TempDir()
+			p, ids, err := q.QuantizeDatasetExternalPackedCtx(cancelAfterPolls(n), ds, workers, opts)
+			entries, rerr := os.ReadDir(opts.TempDir)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if len(entries) != 0 {
+				t.Fatalf("%s polls=%d: %d leaked entries", c.name, n, len(entries))
+			}
+			if err == nil {
+				if n == 0 {
+					t.Fatalf("%s: a call with no poll left completed", c.name)
+				}
+				sameGrid(t, want, p.Unpack(), c.name)
+				if !slices.Equal(ids, wantIDs) {
+					t.Fatalf("%s polls=%d: ids differ from the in-RAM quantize", c.name, n)
+				}
+				break
+			}
+			if !errors.Is(err, ErrCanceled) || p != nil || ids != nil {
+				t.Fatalf("%s polls=%d: got grid %v, %d ids, err %v; want none and ErrCanceled",
+					c.name, n, p != nil, len(ids), err)
+			}
+		}
 	}
 }
 

@@ -121,17 +121,17 @@ func scanBox(blk, mins, maxs []float64) bool {
 // contiguous shard, and each point's cell coordinates are computed exactly
 // once.
 //
-// When the whole cell space Scaleᵈ is no larger than the smallest shard's
-// row count, the call is dense: every worker counts its shard into a table
-// of its own over all cells (countRows), the tables are summed — integer
-// counts, so exactly — and rankCells emits the grid from the sum and turns
-// it into ranks, which one parallel pass writes over the points' linear
-// cell ids. A dense call runs no shard merge. Otherwise every shard runs
-// quantizeShard, which takes the dense kernel when the cell space fits its
-// own rows and radix-sorts its cells with the point index as payload
-// otherwise; either way each point is stamped with its shard-local cell
-// number, and mergeCells, the package's one k-way cell merge, sums the
-// shards in shard order and renumbers those ids to global indices.
+// When the shards' count tables over the whole cell space Scaleᵈ hold no
+// more entries in all than there are rows (denseCall), the call is dense:
+// every worker counts its shard into a table of its own over all cells
+// (countRows), the tables are summed — integer counts, so exactly — and
+// rankCells emits the grid from the sum and turns it into ranks, which one
+// parallel pass writes over the points' linear cell ids. A dense call runs
+// no shard merge. Otherwise every shard runs quantizeShard, which
+// radix-sorts its cells with the point index as payload and stamps each
+// point with its shard-local cell number, and mergeCells, the package's one
+// k-way cell merge, sums the shards in shard order and renumbers those ids
+// to global indices.
 //
 // Each shard polls ctx at its boundary and every ctxCheckStride points
 // within, in the count and the rank pass alike, and so do the shard merge
@@ -144,11 +144,9 @@ func (q *Quantizer) QuantizeDatasetCtx(ctx context.Context, ds *pointset.Dataset
 	if n == 0 {
 		return &FlatGrid{Size: size}, nil, nil
 	}
-	if workers <= 1 || n < parallelCellCutoff {
-		workers = 1
-	}
+	workers = quantizeWorkers(n, workers)
 	ids := make([]int32, n)
-	if cells, ok := denseCellSpace(q.Scale, d, smallestRange(n, workers)); ok {
+	if cells, ok := denseCall(q.Scale, d, n, workers, n); ok {
 		return q.quantizeDenseDataset(ctx, ds, ids, cells, size, workers)
 	}
 	shards := make([]*FlatGrid, workers)
@@ -191,10 +189,11 @@ func (q *Quantizer) QuantizeDatasetCtx(ctx context.Context, ds *pointset.Dataset
 	return f, ids, nil
 }
 
-// quantizeDenseDataset is the dense path of QuantizeDatasetCtx: one count
-// table per shard over the whole cell space (cells entries, no more than
-// the shard's rows), their sum ranked once by rankCells, and one parallel
-// pass that maps every point's linear cell id to its rank.
+// quantizeDenseDataset is the dense route of QuantizeDatasetCtx and of
+// QuantizeDatasetExternalPackedCtx, the counting kernel of paper Alg. 2:
+// one count table per shard over the whole cell space (cells entries),
+// their sum ranked once by rankCells, and one parallel pass that maps every
+// point's linear cell id to its rank.
 func (q *Quantizer) quantizeDenseDataset(ctx context.Context, ds *pointset.Dataset, ids []int32, cells int, size []int, workers int) (*FlatGrid, []int32, error) {
 	d := q.Dim()
 	tbls := make([][]int32, workers)

@@ -176,20 +176,20 @@ func TestNewQuantizerDatasetSignedZeros(t *testing.T) {
 	}
 }
 
-// TestSmallestRange: the dense-call rule's shard size must be the smallest
-// range ParallelRanges carves, fewer ranges than workers included.
-func TestSmallestRange(t *testing.T) {
+// TestCarvedRanges: the dense-call rule counts one table per range
+// ParallelRanges carves, fewer ranges than workers included.
+func TestCarvedRanges(t *testing.T) {
 	for n := 1; n <= 300; n++ {
 		for workers := 1; workers <= 70; workers++ {
 			var mu sync.Mutex
-			want := n
+			want := 0
 			ParallelRanges(n, workers, func(_, lo, hi int) {
 				mu.Lock()
 				defer mu.Unlock()
-				want = min(want, hi-lo)
+				want++
 			})
-			if got := smallestRange(n, workers); got != want {
-				t.Fatalf("n=%d workers=%d: smallest range %d, want %d", n, workers, got, want)
+			if got := carvedRanges(n, workers); got != want {
+				t.Fatalf("n=%d workers=%d: %d ranges, want %d", n, workers, got, want)
 			}
 		}
 	}
@@ -226,7 +226,7 @@ func TestQuantizeDatasetCancel(t *testing.T) {
 		}
 		want, wantIDs := quantizeDataset(t, q, ds, 1)
 		for _, workers := range []int{1, 3} {
-			if _, dense := denseCellSpace(c.scale, ds.D, smallestRange(ds.N, workers)); dense != c.dense {
+			if _, dense := denseCall(c.scale, ds.D, ds.N, workers, ds.N); dense != c.dense {
 				t.Fatalf("%s workers=%d: dense call %v", c.name, workers, dense)
 			}
 			cancelled := 0

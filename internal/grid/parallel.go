@@ -53,15 +53,15 @@ func ParallelRangesCtx(ctx context.Context, n, workers int, fn func(worker, lo, 
 	ParallelRanges(n, workers, fn)
 }
 
-// smallestRange returns the row count of the smallest range ParallelRanges
-// carves [0, n) into for workers: the last one.
-func smallestRange(n, workers int) int {
+// carvedRanges returns the number of ranges ParallelRanges carves [0, n)
+// into for workers, which can be fewer than workers.
+func carvedRanges(n, workers int) int {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		return n
+		return 1
 	}
 	chunk := (n + workers - 1) / workers
-	return n - (n-1)/chunk*chunk
+	return (n + chunk - 1) / chunk
 }

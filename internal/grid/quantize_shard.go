@@ -2,62 +2,67 @@ package grid
 
 import "context"
 
-// quantizeShard quantizes one contiguous shard of row-major rows (len(ids)
+// quantizeShard is the sorting kernel of a quantize call that is not dense
+// (denseCall): it quantizes one contiguous shard of row-major rows (len(ids)
 // points of Dim coordinates each) into the shard's canonical run — its
-// occupied cells in canonical order with integer point counts as masses —
-// and stamps ids[i] with the run-local index of row i's cell. It is the
-// per-shard kernel of the out-of-core path (QuantizeDatasetExternalPackedCtx)
-// and of an in-RAM call (QuantizeDatasetCtx) that is not dense throughout;
-// both merge its runs. A dense in-RAM call does not use it: it ranks one
-// summed table and runs no shard merge. It returns nil when ctx is
-// cancelled mid-shard; callers check CtxErr before using any shard.
-//
-// Which of two kernels runs depends only on the input. When the whole cell
-// space Scaleᵈ is no larger than the shard's row count, the shard is counted
-// into a dense table (quantizeDense) and no row is moved; otherwise its
-// cell coordinates are radix-sorted with the row index as payload and
-// run-length-deduped (quantizeRadix). Both emit the
-// same run and the same ids, so every grid, memo and label downstream is
-// bit-identical whichever kernel a shard took.
+// occupied cells in canonical order with integer point counts as masses.
+// Cell coordinates are radix-sorted with the row index riding along as
+// payload, and the dedupe pass collapses equal cells and stamps ids[i] with
+// the run-local index of row i's cell. The in-RAM call (QuantizeDatasetCtx)
+// and the out-of-core one (QuantizeDatasetExternalPackedCtx) both merge its
+// runs. It returns nil when ctx is cancelled mid-shard; callers check
+// CtxErr before using any shard.
 func (q *Quantizer) quantizeShard(ctx context.Context, rows []float64, ids []int32, size []int) *FlatGrid {
-	if cells, ok := denseCellSpace(q.Scale, q.Dim(), len(ids)); ok {
-		return q.quantizeDense(ctx, rows, ids, cells, size)
+	d := q.Dim()
+	n := len(ids)
+	s := getFlatScratch()
+	defer putFlatScratch(s)
+	coords := make([]uint16, n*d)
+	idx := make([]int32, n)
+	for i := 0; i < n; i++ {
+		if i%ctxCheckStride == ctxCheckStride-1 && ctx.Err() != nil {
+			return nil
+		}
+		q.CellCoordsU16(rows[i*d:(i+1)*d], coords[i*d:(i+1)*d])
+		idx[i] = int32(i)
 	}
-	return q.quantizeRadix(ctx, rows, ids, size)
+	passes := make([]int, 0, d)
+	for p := d - 1; p >= 0; p-- {
+		passes = append(passes, p)
+	}
+	sorted, _, sortedIdx := radixSortCells(coords, nil, idx, d, size, passes, s)
+	cells, counts := dedupeRunsIdx(sorted, sortedIdx, d, ids)
+	return &FlatGrid{Size: size, Coords: cells, Vals: counts}
 }
 
-// denseCellSpace returns the number of cells Scaleᵈ of the grid and whether
-// it is at most n, the shard's row count. The product stops growing past n,
-// so it cannot overflow.
-func denseCellSpace(scale, d, n int) (int, bool) {
+// quantizeWorkers returns the worker count a quantize call over n rows
+// runs on: workers, or one below parallelCellCutoff rows.
+func quantizeWorkers(n, workers int) int {
+	if workers <= 1 || n < parallelCellCutoff {
+		return 1
+	}
+	return workers
+}
+
+// denseCall reports whether a quantize call over n rows on workers is
+// dense, and returns the number of cells Scaleᵈ of the grid if so. A dense
+// call counts each range ParallelRanges carves into a table of its own
+// over all cells, so it is taken when those tables hold no more entries in
+// all than rows: at most 4 bytes per row, less than the coordinate,
+// payload and scratch buffers quantizeShard needs for the same rows. The
+// in-RAM call passes its n rows; the out-of-core call passes one chunk's.
+// The product Scaleᵈ stops growing past the per-table limit, so it cannot
+// overflow.
+func denseCall(scale, d, n, workers, rows int) (int, bool) {
+	limit := rows / carvedRanges(n, workers)
 	cells := 1
 	for j := 0; j < d; j++ {
 		cells *= scale
-		if cells > n {
+		if cells > limit {
 			return 0, false
 		}
 	}
 	return cells, true
-}
-
-// quantizeDense is the counting kernel of paper Alg. 2 for one shard:
-// countRows stamps every row with its linear cell id and counts it into a
-// table of all cells, rankCells emits the occupied cells and turns the
-// counts into ranks, and a last pass maps every row's linear id to that
-// rank. The table holds cells ≤ len(ids) entries, 4 bytes per row at most,
-// less than the coordinate, payload and scratch buffers the radix kernel
-// needs for the same rows. A dense in-RAM call does not come here: it
-// ranks one summed table and runs no shard merge (QuantizeDatasetCtx).
-func (q *Quantizer) quantizeDense(ctx context.Context, rows []float64, ids []int32, cells int, size []int) *FlatGrid {
-	tbl := make([]int32, cells)
-	if !q.countRows(ctx, rows, ids, tbl) {
-		return nil
-	}
-	f := rankCells(tbl, q.Dim(), q.Scale, size)
-	for i, lin := range ids {
-		ids[i] = tbl[lin]
-	}
-	return f
 }
 
 // countRows runs countCells over rows in blocks of ctxCheckStride rows,
@@ -132,31 +137,4 @@ func rankCells(tbl []int32, d, scale int, size []int) *FlatGrid {
 		}
 	}
 	return f
-}
-
-// quantizeRadix is the sorting kernel for shards smaller than the cell
-// space: cell coordinates are radix-sorted with the row index riding along
-// as payload, and the dedupe pass collapses equal cells and stamps each row
-// with its cell's run-local index.
-func (q *Quantizer) quantizeRadix(ctx context.Context, rows []float64, ids []int32, size []int) *FlatGrid {
-	d := q.Dim()
-	n := len(ids)
-	s := getFlatScratch()
-	defer putFlatScratch(s)
-	coords := make([]uint16, n*d)
-	idx := make([]int32, n)
-	for i := 0; i < n; i++ {
-		if i%ctxCheckStride == ctxCheckStride-1 && ctx.Err() != nil {
-			return nil
-		}
-		q.CellCoordsU16(rows[i*d:(i+1)*d], coords[i*d:(i+1)*d])
-		idx[i] = int32(i)
-	}
-	passes := make([]int, 0, d)
-	for p := d - 1; p >= 0; p-- {
-		passes = append(passes, p)
-	}
-	sorted, _, sortedIdx := radixSortCells(coords, nil, idx, d, size, passes, s)
-	cells, counts := dedupeRunsIdx(sorted, sortedIdx, d, ids)
-	return &FlatGrid{Size: size, Coords: cells, Vals: counts}
 }

@@ -14,8 +14,8 @@ import (
 // TestQuantizeDatasetMatchesQuantizeFlat: identical grid (size, canonical
 // cell order, densities) for every worker count, plus a valid cell-id memo:
 // ids[i] must point at exactly the cell CellCoordsU16 puts point i in. The
-// oracle's Quantize shares neither shard kernel, so it is the reference
-// for both; the edge cases pin the dense/radix choice on each side of its
+// oracle's Quantize shares neither kernel, so it is the reference for
+// both; the edge cases pin the summed/radix choice on each side of its
 // boundary and check how many shards took each kernel.
 func TestQuantizeDatasetMatchesQuantizeFlat(t *testing.T) {
 	points, ds := grid.RandomDataset(6000, 2, 3)
@@ -30,9 +30,9 @@ func TestQuantizeDatasetMatchesQuantizeFlat(t *testing.T) {
 	}
 
 	// run is one worker count and the number of shards it counts into the
-	// summed table of a dense call (summed) or, when some shard is smaller
-	// than the cell space, puts through each per-shard kernel.
-	type run struct{ workers, summed, dense, radix int }
+	// summed table of a dense call (summed) or, when the shards' tables
+	// would outnumber the rows, radix-sorts (radix).
+	type run struct{ workers, summed, radix int }
 	maxEdge := func(points [][]float64) {
 		// Every fifth row sits on the bounding box's upper corner, which
 		// clamps to cell scale-1 in every dimension.
@@ -57,18 +57,22 @@ func TestQuantizeDatasetMatchesQuantizeFlat(t *testing.T) {
 		edit        func([][]float64)
 		runs        []run
 	}{
-		{"cells=rows", 1024, 2, 32, nil, []run{{1, 1, 0, 0}}},
-		{"cells=rows+1", 1023, 2, 32, nil, []run{{1, 0, 0, 1}}},
-		{"cells=shard", 4096, 2, 32, nil, []run{{4, 4, 0, 0}}},
-		{"cells=shard+1", 4092, 2, 32, nil, []run{{4, 0, 0, 4}}},
-		{"mixed-shards", 4097, 2, 32, nil, []run{{2, 2, 0, 0}, {4, 0, 3, 1}}},
-		{"max-edge", 3000, 2, 16, maxEdge, []run{{1, 1, 0, 0}, {5, 5, 0, 0}, {16, 0, 0, 16}}},
-		{"constant-dim", 3000, 3, 8, constantDim, []run{{1, 1, 0, 0}, {7, 0, 0, 7}}},
-		{"d=1", 2500, 1, 64, nil, []run{{1, 1, 0, 0}, {3, 3, 0, 0}, {64, 0, 0, 63}}},
-		{"d=3", 5000, 3, 16, nil, []run{{1, 1, 0, 0}, {2, 0, 0, 2}}},
-		// 1000 workers carve 683 ranges of 3 rows, each
-		// covering the 2 cells: a dense call with trailing empty tables.
-		{"fewer-ranges", 2049, 1, 2, nil, []run{{1000, 683, 0, 0}}},
+		{"cells=rows", 1024, 2, 32, nil, []run{{1, 1, 0}}},
+		{"cells=rows+1", 1023, 2, 32, nil, []run{{1, 0, 1}}},
+		{"cells=shard", 4096, 2, 32, nil, []run{{4, 4, 0}}},
+		{"cells=shard+1", 4092, 2, 32, nil, []run{{4, 0, 4}}},
+		// Four workers carve shards of 1025, 1025, 1025 and 1022 rows. The
+		// last is smaller than the 1024 cells, but the four tables (4096
+		// entries) fit within the 4097 rows, so the call is summed.
+		{"mixed-shards", 4097, 2, 32, nil, []run{{2, 2, 0}, {4, 4, 0}}},
+		{"max-edge", 3000, 2, 16, maxEdge, []run{{1, 1, 0}, {5, 5, 0}, {16, 0, 16}}},
+		{"constant-dim", 3000, 3, 8, constantDim, []run{{1, 1, 0}, {7, 0, 7}}},
+		{"d=1", 2500, 1, 64, nil, []run{{1, 1, 0}, {3, 3, 0}, {64, 0, 63}}},
+		{"d=3", 5000, 3, 16, nil, []run{{1, 1, 0}, {2, 0, 2}}},
+		// 1000 workers carve 683 ranges of 3 rows, whose 683 tables of 2
+		// cells fit within the rows: a dense call with trailing empty
+		// tables.
+		{"fewer-ranges", 2049, 1, 2, nil, []run{{1000, 683, 0}}},
 	}
 	for ci, tc := range cases {
 		points, _ := grid.RandomDataset(tc.n, tc.d, int64(10+ci))
@@ -82,9 +86,8 @@ func TestQuantizeDatasetMatchesQuantizeFlat(t *testing.T) {
 		}
 		for _, r := range tc.runs {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, r.workers), func(t *testing.T) {
-				if summed, dense, radix := grid.ShardKernels(q, tc.n, r.workers); summed != r.summed || dense != r.dense || radix != r.radix {
-					t.Fatalf("shards: %d summed + %d dense + %d radix, want %d + %d + %d",
-						summed, dense, radix, r.summed, r.dense, r.radix)
+				if summed, radix := grid.ShardKernels(q, tc.n, r.workers); summed != r.summed || radix != r.radix {
+					t.Fatalf("shards: %d summed + %d radix, want %d + %d", summed, radix, r.summed, r.radix)
 				}
 				checkQuantizeDataset(t, q, points, ds, r.workers)
 			})

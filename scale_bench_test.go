@@ -126,13 +126,13 @@ func runExternalScale(b *testing.B, path string, opts core.ExternalOptions) {
 }
 
 // BenchmarkExternal10M is the scale-axis gate: 10 million 2-D points
-// clustered out-of-core under a 256 MiB resident budget, with chunking and
-// spill thresholds forced small enough that the run exercises multiple
-// chunks and on-disk sorted runs (not one lucky in-RAM pass). The budget
-// was 384 MiB before the block-compressed grid representation; the
-// observed peak is ~160 MiB (the 120 MiB per-point outputs dominate), so
-// 256 MiB gates real working-set regressions while leaving GC-slack
-// headroom.
+// clustered out-of-core under a 256 MiB resident budget with 2M-point
+// chunks. At scale 128 the grid's 16,384 cells fit the chunk's count
+// tables, so the run takes the dense route: one counting pass, no run and
+// no spill file. The budget was 384 MiB before the block-compressed grid
+// representation; the observed peak is ~160 MiB (the 120 MiB per-point
+// outputs dominate), so 256 MiB gates real working-set regressions while
+// leaving GC-slack headroom.
 func BenchmarkExternal10M(b *testing.B) {
 	path := filepath.Join(os.TempDir(), "adawave-bench-10m.awds")
 	buildMappedMixture(b, path, 10_000_000, 2)
