@@ -74,8 +74,9 @@ race:
 	$(GO) test -race ./internal/grid/... ./internal/core/... ./internal/pointset/... ./internal/sched/... ./internal/persist/... ./internal/embed/... ./internal/linalg/... ./internal/cluster/... ./cmd/adawave-serve/... .
 
 # The CI fuzz smoke job: a short run of each decoder's fuzz target — the
-# grid snapshot and spill-run readers, the WAL frame decoders recovery
-# replays and the replication stream uses, the session checkpoint reader,
+# grid snapshot and spill-run readers, the WAL frame decoders the
+# replication stream uses, crash recovery over a whole WAL file, the
+# session checkpoint reader,
 # the mapped-dataset (AWDSET01) header check, the CSV batch reader
 # behind the served text/csv append, the fitted-embedder (AWE1) decoder
 # a checkpoint's embedder section goes through, the label codec's
@@ -90,6 +91,7 @@ fuzz:
 	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzReadSpillRun$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzParseFrame$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzReadSessionCheckpoint$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pointset -run '^$$' -fuzz '^FuzzOpenMapped$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataio -run '^$$' -fuzz '^FuzzBatchReader$$' -fuzztime $(FUZZTIME)
