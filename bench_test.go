@@ -1420,7 +1420,7 @@ func BenchmarkWALReplicationThroughput(b *testing.B) {
 		if err := sess.AppendContext(context.Background(), rec.Batch); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := follower.AppendFrame(frame); err != nil {
+		if _, err := follower.AppendFrame(frame, rec); err != nil {
 			b.Fatal(err)
 		}
 		// Keep the follower session at its 50k steady state; the removal is

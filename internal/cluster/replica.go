@@ -495,7 +495,7 @@ func (r *Replica) apply(frame []byte, seq uint64) error {
 		// diverged (or our checkpoint base was stale). Rebuild from scratch.
 		return fmt.Errorf("%w (apply seq %d: %v)", errResync, seq, err)
 	}
-	if _, err := r.dir.WAL().AppendFrame(frame); err != nil {
+	if _, err := r.dir.WAL().AppendFrame(frame, rec); err != nil {
 		// The session advanced but the journal did not; the only safe
 		// recovery is a rebuild — continuing would leave the on-disk state
 		// behind the acknowledged stream position.

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 )
@@ -12,7 +11,8 @@ import (
 // Replication substrate: the WAL's length|type|seq|payload|crc frames are
 // already self-delimiting and self-checking, so a primary ships them over
 // the wire verbatim and a follower journals the same bytes into its own
-// log. This file adds the pieces that make that safe:
+// log. Recovery and replication read frames with the same readFrame
+// (wal.go). This file adds the pieces that make replication safe:
 //
 //   - Tailer: a read-only cursor over a live WAL through its own file
 //     descriptor, yielding complete frames as the writer appends them and
@@ -21,9 +21,9 @@ import (
 //   - ReadFrame / ParseFrame: the follower's stream-side decoder — one
 //     frame off a wire reader, CRC-verified, with a torn mid-record stream
 //     surfaced as a typed TornRecordError rather than a silent short read.
-//   - (*WAL).AppendFrame: verbatim journaling of a received frame with
-//     strict sequence contiguity, so a reconnecting follower can prove it
-//     neither lost nor double-applied a mutation.
+//   - (*WAL).AppendFrame: verbatim journaling of a frame the follower has
+//     parsed, with strict sequence contiguity, so a reconnecting follower
+//     can prove it neither lost nor double-applied a mutation.
 
 // ErrTornRecord is the sentinel matched by errors.Is for every
 // TornRecordError: the scan or stream ended inside a record rather than at
@@ -49,6 +49,7 @@ type TornRecordError struct {
 	Offset  int64
 	LastSeq uint64
 	Reason  string
+	cause   error // the read failure behind a torn header or payload, if any
 }
 
 func (e *TornRecordError) Error() string {
@@ -67,28 +68,8 @@ func (e *TornRecordError) Is(target error) bool { return target == ErrTornRecord
 // mid-frame returns a *TornRecordError — the follower's signal to drop the
 // connection and resume from its last applied sequence.
 func ReadFrame(br *bufio.Reader) (frame []byte, seq uint64, err error) {
-	var hdr [walHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, 0, io.EOF
-		}
-		return nil, 0, &TornRecordError{Offset: -1, Reason: "torn header"}
-	}
-	length := le.Uint32(hdr[0:4])
-	typ := hdr[4]
-	seq = le.Uint64(hdr[5:13])
-	if length > maxWALRecord || (typ != recAppend && typ != recRemove) || seq == 0 {
-		return nil, 0, &TornRecordError{Offset: -1, Reason: "corrupt header"}
-	}
-	frame = make([]byte, walHeaderLen+int(length)+4)
-	copy(frame, hdr[:])
-	if _, err := io.ReadFull(br, frame[walHeaderLen:]); err != nil {
-		return nil, 0, &TornRecordError{Offset: -1, LastSeq: seq - 1, Reason: "torn payload"}
-	}
-	if crc32.Checksum(frame[:walHeaderLen+int(length)], castagnoli) != le.Uint32(frame[walHeaderLen+int(length):]) {
-		return nil, 0, &TornRecordError{Offset: -1, LastSeq: seq - 1, Reason: "crc mismatch"}
-	}
-	return frame, seq, nil
+	frame, h, err := readFrame(br, -1, nil)
+	return frame, h.seq, err
 }
 
 // ParseFrame validates a complete frame (shape and CRC) and decodes it into
@@ -98,32 +79,30 @@ func ParseFrame(frame []byte) (Record, error) {
 	if len(frame) < walHeaderLen+4 {
 		return Record{}, &TornRecordError{Offset: -1, Reason: "short frame"}
 	}
-	length := le.Uint32(frame[0:4])
-	typ := frame[4]
-	seq := le.Uint64(frame[5:13])
-	if int(length) != len(frame)-walHeaderLen-4 || length > maxWALRecord || seq == 0 {
+	h, err := decodeHead(frame)
+	if err != nil {
+		return Record{}, err
+	}
+	if walHeaderLen+h.length+4 != len(frame) {
 		return Record{}, &TornRecordError{Offset: -1, Reason: "corrupt header"}
 	}
-	if crc32.Checksum(frame[:walHeaderLen+int(length)], castagnoli) != le.Uint32(frame[walHeaderLen+int(length):]) {
-		return Record{}, &TornRecordError{Offset: -1, LastSeq: seq - 1, Reason: "crc mismatch"}
+	if err := checkCRC(frame, h.seq); err != nil {
+		return Record{}, err
 	}
-	rec, ok := parseRecord(typ, seq, frame[walHeaderLen:walHeaderLen+int(length)])
+	rec, ok := parseRecord(h.typ, h.seq, frame[walHeaderLen:len(frame)-4])
 	if !ok {
-		return Record{}, &TornRecordError{Offset: -1, LastSeq: seq - 1, Reason: "malformed record"}
+		return Record{}, &TornRecordError{Offset: -1, LastSeq: h.seq - 1, Reason: "malformed record"}
 	}
 	return rec, nil
 }
 
-// AppendFrame journals a received frame verbatim. The frame is validated
-// (shape and CRC) and its sequence must be exactly one past the log's —
+// AppendFrame journals a received frame verbatim. rec is the frame as
+// ParseFrame decoded it, so the frame is validated once, before the
+// follower applies it; its sequence must be exactly one past the log's —
 // strict contiguity is what lets a follower prove it lost nothing across a
 // reconnect. The frame bytes reach the file unchanged, so the follower's
 // log is byte-identical to the primary's for the shared suffix.
-func (w *WAL) AppendFrame(frame []byte) (_ uint64, err error) {
-	rec, err := ParseFrame(frame)
-	if err != nil {
-		return 0, err
-	}
+func (w *WAL) AppendFrame(frame []byte, rec Record) (_ uint64, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.failed != nil {
@@ -201,53 +180,34 @@ func (t *Tailer) Next() ([]byte, uint64, error) {
 		// Reads stop at the writer's account of valid bytes: everything
 		// below w.size is a complete, flushed record, so the cursor never
 		// observes a half-written append.
-		limit := t.w.Size()
-		if t.off+walHeaderLen+4 > limit {
-			return nil, 0, ErrNoFrame
-		}
-		var hdr [walHeaderLen]byte
-		if _, err := t.f.ReadAt(hdr[:], t.off); err != nil {
-			if t.w.gen.Load() != t.gen {
-				return nil, 0, ErrWALReset
-			}
-			return nil, 0, fmt.Errorf("persist: wal tail read: %w", err)
-		}
-		length := le.Uint32(hdr[0:4])
-		typ := hdr[4]
-		seq := le.Uint64(hdr[5:13])
-		if length > maxWALRecord || (typ != recAppend && typ != recRemove) || seq == 0 {
-			return nil, 0, &TornRecordError{Offset: t.off, LastSeq: t.last, Reason: "corrupt header"}
-		}
-		frameLen := int64(walHeaderLen) + int64(length) + 4
-		if t.off+frameLen > limit {
-			return nil, 0, ErrNoFrame
-		}
-		frame := make([]byte, frameLen)
-		if _, err := t.f.ReadAt(frame, t.off); err != nil {
-			if t.w.gen.Load() != t.gen {
-				return nil, 0, ErrWALReset
-			}
-			return nil, 0, fmt.Errorf("persist: wal tail read: %w", err)
-		}
-		// A Reset that raced the reads above could have replaced the bytes;
-		// re-check the generation before trusting them.
+		left := max(t.w.Size()-t.off, 0)
+		frame, h, err := readFrame(io.NewSectionReader(t.f, t.off, left), left, nil)
+		// A Reset that raced the reads could have replaced or cut the
+		// bytes; re-check the generation before trusting what they say.
 		if t.w.gen.Load() != t.gen {
 			return nil, 0, ErrWALReset
 		}
-		if crc32.Checksum(frame[:walHeaderLen+int(length)], castagnoli) != le.Uint32(frame[walHeaderLen+int(length):]) {
-			return nil, 0, &TornRecordError{Offset: t.off, LastSeq: t.last, Reason: "crc mismatch"}
+		if err != nil {
+			var torn *TornRecordError
+			switch {
+			case !errors.As(err, &torn):
+				return nil, 0, err // ErrNoFrame
+			case torn.cause != nil:
+				return nil, 0, fmt.Errorf("persist: wal tail read: %w", torn.cause)
+			}
+			return nil, 0, &TornRecordError{Offset: t.off, LastSeq: t.last, Reason: torn.Reason}
 		}
-		t.off += frameLen
-		if seq <= t.last {
+		t.off += int64(len(frame))
+		if h.seq <= t.last {
 			// Below or at the subscription point: already applied by the
 			// subscriber, skip without yielding.
 			continue
 		}
-		if seq != t.last+1 {
-			return nil, 0, &TornRecordError{Offset: t.off - frameLen, LastSeq: t.last, Reason: fmt.Sprintf("sequence gap: want %d, found %d", t.last+1, seq)}
+		if h.seq != t.last+1 {
+			return nil, 0, &TornRecordError{Offset: t.off - int64(len(frame)), LastSeq: t.last, Reason: fmt.Sprintf("sequence gap: want %d, found %d", t.last+1, h.seq)}
 		}
-		t.last = seq
-		return frame, seq, nil
+		t.last = h.seq
+		return frame, h.seq, nil
 	}
 }
 

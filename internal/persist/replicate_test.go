@@ -7,10 +7,21 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"adawave/internal/pointset"
 )
+
+// appendFrame journals frame into w the way a follower does: parsed once,
+// then appended with the parsed record.
+func appendFrame(w *WAL, frame []byte) (uint64, error) {
+	rec, err := ParseFrame(frame)
+	if err != nil {
+		return 0, err
+	}
+	return w.AppendFrame(frame, rec)
+}
 
 func walWithRecords(t *testing.T, dir string, n int) (*WAL, string) {
 	t.Helper()
@@ -99,7 +110,7 @@ func TestTailerStreamsVerbatim(t *testing.T) {
 		if err != nil || seq != want {
 			t.Fatalf("tail frame: seq %d, err %v, want %d", seq, err, want)
 		}
-		if got, err := dst.AppendFrame(frame); err != nil || got != want {
+		if got, err := appendFrame(dst, frame); err != nil || got != want {
 			t.Fatalf("append frame %d: got %d, err %v", want, got, err)
 		}
 	}
@@ -114,7 +125,7 @@ func TestTailerStreamsVerbatim(t *testing.T) {
 	if err != nil || seq != 5 {
 		t.Fatalf("tail after new append: seq %d, err %v", seq, err)
 	}
-	if _, err := dst.AppendFrame(frame); err != nil {
+	if _, err := appendFrame(dst, frame); err != nil {
 		t.Fatal(err)
 	}
 
@@ -159,21 +170,21 @@ func TestAppendFrameContiguity(t *testing.T) {
 		}
 		frames = append(frames, frame)
 	}
-	if _, err := dst.AppendFrame(frames[1]); err == nil {
+	if _, err := appendFrame(dst, frames[1]); err == nil {
 		t.Fatal("gap (seq 2 before 1) must be rejected")
 	}
-	if _, err := dst.AppendFrame(frames[0]); err != nil {
+	if _, err := appendFrame(dst, frames[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dst.AppendFrame(frames[0]); err == nil {
+	if _, err := appendFrame(dst, frames[0]); err == nil {
 		t.Fatal("duplicate frame must be rejected")
 	}
 	bad := append([]byte(nil), frames[1]...)
 	bad[len(bad)-6] ^= 0xFF
-	if _, err := dst.AppendFrame(bad); !errors.Is(err, ErrTornRecord) {
+	if _, err := appendFrame(dst, bad); !errors.Is(err, ErrTornRecord) {
 		t.Fatalf("corrupt frame: err %v, want ErrTornRecord", err)
 	}
-	if _, err := dst.AppendFrame(frames[1]); err != nil {
+	if _, err := appendFrame(dst, frames[1]); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Seq() != 2 {
@@ -314,7 +325,7 @@ func TestReadFrameTornStream(t *testing.T) {
 	}
 	defer dst.Close()
 	for _, f := range frames[:2] {
-		if _, err := dst.AppendFrame(f); err != nil {
+		if _, err := appendFrame(dst, f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -332,7 +343,7 @@ func TestReadFrameTornStream(t *testing.T) {
 	if err != nil || seq != 3 {
 		t.Fatalf("resume frame: seq %d, err %v, want 3", seq, err)
 	}
-	if _, err := dst.AppendFrame(frame); err != nil {
+	if _, err := appendFrame(dst, frame); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := resume.Next(); !errors.Is(err, ErrNoFrame) {
@@ -340,5 +351,86 @@ func TestReadFrameTornStream(t *testing.T) {
 	}
 	if dst.Seq() != 3 || dst.Records() != 3 {
 		t.Fatalf("replica after resume: seq %d, %d records", dst.Seq(), dst.Records())
+	}
+}
+
+// TestReadFrameBoundsClaimedLength: a header claiming the largest record
+// the format allows, then the end of the stream, is a torn record, and
+// reading it allocates what the stream delivered, not what the header
+// claims.
+func TestReadFrameBoundsClaimedLength(t *testing.T) {
+	var hdr [walHeaderLen]byte
+	le.PutUint32(hdr[0:4], maxWALRecord)
+	hdr[4] = recAppend
+	le.PutUint64(hdr[5:13], 1)
+	br := bufio.NewReader(bytes.NewReader(hdr[:]))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(br)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTornRecord) {
+		t.Fatalf("header claiming %d bytes then EOF: err %v, want ErrTornRecord", maxWALRecord, err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("reading a %d-byte stream allocated %d bytes", walHeaderLen, d)
+	}
+}
+
+// readAtCounter counts the ReadAt calls made on the files it opens.
+type readAtCounter struct {
+	FS
+	reads int
+}
+
+func (c *readAtCounter) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &countedFile{File: f, c: c}, nil
+}
+
+type countedFile struct {
+	File
+	c *readAtCounter
+}
+
+func (f *countedFile) ReadAt(p []byte, off int64) (int, error) {
+	f.c.reads++
+	return f.File.ReadAt(p, off)
+}
+
+// TestTailerReadsFrameInTwoReads: the primary's ship hop reads each frame
+// with one ReadAt for its header and one for the rest, however large, and
+// finds the end of the log without reading.
+func TestTailerReadsFrameInTwoReads(t *testing.T) {
+	fsys := &readAtCounter{FS: OS}
+	w, err := OpenWALFS(fsys, filepath.Join(t.TempDir(), "wal.log"), SyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := w.AppendBatch(&pointset.Dataset{Data: []float64{1, 2}, N: 1, D: 2}); err != nil {
+		t.Fatal(err)
+	}
+	big := &pointset.Dataset{Data: make([]float64, 2*frameChunk), N: frameChunk, D: 2}
+	if _, err := w.AppendBatch(big); err != nil {
+		t.Fatal(err)
+	}
+	tail, err := w.NewTailer(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	for want := uint64(1); want <= 2; want++ {
+		if _, seq, err := tail.Next(); err != nil || seq != want {
+			t.Fatalf("tail frame: seq %d, err %v, want %d", seq, err, want)
+		}
+	}
+	if _, _, err := tail.Next(); !errors.Is(err, ErrNoFrame) {
+		t.Fatalf("tail at end: err %v, want ErrNoFrame", err)
+	}
+	if fsys.reads != 4 {
+		t.Fatalf("two frames and the end of the log took %d ReadAt calls, want 4", fsys.reads)
 	}
 }

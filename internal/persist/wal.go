@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -137,7 +138,7 @@ func OpenWALFS(fsys FS, path string, policy SyncPolicy) (*WAL, error) {
 			return nil, fmt.Errorf("persist: init wal: %w", err)
 		}
 	} else {
-		lastSeq, validOff, records, _, err := scanWAL(f, 0, nil)
+		lastSeq, validOff, records, _, err := scanWAL(f, st.Size(), 0, nil)
 		if err != nil {
 			f.Close()
 			return nil, err
@@ -380,10 +381,11 @@ type Target interface {
 
 // replayWAL streams the intact records with sequence numbers above fromSeq
 // through fn, in order, reading at most limit bytes of the file (all of it
-// when limit < 0). A torn or corrupt tail ends the replay silently — that is
-// the crash-recovery contract: everything before the tear was applied, the
-// tear itself never acknowledged. A missing file, or one torn before its
-// magic, replays nothing. fn's errors abort the replay and are returned
+// when limit < 0) through scanWAL, so each frame passes the replication
+// stream's checks. A torn or corrupt tail ends the replay silently — that
+// is the crash-recovery contract: everything before the tear was applied,
+// the tear itself never acknowledged. A missing file, or one torn before
+// its magic, replays nothing. fn's errors abort the replay and are returned
 // as-is. The returned lastSeq is the last intact record's sequence (0 for an
 // empty or missing log); replayed counts the records handed to fn.
 func replayWAL(fsys FS, path string, limit int64, fromSeq uint64, fn func(Record) error) (lastSeq uint64, replayed int, err error) {
@@ -405,7 +407,7 @@ func replayWAL(fsys FS, path string, limit int64, fromSeq uint64, fn func(Record
 	if limit < int64(len(walMagic)) {
 		return 0, 0, nil
 	}
-	lastSeq, _, _, replayed, err = scanWAL(io.NewSectionReader(f, 0, limit), fromSeq, fn)
+	lastSeq, _, _, replayed, err = scanWAL(io.NewSectionReader(f, 0, limit), limit, fromSeq, fn)
 	return lastSeq, replayed, err
 }
 
@@ -433,15 +435,15 @@ func applyTo(t Target) func(Record) error {
 	}
 }
 
-// scanWAL validates the magic and walks records until the first torn or
-// corrupt one, returning the last intact sequence, the byte offset of the
-// valid prefix, and the intact record count. Records with Seq > fromSeq are
-// handed to fn (when non-nil); fn errors abort the scan. Crash recovery
-// (OpenWAL, ReplayInto) treats whatever follows the valid prefix as the
-// unacknowledged tail and discards it; the replication stream readers
-// (ReadFrame, ParseFrame) instead surface a tear as a TornRecordError, so a
-// follower is told its stream is incomplete rather than silently short.
-func scanWAL(r io.Reader, fromSeq uint64, fn func(Record) error) (lastSeq uint64, validOff int64, records uint64, applied int, err error) {
+// scanWAL validates the magic and reads r's size bytes of frames until the
+// first torn, corrupt or malformed one, or one whose sequence does not rise,
+// returning the last intact sequence, the byte offset of the valid prefix,
+// and the intact record count. Records with Seq > fromSeq are handed to fn
+// (when non-nil); fn errors abort the scan. Crash recovery (OpenWAL,
+// ReplayInto) discards what follows the valid prefix as the unacknowledged
+// tail; the replication readers surface the same faults as a
+// TornRecordError, so a follower is told its stream is incomplete.
+func scanWAL(r io.Reader, size int64, fromSeq uint64, fn func(Record) error) (lastSeq uint64, validOff int64, records uint64, applied int, err error) {
 	if seeker, ok := r.(io.Seeker); ok {
 		if _, err := seeker.Seek(0, io.SeekStart); err != nil {
 			return 0, 0, 0, 0, fmt.Errorf("persist: scan wal: %w", err)
@@ -456,59 +458,106 @@ func scanWAL(r io.Reader, fromSeq uint64, fn func(Record) error) (lastSeq uint64
 		return 0, 0, 0, 0, fmt.Errorf("persist: bad wal magic %q", magic)
 	}
 	validOff = int64(len(walMagic))
-	var payload []byte
+	var buf []byte
 	for {
-		var hdr [walHeaderLen]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			// A clean end, or a torn header.
+		frame, h, err := readFrame(br, size-validOff, buf)
+		if err != nil || h.seq <= lastSeq {
 			return lastSeq, validOff, records, applied, nil
 		}
-		length := le.Uint32(hdr[0:4])
-		typ := hdr[4]
-		seq := le.Uint64(hdr[5:13])
-		if length > maxWALRecord || (typ != recAppend && typ != recRemove) || seq <= lastSeq {
-			return lastSeq, validOff, records, applied, nil
-		}
-		// Read the payload in bounded chunks so a corrupt length that
-		// passed the cap still only allocates what the file really holds.
-		payload = payload[:0]
-		for read := 0; read < int(length); {
-			n := int(length) - read
-			if n > 1<<16 {
-				n = 1 << 16
-			}
-			if cap(payload) < read+n {
-				payload = append(payload[:read], make([]byte, n)...)[:read]
-			}
-			if _, err := io.ReadFull(br, payload[read:read+n]); err != nil {
-				return lastSeq, validOff, records, applied, nil
-			}
-			payload = payload[:read+n]
-			read += n
-		}
-		wantCRC, err := readU32(br)
-		if err != nil {
-			return lastSeq, validOff, records, applied, nil
-		}
-		crc := crc32.Update(0, castagnoli, hdr[:])
-		crc = crc32.Update(crc, castagnoli, payload)
-		if crc != wantCRC {
-			return lastSeq, validOff, records, applied, nil
-		}
-		rec, ok := parseRecord(typ, seq, payload)
+		buf = frame
+		rec, ok := parseRecord(h.typ, h.seq, frame[walHeaderLen:len(frame)-4])
 		if !ok {
 			return lastSeq, validOff, records, applied, nil
 		}
-		lastSeq = seq
-		validOff += int64(walHeaderLen + int(length) + 4)
+		lastSeq = h.seq
+		validOff += int64(len(frame))
 		records++
-		if fn != nil && seq > fromSeq {
+		if fn != nil && h.seq > fromSeq {
 			if err := fn(rec); err != nil {
 				return lastSeq, validOff, records, applied, err
 			}
 			applied++
 		}
 	}
+}
+
+const frameChunk = 64 << 10 // the first step of a payload read off a stream
+
+// readFrame reads the next frame off r, verbatim, into buf's storage when
+// that is large enough, and returns it with its header. It is the one frame
+// reader: recovery (scanWAL), the Tailer and ReadFrame read through it, and
+// ParseFrame runs its two checks, decodeHead and checkCRC, on a frame in
+// memory. left is the number of bytes r holds, or negative for a stream of
+// unknown length. A frame longer than left is ErrNoFrame, unread; a stream's
+// payload is read in steps of at most a chunk more than twice the bytes read
+// so far, so a corrupt length allocates in proportion to what it delivers. A
+// stream that ends between frames is io.EOF; a tear or read failure (kept as
+// the cause), a corrupt header or a CRC mismatch is a *TornRecordError with
+// Offset -1.
+func readFrame(r io.Reader, left int64, buf []byte) ([]byte, frameHead, error) {
+	if left >= 0 && left < walHeaderLen+4 {
+		return nil, frameHead{}, ErrNoFrame
+	}
+	var hdr [walHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF && left < 0 {
+			return nil, frameHead{}, io.EOF
+		}
+		return nil, frameHead{}, &TornRecordError{Offset: -1, Reason: "torn header", cause: err}
+	}
+	h, err := decodeHead(hdr[:])
+	if err != nil {
+		return nil, frameHead{}, err
+	}
+	need := walHeaderLen + h.length + 4
+	if left >= 0 && int64(need) > left {
+		return nil, frameHead{}, ErrNoFrame
+	}
+	frame := append(buf[:0], hdr[:]...)
+	for len(frame) < need {
+		end := need
+		if left < 0 {
+			end = min(need, 2*len(frame)+frameChunk)
+		}
+		frame = slices.Grow(frame, end-len(frame))
+		if _, err := io.ReadFull(r, frame[len(frame):end]); err != nil {
+			return nil, frameHead{}, &TornRecordError{Offset: -1, LastSeq: h.seq - 1, Reason: "torn payload", cause: err}
+		}
+		frame = frame[:end]
+	}
+	if err := checkCRC(frame, h.seq); err != nil {
+		return nil, frameHead{}, err
+	}
+	return frame, h, nil
+}
+
+// frameHead is a decoded frame header.
+type frameHead struct {
+	length int // payload bytes
+	typ    byte
+	seq    uint64
+}
+
+// decodeHead decodes the walHeaderLen bytes at the front of b and checks
+// them: a length within maxWALRecord, a known record type and a nonzero
+// sequence. It is the only decoder of frame headers.
+func decodeHead(b []byte) (frameHead, error) {
+	length := le.Uint32(b[0:4])
+	h := frameHead{length: int(length), typ: b[4], seq: le.Uint64(b[5:13])}
+	if length > maxWALRecord || (h.typ != recAppend && h.typ != recRemove) || h.seq == 0 {
+		return frameHead{}, &TornRecordError{Offset: -1, Reason: "corrupt header"}
+	}
+	return h, nil
+}
+
+// checkCRC checks a whole frame's CRC-32C trailer, which covers its header
+// and payload. It is the only frame CRC check.
+func checkCRC(frame []byte, seq uint64) error {
+	body := len(frame) - 4
+	if crc32.Checksum(frame[:body], castagnoli) != le.Uint32(frame[body:]) {
+		return &TornRecordError{Offset: -1, LastSeq: seq - 1, Reason: "crc mismatch"}
+	}
+	return nil
 }
 
 // parseRecord decodes one payload; a shape that disagrees with the record
