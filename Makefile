@@ -77,7 +77,8 @@ race:
 # grid snapshot and spill-run readers, the WAL frame decoders the
 # replication stream uses, crash recovery over a whole WAL file, the
 # session checkpoint reader,
-# the mapped-dataset (AWDSET01) header check, the CSV batch reader
+# the mapped-dataset (AWDSET02/AWDSET01) header check, clustering over
+# a mapped file's recorded bounds against a clone of its rows, the CSV batch reader
 # behind the served text/csv append, the fitted-embedder (AWE1) decoder
 # a checkpoint's embedder section goes through, the label codec's
 # /labels body and NDJSON chunk decoders, each checked against encoding/json,
@@ -94,6 +95,7 @@ fuzz:
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzReadSessionCheckpoint$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pointset -run '^$$' -fuzz '^FuzzOpenMapped$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzClusterMapped$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataio -run '^$$' -fuzz '^FuzzBatchReader$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/embed -run '^$$' -fuzz '^FuzzUnmarshalEmbedder$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/api -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime $(FUZZTIME)

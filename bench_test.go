@@ -420,11 +420,15 @@ func highdimBaseGrid(b *testing.B) *grid.FlatGrid {
 // read apart. The external/ series run the same scan and
 // QuantizeDatasetExternalPackedCtx on each route: the dense one with
 // 500k-point chunks, which the count tables still fit, and the radix one
-// with SpillBytes 1, so every run is written to disk and merged back. All
-// report rows/s.
+// with SpillBytes 1, so every run is written to disk and merged back. The
+// external/dense/mapped-bounds series is the dense one over the same rows
+// in a mapped file that records their bounding box: its quantizer is built
+// from the recorded bounds without a scan, and the count pass checks them.
+// All report rows/s.
 func BenchmarkQuantizeDataset(b *testing.B) {
 	evaluation := synth.Evaluation(100000, 0.75, 1).Flat()
 	blobs := synth.Blobs(8, 50000, 4, 0.1, 1).Flat()
+	mapped := mappedBenchDataset(b, evaluation)
 	cases := []struct {
 		name  string
 		ds    *pointset.Dataset
@@ -434,6 +438,7 @@ func BenchmarkQuantizeDataset(b *testing.B) {
 		{"dense/evaluation-2M", evaluation, 128, nil},
 		{"radix/blobs-400k-d4", blobs, 64, nil},
 		{"external/dense/evaluation-2M", evaluation, 128, &grid.ExtSortOptions{ChunkPoints: 500_000}},
+		{"external/dense/mapped-bounds", mapped, 128, &grid.ExtSortOptions{ChunkPoints: 500_000}},
 		{"external/radix/blobs-400k-d4", blobs, 64, &grid.ExtSortOptions{SpillBytes: 1}},
 	}
 	ctx := context.Background()
@@ -483,6 +488,32 @@ func BenchmarkQuantizeDataset(b *testing.B) {
 			})
 		}
 	}
+}
+
+// mappedBenchDataset writes ds to a mapped file in b's temp directory and
+// returns the file's view, which records the rows' bounding box; the
+// mapping is released when b ends.
+func mappedBenchDataset(b *testing.B, ds *pointset.Dataset) *pointset.Dataset {
+	b.Helper()
+	path := filepath.Join(b.TempDir(), "rows.awds")
+	w, err := pointset.CreateMapped(path, ds.D)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < ds.N; i++ {
+		if err := w.AppendRow(ds.Row(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	m, err := pointset.OpenMapped(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { m.Close() })
+	return m.Dataset()
 }
 
 // oracleTransform is one full level of the oracle's map transform.

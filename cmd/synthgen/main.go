@@ -2,7 +2,9 @@
 // with cmd/adawave or external tools, or streams arbitrarily large mixture
 // datasets directly into the binary mapped-Dataset format consumed by the
 // out-of-core pipeline (adawave.OpenMappedDataset +
-// Clusterer.ClusterDatasetExternalOptions).
+// Clusterer.ClusterDatasetExternalOptions). A mapped file records the
+// rows' bounding box in its trailer as they stream in, so the clustering
+// that reads it builds its grid without a scan of the rows.
 //
 // Usage:
 //

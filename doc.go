@@ -200,8 +200,12 @@
 // selects 512 MiB): OpenMappedDataset mmaps a header-plus-row-major
 // dataset file into a zero-copy read-only Dataset whose coordinates never
 // enter the Go heap (CreateMappedDataset streams one in with O(1)
-// memory; a torn file fails validation with ErrCorruptDataset), and
-// ClusterDatasetExternalOptions quantizes without holding more than a
+// memory; a torn file fails validation with ErrCorruptDataset). The file
+// records the rows' bounding box, so the quantizer is built from it
+// without a scan and each row is read once: the quantize pass checks the
+// recorded bounds as it computes cells, and fails with ErrCorruptDataset
+// when the rows contradict them. ClusterDatasetExternalOptions quantizes
+// without holding more than a
 // chunk's working set: when one count table per worker over all Scaleᵈ
 // cells fits within a chunk's rows, the points are counted in one pass,
 // exactly as the in-RAM dense route counts them, with no chunk or spill

@@ -10,7 +10,10 @@ import (
 // Out-of-core facade: mapped dataset files plus the bounded-memory
 // clustering entry point. A MappedDataset is an mmap view over a simple
 // header + row-major float64 file — its coordinates never enter the Go
-// heap — and ClusterDatasetExternalOptions quantizes in one counting pass
+// heap — whose trailer records the rows' bounding box, so the quantizer
+// needs no scan of the rows and the quantize pass reads each row once,
+// checking the recorded bounds as it goes. ClusterDatasetExternalOptions
+// quantizes in one counting pass
 // when the grid's count tables fit within a chunk, and otherwise through
 // an external sort (chunks quantized by the in-RAM shard kernel, sorted
 // runs spilled to temp files, loser-tree merge), so one clustering job over
@@ -30,19 +33,24 @@ type MappedDatasetWriter = pointset.MappedWriter
 
 // ErrCorruptDataset tags a mapped-Dataset file that fails validation —
 // wrong magic, impossible header, or a byte length that contradicts the
-// declared point count (torn or truncated write). Match with errors.Is.
+// declared point count (torn or truncated write) — and a clustering call
+// over a mapped file whose recorded bounding box its rows contradict.
+// Match with errors.Is.
 var ErrCorruptDataset = pointset.ErrCorruptDataset
 
 // OpenMappedDataset opens and validates a mapped-Dataset file, returning a
 // zero-copy read-only Dataset view (mmap on unix; decoded into memory
-// elsewhere). Hand .Dataset() to any Dataset entry point; pair with
+// elsewhere) that carries the file's recorded bounding box
+// (Dataset.Bounds). Files of the trailer-less version 01 format open too.
+// Hand .Dataset() to any Dataset entry point; pair with
 // ClusterDatasetExternalOptions to keep resident memory bounded.
 func OpenMappedDataset(path string) (*MappedDataset, error) {
 	return pointset.OpenMapped(path)
 }
 
 // CreateMappedDataset creates (or truncates) a mapped-Dataset file for
-// d-dimensional points. Fill it with AppendRow and finalize with Close.
+// d-dimensional points. Fill it with AppendRow and finalize with Close,
+// which records the rows' bounding box in the file's trailer.
 func CreateMappedDataset(path string, d int) (*MappedDatasetWriter, error) {
 	return pointset.CreateMapped(path, d)
 }

@@ -457,7 +457,7 @@ func (rs *ReplicaSet) stream(ctx context.Context, r *Replica) error {
 
 	br := bufio.NewReaderSize(resp.Body, 1<<16)
 	for {
-		frame, seq, err := persist.ReadFrame(br)
+		frame, rec, err := persist.ReadRecord(br)
 		if err == io.EOF {
 			return nil
 		}
@@ -465,21 +465,19 @@ func (rs *ReplicaSet) stream(ctx context.Context, r *Replica) error {
 			// Torn mid-frame (connection died): reconnect from applied.
 			return err
 		}
-		if err := r.apply(frame, seq); err != nil {
+		if err := r.apply(frame, rec); err != nil {
 			return err
 		}
 	}
 }
 
-// apply folds one frame into the warm session and journals it verbatim.
-// The order matches the primary's contract — only successfully applied
-// mutations are journaled — so the local log can never replay a mutation
-// the session refused.
-func (r *Replica) apply(frame []byte, seq uint64) error {
-	rec, err := persist.ParseFrame(frame)
-	if err != nil {
-		return err
-	}
+// apply folds one frame, read and decoded by persist.ReadRecord, into the
+// warm session and journals it verbatim. The order matches the primary's
+// contract — only successfully applied mutations are journaled — so the
+// local log can never replay a mutation the session refused.
+func (r *Replica) apply(frame []byte, rec persist.Record) error {
+	seq := rec.Seq
+	var err error
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.sess == nil {

@@ -120,12 +120,11 @@ func TestClusterDatasetExternalEquivalence(t *testing.T) {
 	}
 }
 
-// TestClusterDatasetExternalMapped runs the full out-of-core stack — write
-// a mapped file, open it, cluster through the external sort — and checks
-// it matches the in-RAM dataset path exactly.
-func TestClusterDatasetExternalMapped(t *testing.T) {
-	ds := synth.RunningExampleSized(600, 3).Flat()
-	path := filepath.Join(t.TempDir(), "fig2.awds")
+// writeMapped writes ds into a mapped-Dataset file under t's temp
+// directory and returns its path.
+func writeMapped(t *testing.T, ds *pointset.Dataset) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "rows.awds")
 	w, err := pointset.CreateMapped(path, ds.D)
 	if err != nil {
 		t.Fatal(err)
@@ -138,11 +137,33 @@ func TestClusterDatasetExternalMapped(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
+
+// openMapped opens the mapped file at path for the rest of the test.
+func openMapped(t *testing.T, path string) *pointset.Dataset {
+	t.Helper()
 	m, err := pointset.OpenMapped(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	t.Cleanup(func() { m.Close() })
+	return m.Dataset()
+}
+
+// TestClusterDatasetExternalMapped runs the full out-of-core stack — write
+// a mapped file, open it, cluster through the external sort — and checks
+// it matches the in-RAM dataset path exactly. The file records its
+// bounding box, so the quantizer scans nothing; the same rows rewritten as
+// a version 01 file, which records none, open and cluster identically too,
+// in RAM and out of core.
+func TestClusterDatasetExternalMapped(t *testing.T) {
+	ds := synth.RunningExampleSized(600, 3).Flat()
+	path := writeMapped(t, ds)
+	view := openMapped(t, path)
+	if _, _, ok := view.Bounds(); !ok {
+		t.Fatal("mapped file records no bounds")
+	}
 
 	eng, err := NewEngine(DefaultConfig(), 2)
 	if err != nil {
@@ -152,11 +173,32 @@ func TestClusterDatasetExternalMapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.ClusterDatasetExternal(context.Background(), m.Dataset(), ExternalOptions{
-		MaxResidentBytes: 64 << 20,
-		TempDir:          t.TempDir(),
-	})
+	opts := ExternalOptions{MaxResidentBytes: 64 << 20, TempDir: t.TempDir()}
+	got, err := eng.ClusterDatasetExternal(context.Background(), view, opts)
 	if err != nil {
+		t.Fatal(err)
+	}
+	assertResultsEqual(t, want, got)
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := filepath.Join(t.TempDir(), "v1.awds")
+	raw = raw[:len(raw)-16*ds.D]
+	copy(raw, "AWDSET01")
+	if err := os.WriteFile(v1, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	old := openMapped(t, v1)
+	if _, _, ok := old.Bounds(); ok {
+		t.Fatal("version 01 file records bounds")
+	}
+	if got, err = eng.ClusterDatasetExternal(context.Background(), old, opts); err != nil {
+		t.Fatal(err)
+	}
+	assertResultsEqual(t, want, got)
+	if got, err = eng.ClusterDatasetContext(context.Background(), old); err != nil {
 		t.Fatal(err)
 	}
 	assertResultsEqual(t, want, got)
@@ -187,14 +229,18 @@ func TestClusterDatasetExternalBudgetTooSmall(t *testing.T) {
 // fail).
 // Every cancelled run must unwind with the taxonomy error and leave the
 // temp directory empty, and the first run that completes must equal the
-// in-RAM result.
+// in-RAM result. Both routes run over the rows in RAM and over a mapped
+// file of them that records their bounds, which the quantize pass checks.
 func TestClusterDatasetExternalCancel(t *testing.T) {
-	ds := synth.Evaluation(2000, 0.5, 9).Flat()
+	rows := synth.Evaluation(2000, 0.5, 9).Flat()
+	bounded := openMapped(t, writeMapped(t, rows))
 	for _, c := range []struct {
 		name  string
+		ds    *pointset.Dataset
 		scale int
-	}{{"radix", 128}, {"dense", 16}} {
+	}{{"radix", rows, 128}, {"dense", rows, 16}, {"mapped-radix", bounded, 128}, {"mapped-dense", bounded, 16}} {
 		t.Run(c.name, func(t *testing.T) {
+			ds := c.ds
 			cfg := DefaultConfig()
 			cfg.Scale = c.scale
 			eng, err := NewEngine(cfg, 2)
@@ -208,7 +254,7 @@ func TestClusterDatasetExternalCancel(t *testing.T) {
 			for n := 0; ; n++ {
 				tmp := t.TempDir()
 				opts := ExternalOptions{ChunkPoints: 512, SpillBytes: 1, TempDir: tmp}
-				if c.name == "dense" {
+				if c.scale == 16 {
 					opts.TempDir = filepath.Join(tmp, "absent")
 				}
 				got, err := eng.ClusterDatasetExternal(cancelAfterPolls(n), ds, opts)

@@ -32,6 +32,12 @@ import (
 // resulting grid, ids, and every label derived from them are bit-identical
 // to QuantizeDatasetCtx on either route — only the peak resident memory
 // changes: O(chunk + retained runs + cells) instead of O(points).
+//
+// A mapped file records its bounding box, so its quantizer is built
+// without a scan (NewQuantizerDatasetCtx) and each route reads every row
+// once: the dense count and the chunks' radix kernel check the recorded
+// bounds in the same pass (boxCheck), and a call whose rows contradict
+// them fails, on the radix route before any merge, with no grid.
 
 // ExtSortOptions tunes the external sort. The zero value selects defaults
 // suitable for a machine with a few GB to spare; core.ExternalOptions
@@ -140,6 +146,7 @@ func (q *Quantizer) QuantizeDatasetExternalPackedCtx(ctx context.Context, ds *po
 	// densely, and every shard runs the same quantizeShard kernel, yielding
 	// one sorted run with shard-local cell ids stamped on its points.
 	shardGrids := make([]*FlatGrid, workers)
+	checks := q.newBoxChecks(workers)
 	shardLo := make([]int, workers)
 	shardHi := make([]int, workers)
 	for lo := 0; lo < n; lo += chunkPts {
@@ -160,7 +167,7 @@ func (q *Quantizer) QuantizeDatasetExternalPackedCtx(ctx context.Context, ds *po
 				return
 			}
 			slo, shi = lo+slo, lo+shi
-			shardGrids[sw] = q.quantizeShard(ctx, ds.Data[slo*d:shi*d], ids[slo:shi], size)
+			shardGrids[sw] = q.quantizeShard(ctx, ds.Data[slo*d:shi*d], slo, ids[slo:shi], size, checks.shard(sw))
 			shardLo[sw], shardHi[sw] = slo, shi
 		})
 		if err := CtxErr(ctx); err != nil {
@@ -203,6 +210,10 @@ func (q *Quantizer) QuantizeDatasetExternalPackedCtx(ctx context.Context, ds *po
 			}
 			runs = append(runs, run)
 		}
+	}
+
+	if err := checks.verify(ctx, q, ds, workers); err != nil {
+		return nil, nil, err
 	}
 
 	// Phase 2: k-way merge over all runs, emitting canonical order and

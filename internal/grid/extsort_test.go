@@ -165,16 +165,22 @@ func TestQuantizeDatasetExternalEquivalence(t *testing.T) {
 // radix runs spilled and merged, and the dense count. Every cancelled call
 // must unwind with the taxonomy error, publish no grid and no memo, and
 // remove its spill directory; the completed call must equal the in-RAM
-// quantize.
+// quantize. It runs over the rows in RAM and over a mapped file of them
+// that records their bounds, which both routes check.
 func TestQuantizeDatasetExternalCancel(t *testing.T) {
-	ds := clusteredDataset(50000, 2, 7)
+	rows := clusteredDataset(50000, 2, 7)
 	opts := ExtSortOptions{ChunkPoints: 1024, SpillBytes: 1}
 	const workers = 2
 	for _, c := range []struct {
 		name  string
+		ds    *pointset.Dataset
 		scale int
 		dense bool
-	}{{"radix", 128, false}, {"dense", 16, true}} {
+	}{
+		{"radix", rows, 128, false}, {"dense", rows, 16, true},
+		{"mapped/radix", boundedView(t, rows), 128, false}, {"mapped/dense", boundedView(t, rows), 16, true},
+	} {
+		ds := c.ds
 		q, err := NewQuantizerDatasetCtx(context.Background(), ds, c.scale, 1)
 		if err != nil {
 			t.Fatal(err)

@@ -3,18 +3,30 @@ package grid
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"adawave/internal/pointset"
 )
 
 // NewQuantizerDatasetCtx computes the quantizer of a flat row-major
-// dataset: the bounding-box scan reads strided rows out of one backing slice
-// instead of chasing a pointer per point. The scan is sharded across
-// workers with exact min/max merging, and non-finite coordinates are
-// reported for the lowest offending point index, so the result (and any
-// error) is identical for every worker count. Every shard polls ctx at its
-// boundary (and every ctxCheckStride points within), and a cancelled scan
-// returns the taxonomy error of CtxErr without building a quantizer.
+// dataset. A dataset that records its bounding box (pointset.Dataset.Bounds,
+// a mapped file's trailer) gets a quantizer built from those bounds with
+// the scan's arithmetic, without reading a row. It is marked recorded, and
+// every quantize pass with it checks the bounds against the rows it reads
+// (boxCheck), so a call that returns a grid clustered exactly the grid the
+// scan's quantizer gives. A recorded box that is not finite and ordered —
+// the all-NaN trailer of a file whose writer saw a non-finite coordinate,
+// or a damaged one — is resolved by the scan: its error for a non-finite
+// coordinate, an ErrCorruptDataset-tagged error otherwise.
+//
+// Any other dataset is scanned: the bounding-box scan reads strided rows
+// out of one backing slice instead of chasing a pointer per point. The
+// scan is sharded across workers with exact min/max merging, and
+// non-finite coordinates are reported for the lowest offending point
+// index, so the result (and any error) is identical for every worker
+// count. Every shard polls ctx at its boundary (and every ctxCheckStride
+// points within), and a cancelled scan returns the taxonomy error of
+// CtxErr without building a quantizer.
 //
 // Each shard folds its rows in blocks of ctxCheckStride rows straight off
 // the backing slice with the scanBox kernel, whose only finiteness test is
@@ -28,11 +40,25 @@ func NewQuantizerDatasetCtx(ctx context.Context, ds *pointset.Dataset, scale, wo
 	if err := checkScale(scale); err != nil {
 		return nil, err
 	}
-	d := ds.D
-	if d == 0 {
+	if ds.D == 0 {
 		return nil, fmt.Errorf("grid: zero-dimensional points")
 	}
-	n := ds.N
+	if mins, maxs, ok := ds.Bounds(); ok {
+		for j := range mins {
+			if !finiteBox(mins[j], maxs[j]) {
+				return nil, boxMismatch(ctx, ds, mins, maxs, scale, workers)
+			}
+		}
+		q := newQuantizer(mins, maxs, scale)
+		q.recorded = true
+		return q, nil
+	}
+	return scanQuantizer(ctx, ds, scale, workers)
+}
+
+// scanQuantizer is NewQuantizerDatasetCtx's bounding-box scan.
+func scanQuantizer(ctx context.Context, ds *pointset.Dataset, scale, workers int) (*Quantizer, error) {
+	d, n := ds.D, ds.N
 	if workers <= 1 || n < parallelCellCutoff {
 		workers = 1
 	}
@@ -62,6 +88,127 @@ func NewQuantizerDatasetCtx(ctx context.Context, ds *pointset.Dataset, scale, wo
 		return nil, err
 	}
 	return finishQuantizer(states, scale, d)
+}
+
+// boxCheck is one shard's share of the check that a recorded quantizer is
+// the quantizer a scan of the rows builds, bit for bit. A scan's minimum
+// of a dimension is the first value in row order that equals the smallest
+// value (a bound moves only on a strict <), and likewise its maximum. So
+// the recorded bounds are the scan's exactly when every coordinate is
+// finite and within them and, per dimension, the lowest row whose
+// coordinate equals a bound holds the bound's bits. Every coordinate that
+// is non-finite or at or beyond a bound takes cellOf's slow path, so the
+// check reads only the blocks of rows in which the kernel counted one:
+// for data strictly inside its box save the rows at its bounds, a few
+// blocks in all.
+type boxCheck struct {
+	minAt, maxAt []int // per dimension, the lowest row at the bound; −1 while none
+	bad          bool  // a coordinate is non-finite or outside the bounds
+}
+
+// boxChecks holds one boxCheck per shard of a quantize pass; it is nil for
+// a quantizer that was not built from recorded bounds.
+type boxChecks []boxCheck
+
+// newBoxChecks returns the checks of a pass over shards shards, nil unless
+// q is recorded.
+func (q *Quantizer) newBoxChecks(shards int) boxChecks {
+	if !q.recorded {
+		return nil
+	}
+	checks := make(boxChecks, shards)
+	for w := range checks {
+		c := &checks[w]
+		c.minAt, c.maxAt = make([]int, q.Dim()), make([]int, q.Dim())
+		for j := range c.minAt {
+			c.minAt[j], c.maxAt[j] = -1, -1
+		}
+	}
+	return checks
+}
+
+// shard returns shard w's check, nil when the pass checks nothing.
+func (cs boxChecks) shard(w int) *boxCheck {
+	if cs == nil {
+		return nil
+	}
+	return &cs[w]
+}
+
+// block folds one block of rows, the first of them point lo, into the
+// check. A nil check does nothing.
+func (c *boxCheck) block(q *Quantizer, rows []float64, lo int) {
+	if c == nil {
+		return
+	}
+	d := q.Dim()
+	for i := 0; i < len(rows)/d; i++ {
+		for j, v := range rows[i*d : i*d+d] {
+			lb, hb := q.Mins[j], q.Maxs[j]
+			if !(v >= lb && v <= hb) {
+				c.bad = true
+				continue
+			}
+			if v == lb && c.minAt[j] < 0 {
+				c.minAt[j] = lo + i
+			}
+			if v == hb && c.maxAt[j] < 0 {
+				c.maxAt[j] = lo + i
+			}
+		}
+	}
+}
+
+// verify finishes the check of a pass of q over ds from its shards'
+// checks: nil when they prove q's bounds are the scan's. Otherwise the
+// scan decides the error (boxMismatch). Shards are merged by lowest row,
+// so the verdict is the same for every shard layout.
+func (cs boxChecks) verify(ctx context.Context, q *Quantizer, ds *pointset.Dataset, workers int) error {
+	if cs == nil {
+		return nil
+	}
+	d := q.Dim()
+	ok := true
+	for j := 0; j < d && ok; j++ {
+		minAt, maxAt := -1, -1
+		for w := range cs {
+			c := &cs[w]
+			ok = ok && !c.bad
+			if at := c.minAt[j]; at >= 0 && (minAt < 0 || at < minAt) {
+				minAt = at
+			}
+			if at := c.maxAt[j]; at >= 0 && (maxAt < 0 || at < maxAt) {
+				maxAt = at
+			}
+		}
+		ok = ok && minAt >= 0 && maxAt >= 0 &&
+			math.Float64bits(ds.Data[minAt*d+j]) == math.Float64bits(q.Mins[j]) &&
+			math.Float64bits(ds.Data[maxAt*d+j]) == math.Float64bits(q.Maxs[j])
+	}
+	if ok {
+		return nil
+	}
+	return boxMismatch(ctx, ds, q.Mins, q.Maxs, q.Scale, workers)
+}
+
+// boxMismatch returns the error of a dataset whose recorded bounds mins
+// and maxs are not the bounds of its rows. The rows are scanned: a
+// non-finite coordinate fails with the scan's own error, which names the
+// lowest offending point exactly as for a dataset without recorded bounds;
+// otherwise the error is ErrCorruptDataset-tagged and names the first
+// dimension whose recorded bounds differ from the scan's.
+func boxMismatch(ctx context.Context, ds *pointset.Dataset, mins, maxs []float64, scale, workers int) error {
+	sq, err := scanQuantizer(ctx, ds, scale, workers)
+	if err != nil {
+		return err
+	}
+	for j := range mins {
+		if math.Float64bits(mins[j]) != math.Float64bits(sq.Mins[j]) || math.Float64bits(maxs[j]) != math.Float64bits(sq.Maxs[j]) {
+			return fmt.Errorf("%w: recorded bounds [%v, %v] in dimension %d, the rows span [%v, %v]",
+				pointset.ErrCorruptDataset, mins[j], maxs[j], j, sq.Mins[j], sq.Maxs[j])
+		}
+	}
+	return fmt.Errorf("%w: recorded bounds disagree with the rows", pointset.ErrCorruptDataset)
 }
 
 // scanBox is the box-scan kernel: it folds the row-major rows of blk
@@ -133,6 +280,10 @@ func scanBox(blk, mins, maxs []float64) bool {
 // k-way cell merge, sums the shards in shard order and renumbers those ids
 // to global indices.
 //
+// With a quantizer built from recorded bounds, the count pass or the radix
+// shards check the bounds as they compute cells (boxCheck), and a call
+// whose rows contradict them returns its error and no grid.
+//
 // Each shard polls ctx at its boundary and every ctxCheckStride points
 // within, in the count and the rank pass alike, and so do the shard merge
 // every ctxCheckStride merged cells and the id renumbering after it every
@@ -150,13 +301,17 @@ func (q *Quantizer) QuantizeDatasetCtx(ctx context.Context, ds *pointset.Dataset
 		return q.quantizeDenseDataset(ctx, ds, ids, cells, size, workers)
 	}
 	shards := make([]*FlatGrid, workers)
+	checks := q.newBoxChecks(workers)
 	ParallelRangesCtx(ctx, n, workers, func(w, lo, hi int) {
 		if ctx.Err() != nil {
 			return
 		}
-		shards[w] = q.quantizeShard(ctx, ds.Data[lo*d:hi*d], ids[lo:hi], size)
+		shards[w] = q.quantizeShard(ctx, ds.Data[lo*d:hi*d], lo, ids[lo:hi], size, checks.shard(w))
 	})
 	if err := CtxErr(ctx); err != nil {
+		return nil, nil, err
+	}
+	if err := checks.verify(ctx, q, ds, workers); err != nil {
 		return nil, nil, err
 	}
 	if workers == 1 {
@@ -197,16 +352,20 @@ func (q *Quantizer) QuantizeDatasetCtx(ctx context.Context, ds *pointset.Dataset
 func (q *Quantizer) quantizeDenseDataset(ctx context.Context, ds *pointset.Dataset, ids []int32, cells int, size []int, workers int) (*FlatGrid, []int32, error) {
 	d := q.Dim()
 	tbls := make([][]int32, workers)
+	checks := q.newBoxChecks(workers)
 	ParallelRangesCtx(ctx, ds.N, workers, func(w, lo, hi int) {
 		if ctx.Err() != nil {
 			return
 		}
 		tbl := make([]int32, cells)
-		if q.countRows(ctx, ds.Data[lo*d:hi*d], ids[lo:hi], tbl) {
+		if q.countRows(ctx, ds.Data[lo*d:hi*d], lo, ids[lo:hi], tbl, checks.shard(w)) {
 			tbls[w] = tbl
 		}
 	})
 	if err := CtxErr(ctx); err != nil {
+		return nil, nil, err
+	}
+	if err := checks.verify(ctx, q, ds, workers); err != nil {
 		return nil, nil, err
 	}
 	sum := tbls[0]

@@ -200,66 +200,75 @@ func TestCarvedRanges(t *testing.T) {
 // count and rank passes of a dense call, or the radix shards and their
 // merge. Every cancelled call must return the taxonomy error and publish no
 // quantizer, grid or memo; the completed call must equal an uncancelled
-// run.
+// run. It runs over the rows in RAM and over a mapped file of them that
+// records their bounds, whose quantizer scans nothing and whose count and
+// radix passes check the bounds.
 func TestQuantizeDatasetCancel(t *testing.T) {
-	_, ds := randomDataset(3*ctxCheckStride+100, 2, 11)
-	blocks := (ds.N + ctxCheckStride - 1) / ctxCheckStride
-	for _, c := range []struct {
-		name  string
-		scale int
-		dense bool
-		polls int // a floor on the poll points of one worker
-		merge int // the floor's rise at three workers
-	}{
-		// Scan, count and rank each poll once per block and once more
-		// when they end.
-		{"dense", 64, true, 3*blocks + 3, 0},
-		// Scan and radix shard each poll about once per block, and once
-		// more when the scan ends. With three shards the id renumbering
-		// after the merge polls once per shard block, 2 in each of the
-		// three shards here, and once more when it ends.
-		{"radix", 1024, false, 2*blocks + 1, 7},
-	} {
-		q, err := NewQuantizerDatasetCtx(context.Background(), ds, c.scale, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantIDs := quantizeDataset(t, q, ds, 1)
-		for _, workers := range []int{1, 3} {
-			if _, dense := denseCall(c.scale, ds.D, ds.N, workers, ds.N); dense != c.dense {
-				t.Fatalf("%s workers=%d: dense call %v", c.name, workers, dense)
+	_, rows := randomDataset(3*ctxCheckStride+100, 2, 11)
+	blocks := (rows.N + ctxCheckStride - 1) / ctxCheckStride
+	for _, v := range []struct {
+		name string
+		ds   *pointset.Dataset
+		scan int // the scan's poll points at one worker
+	}{{"rows", rows, blocks + 1}, {"mapped", boundedView(t, rows), 0}} {
+		ds := v.ds
+		for _, c := range []struct {
+			name  string
+			scale int
+			dense bool
+			polls int // a floor on the poll points of one worker
+			merge int // the floor's rise at three workers
+		}{
+			// Scan, count and rank each poll once per block and once more
+			// when they end.
+			{"dense", 64, true, 2*blocks + 2 + v.scan, 0},
+			// Scan and radix shard each poll about once per block, and once
+			// more when the scan ends. With three shards the id renumbering
+			// after the merge polls once per shard block, 2 in each of the
+			// three shards here, and once more when it ends.
+			{"radix", 1024, false, blocks + v.scan, 7},
+		} {
+			q, err := NewQuantizerDatasetCtx(context.Background(), ds, c.scale, 1)
+			if err != nil {
+				t.Fatal(err)
 			}
-			cancelled := 0
-			for n := 0; ; n++ {
-				ctx := cancelAfterPolls(n)
-				q, err := NewQuantizerDatasetCtx(ctx, ds, c.scale, workers)
-				var (
-					f   *FlatGrid
-					ids []int32
-				)
-				if err == nil {
-					f, ids, err = q.QuantizeDatasetCtx(ctx, ds, workers)
-				} else if q != nil {
-					t.Fatalf("%s workers=%d polls=%d: cancelled scan returned a quantizer", c.name, workers, n)
+			want, wantIDs := quantizeDataset(t, q, ds, 1)
+			for _, workers := range []int{1, 3} {
+				if _, dense := denseCall(c.scale, ds.D, ds.N, workers, ds.N); dense != c.dense {
+					t.Fatalf("%s workers=%d: dense call %v", v.name+"/"+c.name, workers, dense)
 				}
-				if err == nil {
-					if !flatBitsEqual(f, want) || !slices.Equal(ids, wantIDs) {
-						t.Fatalf("%s workers=%d polls=%d: differs from the uncancelled run", c.name, workers, n)
+				cancelled := 0
+				for n := 0; ; n++ {
+					ctx := cancelAfterPolls(n)
+					q, err := NewQuantizerDatasetCtx(ctx, ds, c.scale, workers)
+					var (
+						f   *FlatGrid
+						ids []int32
+					)
+					if err == nil {
+						f, ids, err = q.QuantizeDatasetCtx(ctx, ds, workers)
+					} else if q != nil {
+						t.Fatalf("%s workers=%d polls=%d: cancelled scan returned a quantizer", v.name+"/"+c.name, workers, n)
 					}
-					break
+					if err == nil {
+						if !flatBitsEqual(f, want) || !slices.Equal(ids, wantIDs) {
+							t.Fatalf("%s workers=%d polls=%d: differs from the uncancelled run", v.name+"/"+c.name, workers, n)
+						}
+						break
+					}
+					if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) || f != nil || ids != nil {
+						t.Fatalf("%s workers=%d polls=%d: got grid %v, %d ids, err %v; want none and ErrCanceled",
+							v.name+"/"+c.name, workers, n, f != nil, len(ids), err)
+					}
+					cancelled++
 				}
-				if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) || f != nil || ids != nil {
-					t.Fatalf("%s workers=%d polls=%d: got grid %v, %d ids, err %v; want none and ErrCanceled",
-						c.name, workers, n, f != nil, len(ids), err)
+				floor := c.polls
+				if workers > 1 {
+					floor += c.merge
 				}
-				cancelled++
-			}
-			floor := c.polls
-			if workers > 1 {
-				floor += c.merge
-			}
-			if cancelled < floor {
-				t.Fatalf("%s workers=%d: only %d poll points cancelled, want ≥ %d", c.name, workers, cancelled, floor)
+				if cancelled < floor {
+					t.Fatalf("%s workers=%d: only %d poll points cancelled, want ≥ %d", v.name+"/"+c.name, workers, cancelled, floor)
+				}
 			}
 		}
 	}

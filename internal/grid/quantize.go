@@ -7,12 +7,20 @@ import (
 )
 
 // Quantizer maps d-dimensional points into grid cells (paper Alg. 2).
-// The bounding box is padded by a tiny epsilon on the upper side so the
-// maxima land in the last cell (cells are right-open intervals [l, h)).
+// Cells are right-open intervals [l, h) of width (max−min)/Scale, and the
+// maxima are clamped into the last cell.
 type Quantizer struct {
 	Mins, Maxs []float64
 	Scale      int // M: number of cells per dimension
 	inv        []float64
+	// limit is the least scaled offset (v−min)·inv that a box maximum
+	// reaches in any dimension, capped at Scale: cellOf's fast-path bound.
+	limit float64
+	// recorded marks a quantizer built from the bounds a dataset records
+	// instead of a scan of its rows. Every quantize pass with it checks,
+	// in the pass that computes cells, that the rows attain exactly those
+	// bounds (boxCheck), and fails the call when they do not.
+	recorded bool
 }
 
 // ErrNoPoints is returned when a quantizer is requested for an empty set.
@@ -81,37 +89,44 @@ func finishQuantizer(states []bboxShard, scale, d int) (*Quantizer, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	q := &Quantizer{Scale: scale}
+	var mins, maxs []float64
 	for w := range states {
 		st := &states[w]
 		if st.mins == nil {
 			continue
 		}
-		if q.Mins == nil {
-			q.Mins = append([]float64(nil), st.mins...)
-			q.Maxs = append([]float64(nil), st.maxs...)
+		if mins == nil {
+			mins = append([]float64(nil), st.mins...)
+			maxs = append([]float64(nil), st.maxs...)
 			continue
 		}
 		for j := 0; j < d; j++ {
-			if st.mins[j] < q.Mins[j] {
-				q.Mins[j] = st.mins[j]
+			if st.mins[j] < mins[j] {
+				mins[j] = st.mins[j]
 			}
-			if st.maxs[j] > q.Maxs[j] {
-				q.Maxs[j] = st.maxs[j]
+			if st.maxs[j] > maxs[j] {
+				maxs[j] = st.maxs[j]
 			}
 		}
 	}
-	q.inv = make([]float64, d)
+	return newQuantizer(mins, maxs, scale), nil
+}
+
+// newQuantizer builds the quantizer of the box [mins, maxs] at scale,
+// taking ownership of both slices: the cell width inverse of every
+// dimension is Scale/(max−min), and 0 for a degenerate (constant)
+// dimension, which puts everything in cell 0. Every constructor derives
+// the inverses here, so equal bounds give equal cells bit for bit.
+func newQuantizer(mins, maxs []float64, scale int) *Quantizer {
+	q := &Quantizer{Mins: mins, Maxs: maxs, Scale: scale, inv: make([]float64, len(mins)), limit: float64(scale)}
 	for j := range q.inv {
-		w := q.Maxs[j] - q.Mins[j]
-		if w <= 0 {
-			// Degenerate (constant) dimension: everything in cell 0.
-			q.inv[j] = 0
-			continue
+		if w := maxs[j] - mins[j]; w > 0 {
+			q.inv[j] = float64(scale) / w
+			// The offset cellOf computes for the maximum itself.
+			q.limit = min(q.limit, (maxs[j]-mins[j])*q.inv[j])
 		}
-		q.inv[j] = float64(scale) / w
 	}
-	return q, nil
+	return q
 }
 
 // RestoreQuantizer rebuilds a quantizer from a persisted frame — the exact
@@ -127,25 +142,17 @@ func RestoreQuantizer(mins, maxs []float64, scale int) (*Quantizer, error) {
 	if d == 0 || len(maxs) != d {
 		return nil, fmt.Errorf("grid: quantizer frame with %d mins and %d maxs", d, len(maxs))
 	}
-	q := &Quantizer{
-		Mins:  append([]float64(nil), mins...),
-		Maxs:  append([]float64(nil), maxs...),
-		Scale: scale,
-		inv:   make([]float64, d),
-	}
-	for j := range q.inv {
-		if math.IsNaN(mins[j]) || math.IsInf(mins[j], 0) || math.IsNaN(maxs[j]) || math.IsInf(maxs[j], 0) || mins[j] > maxs[j] {
+	for j := range mins {
+		if !finiteBox(mins[j], maxs[j]) {
 			return nil, fmt.Errorf("grid: quantizer frame [%v, %v] invalid in dimension %d", mins[j], maxs[j], j)
 		}
-		w := q.Maxs[j] - q.Mins[j]
-		if w <= 0 {
-			// Degenerate (constant) dimension: everything in cell 0.
-			q.inv[j] = 0
-			continue
-		}
-		q.inv[j] = float64(scale) / w
 	}
-	return q, nil
+	return newQuantizer(append([]float64(nil), mins...), append([]float64(nil), maxs...), scale), nil
+}
+
+// finiteBox reports whether [lo, hi] is a finite, ordered interval.
+func finiteBox(lo, hi float64) bool {
+	return !math.IsNaN(lo) && !math.IsInf(lo, 0) && !math.IsNaN(hi) && !math.IsInf(hi, 0) && lo <= hi
 }
 
 // Dim returns the quantizer's dimensionality.
@@ -153,16 +160,31 @@ func (q *Quantizer) Dim() int { return len(q.Mins) }
 
 // CellCoordsU16 writes the cell coordinates of point p into out (length
 // Dim), clamped to [0, Scale−1] (the box maximum lands in the last cell).
+// It computes each coordinate with cellOf, as every quantize kernel does,
+// but checks no recorded bounds.
 func (q *Quantizer) CellCoordsU16(p []float64, out []uint16) []uint16 {
 	for j := range q.Mins {
-		c := int((p[j] - q.Mins[j]) * q.inv[j])
-		if c < 0 {
-			c = 0
-		}
-		if c >= q.Scale {
-			c = q.Scale - 1
-		}
+		c, _ := cellOf(p[j], q.Mins[j], q.inv[j], q.limit, q.Scale)
 		out[j] = uint16(c)
 	}
 	return out
+}
+
+// cellOf is the one cell function of the package: the cell of coordinate
+// v in a dimension whose box starts at lo with cell width 1/inv is
+// int((v−lo)·inv) clamped to [0, scale−1]. Its fast path takes an offset
+// x = (v−lo)·inv with 0 < x < limit, whose cell needs no clamp, and it
+// reports whether it took it. The arithmetic is monotone, so every value
+// on the fast path is finite and strictly inside its box, while every
+// value at or beyond a bound, every NaN and ±Inf, and every value of a
+// constant dimension (inv 0) takes the slow path. The quantize kernels
+// count slow-path values, so a check of recorded bounds (boxCheck) reads
+// only the blocks of rows where some value took it.
+func cellOf(v, lo, inv, limit float64, scale int) (int, bool) {
+	x := (v - lo) * inv
+	c := int(x)
+	if x > 0 && x < limit {
+		return c, true
+	}
+	return max(0, min(c, scale-1)), false
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -21,7 +22,9 @@ import (
 // failure must be a typed torn-record error. Each frame ReadFrame yields
 // either decodes to a well-shaped record carrying the frame's sequence or is
 // refused as torn, and input that ParseFrame accepts whole is exactly the
-// first frame ReadFrame reads from it. The committed seed corpus under
+// first frame ReadFrame reads from it. ReadRecord, the follower's reader,
+// must read the same stream frame for frame as ReadFrame then ParseFrame
+// do, with the same records and the same failures. The committed seed corpus under
 // testdata/fuzz/FuzzParseFrame holds real append and remove frames.
 func FuzzParseFrame(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "wal.log")
@@ -49,26 +52,34 @@ func FuzzParseFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
+		rr := bufio.NewReader(bytes.NewReader(data))
 		for {
 			frame, seq, err := ReadFrame(br)
+			rframe, rrec, rerr := ReadRecord(rr)
 			if err == io.EOF {
+				if rerr != io.EOF {
+					t.Fatalf("ReadFrame at the end, ReadRecord: %v", rerr)
+				}
 				break
 			}
 			if err != nil {
-				if !errors.Is(err, ErrTornRecord) {
-					t.Fatalf("ReadFrame error not a torn record: %v", err)
+				if !errors.Is(err, ErrTornRecord) || !errors.Is(rerr, ErrTornRecord) {
+					t.Fatalf("ReadFrame error %v, ReadRecord error %v: want torn records", err, rerr)
 				}
 				break
 			}
 			rec, err := ParseFrame(frame)
 			if err != nil {
-				if !errors.Is(err, ErrTornRecord) {
-					t.Fatalf("ParseFrame error not a torn record: %v", err)
+				if !errors.Is(err, ErrTornRecord) || !errors.Is(rerr, ErrTornRecord) {
+					t.Fatalf("ParseFrame error %v, ReadRecord error %v: want torn records", err, rerr)
 				}
 				continue
 			}
 			if rec.Seq != seq {
 				t.Fatalf("frame read as seq %d parses as seq %d", seq, rec.Seq)
+			}
+			if rerr != nil || !bytes.Equal(rframe, frame) || !reflect.DeepEqual(rrec, rec) {
+				t.Fatalf("ReadRecord read %d bytes as %+v (%v), ReadFrame and ParseFrame %d bytes as %+v", len(rframe), rrec, rerr, len(frame), rec)
 			}
 			checkFuzzedRecord(t, rec)
 		}

@@ -18,9 +18,10 @@ import (
 //     descriptor, yielding complete frames as the writer appends them and
 //     detecting the post-checkpoint truncation (ErrWALReset) instead of
 //     reading past a moved tail.
-//   - ReadFrame / ParseFrame: the follower's stream-side decoder — one
-//     frame off a wire reader, CRC-verified, with a torn mid-record stream
-//     surfaced as a typed TornRecordError rather than a silent short read.
+//   - ReadRecord / ReadFrame / ParseFrame: the follower's stream-side
+//     decoder — one frame off a wire reader, CRC-verified once and decoded
+//     with it, with a torn mid-record stream surfaced as a typed
+//     TornRecordError rather than a silent short read.
 //   - (*WAL).AppendFrame: verbatim journaling of a frame the follower has
 //     parsed, with strict sequence contiguity, so a reconnecting follower
 //     can prove it neither lost nor double-applied a mutation.
@@ -72,6 +73,23 @@ func ReadFrame(br *bufio.Reader) (frame []byte, seq uint64, err error) {
 	return frame, h.seq, err
 }
 
+// ReadRecord is ReadFrame that also decodes the frame: it returns the
+// verbatim frame with the Record it holds, so a follower applies and
+// journals each frame checked once. The torn-record and io.EOF contract is
+// ReadFrame's; a frame whose payload does not decode as a record is a
+// *TornRecordError too.
+func ReadRecord(br *bufio.Reader) (frame []byte, rec Record, err error) {
+	frame, h, err := readFrame(br, -1, nil)
+	if err != nil {
+		return nil, Record{}, err
+	}
+	rec, ok := parseRecord(h.typ, h.seq, frame[walHeaderLen:len(frame)-4])
+	if !ok {
+		return nil, Record{}, &TornRecordError{Offset: -1, LastSeq: h.seq - 1, Reason: "malformed record"}
+	}
+	return frame, rec, nil
+}
+
 // ParseFrame validates a complete frame (shape and CRC) and decodes it into
 // a Record. The follower applies the Record to its warm session and
 // journals the frame bytes untouched — one validation, two consumers.
@@ -97,7 +115,7 @@ func ParseFrame(frame []byte) (Record, error) {
 }
 
 // AppendFrame journals a received frame verbatim. rec is the frame as
-// ParseFrame decoded it, so the frame is validated once, before the
+// ReadRecord or ParseFrame decoded it, so the frame is validated once, before the
 // follower applies it; its sequence must be exactly one past the log's —
 // strict contiguity is what lets a follower prove it lost nothing across a
 // reconnect. The frame bytes reach the file unchanged, so the follower's

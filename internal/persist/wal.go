@@ -442,7 +442,10 @@ func applyTo(t Target) func(Record) error {
 // (when non-nil); fn errors abort the scan. Crash recovery (OpenWAL,
 // ReplayInto) discards what follows the valid prefix as the unacknowledged
 // tail; the replication readers surface the same faults as a
-// TornRecordError, so a follower is told its stream is incomplete.
+// TornRecordError, so a follower is told its stream is incomplete. A read
+// that fails inside the size bytes is no tear: size says the bytes are
+// there, so the failure is returned as an I/O error, and OpenWAL keeps the
+// file as it is instead of truncating acknowledged records.
 func scanWAL(r io.Reader, size int64, fromSeq uint64, fn func(Record) error) (lastSeq uint64, validOff int64, records uint64, applied int, err error) {
 	if seeker, ok := r.(io.Seeker); ok {
 		if _, err := seeker.Seek(0, io.SeekStart); err != nil {
@@ -461,6 +464,9 @@ func scanWAL(r io.Reader, size int64, fromSeq uint64, fn func(Record) error) (la
 	var buf []byte
 	for {
 		frame, h, err := readFrame(br, size-validOff, buf)
+		if torn := (*TornRecordError)(nil); errors.As(err, &torn) && torn.cause != nil {
+			return lastSeq, validOff, records, applied, fmt.Errorf("persist: scan wal at offset %d: %w", validOff, torn.cause)
+		}
 		if err != nil || h.seq <= lastSeq {
 			return lastSeq, validOff, records, applied, nil
 		}

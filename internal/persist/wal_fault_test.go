@@ -2,6 +2,7 @@ package persist
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,6 +44,103 @@ func (f *flakyFile) Truncate(size int64) error {
 		return syscall.EIO
 	}
 	return f.File.Truncate(size)
+}
+
+// eioFS fails one Read of a file with EIO once the file's read offset
+// reaches failAt, then reads normally.
+type eioFS struct {
+	FS
+	failAt int64
+	fired  bool
+}
+
+func (f *eioFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &eioFile{File: file, fs: f}, nil
+}
+
+type eioFile struct {
+	File
+	fs  *eioFS
+	off int64
+}
+
+func (f *eioFile) Read(p []byte) (int, error) {
+	if !f.fs.fired {
+		if f.off >= f.fs.failAt {
+			f.fs.fired = true
+			return 0, syscall.EIO
+		}
+		p = p[:min(int64(len(p)), f.fs.failAt-f.off)]
+	}
+	n, err := f.File.Read(p)
+	f.off += int64(n)
+	return n, err
+}
+
+func (f *eioFile) Seek(offset int64, whence int) (int64, error) {
+	off, err := f.File.Seek(offset, whence)
+	if err == nil {
+		f.off = off
+	}
+	return off, err
+}
+
+// TestOpenWALReadErrorKeepsLog: a read that fails inside the log's size
+// is an I/O error, not a torn tail. OpenWAL must return it and leave the
+// file whole — truncating there would drop acknowledged records — and the
+// next open, whose reads succeed, recovers every record.
+func TestOpenWALReadErrorKeepsLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w, err := OpenWAL(path, SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := &pointset.Dataset{Data: make([]float64, 2*200), N: 200, D: 2}
+	for i := range 3 {
+		batch.Data[0] = float64(i)
+		if _, err := w.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() <= 4096 {
+		t.Fatalf("log of %d bytes: the failing read would not fall inside it", st.Size())
+	}
+	fsys := &eioFS{FS: OS, failAt: 4096}
+	if w, err := OpenWALFS(fsys, path, SyncAlways); err == nil || !errors.Is(err, syscall.EIO) {
+		if w != nil {
+			w.Close()
+		}
+		t.Fatalf("open over a failing read: %v, want EIO", err)
+	}
+	if !fsys.fired {
+		t.Fatal("the read fault never fired")
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() != st.Size() {
+		t.Fatalf("log is %d bytes after the failed open, was %d", after.Size(), st.Size())
+	}
+	w, err = OpenWAL(path, SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if w.Records() != 3 || w.Seq() != 3 {
+		t.Fatalf("reopened log holds %d records up to seq %d, want 3 and 3", w.Records(), w.Seq())
+	}
 }
 
 // pointCounter is a replay Target counting the points it holds.

@@ -10,15 +10,17 @@ import (
 	"os"
 )
 
-// Mapped-Dataset file format: a fixed 32-byte header followed by the
-// row-major float64 payload, everything little-endian.
+// Mapped-Dataset file format: a fixed 32-byte header, the row-major
+// float64 payload and a bounding-box trailer, everything little-endian.
 //
-//	offset  size  field
-//	0       8     magic "AWDSET01" (format tag + version)
-//	8       8     n — number of points (uint64)
-//	16      8     d — dimensionality (uint64)
-//	24      8     reserved, zero
-//	32      n·d·8 coordinates, row-major IEEE-754 float64
+//	offset       size   field
+//	0            8      magic "AWDSET02" (format tag + version)
+//	8            8      n — number of points (uint64)
+//	16           8      d — dimensionality (uint64)
+//	24           8      reserved, zero
+//	32           n·d·8  coordinates, row-major IEEE-754 float64
+//	32+n·d·8     d·8    per-dimension minimum of the rows (float64)
+//	32+n·d·8+d·8 d·8    per-dimension maximum of the rows (float64)
 //
 // The header is 32 bytes so the payload starts 8-byte aligned: an mmap view
 // can expose it as a []float64 directly, and a Dataset built over that view
@@ -29,10 +31,22 @@ import (
 // truncated file — crashed writer, partial copy, tail chopped off — never
 // passes OpenMapped's exact length check and is reported as
 // ErrCorruptDataset instead of being silently clustered short.
+//
+// The trailer is the bounding box the writer saw, folded in row order with
+// the quantizer's own rule (a bound moves only on a strict < or >), so its
+// bits are the bits a scan of the rows computes, −0 and +0 included. A
+// file with zero rows or any non-finite coordinate records no box: its
+// trailer is all NaN. The quantizer builds its grid from a recorded box
+// instead of scanning the rows, and checks the box in the pass that
+// computes cells. Version 01 files ("AWDSET01": the same header and
+// payload, no trailer) stay readable and record no box.
 
-// mappedMagic identifies a mapped-Dataset file; the trailing "01" is the
-// format version.
-const mappedMagic = "AWDSET01"
+// mappedMagic identifies a mapped-Dataset file; the trailing "02" is the
+// format version. mappedMagicV1 is the trailer-less version 01.
+const (
+	mappedMagic   = "AWDSET02"
+	mappedMagicV1 = "AWDSET01"
+)
 
 // mappedHeaderSize is the fixed header length. It is a multiple of 8 so the
 // float64 payload of a page-aligned mapping is itself 8-byte aligned.
@@ -64,6 +78,10 @@ type MappedWriter struct {
 	d   int
 	n   uint64
 	buf []byte
+	// mins and maxs are the bounding box of the rows so far; finite is
+	// false once a row held a NaN or ±Inf.
+	mins, maxs []float64
+	finite     bool
 }
 
 // CreateMapped creates (or truncates) a mapped-Dataset file for
@@ -78,10 +96,13 @@ func CreateMapped(path string, d int) (*MappedWriter, error) {
 		return nil, err
 	}
 	w := &MappedWriter{
-		f:   f,
-		bw:  bufio.NewWriterSize(f, 1<<20),
-		d:   d,
-		buf: make([]byte, 8*d),
+		f:      f,
+		bw:     bufio.NewWriterSize(f, 1<<20),
+		d:      d,
+		buf:    make([]byte, 8*d),
+		mins:   make([]float64, d),
+		maxs:   make([]float64, d),
+		finite: true,
 	}
 	// Placeholder header: the point count is all-ones, which no valid file
 	// can carry, so a writer that dies before Close leaves a file that
@@ -104,7 +125,9 @@ func (w *MappedWriter) Dim() int { return w.d }
 func (w *MappedWriter) N() int { return int(w.n) }
 
 // AppendRow appends one point. The row length must equal the writer's
-// dimensionality.
+// dimensionality. It folds the row into the bounding box the file records:
+// the first row seeds it, and a later value moves a bound only when it is
+// strictly below the minimum or above the maximum.
 func (w *MappedWriter) AppendRow(row []float64) error {
 	if len(row) != w.d {
 		return fmt.Errorf("pointset: appending row of dimension %d to %d-dimensional mapped dataset", len(row), w.d)
@@ -115,20 +138,48 @@ func (w *MappedWriter) AppendRow(row []float64) error {
 	if _, err := w.bw.Write(w.buf); err != nil {
 		return err
 	}
+	if w.n == 0 {
+		copy(w.mins, row)
+		copy(w.maxs, row)
+	}
+	for j, v := range row {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			w.finite = false
+		}
+		if v < w.mins[j] {
+			w.mins[j] = v
+		}
+		if v > w.maxs[j] {
+			w.maxs[j] = v
+		}
+	}
 	w.n++
 	return nil
 }
 
-// Close flushes buffered rows, stamps the final point count into the
-// header, syncs, and closes the file. Only a Close that returns nil yields
-// a file OpenMapped accepts. Close is idempotent.
+// Close appends the bounding-box trailer, flushes buffered rows, stamps the
+// final point count into the header, syncs, and closes the file. Only a
+// Close that returns nil yields a file OpenMapped accepts. Close is
+// idempotent.
 func (w *MappedWriter) Close() error {
 	if w.f == nil {
 		return nil
 	}
 	f := w.f
 	w.f = nil
-	err := w.bw.Flush()
+	trailer := make([]byte, 16*w.d)
+	for j := range w.d {
+		lo, hi := w.mins[j], w.maxs[j]
+		if w.n == 0 || !w.finite {
+			lo, hi = math.NaN(), math.NaN()
+		}
+		binary.LittleEndian.PutUint64(trailer[8*j:], math.Float64bits(lo))
+		binary.LittleEndian.PutUint64(trailer[8*(w.d+j):], math.Float64bits(hi))
+	}
+	_, err := w.bw.Write(trailer)
+	if err == nil {
+		err = w.bw.Flush()
+	}
 	if err == nil {
 		var nbuf [8]byte
 		binary.LittleEndian.PutUint64(nbuf[:], w.n)
@@ -154,9 +205,12 @@ type Mapped struct {
 	mm []byte // mmap region; nil when the payload was decoded into memory
 }
 
-// OpenMapped opens and validates a mapped-Dataset file. A file whose magic,
-// header, or byte length does not check out fails with an
-// ErrCorruptDataset-tagged error.
+// OpenMapped opens and validates a mapped-Dataset file of either version. A
+// file whose magic, header, or byte length (trailer included) does not
+// check out fails with an ErrCorruptDataset-tagged error. The Dataset view
+// of a version 02 file carries its recorded bounding box (Dataset.Bounds);
+// the trailer's values are not checked here but by the quantize pass that
+// uses them.
 func OpenMapped(path string) (*Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -175,8 +229,9 @@ func OpenMapped(path string) (*Mapped, error) {
 	if _, err := io.ReadFull(io.NewSectionReader(f, 0, mappedHeaderSize), hdr[:]); err != nil {
 		return nil, err
 	}
-	if string(hdr[:8]) != mappedMagic {
-		return nil, corrupt("%s: bad magic %q (want %q)", path, hdr[:8], mappedMagic)
+	magic := string(hdr[:8])
+	if magic != mappedMagic && magic != mappedMagicV1 {
+		return nil, corrupt("%s: bad magic %q (want %q or %q)", path, hdr[:8], mappedMagic, mappedMagicV1)
 	}
 	n := binary.LittleEndian.Uint64(hdr[8:16])
 	d := binary.LittleEndian.Uint64(hdr[16:24])
@@ -184,22 +239,50 @@ func OpenMapped(path string) (*Mapped, error) {
 		return nil, corrupt("%s: dimensionality %d out of range [1, %d]", path, d, mappedMaxDim)
 	}
 	const maxInt = uint64(^uint(0) >> 1)
-	if n > maxInt/8/d {
+	if n > (maxInt-mappedHeaderSize-16*mappedMaxDim)/8/d {
 		return nil, corrupt("%s: declared size %d×%d overflows this platform", path, n, d)
 	}
-	want := int64(mappedHeaderSize) + int64(n*d*8)
+	payloadEnd := int64(mappedHeaderSize) + int64(n*d*8)
+	want := payloadEnd
+	if magic == mappedMagic {
+		want += int64(16 * d)
+	}
 	if size != want {
-		return nil, corrupt("%s: %d bytes on disk, header declares %d points × %d dims = %d bytes (torn or truncated write?)",
-			path, size, n, d, want)
+		return nil, corrupt("%s: %d bytes on disk, %s header declares %d points × %d dims = %d bytes (torn or truncated write?)",
+			path, size, magic, n, d, want)
+	}
+	var box *recordedBox
+	if magic == mappedMagic {
+		if box, err = readBox(f, payloadEnd, int(d)); err != nil {
+			return nil, err
+		}
 	}
 	floats, mm, err := mapFloats(f, int(n), int(d))
 	if err != nil {
 		return nil, err
 	}
+	if box != nil {
+		box.data = floats
+	}
 	return &Mapped{
-		ds: Dataset{Data: floats, N: int(n), D: int(d)},
+		ds: Dataset{Data: floats, N: int(n), D: int(d), box: box},
 		mm: mm,
 	}, nil
+}
+
+// readBox decodes the bounding-box trailer of a version 02 file: d mins
+// then d maxs starting at byte off.
+func readBox(f *os.File, off int64, d int) (*recordedBox, error) {
+	raw := make([]byte, 16*d)
+	if _, err := io.ReadFull(io.NewSectionReader(f, off, int64(len(raw))), raw); err != nil {
+		return nil, fmt.Errorf("pointset: reading mapped dataset bounds: %w", err)
+	}
+	b := &recordedBox{mins: make([]float64, d), maxs: make([]float64, d)}
+	for j := range d {
+		b.mins[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
+		b.maxs[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*(d+j):]))
+	}
+	return b, nil
 }
 
 // Dataset returns the mapped file as a read-only flat Dataset view — hand

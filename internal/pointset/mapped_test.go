@@ -215,10 +215,12 @@ func TestMappedRowMismatch(t *testing.T) {
 // FuzzOpenMapped feeds arbitrary bytes to OpenMapped as a mapped-Dataset
 // file. It must never panic; a rejected file must fail with an
 // ErrCorruptDataset-tagged error, and an accepted one must expose exactly
-// the N·D coordinates its header declares. The seed corpus in
-// testdata/fuzz/FuzzOpenMapped holds valid, empty, truncated, torn and
-// overflowing headers; the in-code seed is whatever CreateMapped writes
-// today.
+// the N·D coordinates its header declares, with D recorded bounds when it
+// is a version 02 file and none when it is a version 01 one. The seed
+// corpus in testdata/fuzz/FuzzOpenMapped holds valid, empty, truncated,
+// torn and overflowing version 01 headers, and version 02 files: valid,
+// with a short trailer, and with NaN, narrow and wide bounds. The in-code
+// seed is whatever CreateMapped writes today.
 func FuzzOpenMapped(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "seed.awds")
 	w, err := CreateMapped(path, 3)
@@ -260,6 +262,13 @@ func FuzzOpenMapped(f *testing.F) {
 			// Touch both ends: a view longer than the file's payload
 			// would fault here.
 			_ = ds.Data[0] + ds.Data[len(ds.Data)-1]
+		}
+		mins, maxs, ok := ds.Bounds()
+		if ok != (string(data[:8]) == mappedMagic) || len(mins) != len(maxs) || (ok && len(mins) != ds.D) {
+			t.Fatalf("%q file of dimension %d records %d, %d bounds (%v)", data[:8], ds.D, len(mins), len(maxs), ok)
+		}
+		if _, _, ok := ds.Clone().Bounds(); ok {
+			t.Fatal("a clone of the view records bounds")
 		}
 	})
 }

@@ -7,7 +7,10 @@
 // still speaks slices, and FromSlices converts the other way (one copy).
 package pointset
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Dataset is a flat row-major point set: point i occupies
 // Data[i*D : (i+1)*D]. N is the number of points and D the dimensionality.
@@ -19,6 +22,33 @@ type Dataset struct {
 	N int
 	// D is the dimensionality of each point.
 	D int
+	// box is the bounding box a mapped file records for its rows; nil for
+	// every dataset not returned by Mapped.Dataset.
+	box *recordedBox
+}
+
+// recordedBox is a mapped file's bounding-box trailer together with the
+// payload view it was recorded for.
+type recordedBox struct {
+	mins, maxs []float64
+	data       []float64
+}
+
+// Bounds returns copies of the per-dimension bounding box that the mapped
+// file behind ds records for its rows, and whether it records one. Only
+// the view Mapped.Dataset returns for a version 02 file has one; Clone,
+// FromSlices and every other dataset, including a copy of the view whose
+// Data or N was changed, report none. Bounds all NaN mean the writer saw
+// no finite box: zero rows, or a non-finite coordinate. The values come
+// from the file unchecked; the quantizer that uses them checks them
+// against the rows.
+func (ds *Dataset) Bounds() (mins, maxs []float64, ok bool) {
+	b := ds.box
+	if b == nil || len(b.mins) != ds.D || len(ds.Data) != len(b.data) || ds.N*ds.D != len(b.data) ||
+		(len(b.data) > 0 && &ds.Data[0] != &b.data[0]) {
+		return nil, nil, false
+	}
+	return slices.Clone(b.mins), slices.Clone(b.maxs), true
 }
 
 // New returns an empty dataset of dimensionality d with room for capacity
