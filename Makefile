@@ -69,9 +69,12 @@ test:
 # property test hammers two sessions ping-ponging through the residency
 # budget under concurrent readers, and whose kill-and-promote property test
 # replicates random mutation splits to a follower and promotes it against a
-# killed primary).
+# killed primary). The replication wake-up and drain tests then run 20
+# times each, so a lost wake-up fails the target instead of flaking rarely.
+WAKEUP_TESTS = TestWALChangedWakes|TestWALTailerNeverStalls|TestTailerResume|TestReplicaSetLearnsWithoutPolling|TestDrainEndsReplicationHandlers|TestSessionListWaitsForChange|TestCheckpointKeepsStream
 race:
 	$(GO) test -race ./internal/grid/... ./internal/core/... ./internal/pointset/... ./internal/sched/... ./internal/persist/... ./internal/embed/... ./internal/linalg/... ./internal/cluster/... ./cmd/adawave-serve/... .
+	$(GO) test -race -count=20 -run '^($(WAKEUP_TESTS))$$' ./internal/persist ./internal/cluster ./cmd/adawave-serve
 
 # The CI fuzz smoke job: a short run of each decoder's fuzz target — the
 # grid snapshot and spill-run readers, the WAL frame decoders the

@@ -47,8 +47,8 @@ func followerOfURL(t *testing.T, workers int, primaryURL string) *server {
 		workers: workers, timeout: 60 * time.Second,
 		dataDir: filepath.Join(t.TempDir(), "data"),
 		walSync: persist.SyncNever, role: roleFollower,
-		followerOf:  primaryURL,
-		replicaPoll: 50 * time.Millisecond, replicaRetry: 25 * time.Millisecond,
+		followerOf:   primaryURL,
+		replicaRetry: 25 * time.Millisecond,
 	})
 }
 
@@ -516,8 +516,8 @@ func TestReplicationAuthGate(t *testing.T) {
 		workers: 1, timeout: 60 * time.Second,
 		dataDir: filepath.Join(t.TempDir(), "data"),
 		walSync: persist.SyncNever, role: roleFollower,
-		followerOf:  primary.URL,
-		replicaPoll: 50 * time.Millisecond, replicaRetry: 25 * time.Millisecond,
+		followerOf:    primary.URL,
+		replicaRetry:  25 * time.Millisecond,
 		clusterSecret: secret,
 	})
 	follower := httptest.NewServer(srvF.handler())

@@ -95,12 +95,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "adawave-serve: %v\n", err)
 		os.Exit(1)
 	}
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	hs := httpServer(*addr, srv)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -126,13 +121,37 @@ func main() {
 	case <-ctx.Done():
 		stop() // a second signal kills immediately
 		log.Printf("adawave-serve: draining (up to %s)", *shutdownTimeout)
-		sctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
-		defer cancel()
-		if err := hs.Shutdown(sctx); err != nil {
-			log.Printf("adawave-serve: forced close: %v", err)
-			hs.Close()
-		}
+		drain(hs, *shutdownTimeout)
 	}
 	// Flush and close the WALs after the last in-flight mutation drained.
 	srv.Close()
+}
+
+// httpServer is the HTTP server in front of srv. Its graceful shutdown
+// begins srv's drain, which ends the long-lived replication handlers (a WAL
+// stream to an attached follower, a follower's waiting session list) that
+// would otherwise hold their connections active for the whole grace period.
+func httpServer(addr string, srv *server) *http.Server {
+	hs := &http.Server{
+		Addr:              addr,
+		Handler:           srv.handler(),
+		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	hs.RegisterOnShutdown(srv.beginDrain)
+	return hs
+}
+
+// drain shuts hs down gracefully, waiting at most timeout for in-flight
+// requests, and closes the remaining connections by force after that. It
+// returns Shutdown's error: nil when every handler returned in time.
+func drain(hs *http.Server, timeout time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	err := hs.Shutdown(ctx)
+	if err != nil {
+		log.Printf("adawave-serve: forced close: %v", err)
+		hs.Close()
+	}
+	return err
 }

@@ -24,18 +24,19 @@ import (
 // replication endpoints, and becomes a primary when the router POSTs
 // promote. The replication feed is pull-based: the follower asks for the
 // session list, downloads each session's newest checkpoint, then tails the
-// WAL over a long-lived response — the primary keeps no per-follower state,
-// so a follower can crash and re-attach with nothing to clean up.
+// WAL over a long-lived response — the primary keeps no per-follower state
+// beyond its in-flight requests, so a follower can crash and re-attach with
+// nothing to clean up. Neither wait naps: the session list is versioned,
+// and a follower's list request that names the version it holds waits for
+// the next create, delete or adopt (or the follower's poll period); a
+// caught-up WAL stream waits for the log's next append or checkpoint reset
+// (persist.WAL.Changed), and rides a reset that took only frames it has
+// sent. Both waits end when the drain begins.
 const (
 	roleStandalone = "standalone"
 	rolePrimary    = "primary"
 	roleFollower   = "follower"
 )
-
-// walStreamPoll is how long the WAL stream handler naps when the log has no
-// new frames; the poll only bounds idle-stream latency (a busy log streams
-// back-to-back), so replication lag under load is write-speed, not this.
-const walStreamPoll = 25 * time.Millisecond
 
 // validSessionID bounds router-pinned ids to the same shape server-minted
 // ids have: path-safe, short, no separators.
@@ -117,7 +118,12 @@ func followerAllows(r *http.Request) bool {
 // replicationSessions answers GET /v1/replication/sessions: the durable
 // sessions a follower should replicate, each with its config fingerprint
 // (so the follower rebuilds an identical engine) and current checkpoint/WAL
-// sequences.
+// sequences, under the registry's list version. A request that names the
+// version it holds (api.QueryListVersion) and a wait (api.QueryListWait) is
+// answered when the version moves, once the wait is over, or when the
+// drain begins; one without a version is answered at once. The rows read
+// only atomics and cached shapes, never a session lock, so the answer does
+// not queue behind a label recompute.
 func (s *server) replicationSessions(w http.ResponseWriter, r *http.Request) {
 	if s.isFollower() {
 		writeCode(w, http.StatusConflict, api.CodeNotPrimary, "followers do not serve the replication feed")
@@ -127,6 +133,24 @@ func (s *server) replicationSessions(w http.ResponseWriter, r *http.Request) {
 		writeCode(w, http.StatusConflict, api.CodeConflict, "persistence is disabled (start with -data-dir)")
 		return
 	}
+	q := r.URL.Query()
+	if v := q.Get(api.QueryListVersion); v != "" {
+		held, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			writeCode(w, http.StatusBadRequest, api.CodeInvalidInput, fmt.Sprintf("bad %s %q", api.QueryListVersion, v))
+			return
+		}
+		wait, err := time.ParseDuration(q.Get(api.QueryListWait))
+		if err != nil {
+			writeCode(w, http.StatusBadRequest, api.CodeInvalidInput, fmt.Sprintf("bad %s: %v", api.QueryListWait, err))
+			return
+		}
+		s.listVer.Wait(r.Context(), held, wait, s.draining)
+	}
+	// The version is read before the registry: a change racing the read
+	// then shows as a version this list already covers, never as a version
+	// that claims a change the rows miss.
+	version := s.listVer.Load()
 	rows := make([]api.ReplicationSessionInfo, 0)
 	for _, ss := range s.snapshotSessions() {
 		if ss.files == nil {
@@ -142,7 +166,7 @@ func (s *server) replicationSessions(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	sort.Slice(rows, func(a, b int) bool { return rows[a].ID < rows[b].ID })
-	writeJSON(w, http.StatusOK, api.ReplicationSessionsResponse{Role: s.currentRole(), Sessions: rows})
+	writeJSON(w, http.StatusOK, api.ReplicationSessionsResponse{Role: s.currentRole(), Version: version, Sessions: rows})
 }
 
 // replicationCheckpoint streams the session's newest checkpoint file, its
@@ -189,12 +213,15 @@ func (s *server) replicationCheckpoint(w http.ResponseWriter, r *http.Request) {
 // long-lived stream of WAL frames with sequence > N, shipped verbatim —
 // the follower journals the same bytes it applies, so the two logs are
 // byte-identical. The stream reads through a Tailer (its own fd, bounded by
-// the WAL's acknowledged size, so it never sees a half-written record) and
-// ends cleanly when the log is reset by a checkpoint or a record is torn;
-// the follower reconnects from its last applied sequence. A from below the
-// newest checkpoint's sequence cannot be served — those frames are gone —
-// and answers 409 replication_restart, directing the follower to a full
-// checkpoint re-sync.
+// the WAL's acknowledged size, so it never sees a half-written record);
+// caught up, it waits for the log's next change. A checkpoint's reset of
+// the log does not end the stream when every frame the reset took was
+// already sent: the Tailer resumes at the front of the truncated log. The
+// stream ends cleanly when a reset took frames not yet sent, a record is
+// torn, or the drain begins; the follower reconnects from its last applied
+// sequence. A from below the newest checkpoint's sequence cannot be served
+// — those frames are gone — and answers 409 replication_restart, directing
+// the follower to a full checkpoint re-sync.
 func (s *server) replicationWAL(w http.ResponseWriter, r *http.Request) {
 	if s.isFollower() {
 		writeCode(w, http.StatusConflict, api.CodeNotPrimary, "followers do not serve the replication feed")
@@ -222,19 +249,23 @@ func (s *server) replicationWAL(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("frames after seq %d start inside the checkpoint (seq %d); re-sync from the checkpoint", from, ckpt))
 		return
 	}
-	t, err := ss.files.WAL().NewTailer(from)
+	wal := ss.files.WAL()
+	t, err := wal.NewTailer(from)
 	if err != nil {
 		writeCode(w, http.StatusInternalServerError, api.CodeInternal, fmt.Sprintf("wal tail: %v", err))
 		return
 	}
 	defer t.Close()
-	w.Header().Set(api.HeaderWALSeq, strconv.FormatUint(ss.files.WAL().Seq(), 10))
+	w.Header().Set(api.HeaderWALSeq, strconv.FormatUint(wal.Seq(), 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
 	_ = rc.Flush()
 	ctx := r.Context()
 	for {
+		// Taken before the read: an append that lands after Next found
+		// nothing has closed this channel, so no wake-up is lost.
+		changed := wal.Changed()
 		frame, _, err := t.Next()
 		switch {
 		case err == nil:
@@ -242,22 +273,24 @@ func (s *server) replicationWAL(w http.ResponseWriter, r *http.Request) {
 				return // follower went away
 			}
 		case errors.Is(err, persist.ErrNoFrame):
-			// Caught up: push what's buffered and wait for new appends.
+			// Caught up: push what's buffered and wait for the log to move.
 			if ferr := rc.Flush(); ferr != nil {
 				return
 			}
 			select {
 			case <-ctx.Done():
 				return
-			case <-s.stop:
+			case <-s.draining:
 				return
-			case <-time.After(walStreamPoll):
+			case <-changed:
 			}
+		case errors.Is(err, persist.ErrWALReset) && t.Resume() == nil:
+			// A checkpoint folded only frames this stream already sent; the
+			// rest follow from the truncated log.
 		default:
-			// ErrWALReset (a checkpoint folded the log) or a torn record:
-			// end the stream cleanly at a frame boundary; the follower
-			// reconnects from its applied sequence and either resumes or is
-			// told to re-sync.
+			// A reset that took unsent frames, or a torn record: end the
+			// stream cleanly at a frame boundary; the follower reconnects
+			// from its applied sequence and is told to re-sync.
 			_ = rc.Flush()
 			return
 		}

@@ -114,10 +114,9 @@ type serverOptions struct {
 	peers         []string
 	clusterSecret string
 
-	// Replication cadence overrides (zero = the cluster package defaults of
-	// 1s poll / 500ms retry / a local checkpoint every 8192 frames); tests
+	// Replication overrides (zero = the cluster package defaults of a 500ms
+	// reconnect backoff and a local checkpoint every 8192 frames); tests
 	// tighten these to keep failover drills fast.
-	replicaPoll            time.Duration
 	replicaRetry           time.Duration
 	replicaCheckpointEvery int
 
@@ -146,6 +145,13 @@ type server struct {
 	closeOnce       sync.Once
 	metrics         *serverMetrics
 
+	// draining is closed when the drain begins (see beginDrain): the
+	// long-lived replication handlers — the WAL stream and the waiting
+	// session list — end on it, so a graceful shutdown does not wait out
+	// the followers attached to this node.
+	draining  chan struct{}
+	drainOnce sync.Once
+
 	// Resource governance: the process-wide worker pool every request's
 	// fan-out draws shards from (fair across tenants), the quota governor,
 	// the API-key → tenant map, and the residency budget (see tenant.go).
@@ -164,6 +170,10 @@ type server struct {
 	clusterSecret string
 	replica       *cluster.ReplicaSet
 	promoteMu     sync.Mutex
+	// listVer versions the session registry for the replication feed's
+	// session list (see replicationSessions): every create, delete and
+	// adopt bumps it.
+	listVer *cluster.ListVersion
 
 	mu       sync.RWMutex
 	sessions map[string]*serveSession
@@ -229,6 +239,7 @@ func (s *server) adopt(live []cluster.Promoted, names []string) {
 		s.sessions[p.Dir.ID()] = newServeSession(p.Dir.ID(), p.Dir.Tenant(), p.Session, &sessionFiles{SessionDir: p.Dir}, s.workers)
 	}
 	s.mu.Unlock()
+	s.listVer.Bump()
 	for _, p := range live {
 		s.gov.AddPoints(p.Dir.Tenant(), int64(p.Session.Len()))
 	}
@@ -307,6 +318,8 @@ func newServer(opts serverOptions) (*server, error) {
 		peers:            opts.peers,
 		clusterSecret:    opts.clusterSecret,
 		stop:             make(chan struct{}),
+		draining:         make(chan struct{}),
+		listVer:          cluster.NewListVersion(),
 		sessions:         make(map[string]*serveSession),
 		metrics:          newServerMetrics(),
 	}
@@ -331,7 +344,6 @@ func newServer(opts serverOptions) (*server, error) {
 				Primary:         opts.followerOf,
 				Sessions:        disk,
 				Workers:         opts.workers,
-				Poll:            opts.replicaPoll,
 				Retry:           opts.replicaRetry,
 				CheckpointEvery: opts.replicaCheckpointEvery,
 				Secret:          opts.clusterSecret,
@@ -440,11 +452,19 @@ func (s *server) checkpointDirty() {
 	}
 }
 
+// beginDrain ends the long-lived replication handlers: a WAL stream
+// flushes what it has read and ends at a frame boundary, a waiting session
+// list answers now. The WALs stay open, so the handlers finish against
+// them; later requests are served but do not wait. The HTTP server calls it
+// when its graceful shutdown starts (see httpServer), Close at the latest.
+func (s *server) beginDrain() { s.drainOnce.Do(func() { close(s.draining) }) }
+
 // Close stops the background goroutines and closes every session's WAL
 // (flushing buffered records). It does not checkpoint; recovery replays the
 // log on the next boot.
 func (s *server) Close() {
 	s.closeOnce.Do(func() {
+		s.beginDrain()
 		close(s.stop)
 		s.bg.Wait()
 		if s.replica != nil {
@@ -628,6 +648,7 @@ func (s *server) createSession(w http.ResponseWriter, r *http.Request) {
 	}
 	s.sessions[id] = ss
 	s.mu.Unlock()
+	s.listVer.Bump()
 	s.enforceResidency()
 	writeJSON(w, http.StatusCreated, api.CreateSessionResponse{ID: id, Tenant: tenant})
 }
@@ -1149,6 +1170,7 @@ func (s *server) deleteSession(w http.ResponseWriter, r *http.Request) {
 		writeCode(w, http.StatusNotFound, api.CodeNotFound, fmt.Sprintf("unknown session %q", id))
 		return
 	}
+	s.listVer.Bump()
 	if ss.files != nil {
 		// Dropping the session drops its durable state too; in-flight
 		// mutations finished before the registry delete (or 404 after it).

@@ -451,7 +451,7 @@ func TestFollowerProvisionUnderFaults(t *testing.T) {
 			srvF := mustServer(t, serverOptions{
 				workers: 1, timeout: 60 * time.Second, dataDir: dataDir,
 				walSync: persist.SyncAlways, role: roleFollower, followerOf: primary.URL,
-				replicaPoll: 50 * time.Millisecond, replicaRetry: 25 * time.Millisecond,
+				replicaRetry:           25 * time.Millisecond,
 				replicaCheckpointEvery: 2, fs: ffs,
 			})
 			follower := httptest.NewServer(srvF.handler())
@@ -510,7 +510,7 @@ func TestFollowerRestartKeepsDefaultTenant(t *testing.T) {
 		workers: 1, timeout: 60 * time.Second,
 		dataDir: filepath.Join(t.TempDir(), "data"),
 		walSync: persist.SyncNever, role: roleFollower, followerOf: primary.URL,
-		replicaPoll: 50 * time.Millisecond, replicaRetry: 25 * time.Millisecond,
+		replicaRetry: 25 * time.Millisecond,
 	}
 	srvF := mustServer(t, opts)
 	follower := httptest.NewServer(srvF.handler())

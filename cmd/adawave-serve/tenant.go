@@ -141,19 +141,22 @@ func (ss *serveSession) resident() bool { return ss.live.Load() != nil }
 
 func (ss *serveSession) touch() { ss.lastTouch.Store(time.Now().UnixNano()) }
 
-// cacheShape refreshes the lock-free shape cache the session list (and the
-// governor teardown) reads so neither ever rehydrates an evicted session.
+// cacheShape refreshes the lock-free shape cache the session lists (and the
+// governor teardown) read. Every path that changes the session's rows calls
+// it once the change is committed — append and remove under the writer
+// lock, plus registration, rehydration and eviction, which install or park
+// the object — so the cache holds the committed shape; an upload in flight,
+// or one rolled back, never shows.
 func (ss *serveSession) cacheShape(sess *adawave.Session) {
 	ss.lastPoints.Store(int64(sess.Len()))
 	ss.lastDim.Store(int64(sess.Dim()))
 }
 
-// shape returns the session's point count and dimensionality without
-// rehydrating: live sessions answer directly, evicted ones from the cache.
+// shape returns the session's committed point count and dimensionality
+// from the cache alone: it never rehydrates an evicted session, and never
+// takes the session's lock, which a label recompute holds for its whole
+// pass.
 func (ss *serveSession) shape() (points, dim int) {
-	if sess := ss.live.Load(); sess != nil {
-		ss.cacheShape(sess)
-	}
 	return int(ss.lastPoints.Load()), int(ss.lastDim.Load())
 }
 

@@ -226,7 +226,12 @@
 // replication feed, and a follower (-follower-of) seeds each session
 // from a checkpoint snapshot, tails the CRC-framed WAL records over
 // long-lived HTTP, journals them to its own data-dir and applies them to
-// warm in-memory sessions, reporting applied sequence and lag. The thin
+// warm in-memory sessions, reporting applied sequence and lag. Neither
+// side naps: the follower's session-list request names the list version
+// it holds and is answered when a session is created, deleted or adopted
+// (or after its poll period, which bounds the lag refresh), and a
+// caught-up frame stream wakes on the primary's next append; a checkpoint
+// that folds only frames already sent keeps the stream open. The thin
 // cmd/adawave-router binary places sessions on a consistent-hash ring
 // over static primary=follower shard pairs, proxies /v1 traffic to each
 // session's active node, probes liveness, and on primary death answers

@@ -287,10 +287,23 @@ type ReplicationSessionInfo struct {
 }
 
 // ReplicationSessionsResponse answers GET /v1/replication/sessions.
+// Version identifies the listed set of sessions: it moves whenever a
+// session is created, deleted or adopted (0: the primary does not version
+// its list).
 type ReplicationSessionsResponse struct {
 	Role     string                   `json:"role"`
+	Version  uint64                   `json:"version,omitempty"`
 	Sessions []ReplicationSessionInfo `json:"sessions"`
 }
+
+// Query parameters of GET /v1/replication/sessions. A follower that names
+// the list version it holds (QueryListVersion) with a wait (QueryListWait,
+// a Go duration such as "1s") is answered when the version moves, or once
+// the wait is over; a request without a version is answered at once.
+const (
+	QueryListVersion = "version"
+	QueryListWait    = "wait"
+)
 
 // ReplicationStatusResponse answers GET /v1/replication/status and is
 // embedded in /v1/metrics: the node's role, the primary it follows (if

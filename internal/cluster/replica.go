@@ -35,8 +35,12 @@ type ReplicaOptions struct {
 	// the WAL stream is long-lived by design; per-call deadlines are set
 	// through contexts. Nil selects a default client.
 	Client *http.Client
-	// Poll is the session-list poll cadence (default 1s): how fast new
-	// primary sessions are discovered and the lag measurement refreshes.
+	// Poll bounds the session-list wait (default 1s). Each list request
+	// names the list version this follower holds, and the primary answers
+	// when its set of sessions changes or after Poll — so discovery is as
+	// fast as the primary's answer, and the lag measurement (the listed WAL
+	// sequences) is at most Poll old. A primary that reports no version is
+	// asked at most once per Poll.
 	Poll time.Duration
 	// Retry is the reconnect backoff after a failed or torn stream
 	// (default 500ms).
@@ -130,7 +134,7 @@ func NewReplicaSet(opts ReplicaOptions) *ReplicaSet {
 func (rs *ReplicaSet) Start() {
 	rs.recoverLocal()
 	rs.wg.Add(1)
-	go rs.pollLoop()
+	go rs.discover()
 }
 
 // Stop ends discovery and every stream, and waits for them to exit. After
@@ -158,19 +162,24 @@ func (rs *ReplicaSet) recoverLocal() {
 	}
 }
 
-// pollLoop discovers primary sessions and refreshes the lag measurement.
-func (rs *ReplicaSet) pollLoop() {
+// discover keeps the replica set in step with the primary's session list
+// and refreshes the lag measurement. Each request names the list version
+// this follower holds, so a versioning primary answers when its set of
+// sessions changes or after Poll. One pacing rule covers every answer: the
+// next request goes out at once when the version moved, and otherwise no
+// sooner than Poll after the previous one started. A long wait that ran
+// its course has already spent Poll; a primary that reports no version, or
+// a failed request, is asked again a Poll later — never in a spin.
+func (rs *ReplicaSet) discover() {
 	defer rs.wg.Done()
-	t := time.NewTicker(rs.opts.Poll)
-	defer t.Stop()
-	rs.pollOnce()
-	for {
-		select {
-		case <-rs.ctx.Done():
-			return
-		case <-t.C:
-			rs.pollOnce()
+	var version uint64
+	for rs.ctx.Err() == nil {
+		start := time.Now()
+		if v, err := rs.pollOnce(version); err == nil && v != version {
+			version = v
+			continue
 		}
+		sleepCtx(rs.ctx, rs.opts.Poll-time.Since(start))
 	}
 }
 
@@ -187,30 +196,41 @@ func (rs *ReplicaSet) feedRequest(ctx context.Context, path string) (*http.Reque
 	return req, nil
 }
 
-func (rs *ReplicaSet) pollOnce() {
+// pollOnce fetches the primary's session list — waiting, when held is a
+// version, until the list moves past it or Poll runs out — and reconciles
+// the replica set with it. It returns the list's version (0 when the
+// primary reports none).
+func (rs *ReplicaSet) pollOnce(held uint64) (uint64, error) {
 	ctx, cancel := context.WithTimeout(rs.ctx, rs.opts.Poll*3+time.Second)
 	defer cancel()
-	req, err := rs.feedRequest(ctx, "/v1/replication/sessions")
+	path := "/v1/replication/sessions"
+	if held != 0 {
+		path += "?" + url.Values{
+			api.QueryListVersion: {strconv.FormatUint(held, 10)},
+			api.QueryListWait:    {rs.opts.Poll.String()},
+		}.Encode()
+	}
+	req, err := rs.feedRequest(ctx, path)
 	if err != nil {
-		return
+		return 0, err
 	}
 	resp, err := rs.opts.Client.Do(req)
 	if err != nil {
-		return
+		return 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return
+		return 0, fmt.Errorf("session list: primary answered %d", resp.StatusCode)
 	}
 	var list api.ReplicationSessionsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		return
+		return 0, err
 	}
 	listed := make(map[string]bool, len(list.Sessions))
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	if rs.ctx.Err() != nil {
-		return
+		return 0, rs.ctx.Err()
 	}
 	for _, info := range list.Sessions {
 		listed[info.ID] = true
@@ -244,6 +264,7 @@ func (rs *ReplicaSet) pollOnce() {
 		delete(rs.replicas, id)
 		rs.quarantine(r)
 	}
+	return list.Version, nil
 }
 
 // quarantine detaches a dropped replica and parks its directory under the
@@ -433,7 +454,7 @@ func (rs *ReplicaSet) stream(ctx context.Context, r *Replica) error {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return errResync
 	case http.StatusNotFound:
-		// Deleted on the primary; the poll loop will drop us shortly.
+		// Deleted on the primary; discovery will drop us shortly.
 		return fmt.Errorf("session %s gone on primary", r.ID)
 	default:
 		return fmt.Errorf("wal stream: primary answered %d", resp.StatusCode)

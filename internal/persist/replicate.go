@@ -17,7 +17,7 @@ import (
 //   - Tailer: a read-only cursor over a live WAL through its own file
 //     descriptor, yielding complete frames as the writer appends them and
 //     detecting the post-checkpoint truncation (ErrWALReset) instead of
-//     reading past a moved tail.
+//     reading past a moved tail; (*WAL).Changed tells it when to read again.
 //   - ReadRecord / ReadFrame / ParseFrame: the follower's stream-side
 //     decoder — one frame off a wire reader, CRC-verified once and decoded
 //     with it, with a torn mid-record stream surfaced as a typed
@@ -37,9 +37,10 @@ var ErrTornRecord = errors.New("persist: torn wal record")
 var ErrNoFrame = errors.New("persist: no complete frame available")
 
 // ErrWALReset reports that the WAL was truncated (a checkpoint folded its
-// records in) since the Tailer was opened, invalidating its offset. The
-// subscriber must re-sync from a checkpoint at or above the truncation's
-// sequence and open a fresh Tailer.
+// records in) since the Tailer was opened, invalidating its offset. Resume
+// re-attaches the Tailer when the truncation took only frames it had
+// yielded; otherwise the subscriber must re-sync from a checkpoint at or
+// above the truncation's sequence and open a fresh Tailer.
 var ErrWALReset = errors.New("persist: wal reset since tailer opened")
 
 // TornRecordError describes where and why a WAL scan or frame stream
@@ -144,6 +145,7 @@ func (w *WAL) AppendFrame(frame []byte, rec Record) (_ uint64, err error) {
 	w.seq = rec.Seq
 	w.records++
 	w.size += int64(len(frame))
+	w.notifyLocked()
 	return rec.Seq, nil
 }
 
@@ -185,11 +187,11 @@ func (w *WAL) NewTailer(fromSeq uint64) (*Tailer, error) {
 func (t *Tailer) LastSeq() uint64 { return t.last }
 
 // Next returns the next complete frame and its sequence. ErrNoFrame means
-// the durable end of the log was reached (retry after a wait or a
-// writer-side notification); ErrWALReset means a checkpoint truncated the
-// log under the cursor. Frames at or below the subscription point are
-// skipped; a sequence gap above it is corruption and surfaces as a
-// *TornRecordError.
+// the durable end of the log was reached (wait on the WAL's Changed channel,
+// taken before the call, and retry); ErrWALReset means a checkpoint
+// truncated the log under the cursor (see Resume). Frames at or below the
+// subscription point are skipped; a sequence gap above it is corruption and
+// surfaces as a *TornRecordError.
 func (t *Tailer) Next() ([]byte, uint64, error) {
 	for {
 		if t.w.gen.Load() != t.gen {
@@ -227,6 +229,23 @@ func (t *Tailer) Next() ([]byte, uint64, error) {
 		t.last = h.seq
 		return frame, h.seq, nil
 	}
+}
+
+// Resume re-attaches the Tailer after Next reported ErrWALReset. When the
+// reset took no frame the cursor had not yet yielded — LastSeq is at or past
+// the sequence the log held when a checkpoint reset it — every later frame
+// is in the truncated log, so the cursor moves to its front and Next
+// continues with LastSeq()+1. Otherwise the frames in between exist only in
+// the checkpoint, and Resume returns ErrWALReset: the subscriber re-syncs
+// from the checkpoint.
+func (t *Tailer) Resume() error {
+	t.w.mu.Lock()
+	defer t.w.mu.Unlock()
+	if t.last < t.w.resetSeq {
+		return ErrWALReset
+	}
+	t.gen, t.off = t.w.gen.Load(), int64(len(walMagic))
+	return nil
 }
 
 // Close releases the Tailer's file descriptor.

@@ -100,6 +100,12 @@ type WAL struct {
 	size    int64  // valid bytes (magic + intact records)
 	failed  error  // a rollback left torn bytes behind: appends refused until Reset
 	gen     atomic.Uint64
+	// resetSeq is the sequence the log held at its last Reset: the records
+	// at or below it live only in the checkpoint that Reset followed.
+	resetSeq uint64
+	// changed is closed, and replaced, whenever a record lands or the log
+	// is reset (see Changed).
+	changed chan struct{}
 }
 
 // OpenWAL opens (creating if absent) the log at path. An existing log is
@@ -118,7 +124,7 @@ func OpenWALFS(fsys FS, path string, policy SyncPolicy) (*WAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: open wal: %w", err)
 	}
-	w := &WAL{fs: fsys, f: f, path: path, policy: policy, size: int64(len(walMagic))}
+	w := &WAL{fs: fsys, f: f, path: path, policy: policy, size: int64(len(walMagic)), changed: make(chan struct{})}
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
@@ -166,6 +172,24 @@ func (w *WAL) Seq() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.seq
+}
+
+// Changed returns a channel that is closed when the next record is
+// appended (AppendBatch, AppendRemove, AppendFrame) or the log is reset. A
+// reader that takes it before reading the log, and waits on it after
+// finding nothing new, misses no record: one that lands between the read
+// and the wait has already closed the channel. A failed append closes
+// nothing.
+func (w *WAL) Changed() <-chan struct{} {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.changed
+}
+
+// notifyLocked wakes every waiter on Changed. The caller holds w.mu.
+func (w *WAL) notifyLocked() {
+	close(w.changed)
+	w.changed = make(chan struct{})
 }
 
 // Records returns the number of records appended since the last Reset — the
@@ -262,6 +286,7 @@ func (w *WAL) append(typ byte, payloadLen int, body func(io.Writer) error) (_ ui
 	w.seq = seq
 	w.records++
 	w.size += int64(walHeaderLen + payloadLen + 4)
+	w.notifyLocked()
 	return seq, nil
 }
 
@@ -332,8 +357,11 @@ func (w *WAL) Reset() error {
 	// The truncation invalidates every Tailer's file offset; bumping the
 	// generation (after the truncate, still under the lock, and whether or
 	// not the fsync below succeeds) makes them surface ErrWALReset instead
-	// of reading past a moved tail.
+	// of reading past a moved tail; resetSeq tells them whether the
+	// truncation took a record they had not read yet (see Tailer.Resume).
 	w.gen.Add(1)
+	w.resetSeq = w.seq
+	w.notifyLocked()
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("persist: wal reset: %w", err)
 	}
